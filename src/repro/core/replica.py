@@ -47,7 +47,7 @@ from repro.core.config import ThunderboltConfig
 from repro.core.cross_shard import CrossShardExecutor
 from repro.core.shards import ShardMap
 from repro.crypto.certificates import (CertificateBuilder, quorum_size,
-                                       vote_message, weak_quorum_size)
+                                       weak_quorum_size)
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.dag.leader import LeaderSchedule
 from repro.dag.store import DagStore
@@ -98,7 +98,6 @@ class Replica:
         self.round = 0
         self.rounds_proposed = 0
         self.shift_sent = False
-        self._proposals: Dict[Tuple[int, int], Block] = {}
         self._voted: Set[Tuple[int, int]] = set()
         self._builders: Dict[str, CertificateBuilder] = {}
         self._pending_blocks: Dict[str, Block] = {}
@@ -254,9 +253,7 @@ class Replica:
         if key in self._voted:
             return  # at most one vote per (round, author)
         self._voted.add(key)
-        self._proposals[key] = block
-        signature = self.keypair.sign(
-            vote_message(block.digest, block.author, block.round_number))
+        signature = self.keypair.sign(block.vote_payload)
         self.network.send(self.id, block.author, "vote",
                           (self.epoch, block.digest, signature))
 
@@ -586,7 +583,8 @@ class Replica:
     def _propose(self, block: Block) -> None:
         self.blocks_proposed += 1
         self._builders[block.digest] = CertificateBuilder(
-            block.digest, self.id, block.round_number, self.n)
+            block.digest, self.id, block.round_number, self.n,
+            block.vote_payload)
         self._pending_blocks[block.digest] = block
         self.network.broadcast(self.id, "proposal", (self.epoch, block))
 
@@ -863,7 +861,6 @@ class Replica:
         self.round = 0
         self.rounds_proposed = 0
         self.shift_sent = False
-        self._proposals = {}
         self._voted = set()
         self._builders = {}
         self._pending_blocks = {}

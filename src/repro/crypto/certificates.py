@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Tuple
 
+from repro.crypto.digest import Encoded, canonical_encode
 from repro.crypto.keys import KeyRegistry, Signature
 from repro.errors import CryptoError
 
@@ -53,12 +54,9 @@ class Certificate:
             raise CryptoError(
                 f"certificate for {self.digest[:8]} has {len(self.signers)} "
                 f"distinct signers, needs {needed}")
-        message = self._signed_message()
+        payload = vote_payload(self.digest, self.origin, self.round_number)
         for signature in self.signatures:
-            registry.require_valid(message, signature)
-
-    def _signed_message(self) -> dict:
-        return vote_message(self.digest, self.origin, self.round_number)
+            registry.require_valid(payload, signature)
 
 
 def vote_message(digest: str, origin: int, round_number: int) -> dict:
@@ -66,15 +64,24 @@ def vote_message(digest: str, origin: int, round_number: int) -> dict:
     return {"vote": digest, "origin": origin, "round": round_number}
 
 
+def vote_payload(digest: str, origin: int, round_number: int) -> Encoded:
+    """:func:`vote_message` encoded once, for every signer and verifier of
+    the vertex to share (``Block.vote_payload`` carries it)."""
+    return Encoded(canonical_encode(
+        vote_message(digest, origin, round_number)))
+
+
 class CertificateBuilder:
     """Accumulates votes for one vertex until a quorum forms."""
 
     def __init__(self, digest: str, origin: int, round_number: int,
-                 n: int) -> None:
+                 n: int, payload: Encoded) -> None:
         self.digest = digest
         self.origin = origin
         self.round_number = round_number
         self.n = n
+        #: What each vote signs: the vertex's ``Block.vote_payload``.
+        self._payload = payload
         self._votes: Dict[int, Signature] = {}
 
     @property
@@ -83,9 +90,7 @@ class CertificateBuilder:
 
     def add_vote(self, signature: Signature, registry: KeyRegistry) -> None:
         """Record one replica's vote; duplicate votes are idempotent."""
-        registry.require_valid(
-            vote_message(self.digest, self.origin, self.round_number),
-            signature)
+        registry.require_valid(self._payload, signature)
         self._votes[signature.signer.owner] = signature
 
     @property

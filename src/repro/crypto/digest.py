@@ -18,6 +18,12 @@ def digest_bytes(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=DIGEST_BYTES).hexdigest()
 
 
+class Encoded(bytes):
+    """The canonical encoding of a message, made once and carried with it:
+    signing and verifying MAC these bytes as they are, so n voters and
+    2f+1 checks of one vertex do not each encode the same vote again."""
+
+
 def canonical_encode(value: Any) -> bytes:
     """A canonical byte encoding for the plain-data values we hash.
 
@@ -30,33 +36,45 @@ def canonical_encode(value: Any) -> bytes:
     return b"".join(parts)
 
 
-def _encode_into(value: Any, parts: list) -> None:
-    if value is None:
-        parts.append(b"N")
-    elif isinstance(value, bool):
-        parts.append(b"T" if value else b"F")
-    elif isinstance(value, int):
-        parts.append(b"I" + str(value).encode() + b";")
-    elif isinstance(value, float):
-        parts.append(b"D" + repr(value).encode() + b";")
-    elif isinstance(value, str):
+#: The seed encoder's ``isinstance`` order: how a subclass is encoded.
+_BASES = (bool, int, float, str, bytes, list, tuple, dict)
+
+
+def _encode_into(value: Any, parts: list, kind: Any = None) -> None:
+    # Dispatch on the exact type, what protocol objects are made of first;
+    # a subclass is encoded as the first of ``_BASES`` it is an instance of.
+    if kind is None:
+        kind = type(value)
+    if kind is str:
         encoded = value.encode("utf-8")
-        parts.append(b"S" + str(len(encoded)).encode() + b":" + encoded)
-    elif isinstance(value, bytes):
-        parts.append(b"B" + str(len(value)).encode() + b":" + value)
-    elif isinstance(value, (list, tuple)):
-        parts.append(b"L" + str(len(value)).encode() + b"[")
+        parts.append(b"S%d:%b" % (len(encoded), encoded))
+    elif kind is int:
+        parts.append(b"I%b;" % str(value).encode())
+    elif kind is dict:
+        keys = sorted(value, key=str)
+        parts.append(b"M%d{" % len(keys))
+        for key in keys:
+            encoded = str(key).encode("utf-8")
+            parts.append(b"S%d:%b" % (len(encoded), encoded))
+            _encode_into(value[key], parts)
+        parts.append(b"}")
+    elif kind is list or kind is tuple:
+        parts.append(b"L%d[" % len(value))
         for item in value:
             _encode_into(item, parts)
         parts.append(b"]")
-    elif isinstance(value, dict):
-        keys = sorted(value, key=str)
-        parts.append(b"M" + str(len(keys)).encode() + b"{")
-        for key in keys:
-            _encode_into(str(key), parts)
-            _encode_into(value[key], parts)
-        parts.append(b"}")
+    elif value is None:
+        parts.append(b"N")
+    elif kind is bool:
+        parts.append(b"T" if value else b"F")
+    elif kind is float:
+        parts.append(b"D%b;" % repr(value).encode())
+    elif kind is bytes:
+        parts.append(b"B%d:" % len(value) + value)
     else:
+        for base in _BASES:
+            if isinstance(value, base):
+                return _encode_into(value, parts, base)
         raise TypeError(f"cannot canonically encode {type(value).__name__}")
 
 

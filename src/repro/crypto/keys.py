@@ -14,7 +14,7 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 
-from repro.crypto.digest import canonical_encode
+from repro.crypto.digest import Encoded, canonical_encode
 from repro.errors import CryptoError
 
 
@@ -59,16 +59,18 @@ class KeyPair:
             f"keypair:{owner}:{entropy}".encode(), digest_size=32).digest()
         return cls(owner, seed)
 
+    def _mac(self, message) -> str:
+        data = (message if type(message) is Encoded
+                else canonical_encode(message))
+        return hmac.new(self._seed, data, hashlib.blake2b).hexdigest()[:32]
+
     def sign(self, message) -> Signature:
-        """Sign any canonically encodable message."""
-        mac = hmac.new(self._seed, canonical_encode(message),
-                       hashlib.blake2b).hexdigest()[:32]
-        return Signature(signer=self.public, mac=mac)
+        """Sign any canonically encodable message, or its carried
+        :class:`~repro.crypto.digest.Encoded` form (same signature)."""
+        return Signature(signer=self.public, mac=self._mac(message))
 
     def _verify(self, message, signature: Signature) -> bool:
-        expected = hmac.new(self._seed, canonical_encode(message),
-                            hashlib.blake2b).hexdigest()[:32]
-        return hmac.compare_digest(expected, signature.mac)
+        return hmac.compare_digest(self._mac(message), signature.mac)
 
 
 class KeyRegistry:

@@ -26,8 +26,10 @@ class DagStore:
         #: is impossible because certification requires a 2f+1 quorum).
         self._rounds: Dict[int, Dict[int, Vertex]] = defaultdict(dict)
         self._pending: Dict[str, Vertex] = {}
-        #: digest -> digests of children (reverse parent links).
-        self._children: Dict[str, List[str]] = defaultdict(list)
+        #: digest -> vertices citing it as a parent (reverse parent links).
+        self._children: Dict[str, List[Vertex]] = defaultdict(list)
+        #: Vertices collected by :meth:`causal_history` walks so far.
+        self.walk_visits = 0
 
     # -- insertion -----------------------------------------------------------
 
@@ -68,8 +70,8 @@ class DagStore:
                 f"round {vertex.round_number} — quorum intersection broken")
         self._by_digest[vertex.digest] = vertex
         self._rounds[vertex.round_number][vertex.author] = vertex
-        for parent in vertex.block.parents:
-            self._children[parent].append(vertex.digest)
+        for parent in dict.fromkeys(vertex.block.parents):
+            self._children[parent].append(vertex)
         return vertex
 
     def _parents_present(self, block: Block) -> bool:
@@ -105,8 +107,8 @@ class DagStore:
     def support(self, digest: str, round_number: int) -> int:
         """How many vertices of ``round_number`` reference ``digest`` as a
         parent — the f+1 commit condition of the Tusk rule."""
-        return sum(1 for vertex in self._rounds.get(round_number, {}).values()
-                   if digest in vertex.block.parents)
+        return sum(1 for child in self._children.get(digest, ())
+                   if child.block.round_number == round_number)
 
     # -- causal history ------------------------------------------------------------
 
@@ -135,9 +137,6 @@ class DagStore:
                     f"causal history of {digest[:8]} is incomplete")
             collected.append(vertex)
             stack.extend(vertex.block.parents)
+        self.walk_visits += len(collected)
         collected.sort(key=lambda v: (v.round_number, v.author))
         return collected
-
-    def references(self, digest: str) -> List[str]:
-        """Digests of the vertices that link to ``digest``."""
-        return list(self._children.get(digest, []))

@@ -46,11 +46,6 @@ class TuskConsensus:
         self.schedule = schedule or LeaderSchedule(n)
         self._committed_digests: Set[str] = set()
         self._next_candidate = self.schedule.next_leader_round(1)
-        self.commits: List[CommitEvent] = []
-
-    @property
-    def committed_digests(self) -> Set[str]:
-        return set(self._committed_digests)
 
     def is_committed(self, digest: str) -> bool:
         return digest in self._committed_digests
@@ -91,7 +86,6 @@ class TuskConsensus:
             # history, so cross-replica order never diverges).
             leader_round = self.schedule.next_leader_round(
                 leader_round + self.schedule.wave_length)
-        self.commits.extend(events)
         return events
 
     # ------------------------------------------------------------ internals
@@ -99,32 +93,34 @@ class TuskConsensus:
     def _commit_chain(self, store: DagStore, anchor: Vertex,
                       anchor_round: int) -> List[CommitEvent]:
         """Commit ``anchor`` plus any earlier uncommitted leaders found in
-        its causal history, oldest first."""
-        history_digests = {v.digest
-                           for v in store.causal_history(anchor.digest)}
-        chain: List[Vertex] = []
-        round_cursor = self.schedule.next_leader_round(1)
-        while round_cursor < anchor_round:
-            leader_id = self.schedule.leader_of(self.epoch, round_cursor)
-            candidate = store.vertex_of(round_cursor, leader_id)
-            if (candidate is not None
-                    and candidate.digest in history_digests
-                    and candidate.digest not in self._committed_digests):
-                chain.append(candidate)
-            round_cursor += self.schedule.wave_length
-        chain.append(anchor)
+        its causal history, oldest first.
+
+        Commits deliver whole uncommitted histories, so the committed set is
+        causally closed and one walk that stops at it finds every
+        uncommitted ancestor of the anchor, already in delivery order.
+        """
+        committed = self._committed_digests
+        uncommitted = store.causal_history(anchor.digest, stop=committed)
         events: List[CommitEvent] = []
-        for leader_vertex in chain:
-            delivered = [
-                vertex for vertex
-                in store.causal_history(leader_vertex.digest,
-                                        stop=self._committed_digests)
-            ]
-            self._committed_digests.update(v.digest for v in delivered)
+        for vertex in uncommitted:
+            round_number = vertex.round_number
+            if vertex is anchor:
+                # What the earlier leaders did not deliver, still in order.
+                delivered = [v for v in uncommitted
+                             if v.digest not in committed]
+            elif (round_number < anchor_round
+                    and self.schedule.is_leader_round(round_number)
+                    and vertex.author == self.schedule.leader_of(
+                        self.epoch, round_number)):
+                delivered = store.causal_history(vertex.digest,
+                                                 stop=committed)
+            else:
+                continue
+            committed.update(v.digest for v in delivered)
             events.append(CommitEvent(
                 epoch=self.epoch,
-                leader_round=leader_vertex.round_number,
-                leader=leader_vertex,
+                leader_round=round_number,
+                leader=vertex,
                 delivered=delivered,
             ))
         return events

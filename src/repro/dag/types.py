@@ -25,8 +25,8 @@ from functools import cached_property
 from typing import Any, Dict, Optional, Tuple
 
 from repro.ce.controller import CommittedTx
-from repro.crypto.certificates import Certificate
-from repro.crypto.digest import digest_of
+from repro.crypto.certificates import Certificate, vote_payload
+from repro.crypto.digest import Encoded, digest_of
 from repro.txn import Transaction
 
 
@@ -100,6 +100,12 @@ class Block:
                               for tx in self.preplayed_txs],
             "converted": [encode_transaction(tx) for tx in self.converted],
         })
+
+    @cached_property
+    def vote_payload(self) -> Encoded:
+        """What a vote for this block signs, encoded once like ``digest``
+        for every voter and check (replicas share the block object)."""
+        return vote_payload(self.digest, self.author, self.round_number)
 
     @property
     def is_shift(self) -> bool:

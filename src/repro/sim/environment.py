@@ -106,9 +106,9 @@ class Environment:
         event._processed = True
         for callback in callbacks:
             callback(event)
-        if not event.ok and not callbacks:
+        if not event._ok and not callbacks:
             # A failed event nobody waited on would otherwise vanish silently.
-            raise event.value
+            raise event._value
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock reaches ``until``.

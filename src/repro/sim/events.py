@@ -158,10 +158,10 @@ class Process(Event):
         self.env._active_process = self
         while True:
             try:
-                if event.ok:
-                    target = self._generator.send(event.value)
+                if event._ok:
+                    target = self._generator.send(event._value)
                 else:
-                    target = self._generator.throw(event.value)
+                    target = self._generator.throw(event._value)
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
@@ -180,7 +180,7 @@ class Process(Event):
                 self._generator.throw(SimulationError(
                     "process yielded an event from a different environment"))
                 continue
-            if target.processed:
+            if target._processed:
                 # Already done: resume immediately with its value.
                 event = target
                 continue

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.crypto import (CertificateBuilder, KeyPair, KeyRegistry,
-                          quorum_size, vote_message, weak_quorum_size)
+                          quorum_size, vote_message, vote_payload,
+                          weak_quorum_size)
 from repro.errors import CryptoError
 
 
@@ -15,6 +16,11 @@ def setup():
     for pair in pairs:
         registry.register(pair)
     return n, registry, pairs
+
+
+def builder_for(digest, origin, round_number, n):
+    return CertificateBuilder(digest, origin, round_number, n,
+                              vote_payload(digest, origin, round_number))
 
 
 def vote(pair, digest, origin=0, round_number=1):
@@ -39,7 +45,7 @@ def test_quorum_size_invalid():
 
 def test_builder_incomplete_until_quorum(setup):
     n, registry, pairs = setup
-    builder = CertificateBuilder("d1", 0, 1, n)
+    builder = builder_for("d1", 0, 1, n)
     for pair in pairs[:2]:
         builder.add_vote(vote(pair, "d1"), registry)
     assert not builder.complete
@@ -49,7 +55,7 @@ def test_builder_incomplete_until_quorum(setup):
 
 def test_builder_completes_at_quorum(setup):
     n, registry, pairs = setup
-    builder = CertificateBuilder("d1", 0, 1, n)
+    builder = builder_for("d1", 0, 1, n)
     for pair in pairs[:3]:
         builder.add_vote(vote(pair, "d1"), registry)
     assert builder.complete
@@ -59,7 +65,7 @@ def test_builder_completes_at_quorum(setup):
 
 def test_duplicate_votes_idempotent(setup):
     n, registry, pairs = setup
-    builder = CertificateBuilder("d1", 0, 1, n)
+    builder = builder_for("d1", 0, 1, n)
     for _ in range(5):
         builder.add_vote(vote(pairs[0], "d1"), registry)
     assert builder.vote_count == 1
@@ -67,7 +73,7 @@ def test_duplicate_votes_idempotent(setup):
 
 def test_invalid_vote_rejected(setup):
     n, registry, pairs = setup
-    builder = CertificateBuilder("d1", 0, 1, n)
+    builder = builder_for("d1", 0, 1, n)
     bad = vote(pairs[0], "other-digest")
     with pytest.raises(CryptoError):
         builder.add_vote(bad, registry)
@@ -75,7 +81,7 @@ def test_invalid_vote_rejected(setup):
 
 def test_certificate_verifies(setup):
     n, registry, pairs = setup
-    builder = CertificateBuilder("d1", 2, 5, n)
+    builder = builder_for("d1", 2, 5, n)
     for pair in pairs[1:]:
         builder.add_vote(pair.sign(vote_message("d1", 2, 5)), registry)
     cert = builder.build()
@@ -86,7 +92,7 @@ def test_certificate_verifies(setup):
 
 def test_certificate_with_too_few_signers_fails_verify(setup):
     n, registry, pairs = setup
-    builder = CertificateBuilder("d1", 0, 1, n)
+    builder = builder_for("d1", 0, 1, n)
     for pair in pairs[:3]:
         builder.add_vote(vote(pair, "d1"), registry)
     cert = builder.build()
@@ -103,7 +109,7 @@ def test_certificate_signature_order_deterministic(setup):
     n, registry, pairs = setup
 
     def build(order):
-        builder = CertificateBuilder("d1", 0, 1, n)
+        builder = builder_for("d1", 0, 1, n)
         for i in order:
             builder.add_vote(vote(pairs[i], "d1"), registry)
         return builder.build()

@@ -26,7 +26,8 @@ class DagBuilder:
 
     def certify(self, block):
         builder = CertificateBuilder(block.digest, block.author,
-                                     block.round_number, self.n)
+                                     block.round_number, self.n,
+                                     block.vote_payload)
         for pair in self.pairs[:2 * ((self.n - 1) // 3) + 1]:
             builder.add_vote(
                 pair.sign(vote_message(block.digest, block.author,

@@ -24,7 +24,8 @@ def full_dag():
 
     def certify(block):
         builder = CertificateBuilder(block.digest, block.author,
-                                     block.round_number, n)
+                                     block.round_number, n,
+                                     block.vote_payload)
         for pair in pairs[:quorum_size(n)]:
             builder.add_vote(pair.sign(vote_message(
                 block.digest, block.author, block.round_number)), registry)

@@ -31,7 +31,8 @@ for _pair in _PAIRS:
 
 def certify(block):
     builder = CertificateBuilder(block.digest, block.author,
-                                 block.round_number, N)
+                                 block.round_number, N,
+                                 block.vote_payload)
     for pair in _PAIRS[:quorum_size(N)]:
         builder.add_vote(pair.sign(vote_message(
             block.digest, block.author, block.round_number)), _REGISTRY)
