@@ -60,7 +60,7 @@ from typing import Dict, List, Optional
 
 from repro.ce import CEConfig, ConcurrencyController, StreamingRunner
 from repro.ce.bitset import make_backend, numpy_version
-from repro.contracts import default_registry, initial_state
+from repro.contracts import ReplayMemo, default_registry, initial_state
 from repro.core import ThunderboltConfig
 from repro.core.cluster import Cluster
 from repro.core.cross_shard import CrossShardExecutor, ShardLanePipeline
@@ -325,7 +325,7 @@ def cross_shard_pipeline(n_shards: int, n_txs: int, seed: int = 21,
     # replay costs — the strict path's lane plan needs no event loop).
     store_sync = KVStore()
     store_sync.apply_batch(initial_state(accounts))
-    executor = CrossShardExecutor(registry)
+    executor = CrossShardExecutor(registry, ReplayMemo())
     started = time.perf_counter()
     sync_makespan = 0.0
     order = 0
@@ -350,7 +350,8 @@ def cross_shard_pipeline(n_shards: int, n_txs: int, seed: int = 21,
     env = Environment()
     store_piped = KVStore()
     store_piped.apply_batch(initial_state(accounts))
-    pipeline = ShardLanePipeline(env, CrossShardExecutor(registry),
+    pipeline = ShardLanePipeline(env,
+                                 CrossShardExecutor(registry, ReplayMemo()),
                                  store_piped)
     committed: List[int] = []
     started = time.perf_counter()

@@ -14,6 +14,7 @@ from typing import Any, Dict, List, Mapping
 from repro.ce.controller import CCStats, CommittedTx
 from repro.ce.runner import BatchResult, CEConfig
 from repro.contracts.contract import ContractRegistry, run_inline
+from repro.contracts.replay import OverlayView
 from repro.sim.environment import Environment
 from repro.txn import Transaction
 
@@ -35,16 +36,15 @@ class SerialRunner:
     def _run(self, env: Environment, transactions: List[Transaction],
              base_state: Mapping[str, Any], default: Any):
         started_at = env.now
-        overlay: Dict[str, Any] = {}
         committed: List[CommittedTx] = []
         latencies: Dict[int, float] = {}
-        view = _Overlay(overlay, base_state, default)
+        view = OverlayView({}, base_state)
         for index, tx in enumerate(transactions):
             body = self.registry.get(tx.contract)
             record = run_inline(body, tx.args, view, default=default)
             cost = max(1, len(record.operations)) * self.config.op_cost
             yield env.timeout(cost)
-            overlay.update(record.write_set)
+            view.overlay.update(record.write_set)
             committed.append(CommittedTx(
                 tx_id=tx.tx_id, order_index=index,
                 read_set=record.read_set, write_set=record.write_set,
@@ -55,17 +55,3 @@ class SerialRunner:
                            re_executions=0, latencies=latencies,
                            stats=CCStats(commits=len(committed)))
 
-
-class _Overlay:
-    """Mapping view of base state under an accumulating overlay."""
-
-    def __init__(self, overlay: Dict[str, Any], base: Mapping[str, Any],
-                 default: Any) -> None:
-        self._overlay = overlay
-        self._base = base
-        self._default = default
-
-    def get(self, key: str, default: Any = None) -> Any:
-        if key in self._overlay:
-            return self._overlay[key]
-        return self._base.get(key, default)

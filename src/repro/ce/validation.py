@@ -20,10 +20,12 @@ they do not serialise validation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.ce.controller import CommittedTx
 from repro.contracts.contract import ContractRegistry, run_inline
+from repro.contracts.replay import OverlayView
 from repro.errors import ValidationError
 from repro.txn import Transaction
 
@@ -36,8 +38,8 @@ class ValidationOutcome:
     reason: str = ""
     #: Simulated seconds the validation would take on ``validators`` workers.
     simulated_cost: float = 0.0
-    #: State updates to apply if valid (final value per key).
-    writes: Dict[str, Any] = field(default_factory=dict)
+    #: State updates to apply if valid (final value per key, read-only).
+    writes: Mapping[str, Any] = field(default_factory=dict)
     #: Number of dependency-graph levels (critical path length in txs).
     critical_path: int = 0
 
@@ -90,17 +92,14 @@ def validate_block(entries: Sequence[CommittedTx],
     committed blocks).  Returns an outcome carrying the simulated cost of
     the parallel validation and, when valid, the writes to apply.
     """
-    overlay: Dict[str, Any] = {}
-    total_ops = 0
+    view = OverlayView({}, state)
     for entry in entries:
         tx = transactions.get(entry.tx_id)
         if tx is None:
             return ValidationOutcome(
                 valid=False, reason=f"unknown transaction {entry.tx_id}")
         body = registry.get(tx.contract)
-        view = _Overlay(overlay, state, default)
         record = run_inline(body, tx.args, view, default=default)
-        total_ops += len(record.operations)
         if record.read_set != entry.read_set:
             return ValidationOutcome(
                 valid=False,
@@ -111,11 +110,12 @@ def validate_block(entries: Sequence[CommittedTx],
             return ValidationOutcome(
                 valid=False,
                 reason=(f"tx {entry.tx_id}: write set mismatch"))
-        overlay.update(record.write_set)
+        view.overlay.update(record.write_set)
     levels = build_validation_levels(entries)
     cost = _parallel_cost(entries, validators, op_cost)
     return ValidationOutcome(valid=True, simulated_cost=cost,
-                             writes=overlay, critical_path=len(levels))
+                             writes=MappingProxyType(view.overlay),
+                             critical_path=len(levels))
 
 
 @dataclass
@@ -129,8 +129,8 @@ class ReexecutionOutcome:
     published preplay was a lie.
     """
 
-    #: Final value per key after the canonical serial replay.
-    writes: Dict[str, Any] = field(default_factory=dict)
+    #: Final value per key after the canonical serial replay (read-only).
+    writes: Mapping[str, Any] = field(default_factory=dict)
     #: Contract result per transaction id.
     results: Dict[int, Any] = field(default_factory=dict)
     #: Transaction ids executed, in canonical order.
@@ -159,19 +159,18 @@ def reexecute_block(entries: Sequence[CommittedTx],
             ordered.setdefault(entry.tx_id, None)
     for tx_id in transactions:
         ordered.setdefault(tx_id, None)
-    overlay: Dict[str, Any] = {}
+    view = OverlayView({}, state)
     results: Dict[int, Any] = {}
     total_ops = 0
     for tx_id in ordered:
         tx = transactions[tx_id]
         body = registry.get(tx.contract)
-        view = _Overlay(overlay, state, default)
         record = run_inline(body, tx.args, view, default=default)
-        overlay.update(record.write_set)
+        view.overlay.update(record.write_set)
         results[tx_id] = record.result
         total_ops += len(record.operations)
-    return ReexecutionOutcome(writes=overlay, results=results,
-                              executed=list(ordered),
+    return ReexecutionOutcome(writes=MappingProxyType(view.overlay),
+                              results=results, executed=list(ordered),
                               simulated_cost=total_ops * op_cost)
 
 
@@ -365,17 +364,3 @@ def _find_cycle(successors: Dict[int, List[int]]) -> Optional[List[int]]:
                 path.pop()
     return None
 
-
-class _Overlay:
-    """Read view layering a block-local overlay above the validator state."""
-
-    def __init__(self, overlay: Dict[str, Any], base: Mapping[str, Any],
-                 default: Any) -> None:
-        self._overlay = overlay
-        self._base = base
-        self._default = default
-
-    def get(self, key: str, default: Any = None) -> Any:
-        if key in self._overlay:
-            return self._overlay[key]
-        return self._base.get(key, default)

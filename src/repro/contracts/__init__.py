@@ -1,9 +1,10 @@
-"""Smart-contract runtime: operation protocol, registry, SmallBank and
-TPC-C-lite suites."""
+"""Smart-contract runtime: operation protocol, registry, the cluster's
+replay memo, SmallBank and TPC-C-lite suites."""
 
 from repro.contracts.contract import (ContractBody, ContractRegistry,
                                       ExecutionRecord, run_inline)
 from repro.contracts.ops import Operation, ReadOp, WriteOp, is_read, is_write
+from repro.contracts.replay import OverlayView, ReplayMemo
 from repro.contracts.smallbank import (ALL_CONTRACTS, AMALGAMATE,
                                        DEPOSIT_CHECKING, GET_BALANCE,
                                        SEND_PAYMENT, TRANSACT_SAVINGS,
@@ -22,7 +23,9 @@ __all__ = [
     "ExecutionRecord",
     "GET_BALANCE",
     "Operation",
+    "OverlayView",
     "ReadOp",
+    "ReplayMemo",
     "SEND_PAYMENT",
     "TRANSACT_SAVINGS",
     "WRITE_CHECK",

@@ -13,6 +13,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.contracts import smallbank
 from repro.contracts.contract import ContractRegistry
+from repro.contracts.replay import ReplayMemo
 from repro.core.config import ThunderboltConfig
 from repro.core.cross_shard import ShardLanePipeline
 from repro.core.replica import Replica
@@ -104,6 +105,10 @@ class ClusterResult:
     #: Relaxed releases that needed the controller's live-record probe to
     #: clear a hint-less batch (``CEConfig.frontier_probe``).
     cc_overlap_probe_released: int = 0
+    #: Committed work items the host replayed / a replica took from the
+    #: cluster's ReplayMemo; the model replays (and charges) their sum.
+    replays_executed: int = 0
+    replays_reused: int = 0
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return (f"{self.throughput:,.0f} tps, latency mean "
@@ -149,12 +154,14 @@ class Cluster:
         state = (smallbank.initial_state(workload.accounts)
                  if initial_state is None else dict(initial_state))
         self.initial_state: Dict[str, object] = dict(state)
+        #: Committed work replays here once for all replicas.
+        self.memo = ReplayMemo()
         self.replicas: List[Replica] = [
             Replica(replica_id=i, env=self.env, network=self.network,
                     config=config, shard_map=self.shard_map,
                     registry=self.registry, keypair=keypairs[i],
                     key_registry=self.key_registry, metrics=self.metrics,
-                    initial_state=state)
+                    initial_state=state, memo=self.memo)
             for i in range(config.n_replicas)
         ]
         #: One client stream per shard; tx ids are strided by shard so
@@ -304,6 +311,8 @@ class Cluster:
             lane_oracle_checks=sum(p.oracle.checks
                                    for p in self.lane_pipelines.values()),
             cc_overlap_probe_released=metrics.cc_overlap_probe_released,
+            replays_executed=self.memo.executed,
+            replays_reused=self.memo.reused,
         )
 
     # -- safety inspection ---------------------------------------------------------

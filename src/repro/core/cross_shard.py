@@ -30,6 +30,7 @@ Two disciplines share one replay core (:meth:`CrossShardExecutor.replay_one`):
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import (Any, Callable, Dict, Generator, Iterator, List, Mapping,
                     Optional, Sequence, Tuple)
 
@@ -38,27 +39,28 @@ from dataclasses import dataclass
 from repro.ce.controller import CommittedTx
 from repro.ce.validation import SerializabilityOracle
 from repro.contracts.contract import ContractRegistry, run_inline
+from repro.contracts.replay import OverlayView, ReplayMemo
 from repro.txn import Transaction
 
 
 @dataclass
 class CrossShardOutcome:
-    """Results of one ordered batch of cross-shard transactions."""
+    """What one ordered batch of cross-shard transactions leaves a replica
+    to apply; the replicas of a cluster share it (:class:`ReplayMemo`)."""
 
-    entries: List[CommittedTx]
-    writes: Dict[str, Any]
-    #: Simulated seconds the lane plan takes (critical path over shards).
+    #: Final value per key, read-only.
+    writes: Mapping[str, Any]
+    #: Simulated seconds the batch takes under its cost model.
     simulated_cost: float
-    #: Length of the longest lane in transactions (plan quality metric).
-    longest_lane: int
 
 
 class CrossShardExecutor:
     """Executes ordered cross-shard transactions with a per-SID lane plan."""
 
-    def __init__(self, registry: ContractRegistry,
+    def __init__(self, registry: ContractRegistry, memo: ReplayMemo,
                  op_cost: float = 5e-6, default: Any = 0) -> None:
         self.registry = registry
+        self.memo = memo
         self.op_cost = op_cost
         self.default = default
 
@@ -78,25 +80,30 @@ class CrossShardExecutor:
         return entry, max(1, len(record.operations)) * self.op_cost
 
     def _replay(self, transactions: Sequence[Transaction],
-                state: Mapping[str, Any],
-                ) -> Tuple[Dict[str, Any],
-                           Iterator[Tuple[Transaction, CommittedTx, float]]]:
+                view: OverlayView) -> Iterator[Tuple[Transaction, float]]:
         """Shared replay loop behind both batch cost models.
 
-        Yields ``(tx, entry, cost)`` in total order, folding each
-        transaction's writes into the returned overlay before the next
-        transaction runs (read-your-predecessors semantics).
+        Yields ``(tx, cost)`` in total order, folding each transaction's
+        writes into the view's overlay before the next transaction runs
+        (read-your-predecessors semantics).
         """
-        overlay: Dict[str, Any] = {}
-        view = _Overlay(overlay, state, self.default)
+        for index, tx in enumerate(transactions):
+            entry, cost = self.replay_one(tx, view, order_index=index)
+            view.overlay.update(entry.write_set)
+            yield tx, cost
 
-        def replay() -> Iterator[Tuple[Transaction, CommittedTx, float]]:
-            for index, tx in enumerate(transactions):
-                entry, cost = self.replay_one(tx, view, order_index=index)
-                overlay.update(entry.write_set)
-                yield tx, entry, cost
-
-        return overlay, replay()
+    def _batch(self, transactions: Sequence[Transaction],
+               state: Mapping[str, Any],
+               cost_model: Callable[..., float]) -> CrossShardOutcome:
+        """Replay the batch under ``cost_model``, once per cluster.  The
+        ids alone are no key — two batches may reuse them with other
+        contracts or arguments — so the memo compares the transactions."""
+        subject = tuple(transactions)
+        return self.memo.replay(
+            (cost_model, tuple(tx.tx_id for tx in subject)), subject, state,
+            lambda view: CrossShardOutcome(
+                simulated_cost=cost_model(self._replay(subject, view)),
+                writes=MappingProxyType(view.overlay)))
 
     def execute(self, transactions: Sequence[Transaction],
                 state: Mapping[str, Any]) -> CrossShardOutcome:
@@ -104,58 +111,37 @@ class CrossShardExecutor:
 
         ``state`` is read-only here; apply ``outcome.writes`` on commit.
         """
-        overlay, replay = self._replay(transactions, state)
-        entries: List[CommittedTx] = []
-        #: lane (SID) -> simulated time the lane is busy until.
-        lane_clock: Dict[int, float] = {}
-        lane_depth: Dict[int, int] = {}
-        makespan = 0.0
-        for tx, entry, cost in replay:
-            entries.append(entry)
-            # The transaction starts when every lane it touches is free and
-            # occupies them all until it finishes (QueCC queue semantics).
-            start = max((lane_clock.get(sid, 0.0) for sid in tx.shard_ids),
-                        default=0.0)
-            finish = start + cost
-            for sid in tx.shard_ids:
-                lane_clock[sid] = finish
-                lane_depth[sid] = lane_depth.get(sid, 0) + 1
-            makespan = max(makespan, finish)
-        return CrossShardOutcome(
-            entries=entries,
-            writes=overlay,
-            simulated_cost=makespan,
-            longest_lane=max(lane_depth.values(), default=0),
-        )
+        return self._batch(transactions, state, _lane_makespan)
 
     def execute_serial(self, transactions: Sequence[Transaction],
                        state: Mapping[str, Any]) -> CrossShardOutcome:
         """Run ``transactions`` with a strictly serial cost model — the
         Tusk baseline's post-order execution (§12)."""
-        overlay, replay = self._replay(transactions, state)
-        entries: List[CommittedTx] = []
-        total_cost = 0.0
-        for _tx, entry, cost in replay:
-            entries.append(entry)
-            total_cost += cost
-        return CrossShardOutcome(entries=entries, writes=overlay,
-                                 simulated_cost=total_cost,
-                                 longest_lane=len(entries))
+        return self._batch(transactions, state, _serial_cost)
 
 
-class _Overlay:
-    """Read view of ``base`` under an accumulating ``overlay``."""
+def _lane_makespan(replayed: Iterator[Tuple[Transaction, float]]) -> float:
+    """Critical path over the shard lanes: a transaction starts when every
+    lane it touches is free and occupies them all until it finishes (QueCC
+    queue semantics)."""
+    #: lane (SID) -> simulated time the lane is busy until.
+    lane_clock: Dict[int, float] = {}
+    makespan = 0.0
+    for tx, cost in replayed:
+        start = max((lane_clock.get(sid, 0.0) for sid in tx.shard_ids),
+                    default=0.0)
+        finish = start + cost
+        for sid in tx.shard_ids:
+            lane_clock[sid] = finish
+        makespan = max(makespan, finish)
+    return makespan
 
-    def __init__(self, overlay: Dict[str, Any], base: Mapping[str, Any],
-                 default: Any) -> None:
-        self._overlay = overlay
-        self._base = base
-        self._default = default
 
-    def get(self, key: str, default: Any = None) -> Any:
-        if key in self._overlay:
-            return self._overlay[key]
-        return self._base.get(key, default)
+def _serial_cost(replayed: Iterator[Tuple[Transaction, float]]) -> float:
+    total_cost = 0.0
+    for _tx, cost in replayed:
+        total_cost += cost
+    return total_cost
 
 
 class ShardLaneSession:

@@ -43,6 +43,7 @@ from repro.ce.streaming import StreamingRunner
 from repro.ce.validation import (estimate_validation_cost, reexecute_block,
                                  validate_block)
 from repro.contracts.contract import ContractRegistry
+from repro.contracts.replay import OverlayView, ReplayMemo
 from repro.core.config import ThunderboltConfig
 from repro.core.cross_shard import CrossShardExecutor
 from repro.core.shards import ShardMap
@@ -65,6 +66,15 @@ from repro.storage.log import CommitLog
 from repro.txn import Transaction
 
 
+def _declared(block: Block):
+    """A block's published preplay, in the form ``validate_block`` takes."""
+    return ([CommittedTx(tx_id=e.tx_id, order_index=e.order_index,
+                         read_set=e.read_set, write_set=e.write_set,
+                         result=e.result, attempts=1)
+             for e in block.preplay],
+            {tx.tx_id: tx for tx in block.preplayed_txs})
+
+
 class Replica:
     """One node of the cluster; see the module docstring for the roles."""
 
@@ -72,7 +82,7 @@ class Replica:
                  config: ThunderboltConfig, shard_map: ShardMap,
                  registry: ContractRegistry, keypair: KeyPair,
                  key_registry: KeyRegistry, metrics: MetricsCollector,
-                 initial_state: Dict[str, Any]) -> None:
+                 initial_state: Dict[str, Any], memo: ReplayMemo) -> None:
         self.id = replica_id
         self.env = env
         self.network = network
@@ -82,6 +92,7 @@ class Replica:
         self.keypair = keypair
         self.key_registry = key_registry
         self.metrics = metrics
+        self.memo = memo
         self.n = config.n_replicas
         self.schedule = LeaderSchedule(self.n)
         self._rng = make_rng((config.seed << 8) ^ (replica_id + 1))
@@ -146,7 +157,7 @@ class Replica:
         # Engine.
         self._engine = self._make_engine()
         self._cross_exec = CrossShardExecutor(
-            registry, op_cost=config.ce.op_cost)
+            registry, memo, op_cost=config.ce.op_cost)
         #: Cluster-owned ShardLanePipeline (attach_lane_pipeline).  When
         #: set, the execution loop routes work through per-shard lanes
         #: instead of the batch-synchronous path; ``None`` in strict mode,
@@ -197,7 +208,7 @@ class Replica:
         History recording is off: the round loop consumes every drained
         result, and an epoch can last the whole run."""
         return runner.open_session(self.env,
-                                   _OverlayView(self._overlay, self.store),
+                                   OverlayView(self._overlay, self.store),
                                    record_history=False)
 
     def submit(self, tx: Transaction, now: Optional[float] = None) -> None:
@@ -472,7 +483,7 @@ class Replica:
             if self._overlay_dirty:
                 self._overlay = {}
                 self._overlay_dirty = False
-            base = _OverlayView(self._overlay, self.store)
+            base = OverlayView(self._overlay, self.store)
             self._preplaying_batch = batch
             if self._session is not None:
                 # One long-lived session per epoch: this round's batch is
@@ -741,16 +752,17 @@ class Replica:
     def _run_validation(self, vertex: Vertex):
         """Validate one preplay block against local state and apply it (§4)."""
         block = vertex.block
-        entries = [CommittedTx(tx_id=e.tx_id, order_index=e.order_index,
-                               read_set=e.read_set, write_set=e.write_set,
-                               result=e.result, attempts=1)
-                   for e in block.preplay]
         if self.config.strict_validation:
-            transactions = {tx.tx_id: tx for tx in block.preplayed_txs}
-            outcome = validate_block(
-                entries, transactions, self.registry, self.store,
-                validators=self.config.validators,
-                op_cost=self.config.validation_op_cost)
+            # The digest covers the published (possibly forged) preplay, so
+            # it is key and subject (the block would stay pinned past its
+            # epoch): the first replica here decides for all whose store
+            # agrees.
+            outcome = self.memo.replay(
+                ("validate", vertex.digest), vertex.digest, self.store,
+                lambda view: validate_block(
+                    *_declared(block), self.registry, view,
+                    validators=self.config.validators,
+                    op_cost=self.config.validation_op_cost))
             if outcome.simulated_cost > 0:
                 yield self.env.timeout(outcome.simulated_cost)
             if not outcome.valid:
@@ -759,9 +771,11 @@ class Replica:
                 # replica applies the identical recovery writes.
                 self.validation_failures += 1
                 self.metrics.validation_failures += 1
-                recovery = reexecute_block(
-                    entries, transactions, self.registry, self.store,
-                    op_cost=self.config.validation_op_cost)
+                recovery = self.memo.replay(
+                    ("reexecute", vertex.digest), vertex.digest, self.store,
+                    lambda view: reexecute_block(
+                        *_declared(block), self.registry, view,
+                        op_cost=self.config.validation_op_cost))
                 if recovery.simulated_cost > 0:
                     yield self.env.timeout(recovery.simulated_cost)
                 self.store.apply_batch(recovery.writes)
@@ -772,15 +786,15 @@ class Replica:
             writes = outcome.writes
         else:
             cost = estimate_validation_cost(
-                entries, validators=self.config.validators,
+                block.preplay, validators=self.config.validators,
                 op_cost=self.config.validation_op_cost)
             if cost > 0:
                 yield self.env.timeout(cost)
             writes = {}
-            for entry in entries:
+            for entry in block.preplay:
                 writes.update(entry.write_set)
         self.store.apply_batch(writes)
-        for entry in entries:
+        for entry in block.preplay:
             self._record_execution(entry.tx_id, "single")
 
     def _run_cross(self, runnable: List[Transaction]):
@@ -892,16 +906,3 @@ class Replica:
         for message in buffered:
             self._dispatch(message)
 
-
-class _OverlayView:
-    """The proposer's speculative shard state: its own uncommitted preplay
-    writes over the committed store."""
-
-    def __init__(self, overlay: Dict[str, Any], store: KVStore) -> None:
-        self._overlay = overlay
-        self._store = store
-
-    def get(self, key: str, default: Any = None) -> Any:
-        if key in self._overlay:
-            return self._overlay[key]
-        return self._store.get(key, default)

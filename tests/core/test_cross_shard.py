@@ -2,19 +2,31 @@
 
 import pytest
 
-from repro.contracts import (SEND_PAYMENT, default_registry, initial_state,
-                             run_inline)
+from repro.contracts import (SEND_PAYMENT, OverlayView, ReplayMemo,
+                             default_registry, initial_state)
 from repro.core import CrossShardExecutor
 from repro.txn import Transaction
 
 
 @pytest.fixture
 def executor():
-    return CrossShardExecutor(default_registry(), op_cost=1e-6)
+    return CrossShardExecutor(default_registry(), ReplayMemo(), op_cost=1e-6)
 
 
 def payment(tx_id, src, dst, amount, shards):
     return Transaction(tx_id, SEND_PAYMENT, (src, dst, amount), shards)
+
+
+def replay_each(executor, txs, state):
+    """The ordered batch one ``replay_one`` at a time: every transaction's
+    read set (outcomes keep only what a replica applies) and the writes."""
+    view = OverlayView({}, state)
+    read_sets = []
+    for tx in txs:
+        entry, _cost = executor.replay_one(tx, view)
+        view.overlay.update(entry.write_set)
+        read_sets.append(entry.read_set)
+    return read_sets, view.overlay
 
 
 def test_executes_in_total_order(executor):
@@ -22,7 +34,8 @@ def test_executes_in_total_order(executor):
     txs = [payment(0, 0, 1, 10, (0, 1)), payment(1, 1, 2, 5, (1, 2))]
     outcome = executor.execute(txs, state)
     # tx 1 must observe tx 0's credit to account 1
-    assert outcome.entries[1].read_set["checking:1"] == 10010
+    read_sets, _writes = replay_each(executor, txs, state)
+    assert read_sets[1]["checking:1"] == 10010
     assert outcome.writes["checking:1"] == 10005
 
 
@@ -55,8 +68,7 @@ def test_lane_plan_never_changes_results(executor):
     lanes = executor.execute(txs, state)
     serial = executor.execute_serial(txs, state)
     assert lanes.writes == serial.writes
-    assert [e.read_set for e in lanes.entries] == \
-        [e.read_set for e in serial.entries]
+    assert lanes.writes == replay_each(executor, txs, state)[1]
 
 
 def test_serial_cost_is_sum(executor):
@@ -67,18 +79,10 @@ def test_serial_cost_is_sum(executor):
     assert serial.simulated_cost == pytest.approx(2 * lanes.simulated_cost)
 
 
-def test_longest_lane_reported(executor):
-    state = initial_state(8)
-    txs = [payment(i, 0, 1, 1, (0, 1)) for i in range(5)]
-    outcome = executor.execute(txs, state)
-    assert outcome.longest_lane == 5
-
-
 def test_empty_batch(executor):
     outcome = executor.execute([], {})
-    assert outcome.entries == []
+    assert outcome.writes == {}
     assert outcome.simulated_cost == 0.0
-    assert outcome.longest_lane == 0
 
 
 def test_state_not_mutated(executor):

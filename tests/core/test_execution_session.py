@@ -18,7 +18,7 @@ throwaway ``run_batch`` call per round.  Three properties carry the mode:
 
 import pytest
 
-from repro.contracts import default_registry, initial_state
+from repro.contracts import ReplayMemo, default_registry, initial_state
 from repro.core import ThunderboltConfig
 from repro.core.cluster import Cluster
 from repro.core.config import ENGINES
@@ -121,7 +121,7 @@ def make_replica(replica_id=0, n=4, **config_kwargs):
                    config=config, shard_map=ShardMap(n),
                    registry=default_registry(), keypair=pairs[replica_id],
                    key_registry=key_registry, metrics=MetricsCollector(),
-                   initial_state=initial_state(40))
+                   initial_state=initial_state(40), memo=ReplayMemo())
 
 
 def test_reconfigure_mid_drain_tears_down_and_rebuilds():

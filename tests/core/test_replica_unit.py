@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.contracts import default_registry, initial_state
+from repro.contracts import ReplayMemo, default_registry, initial_state
 from repro.core.config import ThunderboltConfig
 from repro.core.replica import Replica
 from repro.core.shards import ShardMap
@@ -27,7 +27,7 @@ def make_replica(replica_id=0, n=4, **config_kwargs):
                    config=config, shard_map=ShardMap(n),
                    registry=default_registry(), keypair=pairs[replica_id],
                    key_registry=key_registry, metrics=MetricsCollector(),
-                   initial_state=initial_state(40))
+                   initial_state=initial_state(40), memo=ReplayMemo())
 
 
 def tx(tx_id, shards=(0,)):

@@ -18,7 +18,7 @@ Three layers of coverage:
 import pytest
 
 from repro.ce.runner import CEConfig
-from repro.contracts import smallbank
+from repro.contracts import ReplayMemo, smallbank
 from repro.core.cluster import Cluster
 from repro.core.config import ThunderboltConfig
 from repro.core.cross_shard import CrossShardExecutor, ShardLanePipeline
@@ -42,7 +42,7 @@ def _pipeline(op_cost=1e-4, accounts=8):
     store = KVStore()
     store.apply_batch(smallbank.initial_state(accounts))
     executor = CrossShardExecutor(smallbank.default_registry(),
-                                  op_cost=op_cost)
+                                  ReplayMemo(), op_cost=op_cost)
     return env, store, ShardLanePipeline(env, executor, store)
 
 
