@@ -46,25 +46,24 @@ def _redeliver(network: Network, env: Environment, message: Message,
                delay: float) -> None:
     """Drop ``message`` from the normal path, re-inject a clone later.
 
-    The clone re-runs the delivery filters installed at replay time (so a
-    concurrent partition or censorship still applies) but carries a
-    ``_replayed`` marker so relay-style behaviours do not intercept their
-    own clones.
+    One event ``delay`` from now hands the clone to the recipient's
+    connected handler.  The clone re-runs the delivery filters installed at
+    replay time (so a concurrent partition or censorship still applies) but
+    carries a ``_replayed`` marker so relay-style behaviours do not
+    intercept their own clones.
     """
-    def relay():
-        yield env.timeout(delay)
-        clone = Message(sender=message.sender, recipient=message.recipient,
-                        kind=message.kind, payload=message.payload,
-                        sent_at=message.sent_at)
-        clone._replayed = True
+    clone = Message(sender=message.sender, recipient=message.recipient,
+                    kind=message.kind, payload=message.payload,
+                    sent_at=message.sent_at)
+    clone._replayed = True
+
+    def arrive(event) -> None:
         for delivery_filter in tuple(network._filters):
             if not delivery_filter(clone):
                 network.messages_dropped += 1
                 return
-        clone.delivered_at = env.now
-        network.messages_delivered += 1
-        network._inboxes[clone.recipient].put(clone)
-    env.process(relay())
+        network._deliver(event)
+    env.timeout(delay, clone).callbacks.append(arrive)
 
 
 class Censorship:
@@ -327,9 +326,9 @@ def install_proposal_delay(cluster: Cluster, replicas: Iterable[int],
                            end: Optional[float] = None):
     """Delay block dissemination from ``replicas`` by ``extra_delay``.
 
-    Implemented by re-sending the message after the delay through a relay
-    process; triggers P6 timeouts at honest proposers when the delay
-    exceeds ``leader_timeout``.  Outside the ``[start, end)`` window the
+    Implemented by re-delivering the message after the delay
+    (:func:`_redeliver`); triggers P6 timeouts at honest proposers when the
+    delay exceeds ``leader_timeout``.  Outside the ``[start, end)`` window the
     filter passes messages through, and once ``end`` has elapsed it
     uninstalls itself.  Returns the installed filter (tests use it to
     observe the uninstall).

@@ -6,7 +6,7 @@ buffering writes; on completion the updated values go to a *central
 verifier* which cross-checks the read versions against the current storage
 versions.  A mismatch rejects the commit and the transaction re-executes.
 
-The verifier is a capacity-1 resource — the serialization point whose cost
+The verifier is a capacity-1 gate — the serialization point whose cost
 shapes OCC's executor-scaling curve in Fig. 11.
 """
 
@@ -22,7 +22,7 @@ from repro.contracts.contract import ContractRegistry
 from repro.contracts.ops import ReadOp, WriteOp
 from repro.errors import ContractError, SerializationError
 from repro.sim.environment import Environment
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Gate, Store
 from repro.txn import Transaction
 
 
@@ -79,7 +79,7 @@ class OCCRunner:
             "re_executions": 0, "order": 0, "done": env.event(),
             "total": len(transactions), "stats": CCStats(),
         }
-        verifier = Resource(env, capacity=1)
+        verifier = Gate(env)
         started_at = env.now
         workers = min(self.config.executors, len(transactions))
         for _ in range(workers):
@@ -92,7 +92,7 @@ class OCCRunner:
             latencies=shared["latencies"], stats=shared["stats"])
 
     def _worker(self, env: Environment, queue: Store,
-                state: _VersionedState, verifier: Resource, shared: Dict):
+                state: _VersionedState, verifier: Gate, shared: Dict):
         config = self.config
         while not shared["done"].triggered:
             # Simulated worker: once "done" triggers, a process parked on
@@ -137,12 +137,10 @@ class OCCRunner:
                 except StopIteration as stop:
                     result = stop.value
                 # -- central verification ---------------------------------
-                request = verifier.request()
-                yield request
+                ops = len(read_versions) + len(write_set)
+                slot = verifier.hold(max(1, ops) * self.verify_cost_per_op)
+                yield slot
                 try:
-                    ops = len(read_versions) + len(write_set)
-                    if self.verify_cost_per_op > 0:
-                        yield env.timeout(max(1, ops) * self.verify_cost_per_op)
                     valid = all(state.version(key) == version
                                 for key, version in read_versions.items())
                     if valid:
@@ -157,7 +155,7 @@ class OCCRunner:
                         shared["latencies"][tx.tx_id] = (
                             env.now - shared["first_start"][tx.tx_id])
                 finally:
-                    verifier.release(request)
+                    verifier.done(slot)
                 if valid:
                     if len(shared["committed"]) >= shared["total"] \
                             and not shared["done"].triggered:

@@ -23,7 +23,7 @@ from repro.contracts.contract import ContractRegistry
 from repro.contracts.ops import ReadOp, WriteOp
 from repro.errors import ContractError, SerializationError
 from repro.sim.environment import Environment
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Gate, Store
 from repro.txn import Transaction
 
 
@@ -94,7 +94,7 @@ class TPLNoWaitRunner:
             "total": len(transactions), "stats": CCStats(),
             "state": {}, "locks": _LockTable(),
         }
-        controller = Resource(env, capacity=1)
+        controller = Gate(env)
         started_at = env.now
         workers = min(self.config.executors, len(transactions))
         for _ in range(workers):
@@ -109,7 +109,7 @@ class TPLNoWaitRunner:
 
     def _worker(self, env: Environment, queue: Store,
                 base_state: Mapping[str, Any], default: Any,
-                controller: Resource, shared: Dict):
+                controller: Gate, shared: Dict):
         config = self.config
         locks: _LockTable = shared["locks"]
         state: Dict[str, Any] = shared["state"]
@@ -135,11 +135,9 @@ class TPLNoWaitRunner:
                     op = next(generator)
                     while True:
                         yield env.timeout(self._op_delay())
-                        request = controller.request()
-                        yield request
+                        slot = controller.hold(config.cc_cost)
+                        yield slot
                         try:
-                            if config.cc_cost > 0:
-                                yield env.timeout(config.cc_cost)
                             if isinstance(op, ReadOp):
                                 shared["stats"].reads += 1
                                 if not locks.try_lock(op.key, tx.tx_id,
@@ -165,13 +163,13 @@ class TPLNoWaitRunner:
                                 raise ContractError(
                                     f"contract yielded non-operation {op!r}")
                         finally:
-                            controller.release(request)
+                            controller.done(slot)
                         op = generator.send(value)
                 except StopIteration as stop:
                     result = stop.value
                 # -- finalize: apply writes and drop locks ------------------
-                request = controller.request()
-                yield request
+                slot = controller.hold(0.0)
+                yield slot
                 try:
                     if conflicted:
                         locks.release_all(tx.tx_id)
@@ -188,7 +186,7 @@ class TPLNoWaitRunner:
                         shared["latencies"][tx.tx_id] = (
                             env.now - shared["first_start"][tx.tx_id])
                 finally:
-                    controller.release(request)
+                    controller.done(slot)
                 if not conflicted:
                     if len(shared["committed"]) >= shared["total"] \
                             and not shared["done"].triggered:

@@ -3,7 +3,7 @@
 Figure 7 of the paper: a set of executors execute transactions while the
 concurrency controller arranges them in a dependency graph.  Here each
 executor is a DES process; contract operations cost simulated compute time,
-and every controller access serializes through a capacity-1 resource with
+and every controller access serializes through a capacity-1 gate with
 its own small cost — the central-controller bottleneck that shapes the
 Fig. 11 executor-scaling curves.
 
@@ -40,7 +40,7 @@ from repro.contracts.ops import ReadOp, WriteOp
 from repro.errors import ConfigError, ContractError, SerializationError, \
     TransactionAborted
 from repro.sim.environment import Environment
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Gate, Store
 from repro.txn import Transaction
 
 
@@ -201,7 +201,7 @@ class CERunner:
                                    index_backend=self.config.index_backend)
         state.cc = cc
         self.last_state = state  # exposed for tests / debugging
-        cc_gate = Resource(env, capacity=1)
+        cc_gate = Gate(env)
         workers = min(self.config.executors, len(transactions))
         for _ in range(workers):
             state.workers.append(
@@ -225,7 +225,7 @@ class CERunner:
         )
 
     def _worker(self, env: Environment, queue: Store,
-                cc: ConcurrencyController, cc_gate: Resource,
+                cc: ConcurrencyController, cc_gate: Gate,
                 state: "_RunState"):
         while not state.done.triggered:
             item = yield queue.get()
@@ -234,7 +234,7 @@ class CERunner:
             yield from self._execute(env, item, cc, cc_gate, state)
 
     def _execute(self, env: Environment, tx: Transaction,
-                 cc: ConcurrencyController, cc_gate: Resource,
+                 cc: ConcurrencyController, cc_gate: Gate,
                  book, node=None):
         """Drive one transaction to finalization, re-executing on aborts.
 
@@ -263,11 +263,9 @@ class CERunner:
                 op = next(generator)
                 while True:
                     yield env.timeout(self._op_delay())
-                    request = cc_gate.request()
-                    yield request
+                    slot = cc_gate.hold(config.cc_cost)
+                    yield slot
                     try:
-                        if config.cc_cost > 0:
-                            yield env.timeout(config.cc_cost)
                         if isinstance(op, ReadOp):
                             value = cc.read(node, op.key)
                         elif isinstance(op, WriteOp):
@@ -277,18 +275,18 @@ class CERunner:
                             raise ContractError(
                                 f"contract yielded non-operation {op!r}")
                     finally:
-                        cc_gate.release(request)
+                        cc_gate.done(slot)
                     op = generator.send(value)
             except StopIteration as stop:
-                request = cc_gate.request()
-                yield request
+                slot = cc_gate.hold(0.0)
+                yield slot
                 aborted_at_finish = False
                 try:
                     cc.finish(node, result=stop.value, now=env.now)
                 except TransactionAborted:
                     aborted_at_finish = True
                 finally:
-                    cc_gate.release(request)
+                    cc_gate.done(slot)
                 book.owned.discard(tx.tx_id)
                 if aborted_at_finish:
                     book.re_executions += 1

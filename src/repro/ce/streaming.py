@@ -146,7 +146,7 @@ from repro.ce.validation import SerializabilityOracle
 from repro.contracts.contract import ContractRegistry
 from repro.errors import SerializationError
 from repro.sim.environment import Environment
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Gate, Store
 from repro.txn import Transaction
 
 
@@ -292,7 +292,7 @@ class StreamSession:
             on_commit=self._on_commit,
             index_backend=runner.config.index_backend)
         runner.last_cc = self.cc
-        self._cc_gate = Resource(env, capacity=1)
+        self._cc_gate = Gate(env)
         #: Worker process handles; exposed so teardown tests can assert
         #: none of them outlives the session.
         self.workers = [
@@ -791,7 +791,7 @@ class StreamingRunner(CERunner):
         return session.close()
 
     def _stream_worker(self, env: Environment, queue: Store,
-                       cc: ConcurrencyController, cc_gate: Resource):
+                       cc: ConcurrencyController, cc_gate: Gate):
         while True:
             item = yield queue.get()
             if item is self._SHUTDOWN:

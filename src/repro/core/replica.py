@@ -222,7 +222,7 @@ class Replica:
 
     def start(self) -> None:
         """Launch the replica's processes."""
-        self.env.process(self._message_loop())
+        self.network.connect(self.id, self._on_message)
         self.env.process(self._execution_loop())
         self.env.process(self._round_loop())
 
@@ -232,14 +232,9 @@ class Replica:
 
     # ------------------------------------------------------------- messaging
 
-    def _message_loop(self):
-        inbox = self.network.inbox(self.id)
-        # Replica-lifetime consumer: a parked simulated process is inert
-        # once the DES event queue drains, so no sentinel is needed.
-        while True:
-            message: Message = yield inbox.get()  # reprolint: disable=C303
-            if self.crashed:
-                continue
+    def _on_message(self, message: Message) -> None:
+        """The network handler: runs at each message's delivery time."""
+        if not self.crashed:
             self._dispatch(message)
 
     def _dispatch(self, message: Message) -> None:
@@ -693,8 +688,8 @@ class Replica:
         dispatch order, so per-shard semantics match the strict path while
         disjoint shards overlap in simulated time.
         """
-        # Replica-lifetime consumer (see _message_loop): terminated by the
-        # simulation's event queue draining, not by a sentinel.
+        # Replica-lifetime consumer: a parked simulated process is inert
+        # once the DES event queue drains, so no sentinel is needed.
         while True:
             item = yield self._exec_queue.get()  # reprolint: disable=C303
             if self._lane_pipeline is not None:

@@ -5,10 +5,11 @@ Public surface:
 * :class:`~repro.sim.environment.Environment` — the simulation kernel.
 * :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Process`,
   :class:`~repro.sim.events.Interrupt` — event primitives.
-* :class:`~repro.sim.resources.Resource`, :class:`~repro.sim.resources.Store`
-  — shared-resource models.
+* :class:`~repro.sim.resources.Gate`, :class:`~repro.sim.resources.Store`
+  — a capacity-1 FIFO server in virtual time and a blocking FIFO queue.
 * :class:`~repro.sim.network.Network`, :class:`~repro.sim.network.LatencyModel`
-  — the simulated replica network.
+  — the simulated replica network; each replica connects a handler that
+  runs when a message is delivered.
 * :class:`~repro.sim.rng.ZipfGenerator` and seeding helpers.
 """
 
@@ -16,7 +17,7 @@ from repro.sim.environment import Environment
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Process, Timeout
 from repro.sim.network import (LatencyModel, Message, Network, drop_from,
                                drop_kind_from)
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Gate, Store
 from repro.sim.rng import ZipfGenerator, derive_rng, make_rng, weighted_choice
 
 __all__ = [
@@ -24,12 +25,12 @@ __all__ = [
     "AnyOf",
     "Environment",
     "Event",
+    "Gate",
     "Interrupt",
     "LatencyModel",
     "Message",
     "Network",
     "Process",
-    "Resource",
     "Store",
     "Timeout",
     "ZipfGenerator",

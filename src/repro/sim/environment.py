@@ -91,6 +91,13 @@ class Environment:
             self._queue,
             (self._now + delay, 0 if priority else 1, next(self._seq), event))
 
+    def schedule_at(self, event: Event, when: float) -> None:
+        """Put a triggered event on the queue at the absolute time ``when``
+        (``now + (when - now)`` can differ from ``when`` in the last bit)."""
+        if when < self._now:
+            raise SimulationError(f"cannot schedule into the past: {when}")
+        heapq.heappush(self._queue, (when, 1, next(self._seq), event))
+
     def peek(self) -> float:
         """Time of the next event, or ``float('inf')`` if the queue is empty."""
         return self._queue[0][0] if self._queue else float("inf")

@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.errors import NetworkError
 from repro.sim.environment import Environment
-from repro.sim.resources import Store
+from repro.sim.events import Event
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class Message:
     """An authenticated message travelling between replicas.
 
     ``payload`` carries a protocol object (block, certificate vote, ...).
-    ``kind`` is a short routing tag so inbox handlers can dispatch cheaply.
+    ``kind`` is a short routing tag so handlers can dispatch cheaply.
     """
 
     sender: int
@@ -74,10 +74,10 @@ DeliveryFilter = Callable[[Message], bool]
 class Network:
     """Connects ``n`` replicas with point-to-point channels.
 
-    Each replica owns one inbox (:class:`Store`).  ``send`` samples a latency
-    for the link and schedules delivery; ``broadcast`` sends to every replica
-    including, by default, the sender itself (DAG protocols deliver a
-    replica's own blocks through the same path).
+    Each replica connects a handler; ``send`` samples a latency for the
+    link and schedules one event that calls it; ``broadcast`` sends to
+    every replica including, by default, the sender itself (DAG protocols
+    deliver a replica's own blocks through the same path).
     """
 
     def __init__(self, env: Environment, n: int, latency: LatencyModel,
@@ -91,7 +91,7 @@ class Network:
         self.gst = gst
         self.pre_gst_extra_delay = pre_gst_extra_delay
         self._rng = rng
-        self._inboxes: List[Store] = [Store(env) for _ in range(n)]
+        self._handlers = [self._unconnected] * n
         self._filters: List[DeliveryFilter] = []
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -120,29 +120,35 @@ class Network:
 
     # -- plumbing ---------------------------------------------------------------
 
-    def inbox(self, replica_id: int) -> Store:
-        """The inbox Store for ``replica_id``."""
+    def connect(self, replica_id: int,
+                handler: Callable[[Message], None]) -> None:
+        """Deliver every message addressed to ``replica_id`` by calling
+        ``handler(message)`` at its delivery time."""
         self._check_id(replica_id)
-        return self._inboxes[replica_id]
+        self._handlers[replica_id] = handler
 
     def send(self, sender: int, recipient: int, kind: str, payload: Any) -> None:
         """Send one message; delivery is scheduled after a sampled latency."""
-        self._check_id(sender)
-        self._check_id(recipient)
-        message = Message(sender=sender, recipient=recipient, kind=kind,
-                          payload=payload, sent_at=self.env.now)
+        if not (0 <= sender < self.n and 0 <= recipient < self.n):
+            raise NetworkError(f"replica id out of range [0, {self.n}): "
+                               f"{sender} -> {recipient}")
+        env = self.env
+        message = Message(sender, recipient, kind, payload, env.now)
         self.messages_sent += 1
-        # Snapshot: a filter may uninstall itself (discard_filter) while we
-        # are iterating.
-        for delivery_filter in tuple(self._filters):
-            if not delivery_filter(message):
-                self.messages_dropped += 1
-                return
+        if self._filters:
+            # Snapshot: a filter may uninstall itself (discard_filter)
+            # while we are iterating.
+            for delivery_filter in tuple(self._filters):
+                if not delivery_filter(message):
+                    self.messages_dropped += 1
+                    return
         delay = self.latency.sample(self._rng)
-        if self.env.now < self.gst:
+        if env.now < self.gst:
             delay += self.pre_gst_extra_delay
-        event = self.env.timeout(delay, message)
+        event = Event(env)
+        event._value = message
         event.callbacks.append(self._deliver)
+        env.schedule(event, delay)
 
     def broadcast(self, sender: int, kind: str, payload: Any,
                   include_self: bool = True) -> None:
@@ -161,11 +167,15 @@ class Network:
 
     # -- internals ------------------------------------------------------------
 
-    def _deliver(self, event) -> None:
-        message: Message = event.value
+    def _deliver(self, event: Event) -> None:
+        message: Message = event._value
         message.delivered_at = self.env.now
         self.messages_delivered += 1
-        self._inboxes[message.recipient].put(message)
+        self._handlers[message.recipient](message)
+
+    @staticmethod
+    def _unconnected(message: Message) -> None:
+        raise NetworkError(f"replica {message.recipient} connected no handler")
 
     def _check_id(self, replica_id: int) -> None:
         if not 0 <= replica_id < self.n:

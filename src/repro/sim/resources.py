@@ -2,11 +2,11 @@
 
 Two primitives cover everything the Thunderbolt stack needs:
 
-* :class:`Resource` — a counted semaphore used to model executor pools and
-  validator pools (capacity = number of parallel workers).
-* :class:`Store` — an unbounded FIFO of items with blocking ``get``; used as
-  the inbox of every replica and as the hand-off queue between pipeline
-  stages.
+* :class:`Gate` — a capacity-1 FIFO server in virtual time: the central
+  concurrency controller every contract operation passes through, OCC's
+  verifier and 2PL's lock controller.
+* :class:`Store` — an unbounded FIFO of items with blocking ``get``; the
+  hand-off queue between an executor pool and its workers.
 """
 
 from __future__ import annotations
@@ -19,70 +19,56 @@ from repro.sim.environment import Environment
 from repro.sim.events import Event
 
 
-class Request(Event):
-    """Event granted when the resource has a free slot."""
+class Gate:
+    """A capacity-1 server: holds are served in request order.
 
-    def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource.env)
-        self.resource = resource
-        resource._on_request(self)
+    A hold's duration is known when it is requested, so one event per hold
+    suffices (docs/ARCHITECTURE.md, "What an event costs")::
 
-
-class Resource:
-    """A counted semaphore with FIFO granting.
-
-    Usage::
-
-        req = pool.request()
-        yield req
+        slot = gate.hold(duration)
+        yield slot
         try:
-            ...  # hold a worker slot
+            ...  # the gated action, at the end of the hold
         finally:
-            pool.release(req)
+            gate.done(slot)
+
+    A positive hold fires at ``max(now, free_at) + duration``.  A zero hold
+    fires at once unless the last slot issued has not called :meth:`done`;
+    then that ``done`` triggers it.
     """
 
-    def __init__(self, env: Environment, capacity: int) -> None:
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1: {capacity}")
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.capacity = capacity
-        self._in_use = 0
-        self._waiting: Deque[Request] = deque()
-        self._granted: set[int] = set()
+        self._free_at = env.now
+        #: Slots issued and not yet done, in service order.
+        self._queue: Deque[Event] = deque()
 
-    @property
-    def in_use(self) -> int:
-        """Number of slots currently held."""
-        return self._in_use
+    def hold(self, duration: float) -> Event:
+        """Reserve the next service slot for ``duration``; yield the
+        returned event and perform the gated action when it fires."""
+        env = self.env
+        slot = Event(env)
+        queue = self._queue
+        if duration > 0:
+            end = max(env.now, self._free_at) + duration
+            self._free_at = end
+            slot._value = None
+            env.schedule_at(slot, end)
+        elif duration < 0:
+            raise SimulationError(f"negative hold: {duration}")
+        elif not queue:
+            slot.succeed()
+        queue.append(slot)
+        return slot
 
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return len(self._waiting)
-
-    def request(self) -> Request:
-        """Ask for a slot; yield the returned event to wait for the grant."""
-        return Request(self)
-
-    def _on_request(self, request: Request) -> None:
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            self._granted.add(id(request))
-            request.succeed(self)
-        else:
-            self._waiting.append(request)
-
-    def release(self, request: Request) -> None:
-        """Return the slot held by ``request``."""
-        if id(request) not in self._granted:
-            raise SimulationError("release() of a request that was not granted")
-        self._granted.discard(id(request))
-        self._in_use -= 1
-        while self._waiting and self._in_use < self.capacity:
-            nxt = self._waiting.popleft()
-            self._in_use += 1
-            self._granted.add(id(nxt))
-            nxt.succeed(self)
+    def done(self, slot: Event) -> None:
+        """End ``slot``'s service, right after its gated action."""
+        queue = self._queue
+        if not queue or queue[0] is not slot:
+            raise SimulationError("done() of a slot that is not in service")
+        queue.popleft()
+        if queue and not queue[0].triggered:
+            queue[0].succeed()
 
 
 class Store:

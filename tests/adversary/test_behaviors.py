@@ -17,6 +17,10 @@ class FakeCluster:
         self.env = Environment()
         self.network = Network(self.env, n, LatencyModel.fixed(0.001),
                                make_rng(0))
+        #: Per replica, the messages its handler received.
+        self.delivered = [[] for _ in range(n)]
+        for replica in range(n):
+            self.network.connect(replica, self.delivered[replica].append)
 
 
 def test_schedule_crashes_stops_replica():
@@ -90,11 +94,11 @@ def test_censorship_uninstalls_after_window():
 
     fake.network.send(0, 1, "proposal", "early")
     fake.env.run(until=0.06)
-    assert fake.network._inboxes[1].items == []  # censored
+    assert fake.delivered[1] == []  # censored
 
     fake.network.send(0, 1, "proposal", "late")
     fake.env.run(until=0.12)
-    delivered = fake.network._inboxes[1].items
+    delivered = fake.delivered[1]
     assert [m.payload for m in delivered] == ["late"]
     assert not behavior.active
     assert fake.network._filters == []
@@ -108,18 +112,28 @@ def test_proposal_delay_window_closes_and_uninstalls():
 
     fake.network.send(0, 1, "proposal", "early")
     fake.env.run(until=0.02)
-    assert fake.network._inboxes[1].items == []  # still in the relay
+    assert fake.delivered[1] == []  # still held back
     fake.env.run(until=0.05)
-    early = fake.network._inboxes[1].items
+    early = fake.delivered[1]
     assert [m.payload for m in early] == ["early"]
     assert early[0].delivered_at >= 0.03  # paid the extra delay
 
     fake.network.send(0, 1, "proposal", "late")
     fake.env.run(until=0.1)
-    late = fake.network._inboxes[1].items[-1]
+    late = fake.delivered[1][-1]
     assert late.payload == "late"
     assert late.delivered_at < 0.06 + 0.01  # normal latency only
     assert delay_filter not in fake.network._filters
+
+
+def test_a_delayed_message_is_redelivered_in_one_event():
+    fake = FakeCluster()
+    install_proposal_delay(fake, [0], extra_delay=0.03)
+    fake.network.send(0, 1, "proposal", "held")
+    fake.env.run()
+    assert [(m.payload, m.delivered_at) for m in fake.delivered[1]] == \
+        [("held", 0.03)]
+    assert fake.env.events_processed == 1
 
 
 def test_censorship_victim_recovers_after_window_and_reconfiguration():

@@ -1,9 +1,12 @@
-"""Unit tests for Resource and Store."""
+"""Unit tests for Store, and for the reference semaphore ``Resource`` that
+``tests/sim/test_gate.py`` holds ``Gate`` to."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Resource, Store
+from repro.sim import Store
+
+from tests.sim.test_gate import Resource
 
 
 def test_resource_capacity_validation(env):

@@ -7,6 +7,11 @@ under cProfile and prints the ``N`` functions with the largest self time,
 then how many committed work items the host replayed and how many the
 replicas took from the cluster's memo (the model replays their sum).
 
+A second, unprofiled run of the same seed then counts the kernel's events
+per executed transaction (the benchmark's ``events_per_tx``), once by event
+class and once by the process or callback each event resumes — where the
+events a change could remove come from.
+
 cProfile charges every Python call but nothing inside native code, so the
 proportions are shifted: use this to find candidates, and
 ``python -m benchmarks.e2e`` (profiling off) to measure them.
@@ -18,14 +23,26 @@ import argparse
 import cProfile
 import pstats
 import sys
+from collections import Counter
 from typing import Optional, Sequence, Tuple
 
 from benchmarks.e2e.iteration import build_cluster, run_and_drain
 from benchmarks.e2e.workloads import WORKLOADS
 from repro.core.cluster import Cluster
+from repro.sim.events import Event, Process
 
 
 SEED = 1
+
+
+def _build(name: str, scale: str) -> Tuple[Cluster, tuple]:
+    """Workload ``name``'s cluster, built as the benchmark builds it, and
+    the remaining arguments of its ``run_and_drain``."""
+    workload = WORKLOADS[name]
+    duration, drain = workload.spans[scale]
+    stamps: dict = {}
+    cluster = build_cluster(workload, SEED, duration, stamps)
+    return cluster, (duration, drain, stamps)
 
 
 def profile_workload(name: str,
@@ -33,13 +50,54 @@ def profile_workload(name: str,
     """Profile one run of workload ``name`` and return the finished cluster
     with the profile; the cluster is built outside the profiled region, as
     the benchmark times it."""
-    workload = WORKLOADS[name]
-    duration, drain = workload.spans[scale]
-    stamps: dict = {}
-    cluster = build_cluster(workload, SEED, duration, stamps)
+    cluster, args = _build(name, scale)
     profiler = cProfile.Profile()
-    profiler.runcall(run_and_drain, cluster, duration, drain, stamps)
+    profiler.runcall(run_and_drain, cluster, *args)
     return pstats.Stats(profiler), cluster
+
+
+def resumes(event: Event) -> str:
+    """What processing ``event`` runs: the generator of each process it
+    resumes, else the callback's qualified name."""
+    names = []
+    for callback in event.callbacks:
+        owner = getattr(callback, "__self__", None)
+        if isinstance(owner, Process):
+            names.append(owner._generator.__qualname__)
+        else:
+            names.append(getattr(callback, "__qualname__", repr(callback)))
+    return " + ".join(names) or "(nothing)"
+
+
+def count_events(name: str,
+                 scale: str = "full") -> Tuple[Counter, Counter, Cluster]:
+    """Run workload ``name`` unprofiled, counting every processed event by
+    class and by what it resumes."""
+    cluster, args = _build(name, scale)
+    env = cluster.env
+    step = env.step
+    by_class: Counter = Counter()
+    by_target: Counter = Counter()
+
+    def counting_step() -> None:
+        event = env._queue[0][3]   # the event step() pops next
+        by_class[type(event).__name__] += 1
+        by_target[resumes(event)] += 1
+        step()
+    env.step = counting_step   # Environment.run calls self.step()
+    run_and_drain(cluster, *args)
+    return by_class, by_target, cluster
+
+
+def print_events(by_class: Counter, by_target: Counter,
+                 executed: int) -> None:
+    total = sum(by_class.values())
+    print(f"events: {total} for {executed} executed transactions "
+          f"({total / executed:.2f} per transaction)")
+    for title, counts in (("class", by_class), ("resumes", by_target)):
+        print(f"{'events':>9} {'per tx':>8}  {title}")
+        for label, count in counts.most_common():
+            print(f"{count:>9} {count / executed:>8.2f}  {label}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -56,6 +114,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(f"replays: {memo.executed} executed, {memo.reused} reused "
           f"(modelled: {memo.executed + memo.reused}, one per replica "
           f"and committed work item)")
+    by_class, by_target, counted = count_events(args.workload, args.scale)
+    print_events(by_class, by_target, len(counted.metrics.executions))
     return 0
 
 
