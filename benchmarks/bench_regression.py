@@ -1,22 +1,21 @@
 """Bench-regression harness — per-PR ``BENCH_fig_regression.json``.
 
 Runs the depgraph/abort-storm/streaming performance scenarios the repo
-already benchmarks, once per closure-bitset backend
-(:mod:`repro.ce.bitset`), and writes one schema-versioned JSON record so
-every PR leaves a comparable performance fingerprint:
+already benchmarks and writes one schema-versioned JSON record so every
+PR leaves a comparable performance fingerprint:
 
-* **closure-churn** — the backend interface driven directly with the
-  contention shape of the acceptance scenario (a 500-tx theta=0.99
-  YCSB-F batch is a near-total order; with re-executions the graph holds
-  roughly three attempt nodes per transaction, hence the ~1500-serial
-  default): build the dense closure edge by edge, repair a 30% abort
-  storm in place, rebuild over the survivors.
+* **closure-churn** — the dependency graph's closure rows driven
+  directly with the contention shape of the acceptance scenario (a
+  500-tx theta=0.99 YCSB-F batch is a near-total order; with
+  re-executions the graph holds roughly three attempt nodes per
+  transaction, hence the ~1500-serial default): build the dense closure
+  edge by edge, repair a 30% abort storm in place, rebuild over the
+  survivors.
 * **depgraph-storm** — the same storm through the real
   :class:`~repro.ce.depgraph.DependencyGraph` (bridging, repair
   decision rule, counters included).
-* **streaming** — a short ``engine="ce-streaming"`` cluster run; its
-  commit-log digest is asserted byte-identical across backends, tying
-  the numbers to the parity guarantee.
+* **streaming** — a short ``engine="ce-streaming"`` cluster run, pinned
+  by its commit-log digest.
 * **drain-overlap** — strict vs ``strict_order=False`` streaming over a
   SmallBank theta sweep.  Both runs are pure DES, so the simulated-time
   speedup is deterministic and machine-independent: it gates in
@@ -32,21 +31,19 @@ every PR leaves a comparable performance fingerprint:
   (lane overlap only) gates in ``ratios`` and the lane/oracle counters
   in ``exact``.
 
-Wall-clock figures (``ops_per_sec``, ``wall_ms``, the ``ratios_info``
-speedups of the DES-driven scenarios) are recorded for the curious but
-never compared: they depend on the host and jitter at quick scale.
-Regression gating uses the ``ratios`` block — the closure-churn
-packed-vs-pyint speedups, which divide out the machine and run long
-enough to be stable — plus the ``exact`` block of deterministic
-counters and digests, which must reproduce bit-for-bit anywhere:
+Wall-clock figures (``ops_per_sec``, ``wall_ms``) are recorded for the
+curious but never compared: they depend on the host and jitter at quick
+scale.  Regression gating uses the ``ratios`` block — simulated-time
+speedups, deterministic and machine-independent — plus the ``exact``
+block of deterministic counters and digests, which must reproduce
+bit-for-bit anywhere:
 
     python benchmarks/bench_regression.py --quick \\
         --baseline BENCH_fig_regression.quick.json --tolerance 0.25
 
 exits nonzero when a ratio fell more than ``--tolerance`` below the
 baseline or any deterministic value changed.  CI runs exactly that
-(see ``.github/workflows/ci.yml``); the default-scale run records the
-headline packed-backend speedup quoted in ``docs/REACHABILITY.md``.
+(see ``.github/workflows/ci.yml``).
 """
 
 from __future__ import annotations
@@ -59,7 +56,7 @@ import time
 from typing import Dict, List, Optional
 
 from repro.ce import CEConfig, ConcurrencyController, StreamingRunner
-from repro.ce.bitset import make_backend, numpy_version
+from repro.ce.depgraph import DependencyGraph
 from repro.contracts import ReplayMemo, default_registry, initial_state
 from repro.core import ThunderboltConfig
 from repro.core.cluster import Cluster
@@ -71,10 +68,6 @@ from repro.storage.kvstore import KVStore
 from repro.workloads import SmallBankWorkload, WorkloadConfig
 
 SCHEMA = "bench-regression/v1"
-
-#: Benched backends.  "packed" resolves per the fallback rule, so on a
-#: numpy-less host it aliases "packed-array" (the record says which).
-BACKENDS = ("pyint", "packed", "packed-array")
 
 #: Contention sweep for the drain-overlap bench (Zipf theta).
 OVERLAP_THETAS = (0.5, 0.9, 0.99)
@@ -102,31 +95,31 @@ SCALES = {
 # ------------------------------------------------------------- closure churn
 
 
-def closure_churn(backend_name: str, n_nodes: int, seed: int = 7) -> Dict:
-    """Drive one backend through the dense-closure lifecycle: hot-key
+def closure_churn(n_nodes: int, seed: int = 7) -> Dict:
+    """Drive the closure rows through the dense-closure lifecycle: hot-key
     spine build, random shortcut edges, a 30% repair storm, and three
     from-scratch rebuilds over the survivors."""
     rng = random.Random(seed)
-    backend = make_backend(backend_name)
+    graph = DependencyGraph()
     started = time.perf_counter()
     for _ in range(n_nodes):
-        backend.append_singleton()
+        graph._append_singleton()
     connects = 0
     for i in range(n_nodes - 1):
-        if not backend.has(i, i + 1):
-            backend.connect(i, i + 1)
+        if not graph._down[i] >> (i + 1) & 1:
+            graph._connect(i, i + 1)
             connects += 1
     for _ in range(n_nodes):
         src, dst = sorted(rng.sample(range(n_nodes), 2))
-        if not backend.has(src, dst):
-            backend.connect(src, dst)
+        if not graph._down[src] >> dst & 1:
+            graph._connect(src, dst)
             connects += 1
     build_wall = time.perf_counter() - started
     victims = rng.sample(range(n_nodes), n_nodes * 3 // 10)
     started = time.perf_counter()
     cone_total = 0
     for victim in victims:
-        cone = backend.discard(victim, 1 << 30)
+        cone = graph._discard(victim, 1 << 30)
         assert cone is not None
         cone_total += cone
     repair_wall = time.perf_counter() - started
@@ -139,17 +132,16 @@ def closure_churn(backend_name: str, n_nodes: int, seed: int = 7) -> Dict:
     topo = list(range(n_nodes))
     started = time.perf_counter()
     for _ in range(3):
-        backend.rebuild(n_nodes, topo, out_serials, in_serials)
+        graph._rebuild_rows(n_nodes, topo, out_serials, in_serials)
     rebuild_wall = time.perf_counter() - started
     total = build_wall + repair_wall + rebuild_wall
     ops = connects + len(victims) + 3
     return {
-        "backend": backend.name,
         "nodes": n_nodes,
         "connects": connects,
         "repairs": len(victims),
         "repair_cone_nodes": cone_total,
-        "peak_words": backend.peak_words,
+        "peak_words": graph.peak_bitset_words,
         "wall_ms": {
             "build": round(build_wall * 1000, 2),
             "repair": round(repair_wall * 1000, 2),
@@ -157,20 +149,18 @@ def closure_churn(backend_name: str, n_nodes: int, seed: int = 7) -> Dict:
             "total": round(total * 1000, 2),
         },
         "ops_per_sec": round(ops / total) if total else 0,
-        "_wall": total,
     }
 
 
 # ------------------------------------------------------------ depgraph storm
 
 
-def depgraph_storm(backend_name: str, n_txs: int, seed: int = 17) -> Dict:
+def depgraph_storm(n_txs: int, seed: int = 17) -> Dict:
     """Hot-key read-modify-write storm through the real dependency graph:
     a third of the in-flight transactions abort mid-stream, so detach
     bridging and the repair decision rule carry the load."""
     rng = random.Random(seed)
-    cc = ConcurrencyController({f"k{i}": 0 for i in range(3)},
-                               index_backend=backend_name)
+    cc = ConcurrencyController({f"k{i}": 0 for i in range(3)})
     live: List[int] = []
     started = time.perf_counter()
     for tx_id in range(n_txs):
@@ -187,7 +177,6 @@ def depgraph_storm(backend_name: str, n_txs: int, seed: int = 17) -> Dict:
     wall = time.perf_counter() - started
     stats = cc.stats
     return {
-        "backend": cc.graph.index_backend,
         "transactions": n_txs,
         "aborts": stats.aborts,
         "path_queries": stats.path_queries,
@@ -199,19 +188,18 @@ def depgraph_storm(backend_name: str, n_txs: int, seed: int = 17) -> Dict:
         "peak_words": stats.bitset_words,
         "wall_ms": round(wall * 1000, 2),
         "ops_per_sec": round(n_txs / wall) if wall else 0,
-        "_wall": wall,
     }
 
 
 # ---------------------------------------------------------------- streaming
 
 
-def streaming_run(backend_name: str, duration: float, seed: int = 3) -> Dict:
-    """A short ``ce-streaming`` cluster run; the digest fingerprint must
-    be identical whichever backend serves the index."""
+def streaming_run(duration: float, seed: int = 3) -> Dict:
+    """A short ``ce-streaming`` cluster run, fingerprinted by the last
+    commit-log digest."""
     config = ThunderboltConfig(
         n_replicas=4, batch_size=10, seed=seed, engine="ce-streaming",
-        ce=CEConfig(executors=8, index_backend=backend_name))
+        ce=CEConfig(executors=8))
     cluster = Cluster(config, WorkloadConfig(accounts=200,
                                              cross_shard_ratio=0.1,
                                              theta=0.9))
@@ -221,7 +209,6 @@ def streaming_run(backend_name: str, duration: float, seed: int = 3) -> Dict:
     digests = [digest for replica in cluster.replicas
                for digest in replica.commit_log.digests()]
     return {
-        "backend": result.cc_index_backend,
         "executed": result.executed,
         "throughput_tps": round(result.throughput),
         "blocks_committed": result.blocks_committed,
@@ -231,7 +218,6 @@ def streaming_run(backend_name: str, duration: float, seed: int = 3) -> Dict:
         "peak_words": result.cc_bitset_words,
         "digest": digests[-1] if digests else "",
         "wall_ms": round(wall * 1000, 2),
-        "_wall": wall,
     }
 
 
@@ -388,41 +374,17 @@ def cross_shard_pipeline(n_shards: int, n_txs: int, seed: int = 21,
 
 def run_all(scale: str) -> Dict:
     sizes = SCALES[scale]
+    churn = closure_churn(sizes["nodes"])
+    storm = depgraph_storm(sizes["storm_txs"])
+    stream = streaming_run(sizes["stream_duration"])
     record: Dict = {
         "schema": SCHEMA,
         "scale": scale,
-        "numpy": numpy_version(),
-        "packed_backend": make_backend("packed").name,
-        "benches": {},
+        "benches": {"closure_churn": churn, "depgraph_storm": storm,
+                    "streaming": stream},
         "ratios": {},
-        "ratios_info": {},
         "exact": {},
     }
-    churn = {name: closure_churn(name, sizes["nodes"])
-             for name in BACKENDS}
-    storm = {name: depgraph_storm(name, sizes["storm_txs"])
-             for name in BACKENDS}
-    stream = {name: streaming_run(name, sizes["stream_duration"])
-              for name in BACKENDS}
-    for name in BACKENDS[1:]:
-        assert stream[name]["digest"] == stream["pyint"]["digest"], \
-            f"backend {name} changed the committed schedule"
-    for bench, runs in (("closure_churn", churn), ("depgraph_storm", storm),
-                        ("streaming", stream)):
-        record["benches"][bench] = {
-            name: {key: value for key, value in runs[name].items()
-                   if not key.startswith("_")}
-            for name in BACKENDS
-        }
-        for name in BACKENDS[1:]:
-            ratio = runs["pyint"]["_wall"] / runs[name]["_wall"]
-            # Only the closure-churn ratios are gated: the microbench
-            # runs long enough to be stable, while the DES-driven storm
-            # and streaming walls jitter well past any useful tolerance
-            # at quick scale — those speedups are recorded for the
-            # curious under ratios_info.
-            bucket = "ratios" if bench == "closure_churn" else "ratios_info"
-            record[bucket][f"{bench}.speedup_{name}"] = round(ratio, 3)
     overlap = {theta: drain_overlap(theta, sizes["overlap_txs"])
                for theta in OVERLAP_THETAS}
     record["benches"]["drain_overlap"] = {
@@ -454,14 +416,14 @@ def run_all(scale: str) -> Dict:
             speedup
     # Deterministic values: identical on any host at the same scale.
     record["exact"] = {
-        "storm_aborts": storm["pyint"]["aborts"],
-        "storm_rebuilds": storm["pyint"]["index_rebuilds"],
-        "storm_repairs": storm["pyint"]["index_repairs"],
-        "storm_bridge_plans": storm["pyint"]["bridge_plans"],
-        "stream_executed": stream["pyint"]["executed"],
-        "stream_digest": stream["pyint"]["digest"],
-        "churn_repair_cone_nodes": churn["pyint"]["repair_cone_nodes"],
-        "churn_peak_words": churn["pyint"]["peak_words"],
+        "storm_aborts": storm["aborts"],
+        "storm_rebuilds": storm["index_rebuilds"],
+        "storm_repairs": storm["index_repairs"],
+        "storm_bridge_plans": storm["bridge_plans"],
+        "stream_executed": stream["executed"],
+        "stream_digest": stream["digest"],
+        "churn_repair_cone_nodes": churn["repair_cone_nodes"],
+        "churn_peak_words": churn["peak_words"],
     }
     for theta in OVERLAP_THETAS:
         record["exact"][f"overlap_released_t{theta}"] = \
@@ -528,8 +490,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     with open(out, "w") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"wrote {out} (scale={scale}, "
-          f"packed={record['packed_backend']})")
+    print(f"wrote {out} (scale={scale})")
     for key in sorted(record["ratios"]):
         print(f"  {key} = {record['ratios'][key]:.2f}x")
     if args.baseline:

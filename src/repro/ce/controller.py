@@ -39,16 +39,39 @@ R4 (commit): when T commits, every other live writer of each key T wrote
     order is write order).  This edge can never cycle because v could not
     have committed, hence no path v -> T existed through committed nodes.
 
-Every rule above is phrased in terms of ``DependencyGraph.has_path``; the
-graph answers those queries from an incremental transitive-closure index
-(O(1) bit test per query, Italiano-style propagation on ``add_edge``,
-decremental in-place repair when an abort detaches a node, with a
-generation-counter lazy rebuild kept only as the fallback — see the
-:mod:`repro.ce.depgraph` module docstring and ``docs/REACHABILITY.md``
-for the repair argument and the decision rule).  :class:`CCStats`
-surfaces the query volume as ``path_queries``, the per-abort repair
-traffic as ``index_repairs``/``repair_frontier_nodes``, and the residual
-rebuild rate as ``index_rebuilds``/``repair_fallbacks``.
+Every rule above is a reachability question; the graph answers it from an
+incremental transitive-closure index (one closure row of descendants and
+one of ancestors per node, masked Italiano-style propagation on
+``add_edge``, decremental in-place repair when an abort detaches a node,
+with a generation-counter lazy rebuild kept only as the fallback — see the
+:mod:`repro.ce.depgraph` module docstring and ``docs/REACHABILITY.md``).
+
+Cohort classification
+---------------------
+R1, R2's pinning and R4 each walk a key's whole cohort (its readers or
+its writers), and most members need nothing: they are already ordered
+the way the rule wants.  Instead of asking ``has_path`` per member, the
+rule reads the node's rows once and skips every member whose bit falls
+in the rule's no-op class — R1: ``up[node]`` (the reader already
+precedes the writer); R2: ``down[node] | up[chosen]`` (the writer
+already follows the reader or precedes the version read); R4:
+``down[node]`` (the writer already follows the committer).  The other
+members are visited in cohort order with the rule's remaining point
+queries.  Two rules keep this exact:
+
+* *reclassify on mutation* — an ``add_edge`` or abort inside the loop
+  changes the closure, so the rows are read again before the next test;
+* *read lazily* — the rows are read where the point-query form made its
+  first ``has_path`` on two indexed nodes, so a stale index is rebuilt at
+  the same moment as before and every rebuild/repair count is unchanged.
+
+A member the graph has not indexed has no edge, so it is in no class and
+is visited.  The point-query forms survive as test-only references
+(``tests/ce/test_cohort_rows.py``), which pin edge insertions, aborts and
+commit orders to them.  :class:`CCStats` surfaces the remaining point
+queries as ``path_queries``, the per-abort repair traffic as
+``index_repairs``/``repair_frontier_nodes``, and the residual rebuild
+rate as ``index_rebuilds``/``repair_fallbacks``.
 
 Long-lived use (streaming)
 --------------------------
@@ -77,7 +100,8 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.ce.depgraph import (DependencyGraph, EdgeKind, KeyRecord,
-                               NodeStatus, TxNode, _UNSET)
+                               NodeStatus, TxNode, _ABORTED, _COMMITTED,
+                               _FINISHED, _RUNNING, _UNSET)
 from repro.errors import SerializationError, TransactionAborted
 
 
@@ -102,12 +126,11 @@ class CCStats:
     overlap_parked: int = 0    # ops parked by the relaxed-mode frontier
     oracle_checks: int = 0     # SerializabilityOracle passes run at commit
     overlap_probe_released: int = 0  # releases cleared via key_contended probe
-    index_backend: str = ""    # closure-bitset backend tag (repro.ce.bitset)
     bitset_words: int = 0      # peak closure row width, in 64-bit words
 
-    #: Fields that are identity/high-water marks, not counters: a
-    #: boundary delta carries the current value instead of a difference.
-    _NON_COUNTERS = ("index_backend", "bitset_words")
+    #: Fields that are high-water marks, not counters: a boundary delta
+    #: carries the current value instead of a difference.
+    _NON_COUNTERS = ("bitset_words",)
 
     def snapshot(self) -> "CCStats":
         """A frozen copy of the counters as they stand right now.
@@ -121,8 +144,8 @@ class CCStats:
 
     def delta(self, since: "CCStats") -> "CCStats":
         """Counter-wise difference ``self - since``: the activity between
-        the ``since`` snapshot and this one.  Non-counter fields (the
-        backend tag, the peak row width) keep their current value."""
+        the ``since`` snapshot and this one.  The non-counter field (the
+        peak row width) keeps its current value."""
         fields = {name: getattr(self, name) - getattr(since, name)
                   for name in vars(self) if name not in self._NON_COUNTERS}
         for name in self._NON_COUNTERS:
@@ -156,9 +179,8 @@ class ConcurrencyController:
                  default: Any = 0,
                  on_abort: Optional[Callable[[int], None]] = None,
                  on_commit: Optional[Callable[[CommittedTx], None]] = None,
-                 check_invariants: bool = False,
-                 index_backend: str = "pyint") -> None:
-        self.graph = DependencyGraph(index_backend=index_backend)
+                 check_invariants: bool = False) -> None:
+        self.graph = DependencyGraph()
         self._base_state = base_state
         self._default = default
         self._on_abort = on_abort
@@ -190,7 +212,6 @@ class ConcurrencyController:
         self._stats.repair_frontier_nodes = self.graph.repair_frontier_nodes
         self._stats.repair_fallbacks = self.graph.repair_fallbacks
         self._stats.nodes_pruned = self.graph.nodes_pruned
-        self._stats.index_backend = self.graph.index_backend
         self._stats.bitset_words = self.graph.peak_bitset_words
         return self._stats
 
@@ -383,10 +404,10 @@ class ConcurrencyController:
     # ------------------------------------------------------------- internals
 
     def _require_live(self, node: TxNode, action: str) -> None:
-        if node.status is NodeStatus.ABORTED:
+        if node.status is _ABORTED:
             raise TransactionAborted(node.tx_id, f"detected at {action}")
         if action in ("read", "write", "finish") \
-                and node.status is not NodeStatus.RUNNING:
+                and node.status is not _RUNNING:
             raise SerializationError(
                 f"{action} on {node.tx_id} in state {node.status.value}")
 
@@ -412,27 +433,35 @@ class ConcurrencyController:
         happened before the version we read) or after ``node`` (it will
         overwrite later).  A writer that can do neither conflicts: per §8.4,
         a read-only reader aborts itself, otherwise the writer aborts.
+        Writers already in ``down[node] | up[chosen]`` need nothing and
+        are skipped on one row test (see "Cohort classification").
         """
-        for writer in self.graph.writers_of(key):
-            if node.status is NodeStatus.ABORTED:
+        graph = self.graph
+        settled = None  # down[node] | up[chosen]; None: (re)read lazily
+        for writer in graph.writers_of(key):
+            if node.status is _ABORTED:
                 # A cascade triggered below can reach us through another key.
                 raise TransactionAborted(node.tx_id, f"cascade during {key}")
             if writer is node or writer is chosen:
                 continue
-            if writer.status is NodeStatus.ABORTED:
+            if writer.status is _ABORTED:
                 continue  # aborted by a cascade earlier in this very loop
-            if chosen is not None and self.graph.has_path(writer, chosen):
-                continue
-            if self.graph.has_path(node, writer):
-                continue  # already ordered after the reader
-            if chosen is not None and not self.graph.has_path(chosen, writer) \
-                    and not self.graph.has_path(writer, node):
+            if writer._index_owner is graph:
+                if settled is None:
+                    settled = graph.rows(node)[0]
+                    if chosen is not None:
+                        settled |= graph.rows(chosen)[1]
+                if settled >> writer._index_serial & 1:
+                    continue  # before the version read, or after the reader
+            settled = None  # every path below adds an edge or aborts
+            if chosen is not None and not graph.has_path(chosen, writer) \
+                    and not graph.has_path(writer, node):
                 # Unordered w.r.t. both: pin it before the chosen writer.
-                self.graph.add_edge(writer, chosen, key, EdgeKind.PIN)
+                graph.add_edge(writer, chosen, key, EdgeKind.PIN)
                 continue
-            if not self.graph.has_path(writer, node):
+            if not graph.has_path(writer, node):
                 # Ordered after chosen (or root read): push it after us.
-                self.graph.add_edge(node, writer, key, EdgeKind.ANTI)
+                graph.add_edge(node, writer, key, EdgeKind.ANTI)
                 continue
             # writer -> node exists and writer is not before the version we
             # read: genuine conflict (§8.4).
@@ -450,24 +479,37 @@ class ConcurrencyController:
                         cascading=True)
 
     def _order_readers_before_writer(self, node: TxNode, key: str) -> None:
-        """Anti-edges from every reader of ``key`` to the new writer (R1)."""
+        """Anti-edges from every reader of ``key`` to the new writer (R1).
+
+        Readers already in ``up[node]`` need nothing and are skipped on
+        one row test (see "Cohort classification")."""
         if self._unsafe_skip_r1:
             return  # test-only sabotage, see __init__
-        for reader in self.graph.readers_of(key):
-            if node.status is NodeStatus.ABORTED:
+        graph = self.graph
+        before = None  # up[node]; None: (re)read lazily
+        for reader in graph.readers_of(key):
+            if node.status is _ABORTED:
                 raise TransactionAborted(node.tx_id, f"cascade during {key}")
             if reader is node:
                 continue
-            if reader.status is NodeStatus.ABORTED:
+            if reader.status is _ABORTED:
                 continue  # aborted by a cascade earlier in this very loop
+            # The row test may precede the record checks below, which never
+            # skip: a registered reader holds its read record, and none
+            # read from ``node`` (this is its first write of ``key``).  So
+            # the rows are still read where the point form first asked.
+            if reader._index_owner is graph:
+                if before is None:
+                    before = graph.rows(node)[1]
+                if before >> reader._index_serial & 1:
+                    continue
             record = reader.records.get(key)
             if record is None or not record.has_read:
                 continue
             if record.read_from is node:
                 continue  # it read *our* value; rf edge already orders us
-            if self.graph.has_path(reader, node):
-                continue
-            if self.graph.has_path(node, reader):
+            before = None  # every path below adds an edge or aborts
+            if graph.has_path(node, reader):
                 # The reader is serialized after us yet saw the old version.
                 if reader.status is NodeStatus.COMMITTED:
                     # We cannot invalidate a committed read; the writer must
@@ -479,7 +521,7 @@ class ConcurrencyController:
                 self._abort(reader, reason=f"stale read of {key}",
                             cascading=True)
                 continue
-            self.graph.add_edge(reader, node, key, EdgeKind.ANTI)
+            graph.add_edge(reader, node, key, EdgeKind.ANTI)
 
     # -- aborts ------------------------------------------------------------------
 
@@ -521,11 +563,10 @@ class ConcurrencyController:
     # -- commits --------------------------------------------------------------------
 
     def _dependencies_committed(self, node: TxNode) -> bool:
-        return all(dep.status is NodeStatus.COMMITTED
-                   for dep in node.in_edges)
+        return all(dep.status is _COMMITTED for dep in node.in_edges)
 
     def _try_commit(self, node: TxNode, now: float) -> bool:
-        if node.status is not NodeStatus.FINISHED:
+        if node.status is not _FINISHED:
             return False
         if not self._dependencies_committed(node):
             return False
@@ -549,21 +590,33 @@ class ConcurrencyController:
         self._committed.append(entry)
         if self._on_commit is not None:
             self._on_commit(entry)
-        # R4: commit order fixes write-write order with still-live writers.
-        for key, record in node.records.items():
-            if not record.wrote:
-                continue
-            for writer in self.graph.writers_of(key):
-                if writer is node or not writer.alive:
-                    continue
-                if not self.graph.has_path(node, writer):
-                    self.graph.add_edge(node, writer, key,
-                                        EdgeKind.WRITE_WRITE)
+        self._order_later_writers(node)
         if self._check_invariants and not self.graph.is_acyclic():
             raise SerializationError(
                 f"cycle introduced by commit of {node.tx_id}")
         # Commits may unblock dependants (Table 1 t7 -> t8).
         for neighbor in list(node.out_edges):
-            if neighbor.status is NodeStatus.FINISHED:
+            if neighbor.status is _FINISHED:
                 self._try_commit(neighbor, now)
         return True
+
+    def _order_later_writers(self, node: TxNode) -> None:
+        """R4: commit order fixes write-write order with still-live writers.
+
+        Writers already in ``down[node]`` need nothing and are skipped on
+        one row test (see "Cohort classification")."""
+        graph = self.graph
+        after = None  # down[node]; None: (re)read lazily
+        for key, record in node.records.items():
+            if not record.wrote:
+                continue
+            for writer in graph.writers_of(key):
+                if writer is node or not writer.alive:
+                    continue
+                if writer._index_owner is graph:
+                    if after is None:
+                        after = graph.rows(node)[0]
+                    if after >> writer._index_serial & 1:
+                        continue
+                after = None
+                graph.add_edge(node, writer, key, EdgeKind.WRITE_WRITE)

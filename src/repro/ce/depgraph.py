@@ -19,24 +19,24 @@ reachability queries.  The *rules* that decide which edges to add live in
 
 Incremental reachability index
 ------------------------------
-``has_path`` is the controller's hottest query: every read pins the other
-writers of the key, every commit orders the remaining writers, and both walk
-the graph.  A DFS per query makes a contended batch of n transactions cost
-O(n^3); instead the graph maintains a transitive-closure index:
+Every read pins the other writers of the key, every first write orders
+the key's readers before it, every commit orders the remaining writers,
+and all three are reachability questions.  A DFS per query makes a
+contended batch of n transactions cost O(n^3); instead the graph
+maintains a transitive-closure index:
 
 * every currently-indexed node gets a small integer *serial* (per build
-  generation) and two bitset rows — ``down`` (descendants, self
-  included) and ``up`` (ancestors, self included).  Row *storage* is
-  pluggable (see :mod:`repro.ce.bitset`): the default keeps each row as
-  one Python int, while the packed backends store uint64 words (numpy
-  arrays or ``array('Q')``) so cone unions, repair clears, and rebuild
-  unions become row-wise vector ops.  Select via
-  ``DependencyGraph(index_backend=...)`` / ``CEConfig.index_backend``;
+  generation) and two closure rows, each one Python int used as a bit
+  set — ``down`` (descendants, self included) and ``up`` (ancestors,
+  self included);
 * ``add_edge(u, v)`` updates the closure with Italiano-style propagation:
-  if ``v`` is not already a descendant of ``u``, OR ``down[v]`` into every
-  ancestor of ``u`` and ``up[u]`` into every descendant of ``v`` —
-  O((|up(u)| + |down(v)|) * V/w) word operations, nothing when the edge is
-  redundant;
+  if ``v`` is not already a descendant of ``u``, OR ``down[v]`` into the
+  ancestors of ``u`` and ``up[u]`` into the descendants of ``v`` —
+  *masked*: an ancestor that already reaches ``v`` already holds
+  ``down[v]`` by transitivity (likewise a descendant ``u`` already
+  reaches), so only ``up[u] & ~up[v]`` and ``down[v] & ~down[u]`` are
+  ORed into, both masks taken before any row changes.  Nothing happens
+  when the edge is redundant;
 * ``detach_node`` (aborts) repairs the closure *decrementally*.  General
   decremental reachability is hard because an edge deletion can sever
   paths, but this graph's detach protocol makes it trivial: every
@@ -54,7 +54,10 @@ O(n^3); instead the graph maintains a transitive-closure index:
   detach falls back to the legacy scheme — bump a *generation counter*
   (O(1)) and let the next query rebuild from the live adjacency in
   topological order, O(V + E) set unions, compacting serials.
-* ``has_path`` is then a single bit test, O(1).
+* ``has_path`` is then a single bit test, O(1), and :meth:`rows` hands
+  the controller a node's whole ``down``/``up`` rows, so a rule over a
+  key's cohort tests one bit per member instead of asking one
+  ``has_path`` per member (see :mod:`repro.ce.controller`).
 
 The index is an exact mirror of the adjacency lists: answers are identical
 to the reference DFS (kept as :meth:`DependencyGraph._has_path_dfs` for
@@ -116,9 +119,8 @@ controller keeps its bitset width plateaued over an unbounded stream.
 Determinism note: all collections that the controller iterates are dicts
 used as ordered sets, so runs are reproducible (plain ``set`` of objects
 would iterate in address order).  Index serials follow dict insertion
-order and every bitset backend enumerates set bits in ascending serial
-order, so the index — and the bridge planning built on it — is
-deterministic and backend-independent too.
+order and row bits are enumerated in ascending serial order, so the
+index — and the bridge planning built on it — is deterministic too.
 """
 
 from __future__ import annotations
@@ -128,7 +130,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.ce.bitset import make_backend
 from repro.errors import SerializationError
 
 #: Sentinel for "no value recorded yet".
@@ -140,6 +141,15 @@ class NodeStatus(Enum):
     FINISHED = "finished"    # all operations done, awaiting commit
     COMMITTED = "committed"  # execution order assigned, results final
     ABORTED = "aborted"      # removed from the graph; will re-execute
+
+
+#: The statuses under plain module names, for the per-member tests of the
+#: per-key indexes and the controller's cohort loops: on CPython 3.11 a
+#: member read through its Enum class costs about eight global reads.
+_RUNNING = NodeStatus.RUNNING
+_FINISHED = NodeStatus.FINISHED
+_COMMITTED = NodeStatus.COMMITTED
+_ABORTED = NodeStatus.ABORTED
 
 
 class EdgeKind(Enum):
@@ -234,7 +244,8 @@ class TxNode:
 
     @property
     def alive(self) -> bool:
-        return self.status in (NodeStatus.RUNNING, NodeStatus.FINISHED)
+        status = self.status
+        return status is _RUNNING or status is _FINISHED
 
     def read_set(self) -> Dict[str, Any]:
         """Keys first-read from outside the transaction, with values seen."""
@@ -254,7 +265,7 @@ class DependencyGraph:
     """Stores nodes, typed edges, per-key access indexes, and an incremental
     transitive-closure index answering ``has_path`` in O(1)."""
 
-    def __init__(self, index_backend: str = "pyint") -> None:
+    def __init__(self) -> None:
         #: Current attempt per transaction id.
         self.nodes: Dict[int, TxNode] = {}
         #: key -> writer nodes in first-write order (dict-as-ordered-set).
@@ -270,15 +281,17 @@ class DependencyGraph:
         #: Invalidation generation; bumped only when a mutation cannot be
         #: absorbed in place (repair fallback, ownership steal).
         self._gen = 0
-        #: Generation the backend's bitsets were built for; ``!= _gen``
-        #: means the index is stale and the next query rebuilds it.
+        #: Generation the closure rows were built for; ``!= _gen`` means
+        #: the index is stale and the next query rebuilds it.
         self._built_gen = -1
-        #: Closure-row storage (see :mod:`repro.ce.bitset`): holds one
-        #: down and one up row per serial; this class owns the serial
-        #: space, staleness protocol, and decision rules, the backend
-        #: only stores and combines rows.
-        self._backend = (make_backend(index_backend)
-                         if isinstance(index_backend, str) else index_backend)
+        #: Closure rows, one int per serial: bit ``t`` of ``_down[s]`` is
+        #: set iff serial ``t`` is a descendant of ``s`` (self included);
+        #: ``_up`` is the transpose (ancestors).
+        self._down: List[int] = []
+        self._up: List[int] = []
+        #: High-water row width in 64-bit words (never reset by clears;
+        #: surfaced as ``CCStats.bitset_words``).
+        self.peak_bitset_words = 0
         #: When True (default), ``detach_node`` plans its bridge edges
         #: from the pre-removal closure snapshot; False forces the
         #: reference per-predecessor DFS (kept for equivalence tests).
@@ -306,16 +319,6 @@ class DependencyGraph:
         #: declined and the reference DFS ran (``bridge_fallbacks``).
         self.bridge_plans = 0
         self.bridge_fallbacks = 0
-
-    @property
-    def index_backend(self) -> str:
-        """The closure-bitset backend tag serving this graph's index."""
-        return self._backend.name
-
-    @property
-    def peak_bitset_words(self) -> int:
-        """High-water closure row width, in 64-bit words."""
-        return self._backend.peak_words
 
     # -- node lifecycle ------------------------------------------------------
 
@@ -356,7 +359,7 @@ class DependencyGraph:
         hand-built cycles) does each predecessor pay the reference DFS
         over the post-removal adjacency.  Both planners produce the same
         bridge edges in the same order, so schedules are identical (see
-        the regression test in ``tests/ce/test_bitset_backends.py``).
+        the regression test in ``tests/ce/test_reachability_index.py``).
 
         Returns the former out-neighbours (the controller re-checks their
         commit eligibility).  Read-from back-references are cleaned so the
@@ -449,7 +452,7 @@ class DependencyGraph:
         if self._built_gen != self._gen:
             return None
         indexed = self._indexed
-        backend = self._backend
+        down = self._down
 
         def live_serial(candidate: TxNode) -> Optional[int]:
             serial = candidate._index_serial
@@ -465,7 +468,7 @@ class DependencyGraph:
         pred_serials: List[int] = []
         for predecessor in predecessors:
             serial = live_serial(predecessor)
-            if serial is None or backend.has(victim_serial, serial):
+            if serial is None or down[victim_serial] >> serial & 1:
                 # Unindexed/foreign predecessor — or (hand-built cycles
                 # only) a predecessor inside the descendant cone, which
                 # breaks the one-bridge-per-path argument.
@@ -477,7 +480,7 @@ class DependencyGraph:
             if serial is None:
                 return None
             succ_serials.append(serial)
-        cone_serials = backend.descendants(victim_serial)
+        cone_serials = _bits(down[victim_serial] & ~(1 << victim_serial))
         position: Dict[int, int] = {}
         cone_nodes: List[TxNode] = []
         for serial in cone_serials:
@@ -503,7 +506,7 @@ class DependencyGraph:
                 else:
                     for bit, pred_serial in enumerate(pred_serials):
                         if pred_serial == serial \
-                                or backend.has(pred_serial, serial):
+                                or down[pred_serial] >> serial & 1:
                             boundary |= 1 << bit
             avoid[cone_index] = boundary
         ready = [index for index in range(len(cone_nodes))
@@ -532,7 +535,7 @@ class DependencyGraph:
         for index, serial in enumerate(succ_serials):
             bits = 1 << index
             for other_index, other in enumerate(succ_serials):
-                if other_index != index and backend.has(serial, other):
+                if other_index != index and down[serial] >> other & 1:
                     bits |= 1 << other_index
             cover.append(bits)
         avoid_succ = []
@@ -551,7 +554,7 @@ class DependencyGraph:
                     covered |= 1 << succ_index
             for earlier_serial, earlier_cover in bridged:
                 if covered | earlier_cover != covered \
-                        and backend.has(pred_serial, earlier_serial):
+                        and down[pred_serial] >> earlier_serial & 1:
                     covered |= earlier_cover
             for succ_index, successor in enumerate(successors):
                 if covered >> succ_index & 1:
@@ -618,7 +621,7 @@ class DependencyGraph:
             self.repair_fallbacks += 1
             self._gen += 1
             return
-        cone = self._backend.discard(serial, self.repair_max_cone)
+        cone = self._discard(serial, self.repair_max_cone)
         if cone is None:
             self.repair_fallbacks += 1
             self._gen += 1
@@ -745,7 +748,7 @@ class DependencyGraph:
                     self._indexed[serial] = None
                     self._index_holes += 1
                     if valid:
-                        self._backend.zero_node(serial)
+                        self._down[serial] = self._up[serial] = 0
                 node._index_serial = None
                 node._index_owner = None
         if valid:
@@ -774,7 +777,8 @@ class DependencyGraph:
         """Drop a fully-holed serial space: an empty index is trivially
         exact, so ``_built_gen`` stays current and no rebuild is owed."""
         self._indexed.clear()
-        self._backend.clear()
+        self._down.clear()
+        self._up.clear()
         self._index_holes = 0
 
     @staticmethod
@@ -806,12 +810,12 @@ class DependencyGraph:
     def writers_of(self, key: str) -> List[TxNode]:
         """Live or committed writer nodes of ``key`` in first-write order."""
         return [node for node in self._writers.get(key, {})
-                if node.status is not NodeStatus.ABORTED]
+                if node.status is not _ABORTED]
 
     def readers_of(self, key: str) -> List[TxNode]:
         """Nodes holding a read record on ``key`` (live or committed)."""
         return [node for node in self._readers.get(key, {})
-                if node.status is not NodeStatus.ABORTED]
+                if node.status is not _ABORTED]
 
     def latest_alive_writer(self, key: str) -> Optional[TxNode]:
         """The most recent non-aborted writer of ``key``, if any."""
@@ -848,7 +852,26 @@ class DependencyGraph:
             return self._has_path_dfs(src, dst)
         if self._built_gen != self._gen:
             self._rebuild_index()
-        return self._backend.has(src._index_serial, dst._index_serial)
+        return bool(self._down[src._index_serial] >> dst._index_serial & 1)
+
+    def rows(self, node: TxNode) -> Tuple[int, int]:
+        """``node``'s closure rows ``(down, up)``: its descendants and its
+        ancestors, self included.  Node ``m`` is in a row iff
+        ``m._index_owner is self`` and bit ``m._index_serial`` is set.
+
+        A node this graph has not indexed never touched an edge here (or
+        left with its edges): it reaches nothing, nothing reaches it, and
+        its rows are ``(0, 0)``.  A stale index is rebuilt first, exactly
+        as a :meth:`has_path` between ``node`` and an indexed node would,
+        and a rebuild renumbers serials — read a member's serial after
+        this call.  Not counted in ``path_queries``: that counter is the
+        point queries the rows replace."""
+        if node._index_owner is not self:
+            return 0, 0
+        if self._built_gen != self._gen:
+            self._rebuild_index()
+        serial = node._index_serial
+        return self._down[serial], self._up[serial]
 
     def _has_path_dfs(self, src: TxNode, dst: TxNode) -> bool:
         """Reference DFS reachability (the seed implementation); kept for
@@ -873,9 +896,9 @@ class DependencyGraph:
         """Return ``node``'s serial, registering it on first edge contact.
 
         A node currently owned by *another* graph (hand-built sharing) is
-        re-claimed; since it may carry edges this graph's clean bitsets
-        know nothing about, that case invalidates the index and lets the
-        next rebuild heal the closure."""
+        re-claimed; since it may carry edges this graph's clean rows know
+        nothing about, that case invalidates the index and lets the next
+        rebuild heal the closure."""
         if node._index_owner is not self:
             stolen = node._index_owner is not None
             serial = len(self._indexed)
@@ -885,7 +908,7 @@ class DependencyGraph:
             if stolen:
                 self._gen += 1  # force a rebuild; singleton sets would lie
             elif self._built_gen == self._gen:
-                self._backend.append_singleton()
+                self._append_singleton()
             return serial
         return node._index_serial
 
@@ -895,16 +918,118 @@ class DependencyGraph:
         dst_serial = self._ensure_serial(dst)
         if self._built_gen != self._gen:
             return  # stale: the next query rebuilds from adjacency anyway
-        backend = self._backend
-        if backend.has(src_serial, dst_serial):
+        if self._down[src_serial] >> dst_serial & 1:
             return  # already ordered; closure unchanged
-        backend.connect(src_serial, dst_serial)
+        self._connect(src_serial, dst_serial)
+
+    # -- closure rows ------------------------------------------------------------
+
+    def _note_width(self) -> None:
+        width = (len(self._down) + 63) >> 6
+        if width > self.peak_bitset_words:
+            self.peak_bitset_words = width
+
+    def _append_singleton(self) -> None:
+        """Register the next serial with only its own bit set."""
+        bit = 1 << len(self._down)
+        self._down.append(bit)
+        self._up.append(bit)
+        self._note_width()
+
+    def _connect(self, src: int, dst: int) -> None:
+        """Propagate a new non-redundant edge ``src -> dst`` (serials).
+
+        ``down[dst]`` goes into the ancestors of ``src`` and ``up[src]``
+        into the descendants of ``dst`` (both cones include their
+        endpoint) — but only into rows it changes.  An ancestor ``a``
+        already in ``up[dst]`` reaches ``dst``, so ``down[a]`` already
+        holds ``down[dst]`` by transitivity; a descendant already in
+        ``down[src]`` already holds ``up[src]``.  Both masks are taken
+        before any row changes (the first loop grows ``down[src]``)."""
+        down = self._down
+        up = self._up
+        ancestors = up[src]
+        descendants = down[dst]
+        grow_down = ancestors & ~up[dst]    # ancestors not reaching dst
+        grow_up = descendants & ~down[src]  # descendants src misses
+        while grow_down:
+            low = grow_down & -grow_down
+            down[low.bit_length() - 1] |= descendants
+            grow_down ^= low
+        while grow_up:
+            low = grow_up & -grow_up
+            up[low.bit_length() - 1] |= ancestors
+            grow_up ^= low
+
+    def _discard(self, serial: int, max_cone: int) -> Optional[int]:
+        """Decremental repair: clear ``serial``'s bit from its affected
+        cone and zero its own rows.  Returns the cone size, or ``None``
+        — with nothing mutated — when the cone exceeds ``max_cone``."""
+        mask = 1 << serial
+        ancestors = self._up[serial] & ~mask
+        descendants = self._down[serial] & ~mask
+        cone = ancestors.bit_count() + descendants.bit_count()
+        if cone > max_cone:
+            return None
+        down = self._down
+        up = self._up
+        remaining = ancestors
+        while remaining:
+            low = remaining & -remaining
+            down[low.bit_length() - 1] &= ~mask
+            remaining ^= low
+        remaining = descendants
+        while remaining:
+            low = remaining & -remaining
+            up[low.bit_length() - 1] &= ~mask
+            remaining ^= low
+        down[serial] = 0
+        up[serial] = 0
+        return cone
+
+    def _rebuild_rows(self, count: int, topo: Optional[List[int]],
+                      out_serials: List[List[int]],
+                      in_serials: List[List[int]]) -> None:
+        """Closure rows from scratch over ``count`` compacted serials.
+
+        ``topo`` is a topological order (down rows are unioned in reverse
+        topo, up rows in topo order); ``None`` means the caller found a
+        cycle and a fixpoint iteration is required.
+        """
+        down = [1 << serial for serial in range(count)]
+        up = list(down)
+        if topo is not None:
+            for serial in reversed(topo):
+                acc = down[serial]
+                for target in out_serials[serial]:
+                    acc |= down[target]
+                down[serial] = acc
+            for serial in topo:
+                acc = up[serial]
+                for source in in_serials[serial]:
+                    acc |= up[source]
+                up[serial] = acc
+        else:  # pragma: no cover - cycles only arise in hand-built graphs
+            for sets, edges in ((down, out_serials), (up, in_serials)):
+                changed = True
+                while changed:
+                    changed = False
+                    for serial in range(count):
+                        acc = sets[serial]
+                        for neighbor in edges[serial]:
+                            acc |= sets[neighbor]
+                        if acc != sets[serial]:
+                            sets[serial] = acc
+                            changed = True
+        self._down = down
+        self._up = up
+        self._note_width()
 
     def _rebuild_index(self) -> None:
-        """Recompute closure bitsets from the live adjacency.
+        """Recompute the closure rows from the live adjacency.
 
         Serials are compacted first — detached nodes' holes are dropped so
-        bitsets stay as dense as the surviving graph — and any neighbor
+        rows stay as dense as the surviving graph — and any neighbor
         another graph claimed in the meantime (hand-built sharing) is
         re-claimed.  Nodes are then processed in Kahn topological order
         (one pass of set unions); graphs with a cycle — only constructible
@@ -935,8 +1060,7 @@ class DependencyGraph:
         self._index_holes = 0
         count = len(nodes)
         # Adjacency as serial lists (edge-insertion order preserved, so
-        # union order — and therefore every backend's result — is
-        # deterministic), plus a Kahn topological order.
+        # union order is deterministic), plus a Kahn topological order.
         out_serials: List[List[int]] = []
         in_serials: List[List[int]] = []
         indegree = [0] * count
@@ -956,8 +1080,8 @@ class DependencyGraph:
                 indegree[target] -= 1
                 if indegree[target] == 0:
                     ready.append(target)
-        self._backend.rebuild(count, topo if len(topo) == count else None,
-                              out_serials, in_serials)
+        self._rebuild_rows(count, topo if len(topo) == count else None,
+                           out_serials, in_serials)
         self._built_gen = self._gen
 
     # -- whole-graph queries ---------------------------------------------------
@@ -1034,3 +1158,13 @@ class DependencyGraph:
         if len(result) != len(nodes):
             raise SerializationError("dependency graph contains a cycle")
         return result
+
+
+def _bits(row: int) -> List[int]:
+    """Set-bit positions of a closure row, ascending."""
+    out: List[int] = []
+    while row:
+        low = row & -row
+        out.append(low.bit_length() - 1)
+        row ^= low
+    return out

@@ -33,7 +33,6 @@ from random import Random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.ce.bitset import BACKEND_NAMES
 from repro.ce.controller import CCStats, CommittedTx, ConcurrencyController
 from repro.contracts.contract import ContractRegistry
 from repro.contracts.ops import ReadOp, WriteOp
@@ -59,12 +58,6 @@ class CEConfig:
     restart_delay: float = 1e-5    # backoff before a re-execution
     jitter: float = 0.10           # relative op-cost jitter (interleaving)
     max_attempts: int = 1000       # livelock safety valve
-    #: Closure-bitset backend for the controller's reachability index
-    #: (see :mod:`repro.ce.bitset`): "pyint" (default), "packed" (numpy
-    #: when available, ``array('Q')`` otherwise), or an explicit
-    #: "packed-numpy"/"packed-array".  Committed schedules are identical
-    #: across backends; only wall-clock cost differs.
-    index_backend: str = "pyint"
     #: Streaming drain discipline (:mod:`repro.ce.streaming`).  True — the
     #: default — releases a batch's operations only at the previous
     #: batch's quiescent boundary, preserving the byte-identical
@@ -88,10 +81,6 @@ class CEConfig:
             raise ConfigError("costs must be non-negative")
         if not 0 <= self.jitter < 1:
             raise ConfigError(f"jitter must be in [0, 1): {self.jitter}")
-        if self.index_backend not in BACKEND_NAMES:
-            raise ConfigError(
-                f"index_backend must be one of {BACKEND_NAMES}: "
-                f"{self.index_backend!r}")
 
 
 @dataclass
@@ -197,8 +186,7 @@ class CERunner:
                 state.done.succeed()
 
         cc = ConcurrencyController(base_state, default=default,
-                                   on_abort=on_abort, on_commit=on_commit,
-                                   index_backend=self.config.index_backend)
+                                   on_abort=on_abort, on_commit=on_commit)
         state.cc = cc
         self.last_state = state  # exposed for tests / debugging
         cc_gate = Gate(env)

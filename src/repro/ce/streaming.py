@@ -289,8 +289,7 @@ class StreamSession:
         self._routes: Dict[int, _BatchState] = {}
         self.cc = ConcurrencyController(
             base_state, default=default, on_abort=self._on_abort,
-            on_commit=self._on_commit,
-            index_backend=runner.config.index_backend)
+            on_commit=self._on_commit)
         runner.last_cc = self.cc
         self._cc_gate = Gate(env)
         #: Worker process handles; exposed so teardown tests can assert

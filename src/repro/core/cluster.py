@@ -78,12 +78,8 @@ class ClusterResult:
     cc_overlap_released: int
     cc_overlap_parked: int
     cc_oracle_checks: int
-    #: Which closure-bitset backend served the reachability index
-    #: (``CEConfig.index_backend`` resolved by ``repro.ce.bitset``; ""
-    #: for baseline engines that never ran a CE controller) and the peak
-    #: closure row width, in 64-bit words, it reached — so scenario and
-    #: bench records say which backend produced their numbers.
-    cc_index_backend: str
+    #: Peak closure row width, in 64-bit words, the reachability index
+    #: reached (0 for baseline engines that never ran a CE controller).
     cc_bitset_words: int
     #: Scheduler events the run consumed — the per-round setup overhead
     #: (worker spawn/teardown churn) shows up here, so engine comparisons
@@ -299,7 +295,6 @@ class Cluster:
             cc_overlap_released=metrics.cc_overlap_released,
             cc_overlap_parked=metrics.cc_overlap_parked,
             cc_oracle_checks=metrics.cc_oracle_checks,
-            cc_index_backend=metrics.cc_index_backend,
             cc_bitset_words=metrics.cc_bitset_words,
             events_processed=self.env.events_processed,
             metrics=metrics,

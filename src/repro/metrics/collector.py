@@ -73,10 +73,7 @@ class MetricsCollector:
         self.lane_stall_time = 0.0
         self.lane_prepare_latency = 0.0
         self.cross_waves_pipelined = 0
-        #: Closure-bitset backend tag the CE controllers ran on ("" until
-        #: the first preplayed batch reports) and the peak closure row
-        #: width, in 64-bit words, across all controllers.
-        self.cc_index_backend = ""
+        #: Peak closure row width, in 64-bit words, across all controllers.
         self.cc_bitset_words = 0
 
     # -- recording -----------------------------------------------------------
@@ -126,8 +123,6 @@ class MetricsCollector:
         self.cc_overlap_parked += stats.overlap_parked
         self.cc_oracle_checks += stats.oracle_checks
         self.cc_overlap_probe_released += stats.overlap_probe_released
-        if stats.index_backend:
-            self.cc_index_backend = stats.index_backend
         if stats.bitset_words > self.cc_bitset_words:
             self.cc_bitset_words = stats.bitset_words
         if graph_nodes > self.ce_peak_graph_nodes:

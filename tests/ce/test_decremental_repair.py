@@ -22,6 +22,10 @@ Covered here:
   one rebuild per batch;
 * counter plumbing through ``CCStats``, per-batch deltas, and
   :class:`MetricsCollector`.
+
+Tests taking the ``graph_cls`` fixture run once per row backend id
+(``tests/ce/word_rows.py``): on the plain graph, and with every closure
+row held to a packed word-row reference after each mutation.
 """
 
 import random
@@ -45,26 +49,19 @@ from repro.workloads.ycsb import (YCSB_RMW, initial_state as ycsb_state,
 # ------------------------------------------------------- repair correctness
 
 
-@pytest.fixture(params=["pyint", "packed", "packed-array"])
-def backend(request):
-    """Every closure-bitset backend (repro.ce.bitset): repair decisions,
-    counters, and repaired closures must be identical across them."""
-    return request.param
-
-
 def reachability_matrix(graph, nodes, alive):
     return [[graph.has_path(nodes[a], nodes[b]) for b in alive]
             for a in alive]
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_repaired_closure_equals_scratch_closure(seed, backend):
+def test_repaired_closure_equals_scratch_closure(seed, graph_cls):
     """Random add/detach interleavings sized to stay below the fallback
     thresholds: every detach must be absorbed in place, and the repaired
     bitsets must agree with the reference DFS *and* with a from-scratch
     rebuild over the post-removal adjacency."""
     rng = random.Random(seed * 7919 + 3)
-    graph = DependencyGraph(index_backend=backend)
+    graph = graph_cls()
     n = 40
     nodes = [TxNode(tx_id=i, attempt=1) for i in range(n)]
     for node in nodes:
@@ -108,10 +105,10 @@ def test_repaired_closure_equals_scratch_closure(seed, backend):
     assert reachability_matrix(graph, nodes, alive) == repaired
 
 
-def test_repair_handles_interleaved_bridges(backend):
+def test_repair_handles_interleaved_bridges(graph_cls):
     """Detaching the middle of a diamond repairs in place and the bridge
     insertion is an index no-op (the pair was already marked reachable)."""
-    graph = DependencyGraph(index_backend=backend)
+    graph = graph_cls()
     a, mid, b = (TxNode(tx_id=i, attempt=1) for i in range(3))
     for node in (a, mid, b):
         graph.add_node(node)
@@ -132,8 +129,8 @@ def test_repair_handles_interleaved_bridges(backend):
 # ------------------------------------------------------- fallback decision rule
 
 
-def chain_graph(n, backend="pyint"):
-    graph = DependencyGraph(index_backend=backend)
+def chain_graph(n, graph_cls=DependencyGraph):
+    graph = graph_cls()
     nodes = [TxNode(tx_id=i, attempt=1) for i in range(n)]
     for node in nodes:
         graph.add_node(node)
@@ -142,10 +139,10 @@ def chain_graph(n, backend="pyint"):
     return graph, nodes
 
 
-def test_hole_domination_falls_back_to_compacting_rebuild(backend):
+def test_hole_domination_falls_back_to_compacting_rebuild(graph_cls):
     """Once holes outnumber live serials, a detach schedules a rebuild
     instead of repairing, and the rebuild compacts the serial space."""
-    graph, nodes = chain_graph(10, backend)
+    graph, nodes = chain_graph(10, graph_cls)
     assert graph.has_path(nodes[0], nodes[9])
     for node in nodes[1:6]:  # five repairs: holes 5, width 10
         node.status = NodeStatus.ABORTED
@@ -162,8 +159,8 @@ def test_hole_domination_falls_back_to_compacting_rebuild(backend):
     assert graph._index_holes == 0
 
 
-def test_cone_threshold_falls_back(backend):
-    graph, nodes = chain_graph(12, backend)
+def test_cone_threshold_falls_back(graph_cls):
+    graph, nodes = chain_graph(12, graph_cls)
     assert graph.has_path(nodes[0], nodes[11])
     graph.repair_max_cone = 4
     victim = nodes[6]  # cone = 6 ancestors + 5 descendants > 4
@@ -175,10 +172,10 @@ def test_cone_threshold_falls_back(backend):
     assert graph.index_rebuilds == 2
 
 
-def test_stale_index_detach_is_not_a_fallback(backend):
+def test_stale_index_detach_is_not_a_fallback(graph_cls):
     """A detach while a rebuild is already pending neither repairs nor
     counts as a fallback — the pending rebuild absorbs it."""
-    graph, nodes = chain_graph(4, backend)
+    graph, nodes = chain_graph(4, graph_cls)
     # no query yet: _built_gen == -1, the index was never built
     nodes[1].status = NodeStatus.ABORTED
     graph.detach_node(nodes[1])
@@ -188,11 +185,11 @@ def test_stale_index_detach_is_not_a_fallback(backend):
     assert graph.index_rebuilds == 1
 
 
-def test_foreign_owner_detach_still_invalidates_both(backend):
+def test_foreign_owner_detach_still_invalidates_both(graph_cls):
     """Hand-built sharing keeps the PR-1 semantics: detaching through a
     non-owner graph invalidates the owner (and the detaching graph)."""
-    graph_a = DependencyGraph(index_backend=backend)
-    graph_b = DependencyGraph(index_backend=backend)
+    graph_a = graph_cls()
+    graph_b = graph_cls()
     x, n, y = (TxNode(tx_id=i, attempt=1) for i in range(3))
     graph_a.add_edge(x, n, "k", EdgeKind.ANTI)
     graph_a.add_edge(n, y, "k", EdgeKind.ANTI)
@@ -209,13 +206,13 @@ def test_foreign_owner_detach_still_invalidates_both(backend):
 # ------------------------------------------------------------- abort storms
 
 
-def test_controller_abort_storm_rebuilds_bounded(backend):
+@pytest.mark.usefixtures("graph_cls")
+def test_controller_abort_storm_rebuilds_bounded():
     """Tens of aborts on a hot-key controller must not trigger tens of
     rebuilds: aborts repair in place."""
     rng = random.Random(17)
     cc = ConcurrencyController({f"k{i}": 0 for i in range(3)},
-                               check_invariants=True,
-                               index_backend=backend)
+                               check_invariants=True)
     live = []
     for tx_id in range(90):
         node = cc.begin(tx_id)
@@ -236,7 +233,8 @@ def test_controller_abort_storm_rebuilds_bounded(backend):
     assert cc.graph.is_acyclic()
 
 
-def test_executor_pool_abort_storm_rebuilds_collapse(backend):
+@pytest.mark.usefixtures("graph_cls")
+def test_executor_pool_abort_storm_rebuilds_collapse():
     """The acceptance criterion at test scale: a hot-key RMW batch through
     the real executor pool keeps ``index_rebuilds`` in single digits while
     re-executions number in the dozens."""
@@ -247,7 +245,7 @@ def test_executor_pool_abort_storm_rebuilds_collapse(backend):
            for i in range(n)]
     env = Environment()
     runner = CERunner(registry,
-                      CEConfig(executors=16, index_backend=backend),
+                      CEConfig(executors=16),
                       make_rng(5))
     proc = runner.run_batch(env, txs, ycsb_state(2))
     env.run()
@@ -262,7 +260,8 @@ def test_executor_pool_abort_storm_rebuilds_collapse(backend):
 # ------------------------------------------------------------- pruning interop
 
 
-def test_streaming_prune_no_longer_rebuilds_every_boundary(backend):
+@pytest.mark.usefixtures("graph_cls")
+def test_streaming_prune_no_longer_rebuilds_every_boundary():
     """Boundary prunes punch holes in place; rebuilds fire only when the
     serial space goes hole-dominated — strictly fewer than one per batch.
 
@@ -277,7 +276,7 @@ def test_streaming_prune_no_longer_rebuilds_every_boundary(backend):
     batches = [workload.batch(25) for _ in range(8)]
     env = Environment()
     runner = StreamingRunner(registry,
-                             CEConfig(executors=8, index_backend=backend),
+                             CEConfig(executors=8),
                              make_rng(7))
     session = runner.open_session(env, dict(initial_state(64)))
     session.admit(batches[0])

@@ -10,6 +10,10 @@ related depgraph/runner fixes.
   (selective BRIDGE edges), and
 * the executor pool must terminate its worker processes once a batch
   completes.
+
+Tests taking the ``graph_cls`` fixture run once per row backend id
+(``tests/ce/word_rows.py``): on the plain graph, and with every closure
+row held to a packed word-row reference after each mutation.
 """
 
 import random
@@ -30,17 +34,10 @@ from repro.contracts.contract import ContractRegistry
 # --------------------------------------------------------------- index
 
 
-@pytest.fixture(params=["pyint", "packed", "packed-array"])
-def backend(request):
-    """Every closure-bitset backend (repro.ce.bitset): index answers,
-    bridge plans, and counters must be identical across them."""
-    return request.param
-
-
-def random_dag_ops(rng, n_nodes, n_ops, backend="pyint"):
+def random_dag_ops(rng, n_nodes, n_ops, graph_cls=DependencyGraph):
     """A reproducible op sequence: edge adds (low -> high serial, so the
     graph stays acyclic), detaches, and queries."""
-    graph = DependencyGraph(index_backend=backend)
+    graph = graph_cls()
     nodes = [TxNode(tx_id=i, attempt=1) for i in range(n_nodes)]
     for node in nodes:
         graph.add_node(node)
@@ -64,10 +61,10 @@ def random_dag_ops(rng, n_nodes, n_ops, backend="pyint"):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_index_matches_dfs_under_churn(seed, backend):
+def test_index_matches_dfs_under_churn(seed, graph_cls):
     rng = random.Random(seed)
     graph, nodes, alive = random_dag_ops(rng, n_nodes=30, n_ops=300,
-                                         backend=backend)
+                                         graph_cls=graph_cls)
     # exhaustive final sweep over the survivors
     for a in alive:
         for b in alive:
@@ -75,10 +72,10 @@ def test_index_matches_dfs_under_churn(seed, backend):
                 graph._has_path_dfs(nodes[a], nodes[b]), (seed, a, b)
 
 
-def test_index_exact_after_detach_bridge(backend):
+def test_index_exact_after_detach_bridge(graph_cls):
     """Bridges preserve the closure over survivors exactly: detaching the
     middle of a diamond keeps every surviving ordering and adds none."""
-    graph = DependencyGraph(index_backend=backend)
+    graph = graph_cls()
     a, mid, b, side = (TxNode(tx_id=i, attempt=1) for i in range(4))
     for node in (a, mid, b, side):
         graph.add_node(node)
@@ -94,10 +91,10 @@ def test_index_exact_after_detach_bridge(backend):
     assert not graph.has_path(b, a)
 
 
-def test_detach_skips_redundant_bridges(backend):
+def test_detach_skips_redundant_bridges(graph_cls):
     """No BRIDGE edge is added for a pair that stays ordered through
     surviving nodes."""
-    graph = DependencyGraph(index_backend=backend)
+    graph = graph_cls()
     pred, mid, alt, succ = (TxNode(tx_id=i, attempt=1) for i in range(4))
     for node in (pred, mid, alt, succ):
         graph.add_node(node)
@@ -114,12 +111,12 @@ def test_detach_skips_redundant_bridges(backend):
     assert bridge_labels == []
 
 
-def test_node_shared_across_two_graphs(backend):
+def test_node_shared_across_two_graphs(graph_cls):
     """Hand-built sharing: a second graph re-claiming a node must not
     crash or corrupt the first graph's answers (it falls back to DFS and
     heals at its next rebuild)."""
-    graph_a = DependencyGraph(index_backend=backend)
-    graph_b = DependencyGraph(index_backend=backend)
+    graph_a = graph_cls()
+    graph_b = graph_cls()
     n0, n1 = TxNode(tx_id=0, attempt=1), TxNode(tx_id=1, attempt=1)
     graph_a.add_edge(n0, n1, "k", EdgeKind.ANTI)
     assert graph_a.has_path(n0, n1)
@@ -146,11 +143,11 @@ def test_node_shared_across_two_graphs(backend):
                 (a.tx_id, b.tx_id)
 
 
-def test_detach_through_non_owner_graph_invalidates_owner(backend):
+def test_detach_through_non_owner_graph_invalidates_owner(graph_cls):
     """Detaching a shared node via a graph that does not own its serial
     must still invalidate the owner's closure."""
-    graph_a = DependencyGraph(index_backend=backend)
-    graph_b = DependencyGraph(index_backend=backend)
+    graph_a = graph_cls()
+    graph_b = graph_cls()
     x, n, y = (TxNode(tx_id=i, attempt=1) for i in range(3))
     graph_a.add_edge(x, n, "k", EdgeKind.ANTI)
     graph_a.add_edge(n, y, "k", EdgeKind.ANTI)
@@ -163,10 +160,10 @@ def test_detach_through_non_owner_graph_invalidates_owner(backend):
     assert graph_a.has_path(x, n) == graph_a._has_path_dfs(x, n)
 
 
-def test_edgeless_abort_costs_no_rebuild(backend):
+def test_edgeless_abort_costs_no_rebuild(graph_cls):
     """Detaching a node that never touched an edge must not invalidate
     the index."""
-    graph = DependencyGraph(index_backend=backend)
+    graph = graph_cls()
     a, b, loner = (TxNode(tx_id=i, attempt=1) for i in range(3))
     for node in (a, b, loner):
         graph.add_node(node)
@@ -179,9 +176,9 @@ def test_edgeless_abort_costs_no_rebuild(backend):
     assert graph.index_rebuilds == rebuilds
 
 
-def test_index_compacts_on_rebuild(backend):
+def test_index_compacts_on_rebuild(graph_cls):
     """Detached nodes' bit positions are dropped at the next rebuild."""
-    graph = DependencyGraph(index_backend=backend)
+    graph = graph_cls()
     nodes = [TxNode(tx_id=i, attempt=1) for i in range(10)]
     for node in nodes:
         graph.add_node(node)
@@ -196,8 +193,9 @@ def test_index_compacts_on_rebuild(backend):
     assert graph._indexed[nodes[0]._index_serial] is nodes[0]
 
 
-def test_stats_counters_exposed(backend):
-    cc = ConcurrencyController({"k": 1}, index_backend=backend)
+@pytest.mark.usefixtures("graph_cls")
+def test_stats_counters_exposed():
+    cc = ConcurrencyController({"k": 1})
     t1 = cc.begin(1)
     cc.write(t1, "k", 2)
     t2 = cc.begin(2)
@@ -215,6 +213,22 @@ def test_stats_counters_exposed(backend):
     # test_decremental_repair.py for the full counter coverage).
     cc.abort_transaction(3)
     assert cc.stats.index_repairs == cc.graph.index_repairs == 1
+
+
+def bits(*nodes):
+    """The row bits of ``nodes`` (all indexed by the graph under test)."""
+    return sum(1 << node._index_serial for node in nodes)
+
+
+def test_rows_of_a_node_without_edges_are_empty():
+    graph = DependencyGraph()
+    a, b, loner = (TxNode(tx_id=i, attempt=1) for i in range(3))
+    graph.add_edge(a, b, "k", EdgeKind.ANTI)
+    assert graph.rows(loner) == (0, 0)
+    assert graph.index_rebuilds == 0  # no row read, so no build
+    down, up = graph.rows(a)
+    assert graph.index_rebuilds == 1  # a stale index builds on first read
+    assert down == bits(a, b) and up == bits(a)
 
 
 # ------------------------------------------------------- topological order
@@ -286,7 +300,8 @@ def rmw_txs(n, records):
             for i in range(n)]
 
 
-def test_abort_storm_edges_bounded_and_acyclic(backend):
+@pytest.mark.usefixtures("graph_cls")
+def test_abort_storm_edges_bounded_and_acyclic():
     """A hot-key RMW storm with external aborts sprinkled in: the graph
     must stay acyclic and BRIDGE accumulation must stay linear in the
     batch size, not quadratic."""
@@ -295,7 +310,7 @@ def test_abort_storm_edges_bounded_and_acyclic(backend):
     n = 120
     env = Environment()
     runner = CERunner(registry,
-                      CEConfig(executors=16, index_backend=backend),
+                      CEConfig(executors=16),
                       make_rng(5))
     proc = runner.run_batch(env, rmw_txs(n, records=2), ycsb_state(2))
     env.run()
@@ -312,11 +327,11 @@ def test_abort_storm_edges_bounded_and_acyclic(backend):
     assert len(order) == n
 
 
-def test_layered_abort_storm_no_bridge_blowup(backend):
+def test_layered_abort_storm_no_bridge_blowup(graph_cls):
     """Dense layered DAG: every (pred, succ) pair of a detached node stays
     ordered through its surviving layer-mates, so selective bridging adds
     ZERO edges where bridge-every-pair would add W^2 labels per detach."""
-    graph = DependencyGraph(index_backend=backend)
+    graph = graph_cls()
     width, depth = 8, 6
     layers = [[TxNode(tx_id=level * width + i, attempt=1)
                for i in range(width)] for level in range(depth)]
@@ -341,12 +356,12 @@ def test_layered_abort_storm_no_bridge_blowup(backend):
     assert graph.has_path(layers[0][0], layers[-1][-1])
 
 
-def test_external_abort_storm_on_controller(backend):
+@pytest.mark.usefixtures("graph_cls")
+def test_external_abort_storm_on_controller():
     """Direct CC drive: abort a third of the transactions mid-flight."""
     rng = random.Random(17)
     cc = ConcurrencyController({f"k{i}": 0 for i in range(3)},
-                               check_invariants=True,
-                               index_backend=backend)
+                               check_invariants=True)
     live = []
     for tx_id in range(90):
         node = cc.begin(tx_id)

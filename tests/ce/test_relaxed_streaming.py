@@ -6,9 +6,10 @@ Three layers:
 * **Oracle unit tests** — hand-crafted footprint histories (lost update,
   write skew, serial chains) drive the MVSG cycle check directly.
 * **Equivalence sweep** — strict mode stays byte-identical to the
-  batch-at-a-time reference on every closure-bitset backend; relaxed mode
-  commits the same per-batch transaction sets with the oracle passing at
-  every boundary, across seeds × executor counts × theta.
+  batch-at-a-time reference on every row backend id
+  (``tests/ce/word_rows.py``); relaxed mode commits the same per-batch
+  transaction sets with the oracle passing at every boundary, across
+  seeds × executor counts × theta.
 * **Adversarial sensitivity** — a deliberately broken release rule (the
   test-only ``_unsafe_release_all`` / ``_unsafe_skip_r1`` hooks) commits
   genuinely non-serializable histories, and the oracle catches them; a
@@ -28,8 +29,6 @@ from repro.sim import Environment, make_rng
 
 from tests.ce.test_streaming import (fingerprint, run_batch_at_a_time,
                                      smallbank_batches)
-
-BACKENDS = ["pyint", "packed", "packed-array"]
 
 
 def run_stream_with(registry, batches, base_state, seed, executors,
@@ -130,17 +129,17 @@ def test_oracle_compaction_forgets_the_window():
 
 # --------------------------------------------------- equivalence: strict
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_strict_mode_byte_identical_on_every_backend(backend):
+@pytest.mark.usefixtures("graph_cls")
+def test_strict_mode_byte_identical_on_every_backend():
     """``strict_order=True`` (the default) keeps the byte-identity
-    guarantee intact on every closure-bitset backend — the relaxed-drain
-    machinery must be completely inert there."""
+    guarantee intact, with or without the closure rows checked against
+    the word layouts — the relaxed-drain machinery must be completely
+    inert there."""
     registry = default_registry()
     batches = smallbank_batches(seed=5, n_batches=6, batch_size=30)
     state = initial_state(64)
     reference = run_batch_at_a_time(registry, batches, state, 5, 8)
-    streamed = run_stream_with(registry, batches, state, 5, 8,
-                               index_backend=backend)
+    streamed = run_stream_with(registry, batches, state, 5, 8)
     for expected, actual in zip(reference, streamed.batches):
         assert fingerprint(actual) == fingerprint(expected)
         assert actual.elapsed == expected.elapsed

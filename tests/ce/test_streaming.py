@@ -540,12 +540,10 @@ def test_ccstats_snapshot_and_delta():
     # The snapshot is frozen: later activity doesn't leak into it.
     assert mark.commits == 1 and mark.reads == 0
     # Sanity: delta against itself zeroes every counter; the non-counter
-    # fields (backend tag, peak row width) carry their current values so
-    # per-batch records still say which backend ran.
+    # field (peak row width) carries its current value.
     zero = cc.stats.delta(cc.stats.snapshot())
     assert all(value == 0 for name, value in vars(zero).items()
                if name not in CCStats._NON_COUNTERS)
-    assert zero.index_backend == "pyint"
     assert zero.bitset_words == cc.graph.peak_bitset_words
 
 

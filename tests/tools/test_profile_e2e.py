@@ -52,3 +52,24 @@ def test_prints_the_event_tables(capsys):
 def test_rejects_an_unknown_workload():
     with pytest.raises(SystemExit):
         profile_e2e.main(["no_such_workload"])
+
+
+def test_counts_point_queries_and_connect_rows():
+    counts, cluster = profile_e2e.count_closure_work("hot_key", "smoke")
+    # The wrapped has_path sees every query the controller's counter sees.
+    assert counts["path_queries"] == cluster.metrics.cc_path_queries > 0
+    assert counts["connects"] > 0
+    # The masks skip rows an unmasked propagation would OR, never add any.
+    assert 0 < counts["rows_ored"] < counts["rows_unmasked"]
+    assert counts["rows_ored"] >= counts["connects"]
+
+
+def test_prints_the_closure_work(capsys):
+    profile_e2e.print_closure_work(
+        Counter(path_queries=10, connects=4, rows_ored=12,
+                rows_unmasked=16), 5)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "closure: 10 point queries (2.00 per transaction), 4 connects",
+        "connect rows ORed: 12 (2.40 per transaction, 3.0 per connect); "
+        "unmasked 16, 25.0% skipped"]

@@ -283,38 +283,6 @@ def test_l202_clean_on_acyclic_graph(tmp_path):
     assert findings == []
 
 
-def test_l203_flags_numpy_outside_wrapper(tmp_path):
-    findings = lint(tmp_path, {
-        "src/repro/ce/depgraph.py": "import numpy as np\n",
-        "src/repro/metrics/collector.py": "from numpy import mean\n",
-        "benchmarks/bench_x.py": "from numpy.random import default_rng\n",
-    }, select={"L203"})
-    assert rule_ids(findings) == ["L203", "L203", "L203"]
-    assert "repro.ce.bitset" in findings[0].message
-
-
-def test_l203_allows_the_wrapper_module_and_stdlib(tmp_path):
-    findings = lint(tmp_path, {
-        "src/repro/ce/bitset.py":
-            "try:\n"
-            "    import numpy as _np\n"
-            "except ImportError:\n"
-            "    _np = None\n",
-        "src/repro/ce/depgraph.py":
-            "import json\n"
-            "from repro.ce.bitset import make_backend\n",
-    }, select={"L203"})
-    assert findings == []
-
-
-def test_l203_pragma_suppresses(tmp_path):
-    findings = lint(tmp_path, {
-        "src/repro/ce/x.py":
-            "import numpy  # reprolint: disable=L203\n",
-    }, select={"L203"})
-    assert findings == []
-
-
 # ------------------------------------------------------------- consistency
 
 

@@ -10,7 +10,11 @@ replicas took from the cluster's memo (the model replays their sum).
 A second, unprofiled run of the same seed then counts the kernel's events
 per executed transaction (the benchmark's ``events_per_tx``), once by event
 class and once by the process or callback each event resumes — where the
-events a change could remove come from.
+events a change could remove come from.  A third counts the closure index's
+work per transaction by wrapping two ``DependencyGraph`` methods: the
+controller's point queries (``has_path``) and the closure rows each new
+edge ORs into (``_connect``), next to the rows an unmasked propagation —
+every ancestor and descendant row — would have ORed.
 
 cProfile charges every Python call but nothing inside native code, so the
 proportions are shifted: use this to find candidates, and
@@ -28,6 +32,7 @@ from typing import Optional, Sequence, Tuple
 
 from benchmarks.e2e.iteration import build_cluster, run_and_drain
 from benchmarks.e2e.workloads import WORKLOADS
+from repro.ce.depgraph import DependencyGraph
 from repro.core.cluster import Cluster
 from repro.sim.events import Event, Process
 
@@ -100,6 +105,48 @@ def print_events(by_class: Counter, by_target: Counter,
             print(f"{count:>9} {count / executed:>8.2f}  {label}")
 
 
+def count_closure_work(name: str,
+                       scale: str = "full") -> Tuple[Counter, Cluster]:
+    """Run workload ``name`` unprofiled, counting ``has_path`` calls and
+    ``_connect``'s work: calls, rows ORed, and the rows an unmasked
+    propagation would OR (all of ``up[src]`` and ``down[dst]``)."""
+    cluster, args = _build(name, scale)
+    counts: Counter = Counter()
+    has_path = DependencyGraph.has_path
+    connect = DependencyGraph._connect
+
+    def counting_has_path(graph, src, dst):
+        counts["path_queries"] += 1
+        return has_path(graph, src, dst)
+
+    def counting_connect(graph, src, dst):
+        down, up = graph._down, graph._up   # read before any row changes
+        counts["connects"] += 1
+        counts["rows_ored"] += ((up[src] & ~up[dst]).bit_count()
+                                + (down[dst] & ~down[src]).bit_count())
+        counts["rows_unmasked"] += up[src].bit_count() + down[dst].bit_count()
+        connect(graph, src, dst)
+
+    DependencyGraph.has_path = counting_has_path
+    DependencyGraph._connect = counting_connect
+    try:
+        run_and_drain(cluster, *args)
+    finally:
+        DependencyGraph.has_path = has_path
+        DependencyGraph._connect = connect
+    return counts, cluster
+
+
+def print_closure_work(counts: Counter, executed: int) -> None:
+    queries, connects = counts["path_queries"], counts["connects"]
+    ored, unmasked = counts["rows_ored"], counts["rows_unmasked"]
+    print(f"closure: {queries} point queries ({queries / executed:.2f} per "
+          f"transaction), {connects} connects")
+    print(f"connect rows ORed: {ored} ({ored / executed:.2f} per "
+          f"transaction, {ored / max(connects, 1):.1f} per connect); "
+          f"unmasked {unmasked}, {1 - ored / max(unmasked, 1):.1%} skipped")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.profile_e2e", description=__doc__.split("\n")[0])
@@ -116,6 +163,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"and committed work item)")
     by_class, by_target, counted = count_events(args.workload, args.scale)
     print_events(by_class, by_target, len(counted.metrics.executions))
+    work, counted = count_closure_work(args.workload, args.scale)
+    print_closure_work(work, len(counted.metrics.executions))
     return 0
 
 

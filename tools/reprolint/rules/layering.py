@@ -11,10 +11,9 @@ import cycles outright.
 
 from __future__ import annotations
 
-import ast
 from typing import Dict, Iterator, List, Set, Tuple
 
-from tools.reprolint.engine import Module, Project
+from tools.reprolint.engine import Project
 from tools.reprolint.findings import Finding
 from tools.reprolint.registry import rule
 
@@ -117,49 +116,6 @@ def check_layering(project: Project) -> Iterator[Finding]:
                     f"layer '{source_layer or 'repro'}' may not import "
                     f"layer '{target_layer}' ({target}); see the layer "
                     f"matrix in tools/reprolint/rules/layering.py")
-
-
-#: Optional third-party packages and the only modules allowed to import
-#: them.  Everything else in the repo is stdlib-only by policy
-#: (``ROADMAP.md``): optional accelerators are wrapped behind one module
-#: with a guarded import and a stdlib fallback, so no other layer's
-#: behavior can come to depend on whether the package is installed.
-_CONFINED_THIRD_PARTY: Dict[str, Set[str]] = {
-    "numpy": {"repro.ce.bitset"},
-}
-
-
-@rule(id="L203", name="third-party-confinement")
-def check_third_party_confinement(module: Module) -> Iterator[Finding]:
-    """An optional third-party package imported outside its wrapper
-    module.
-
-    Why: the repo must produce byte-identical results on a stdlib-only
-    install — optional accelerators (numpy) are confined to one wrapper
-    module (``repro.ce.bitset``) that guards the import and falls back
-    to a pure-Python implementation.  A numpy import anywhere else
-    either breaks the stdlib-only install outright or, worse, quietly
-    forks behavior on whether the package happens to be present.  The
-    allowlist lives in ``_CONFINED_THIRD_PARTY`` in this rule's module;
-    extending it is a dependency-policy decision, not a convenience.
-    """
-    for node in ast.walk(module.tree):
-        targets: List[str] = []
-        if isinstance(node, ast.Import):
-            targets = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module \
-                and node.level == 0:
-            targets = [node.module]
-        for target in targets:
-            root = target.split(".")[0]
-            allowed = _CONFINED_THIRD_PARTY.get(root)
-            if allowed is not None and module.name not in allowed:
-                yield module.finding(
-                    "L203", node,
-                    f"imports {target}: optional dependency '{root}' is "
-                    f"confined to {', '.join(sorted(allowed))} (guarded "
-                    f"import + stdlib fallback); route through that "
-                    f"module's API")
 
 
 def _resolve_module_edges(project: Project) -> Dict[str, List[Tuple[str, int]]]:
