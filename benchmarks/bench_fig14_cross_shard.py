@@ -8,10 +8,10 @@ deterministic lane execution keeps it ~2x over Tusk.  Thunderbolt's latency
 stays roughly half of Thunderbolt-OCC's.
 
 Beyond the paper's systems, the sweep runs **Thunderbolt-Piped** — the
-``strict_order=False`` configuration that drains cross-shard waves
+``shard_lanes=True`` configuration that drains cross-shard waves
 through per-shard lanes (:mod:`repro.core.cross_shard`) — at the
 cross-heavy mixes.  At bench scale the cluster is consensus-bound, so
-its end-to-end throughput tracks strict Thunderbolt; the interesting
+its end-to-end throughput tracks plain Thunderbolt; the interesting
 evidence here is that the full system stays safe with lanes live
 (waves and oracle checks both nonzero).  The execution-layer makespan
 win itself is gated deterministically in
@@ -22,7 +22,6 @@ consensus cannot mask it.
 import pytest
 
 from benchmarks.conftest import run_system, scaled
-from repro.ce import CEConfig
 
 RATIOS = [0.0, 0.04, 0.08, 0.20, 0.60, 1.00]
 #: Cross-heavy subset the pipelined system runs at (keeps the default
@@ -44,8 +43,7 @@ def sweep():
     for ratio in PIPED_RATIOS:
         result = run_system(
             "ce", N_REPLICAS, duration=DURATION, cross_shard_ratio=ratio,
-            drain=0.1,
-            ce=CEConfig(executors=16, op_cost=5e-6, strict_order=False))
+            drain=0.1, shard_lanes=True)
         series.setdefault("Thunderbolt-Piped", {})[ratio] = result
     return series
 
@@ -77,7 +75,7 @@ def test_fig14_cross_shard_ratio(benchmark, fig_table):
     # Cross-shard latency costs show up against the P = 0 baseline.
     assert tb[0.20].mean_latency > tb[0.0].mean_latency
 
-    # The pipelined configuration holds strict Thunderbolt's throughput
+    # The pipelined configuration holds plain Thunderbolt's throughput
     # (consensus-bound at this scale) with the lane machinery live and
     # every wave boundary's serializability check passed.
     piped = series["Thunderbolt-Piped"]

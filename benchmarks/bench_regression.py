@@ -16,11 +16,6 @@ PR leaves a comparable performance fingerprint:
   decision rule, counters included).
 * **streaming** — a short ``engine="ce-streaming"`` cluster run, pinned
   by its commit-log digest.
-* **drain-overlap** — strict vs ``strict_order=False`` streaming over a
-  SmallBank theta sweep.  Both runs are pure DES, so the simulated-time
-  speedup is deterministic and machine-independent: it gates in
-  ``ratios``, and the overlap/oracle counters gate bit-for-bit in
-  ``exact``.
 * **cross-shard-pipeline** — the same deterministic work trace (the
   Fig. 14 60% cross-shard mix) replayed through the batch-synchronous
   cross-shard discipline and through the
@@ -55,7 +50,7 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from repro.ce import CEConfig, ConcurrencyController, StreamingRunner
+from repro.ce import CEConfig, ConcurrencyController
 from repro.ce.depgraph import DependencyGraph
 from repro.contracts import ReplayMemo, default_registry, initial_state
 from repro.core import ThunderboltConfig
@@ -63,14 +58,11 @@ from repro.core.cluster import Cluster
 from repro.core.cross_shard import CrossShardExecutor, ShardLanePipeline
 from repro.core.shards import ShardMap
 from repro.errors import TransactionAborted
-from repro.sim import Environment, make_rng
+from repro.sim import Environment
 from repro.storage.kvstore import KVStore
 from repro.workloads import SmallBankWorkload, WorkloadConfig
 
 SCHEMA = "bench-regression/v1"
-
-#: Contention sweep for the drain-overlap bench (Zipf theta).
-OVERLAP_THETAS = (0.5, 0.9, 0.99)
 
 #: Shard counts for the cross-shard-pipeline trace replay; 16 scales
 #: past the paper's largest evaluated configuration.  The speedup grows
@@ -82,13 +74,13 @@ OVERLAP_THETAS = (0.5, 0.9, 0.99)
 PIPELINE_SHARDS = (4, 8, 16)
 PIPELINE_FLOOR_SHARDS = 8
 
-#: (nodes, storm transactions, streaming duration, overlap-stream
-#: transactions, pipeline-trace transactions) per scale.
+#: (nodes, storm transactions, streaming duration, pipeline-trace
+#: transactions) per scale.
 SCALES = {
     "default": {"nodes": 1400, "storm_txs": 900, "stream_duration": 0.3,
-                "overlap_txs": 500, "pipeline_txs": 600},
+                "pipeline_txs": 600},
     "quick": {"nodes": 700, "storm_txs": 300, "stream_duration": 0.1,
-              "overlap_txs": 200, "pipeline_txs": 240},
+              "pipeline_txs": 240},
 }
 
 
@@ -221,58 +213,6 @@ def streaming_run(duration: float, seed: int = 3) -> Dict:
     }
 
 
-# ------------------------------------------------------------ drain overlap
-
-
-def drain_overlap(theta: float, n_txs: int, seed: int = 13) -> Dict:
-    """Strict vs overlapped drains on one SmallBank contention cell.
-
-    Both runs are pure DES over the same batches and seed, so the
-    simulated-elapsed ratio is deterministic: any host reproduces it
-    bit-for-bit, which makes it a gateable machine-independent speedup.
-    The run also asserts the relaxed mode's contract — same transactions
-    committed per batch, one oracle pass per boundary — so the recorded
-    numbers always describe a verified run."""
-    accounts, batch_size = 1024, 50
-    registry = default_registry()
-    workload = SmallBankWorkload(
-        WorkloadConfig(accounts=accounts, read_probability=0.5, theta=theta),
-        ShardMap(1), seed=seed)
-    batches = [workload.batch(batch_size)
-               for _ in range(max(2, n_txs // batch_size))]
-    outcomes = {}
-    wall = 0.0
-    for label, strict in (("strict", True), ("relaxed", False)):
-        env = Environment()
-        runner = StreamingRunner(
-            registry,
-            CEConfig(executors=8, strict_order=strict), make_rng(seed))
-        started = time.perf_counter()
-        proc = runner.run_stream(env, [list(batch) for batch in batches],
-                                 dict(initial_state(accounts)))
-        env.run()
-        wall += time.perf_counter() - started
-        outcomes[label] = proc.value
-    strict_run, relaxed_run = outcomes["strict"], outcomes["relaxed"]
-    for strict_batch, relaxed_batch in zip(strict_run.batches,
-                                           relaxed_run.batches):
-        assert sorted(strict_batch.order) == sorted(relaxed_batch.order), \
-            "relaxed drain changed a batch's committed transaction set"
-    assert relaxed_run.stats.oracle_checks == len(batches)
-    return {
-        "theta": theta,
-        "transactions": sum(len(batch) for batch in batches),
-        "strict_sim_elapsed_us": round(strict_run.elapsed * 1e6, 3),
-        "relaxed_sim_elapsed_us": round(relaxed_run.elapsed * 1e6, 3),
-        "overlap_released": relaxed_run.stats.overlap_released,
-        "overlap_parked": relaxed_run.stats.overlap_parked,
-        "oracle_checks": relaxed_run.stats.oracle_checks,
-        "sim_speedup": round(strict_run.elapsed / relaxed_run.elapsed, 4),
-        "wall_ms": round(wall * 1000, 2),
-        "_wall": wall,
-    }
-
-
 # ----------------------------------------------------- cross-shard pipeline
 
 
@@ -361,7 +301,7 @@ def cross_shard_pipeline(n_shards: int, n_txs: int, seed: int = 21,
         "sim_speedup": round(sync_makespan / piped_makespan, 4),
         "lane_segments": pipeline.segments,
         "waves": pipeline.waves,
-        "oracle_checks": pipeline.oracle.checks,
+        "lane_oracle_checks": pipeline.oracle.checks,
         "stall_time_us": round(pipeline.stall_time * 1e6, 3),
         "store_checksum": store_piped.checksum(),
         "wall_ms": round(wall * 1000, 2),
@@ -385,17 +325,6 @@ def run_all(scale: str) -> Dict:
         "ratios": {},
         "exact": {},
     }
-    overlap = {theta: drain_overlap(theta, sizes["overlap_txs"])
-               for theta in OVERLAP_THETAS}
-    record["benches"]["drain_overlap"] = {
-        str(theta): {key: value for key, value in overlap[theta].items()
-                     if not key.startswith("_")}
-        for theta in OVERLAP_THETAS
-    }
-    for theta in OVERLAP_THETAS:
-        # Simulated time, not wall clock: deterministic, so gateable.
-        record["ratios"][f"drain_overlap.sim_speedup_t{theta}"] = \
-            overlap[theta]["sim_speedup"]
     pipe = {shards: cross_shard_pipeline(shards, sizes["pipeline_txs"])
             for shards in PIPELINE_SHARDS}
     record["benches"]["cross_shard_pipeline"] = {
@@ -425,18 +354,13 @@ def run_all(scale: str) -> Dict:
         "churn_repair_cone_nodes": churn["repair_cone_nodes"],
         "churn_peak_words": churn["peak_words"],
     }
-    for theta in OVERLAP_THETAS:
-        record["exact"][f"overlap_released_t{theta}"] = \
-            overlap[theta]["overlap_released"]
-        record["exact"][f"overlap_oracle_checks_t{theta}"] = \
-            overlap[theta]["oracle_checks"]
     for shards in PIPELINE_SHARDS:
         record["exact"][f"pipeline_lane_segments_s{shards}"] = \
             pipe[shards]["lane_segments"]
         record["exact"][f"pipeline_waves_s{shards}"] = \
             pipe[shards]["waves"]
         record["exact"][f"pipeline_oracle_checks_s{shards}"] = \
-            pipe[shards]["oracle_checks"]
+            pipe[shards]["lane_oracle_checks"]
         record["exact"][f"pipeline_store_checksum_s{shards}"] = \
             pipe[shards]["store_checksum"]
     return record

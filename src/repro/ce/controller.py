@@ -122,10 +122,6 @@ class CCStats:
     repair_fallbacks: int = 0  # detaches that invalidated instead of repairing
     nodes_pruned: int = 0      # committed nodes evicted from the graph
     prune_passes: int = 0      # prune_committed() invocations
-    overlap_released: int = 0  # ops released early into an in-flight drain
-    overlap_parked: int = 0    # ops parked by the relaxed-mode frontier
-    oracle_checks: int = 0     # SerializabilityOracle passes run at commit
-    overlap_probe_released: int = 0  # releases cleared via key_contended probe
     bitset_words: int = 0      # peak closure row width, in 64-bit words
 
     #: Fields that are high-water marks, not counters: a boundary delta
@@ -192,16 +188,6 @@ class ConcurrencyController:
         self._attempts: Dict[int, int] = {}
         self._finish_time = 0.0
         self._stats = CCStats()
-        #: Last committed writer per key (bounded by key count, like the
-        #: overlay).  Root reads record it at read time so the relaxed
-        #: streaming mode's SerializabilityOracle can attribute the read
-        #: to the version it actually observed.
-        self._root_writers: Dict[str, int] = {}
-        #: TEST-ONLY sabotage hook: skips rule R1 (readers-before-writer
-        #: anti-edges) so oracle-sensitivity tests can manufacture
-        #: genuinely non-serializable commits.  Never set in production
-        #: code paths.
-        self._unsafe_skip_r1 = False
 
     @property
     def stats(self) -> CCStats:
@@ -237,11 +223,6 @@ class ConcurrencyController:
         record = node.records.setdefault(key, KeyRecord())
         record.first_read = value
         record.read_from = source
-        if source is None:
-            # Root read: remember which committed writer produced the
-            # version observed, captured *at read time* (the overlay may
-            # move before this node commits).
-            record.root_version = self._root_writers.get(key)
         self.graph.register_reader(key, node)
         if source is not None:
             source.records[key].readers[node] = None
@@ -326,42 +307,6 @@ class ConcurrencyController:
                     f"({node.status.value}) in the graph")
         self._base_state = base_state
         self._overlay.clear()
-        # The new root may reflect writes this controller never saw, so
-        # last-writer attribution for future root reads starts over.
-        self._root_writers.clear()
-
-    def note_overlap(self, released: int = 0, parked: int = 0,
-                     checks: int = 0, probe_released: int = 0) -> None:
-        """Fold relaxed-drain accounting into the stats: operations
-        released early into an in-flight drain, operations parked by the
-        frontier check, serializability-oracle passes run, and releases
-        that needed the :meth:`key_contended` live-record probe to clear
-        a hint-less predecessor batch.  The streaming session owns the
-        policy; the controller owns the counters so they flow through the
-        one ``CCStats`` pipeline."""
-        self._stats.overlap_released += released
-        self._stats.overlap_parked += parked
-        self._stats.oracle_checks += checks
-        self._stats.overlap_probe_released += probe_released
-
-    def key_contended(self, key: str) -> bool:
-        """True when any live node in the graph holds a record on ``key``.
-
-        The release-time query surface for hint-less contracts: the
-        frontier only tracks *hinted* footprints, so an opaque in-flight
-        batch is invisible to it — but every operation that batch has
-        actually issued lives in the dependency graph's per-key
-        writer/reader records, which the closure index keeps current
-        through aborts and pruning.  A key with neither live writers nor
-        live readers cannot conflict with anything in flight."""
-        return (bool(self.graph.writers_of(key))
-                or bool(self.graph.readers_of(key)))
-
-    def recent_writer_of(self, key: str) -> Optional[int]:
-        """tx_id of the last committed writer of ``key`` under the current
-        root, or ``None`` if no in-window commit wrote it (the version is
-        older than the root — rebase clears the attribution)."""
-        return self._root_writers.get(key)
 
     def harvest_committed(self) -> List[CommittedTx]:
         """Return the committed entries accumulated since the last harvest
@@ -483,8 +428,6 @@ class ConcurrencyController:
 
         Readers already in ``up[node]`` need nothing and are skipped on
         one row test (see "Cohort classification")."""
-        if self._unsafe_skip_r1:
-            return  # test-only sabotage, see __init__
         graph = self.graph
         before = None  # up[node]; None: (re)read lazily
         for reader in graph.readers_of(key):
@@ -577,8 +520,6 @@ class ConcurrencyController:
         self._stats.commits += 1
         write_set = node.write_set()
         self._overlay.update(write_set)
-        for written_key in write_set:
-            self._root_writers[written_key] = node.tx_id
         entry = CommittedTx(
             tx_id=node.tx_id,
             order_index=node.order_index,

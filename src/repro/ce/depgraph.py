@@ -176,11 +176,6 @@ class KeyRecord:
     #: Node the first read obtained its value from; ``None`` means the root
     #: (storage snapshot / committed overlay).
     read_from: Optional["TxNode"] = None
-    #: For a root read, the tx id of the committed writer whose overlay
-    #: value was observed (``None`` = the pristine base state), captured
-    #: at read time — the provenance the serializability oracle needs
-    #: once the writer's node has left the graph.
-    root_version: Optional[int] = None
     wrote: bool = False
     last_write: Any = None
     #: Nodes that read *this* node's write on this key (rf dependants),

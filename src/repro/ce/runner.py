@@ -58,21 +58,6 @@ class CEConfig:
     restart_delay: float = 1e-5    # backoff before a re-execution
     jitter: float = 0.10           # relative op-cost jitter (interleaving)
     max_attempts: int = 1000       # livelock safety valve
-    #: Streaming drain discipline (:mod:`repro.ce.streaming`).  True — the
-    #: default — releases a batch's operations only at the previous
-    #: batch's quiescent boundary, preserving the byte-identical
-    #: equivalence with batch-at-a-time ``run_batch``.  False overlaps
-    #: drains: admitted operations whose footprint hints miss the
-    #: in-flight frontier are released immediately, and the bit-identity
-    #: guarantee is replaced by a commit-time serializability check
-    #: (:class:`repro.ce.validation.SerializabilityOracle`).
-    strict_order: bool = True
-    #: Relaxed mode only: let hinted transactions clear an *opaque*
-    #: (hint-less) in-flight batch by probing the controller's live
-    #: per-key records (``key_contended``) instead of treating it as a
-    #: wholesale barrier.  Off by default — with it off, relaxed-mode
-    #: release decisions are exactly the PR 9 footprint-frontier rule.
-    frontier_probe: bool = False
 
     def __post_init__(self) -> None:
         if self.executors < 1:

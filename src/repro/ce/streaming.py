@@ -51,31 +51,6 @@ boundary would let later writers abort earlier readers and change the
 earlier batch's schedule; the session trades that last sliver of overlap
 for a bit-for-bit reproducibility guarantee the consensus layer relies on.
 
-Overlapped drains (``strict_order=False``)
-------------------------------------------
-``CEConfig(strict_order=False)`` buys that sliver back.  At admission
-while a drain is in flight, each transaction's *footprint hint* (declared
-per contract via :meth:`ContractRegistry.register_footprint
-<repro.contracts.contract.ContractRegistry.register_footprint>`) is
-checked against the **frontier** — the union of hinted keys of every
-batch that has not reached its boundary yet.  A transaction whose hint
-misses the frontier is released into the shared worker pool immediately
-(``overlap_released``); one that conflicts, carries no hint, or follows a
-hint-less batch parks until its predecessors' boundary (``overlap_parked``).
-Batches with a ``base_view`` act as release barriers, because a rebase
-needs a record-free graph.
-
-The byte-identity guarantee does not survive early release — a released
-transaction can be aborted by, or serialize after, a predecessor-batch
-writer — so it is replaced by a commit-time **serializability proof
-obligation**: the session records every committed transaction's observed
-read/write footprint (read-version provenance captured at read time by the
-controller) into a :class:`~repro.ce.validation.SerializabilityOracle`,
-and every boundary asserts the commit log so far is equivalent to *some*
-serial order (a cycle check over the multi-version serialization graph,
-``oracle_checks``).  Strict mode leaves all of this switched off and keeps
-its digest fingerprints untouched.
-
 Base-view switching
 -------------------
 ``admit(batch, base_view=...)`` rebases the controller onto a caller-
@@ -142,7 +117,6 @@ from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional
 
 from repro.ce.controller import CCStats, CommittedTx, ConcurrencyController
 from repro.ce.runner import BatchResult, CEConfig, CERunner
-from repro.ce.validation import SerializabilityOracle
 from repro.contracts.contract import ContractRegistry
 from repro.errors import SerializationError
 from repro.sim.environment import Environment
@@ -216,26 +190,6 @@ class _BatchState:
     by_id: Dict[int, Transaction] = field(default_factory=dict)
     #: tx id -> pre-begun TxNode, filled at admission, drained at dispatch.
     nodes: Dict[int, Any] = field(default_factory=dict)
-    #: tx ids whose operations have been released to the worker pool —
-    #: the whole batch at dispatch, possibly earlier one by one under
-    #: ``strict_order=False``.
-    released: set = field(default_factory=set)
-    #: tx id -> declared footprint hint (``None`` = no hint registered
-    #: for the contract).  Only populated under ``strict_order=False``.
-    hints: Dict[int, Optional[frozenset]] = field(default_factory=dict)
-    #: True when any transaction in the batch carries no footprint hint —
-    #: later batches must then park entirely until this one's boundary.
-    opaque: bool = False
-    #: Committed entries routed to this batch in commit order (relaxed
-    #: mode only — strict mode reads the controller's harvest buffer,
-    #: which is exactly one batch wide there).
-    entries: List[CommittedTx] = field(default_factory=list)
-    #: Event fired once this batch's boundary pass has run (relaxed mode
-    #: only); the next batch's drain waits on it so boundaries stay FIFO
-    #: even when a later batch's early releases finish first.
-    boundary: Any = None
-    #: The previously admitted batch's ``boundary`` event, or ``None``.
-    prev_boundary: Any = None
 
     @property
     def total(self) -> int:
@@ -256,10 +210,7 @@ class StreamSession:
     ``admit`` registers the batch's nodes in the graph immediately but
     releases its operations only when every earlier batch has fully
     committed (the equivalence-preserving boundary rule — see the module
-    docstring; under ``CEConfig(strict_order=False)`` operations whose
-    footprint hints miss the in-flight frontier are released immediately
-    instead, with a commit-time serializability check replacing the
-    byte-identity guarantee).  ``drain`` returns a process whose value is the oldest
+    docstring).  ``drain`` returns a process whose value is the oldest
     undrained batch's :class:`~repro.ce.runner.BatchResult`; the batch's
     boundary work (prune, per-batch stats delta, dispatch of the next
     batch) runs inside that process the instant the batch completes.
@@ -308,36 +259,11 @@ class StreamSession:
         self._stats_mark = self.cc.stats.snapshot()
         self._next_index = 0
         self._closed = False
-        #: Set by abort() for every batch with released-but-uncommitted
-        #: work: each finishes in the background (RNG parity with the
-        #: per-round engine) and the worker shutdown fires when the last
-        #: of them completes.  Strict mode holds at most one entry (only
-        #: the dispatched batch can have released operations).
-        self._orphans: List[_BatchState] = []
-        #: Relaxed-drain state (``strict_order=False``); all of it stays
-        #: inert in strict mode.
-        self._strict = runner.config.strict_order
-        #: Hinted key -> number of un-boundaried batches declaring it.
-        self._frontier: Dict[str, int] = {}
-        #: Un-boundaried batches containing a hint-less transaction.
-        self._opaque = 0
-        #: Admitted-but-undispatched base_view batches: a pending rebase
-        #: needs a record-free graph, so it bars every early release
-        #: behind it.
-        self._barrier = 0
-        #: Released-but-uncommitted transactions across all batches; the
-        #: oracle's window may be compacted exactly when this hits zero.
-        self._released_live = 0
-        #: The most recently admitted batch, tail of the boundary chain.
-        self._prev_batch: Optional[_BatchState] = None
-        #: TEST-ONLY sabotage hook: release every admitted transaction
-        #: regardless of hints, frontier, and barriers.  Exists so the
-        #: test suite can manufacture non-serializable histories and
-        #: prove the oracle catches them; never set in production code.
-        self._unsafe_release_all = False
-        #: The serializability proof obligation for overlapped drains.
-        self.oracle: Optional[SerializabilityOracle] = \
-            None if self._strict else SerializabilityOracle()
+        #: Set by abort() when the dispatched batch still has uncommitted
+        #: work: it finishes in the background (RNG parity with the
+        #: per-round engine) and the worker shutdown fires when it
+        #: completes.  Only the dispatched batch can hold released work.
+        self._orphan: Optional[_BatchState] = None
         # Stream-level accounting for the StreamResult.
         self._results: List[BatchResult] = []
         self._pre_prune: List[int] = []
@@ -392,31 +318,11 @@ class StreamSession:
             batch.by_id[tx.tx_id] = tx
             self._routes[tx.tx_id] = batch
             batch.nodes[tx.tx_id] = self.cc.begin(tx.tx_id, now=self.env.now)
-        if not self._strict:
-            registry = self._runner.registry
-            for tx in batch.transactions:
-                batch.hints[tx.tx_id] = registry.footprint_of(tx.contract,
-                                                              tx.args)
-            batch.opaque = any(hint is None
-                               for hint in batch.hints.values())
-            batch.boundary = self.env.event()
-            if self._prev_batch is not None:
-                batch.prev_boundary = self._prev_batch.boundary
-            self._prev_batch = batch
-            if base_view is not None:
-                # The rebase at this batch's dispatch needs a record-free
-                # graph, so nothing of it (or behind it) may be released
-                # early; balanced by the decrement in _dispatch.
-                self._barrier += 1
         self._undrained.append(batch)
         if self._current is None:
             self._dispatch(batch)
         else:
             self._pending.append(batch)
-            if not self._strict:
-                self._overlap_release(batch)
-        if not self._strict:
-            self._extend_frontier(batch)
 
     def drain(self):
         """A process whose value is the oldest undrained batch's
@@ -467,38 +373,20 @@ class StreamSession:
         preplay.  The worker pool receives its shutdown sentinels at that
         batch's completion (immediately when nothing is in flight), so no
         worker process outlives the orphaned work.
-
-        Under ``strict_order=False`` more than one batch can hold
-        released-but-uncommitted work (early releases of pending
-        batches); each such batch is orphaned the same way and the
-        sentinels flush when the last of them completes.
         """
         if self._closed:
             return
         self._detach()
-        candidates = [] if self._current is None else [self._current]
-        candidates.extend(self._pending)
-        self._current = None
+        current, self._current = self._current, None
+        if current is not None and current.committed_count < current.total:
+            # Released work still running: finishes in the background.
+            self._orphan = current
+        for batch in self._pending:
+            # Never released: wake its drain now.
+            batch.done.succeed()
         self._pending.clear()
         self._undrained.clear()
-        self._frontier.clear()
-        self._opaque = 0
-        self._barrier = 0
-        for batch in candidates:
-            if batch.released \
-                    and batch.committed_count < len(batch.released):
-                # Released work still running: finishes in the background
-                # (in strict mode only the dispatched batch can be here).
-                self._orphans.append(batch)
-            elif not batch.done.triggered:
-                # Never released (or fully committed): wake its drain now.
-                batch.done.succeed()
-            # Relaxed drains can also be parked on a predecessor's
-            # boundary event; fire those so every drain wakes and sees
-            # the closed flag.
-            if batch.boundary is not None and not batch.boundary.triggered:
-                batch.boundary.succeed()
-        if not self._orphans:
+        if self._orphan is None:
             self._flush_shutdown()
 
     def _detach(self) -> None:
@@ -519,94 +407,8 @@ class StreamSession:
 
     # -- internals ----------------------------------------------------------
 
-    def _overlap_release(self, batch: _BatchState) -> None:
-        """The relaxed-drain admission rule: release every transaction
-        whose footprint hint misses the in-flight frontier; park the
-        rest until dispatch.  Hint-less transactions and anything behind
-        a pending rebase barrier park wholesale — the conflict check has
-        nothing sound to say about them.  A hint-less *predecessor* batch
-        also parks everything, unless ``CEConfig(frontier_probe=True)``:
-        then hinted transactions may still clear it by probing the
-        controller's live per-key records (``key_contended``) — the
-        opaque batch's issued operations are invisible to the hint
-        frontier but fully visible to the graph."""
-        if batch.base_view is not None:
-            # Barred at admission (see admit): nothing of a pending
-            # rebase may touch the controller early.
-            self.cc.note_overlap(parked=batch.total)
-            return
-        if self._barrier and not self._unsafe_release_all:
-            self.cc.note_overlap(parked=batch.total)
-            return
-        probe = bool(self._opaque) and self._runner.config.frontier_probe
-        if self._opaque and not probe and not self._unsafe_release_all:
-            self.cc.note_overlap(parked=batch.total)
-            return
-        released = parked = probed = 0
-        for tx in batch.transactions:
-            hint = batch.hints.get(tx.tx_id)
-            safe = hint is not None and not any(
-                key in self._frontier for key in hint)
-            if safe and probe:
-                # The frontier cleared the *hinted* in-flight work; the
-                # probe must additionally clear the opaque batch's live
-                # records before the release is sound.
-                safe = not any(self.cc.key_contended(key) for key in hint)
-            if safe or self._unsafe_release_all:
-                if not batch.released:
-                    batch.started_at = self.env.now
-                node = batch.nodes.pop(tx.tx_id)
-                batch.released.add(tx.tx_id)
-                self._released_live += 1
-                self._queue.put((tx, batch, node))
-                released += 1
-                if probe:
-                    probed += 1
-            else:
-                parked += 1
-        self.cc.note_overlap(released=released, parked=parked,
-                             probe_released=probed)
-
-    def _extend_frontier(self, batch: _BatchState) -> None:
-        """Refcount the batch's hinted keys into the frontier (released
-        again at its boundary).  Called *after* the batch's own release
-        pass, so transactions never park on their own batch."""
-        for hint in batch.hints.values():
-            if hint is None:
-                continue
-            for key in hint:
-                self._frontier[key] = self._frontier.get(key, 0) + 1
-        if batch.opaque:
-            self._opaque += 1
-
-    def _retire_frontier(self, batch: _BatchState) -> None:
-        for hint in batch.hints.values():
-            if hint is None:
-                continue
-            for key in hint:
-                remaining = self._frontier[key] - 1
-                if remaining:
-                    self._frontier[key] = remaining
-                else:
-                    del self._frontier[key]
-        if batch.opaque:
-            self._opaque -= 1
-
-    def _record_oracle(self, entry: CommittedTx) -> None:
-        """Feed one commit's observed footprint to the oracle, while its
-        node — and with it the read-version provenance — is still in the
-        graph (``on_commit`` fires before any pruning can evict it)."""
-        node = self.cc.graph.get(entry.tx_id)
-        read_sources: Dict[str, Optional[int]] = {}
-        for key, record in node.records.items():
-            if record.has_read:
-                read_sources[key] = record.read_from.tx_id \
-                    if record.read_from is not None else record.root_version
-        self.oracle.record(entry.tx_id, entry.order_index,
-                           entry.read_set, entry.write_set, read_sources)
-
     def _dispatch(self, batch: _BatchState) -> None:
-        """Release the batch's (remaining) operations to the worker pool."""
+        """Release the batch's operations to the worker pool."""
         if batch.base_view is not None:
             try:
                 self.cc.rebase(batch.base_view)
@@ -617,40 +419,18 @@ class StreamSession:
                 self._detach()
                 self._flush_shutdown()
                 raise
-            if not self._strict:
-                self._barrier -= 1
-                # A successful rebase proves quiescence, and root-read
-                # attribution starts over — the recorded window can never
-                # be reached by a future edge.
-                self.oracle.compact()
         self._current = batch
-        if not batch.released:
-            batch.started_at = self.env.now
+        batch.started_at = self.env.now
         for tx in batch.transactions:
-            node = batch.nodes.pop(tx.tx_id, None)
-            if node is None:
-                continue    # already released into an overlapped drain
-            batch.released.add(tx.tx_id)
-            if not self._strict:
-                self._released_live += 1
-            self._queue.put((tx, batch, node))
-        if batch.total == 0 and not batch.done.triggered:
+            self._queue.put((tx, batch, batch.nodes.pop(tx.tx_id)))
+        if not batch.transactions:
             batch.done.succeed()
 
     def _drain(self, batch: _BatchState):
         yield batch.done
         if self._closed:
-            return batch.result  # None unless the boundary already ran
-        if batch.prev_boundary is not None \
-                and not batch.prev_boundary.triggered:
-            # Overlapped drains can complete out of order; boundaries
-            # must not (the stats mark and the prune are serial state).
-            yield batch.prev_boundary
-            if self._closed:
-                return batch.result
+            return None  # aborted before the boundary could run
         self._boundary(batch)
-        if batch.boundary is not None and not batch.boundary.triggered:
-            batch.boundary.succeed()
         return batch.result
 
     def _boundary(self, batch: _BatchState) -> None:
@@ -661,20 +441,9 @@ class StreamSession:
         batch.graph_nodes_at_boundary = len(cc.graph.nodes)
         pruned = cc.prune_committed() if self._runner.prune else 0
         nodes_after_prune = len(cc.graph.nodes)
-        if not self._strict:
-            self._retire_frontier(batch)
-            # The proof obligation: everything committed so far (since
-            # the last compaction) is equivalent to some serial order.
-            self.oracle.check()
-            cc.note_overlap(checks=1)
-            if self._released_live == 0:
-                # Quiescent: no running transaction observed an in-window
-                # version, so the window can be forgotten.
-                self.oracle.compact()
         stats_now = cc.stats.snapshot()
         batch.result = self._runner._batch_result(
-            self.env, cc, batch, self._stats_mark, stats_now,
-            strict=self._strict)
+            self.env, cc, batch, self._stats_mark, stats_now)
         self._stats_mark = stats_now
         if self._record_history:
             self._pre_prune.append(batch.graph_nodes_at_boundary)
@@ -703,23 +472,13 @@ class StreamSession:
         batch.latencies[entry.tx_id] = self.env.now \
             - batch.first_start.get(entry.tx_id, batch.started_at)
         batch.committed_count += 1
-        if not self._strict:
-            batch.entries.append(entry)
-            self._record_oracle(entry)
-            self._released_live -= 1
         if batch.committed_count >= batch.total \
                 and not batch.done.triggered:
             batch.done.succeed()
-        if batch in self._orphans \
-                and batch.committed_count >= len(batch.released):
-            # An aborted session's batch finished its released work (in
-            # relaxed mode that may be a strict subset of the batch).
-            self._orphans.remove(batch)
-            if not batch.done.triggered:
-                batch.done.succeed()
-            if not self._orphans:
-                # The last orphan completed: now the pool can shut down
-                # without stranding a re-execution.
+            if batch is self._orphan:
+                # An aborted session's batch finished: now the pool can
+                # shut down without stranding a re-execution.
+                self._orphan = None
                 self._flush_shutdown()
 
 
@@ -801,27 +560,16 @@ class StreamingRunner(CERunner):
     @staticmethod
     def _batch_result(env: Environment, cc: ConcurrencyController,
                       batch: _BatchState, before: CCStats,
-                      after: CCStats, strict: bool = True) -> BatchResult:
+                      after: CCStats) -> BatchResult:
         """Package one completed batch exactly like the batch-at-a-time
         runner would: entries rebased to batch-local order indexes, stats
         as the delta accumulated while the batch ran (so a metrics layer
         folding per-batch stats never double-counts the long-lived
-        controller's cumulative counters).
-
-        Strict mode reads the controller's harvest buffer, which at a
-        strict boundary holds exactly this batch's commits.  Under
-        overlapped drains the buffer interleaves batches, so the entries
-        routed to the batch by ``on_commit`` are used instead (and the
-        buffer is still drained, to stay bounded)."""
-        if strict:
-            base = after.commits - batch.committed_count
-            committed = [replace(entry,
-                                 order_index=entry.order_index - base)
-                         for entry in cc.harvest_committed()]
-        else:
-            committed = [replace(entry, order_index=index)
-                         for index, entry in enumerate(batch.entries)]
-            cc.harvest_committed()
+        controller's cumulative counters).  At a boundary the
+        controller's harvest buffer holds exactly this batch's commits."""
+        base = after.commits - batch.committed_count
+        committed = [replace(entry, order_index=entry.order_index - base)
+                     for entry in cc.harvest_committed()]
         return BatchResult(
             committed=committed,
             elapsed=env.now - batch.started_at if batch.total else 0.0,

@@ -208,8 +208,8 @@ def _makespan(costs: List[float], workers: int) -> float:
 
 
 @dataclass(frozen=True)
-class FootprintRecord:
-    """One committed transaction's observed footprint, as the
+class OracleEntry:
+    """One committed transaction's observed keys and read versions, as the
     :class:`SerializabilityOracle` stores it.
 
     ``read_sources`` maps each first-read key to the tx id of the
@@ -227,13 +227,15 @@ class FootprintRecord:
 
 
 class SerializabilityOracle:
-    """Commit-time serializability proof obligation for relaxed drains.
+    """Commit-time serializability proof obligation for shard lanes.
 
-    The strict streaming mode's guarantee is byte-identity with
-    batch-at-a-time execution; ``strict_order=False`` trades that for
-    "equivalent to *some* serial order", and this oracle is the machine
-    check of that weaker contract.  The session records every committed
-    transaction's observed footprint (:meth:`record`), and :meth:`check`
+    The batch-synchronous cross-shard path replays the DAG total order
+    serially; the shard-lane pipeline
+    (:class:`~repro.core.cross_shard.ShardLanePipeline`) interleaves
+    lanes instead, and this oracle is the machine check that the result
+    is still "equivalent to *some* serial order".  The pipeline records
+    every committed transaction's read/write keys and read versions
+    (:meth:`record`), and :meth:`check`
     builds the multi-version serialization graph over the recorded
     window and raises :class:`~repro.errors.ValidationError` on a cycle.
 
@@ -256,9 +258,9 @@ class SerializabilityOracle:
     """
 
     def __init__(self) -> None:
-        self._entries: List[FootprintRecord] = []
-        #: Serializability checks run (mirrored into ``CCStats`` by the
-        #: session as ``oracle_checks``).
+        self._entries: List[OracleEntry] = []
+        #: Serializability checks run (``ClusterResult.lane_oracle_checks``
+        #: sums them over replicas).
         self.checks = 0
         #: Largest window a single check covered (observability).
         self.peak_window = 0
@@ -269,10 +271,10 @@ class SerializabilityOracle:
     def record(self, tx_id: int, order_index: int,
                read_keys: Sequence[str], write_keys: Sequence[str],
                read_sources: Mapping[str, Optional[int]]) -> None:
-        """Record one committed transaction's footprint.  Keys are stored
+        """Record one committed transaction's keys.  Keys are stored
         sorted so the precedence graph (and any failure report) is
         independent of dict iteration history."""
-        self._entries.append(FootprintRecord(
+        self._entries.append(OracleEntry(
             tx_id=tx_id, order_index=order_index,
             read_keys=tuple(sorted(read_keys)),
             write_keys=tuple(sorted(write_keys)),
@@ -325,7 +327,7 @@ class SerializabilityOracle:
         cycle = _find_cycle(successors)
         if cycle is not None:
             raise ValidationError(
-                "relaxed drain committed a non-serializable history: "
+                "committed a non-serializable history: "
                 f"precedence cycle {' -> '.join(map(str, cycle))} "
                 f"over a window of {len(entries)} transactions")
         return len(entries)

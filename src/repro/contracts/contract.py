@@ -23,52 +23,23 @@ from repro.errors import ContractError
 #: The shape of a contract body: a generator yielding operations.
 ContractBody = Callable[..., Generator[Operation, Any, Any]]
 
-#: A static footprint hint: maps a contract's arguments to a *superset* of
-#: every key the invocation may read or write.  Purely advisory — the
-#: concurrency controller still arbitrates the operations it actually
-#: sees — so soundness only requires the superset property.
-FootprintHint = Callable[..., Any]
-
 
 class ContractRegistry:
     """Maps contract names to bodies; every replica holds the same registry
     (contracts are deployed code, identical everywhere).
 
-    A contract may additionally register a *footprint hint*: a pure
-    function of the call arguments returning a superset of the keys the
-    invocation can touch.  The relaxed streaming mode
-    (:mod:`repro.ce.streaming`, ``strict_order=False``) consults hints to
-    decide which admitted operations may overlap an in-flight batch;
-    contracts without a hint are handled conservatively (never released
-    early), so hints are an optimisation, never a correctness input.
+    A registration is the body alone: the concurrency controller learns a
+    transaction's keys from the operations it issues, never from a
+    declaration (§8).
     """
 
     def __init__(self) -> None:
         self._contracts: Dict[str, ContractBody] = {}
-        self._footprints: Dict[str, FootprintHint] = {}
 
     def register(self, name: str, body: ContractBody) -> None:
         if name in self._contracts:
             raise ContractError(f"contract {name!r} already registered")
         self._contracts[name] = body
-
-    def register_footprint(self, name: str, hint: FootprintHint) -> None:
-        """Attach a static footprint hint to a registered contract."""
-        if name not in self._contracts:
-            raise ContractError(
-                f"footprint for unknown contract {name!r}")
-        if name in self._footprints:
-            raise ContractError(f"footprint for {name!r} already registered")
-        self._footprints[name] = hint
-
-    def footprint_of(self, name: str, args: tuple):
-        """The key superset ``name(*args)`` may touch, as a ``frozenset``;
-        ``None`` when the contract registered no hint (callers must then
-        assume the invocation may touch anything)."""
-        hint = self._footprints.get(name)
-        if hint is None:
-            return None
-        return frozenset(hint(*args))
 
     def get(self, name: str) -> ContractBody:
         body = self._contracts.get(name)

@@ -120,32 +120,11 @@ ALL_CONTRACTS = {
     AMALGAMATE: amalgamate,
 }
 
-#: Static footprint hints (see ``ContractRegistry.register_footprint``):
-#: each maps the contract's arguments to the superset of keys the body can
-#: touch.  SmallBank footprints are exact except where a body short-
-#: circuits (e.g. ``send_payment`` on insufficient funds never reads the
-#: destination) — supersets are all the relaxed streaming mode needs.
-FOOTPRINTS = {
-    GET_BALANCE: lambda account: (
-        checking_key(account), savings_key(account)),
-    SEND_PAYMENT: lambda src, dst, amount: (
-        checking_key(src), checking_key(dst)),
-    DEPOSIT_CHECKING: lambda account, amount: (checking_key(account),),
-    TRANSACT_SAVINGS: lambda account, amount: (savings_key(account),),
-    WRITE_CHECK: lambda account, amount: (
-        savings_key(account), checking_key(account)),
-    AMALGAMATE: lambda src, dst: (
-        savings_key(src), checking_key(src), checking_key(dst)),
-}
-
 
 def register_smallbank(registry: ContractRegistry) -> None:
-    """Install the six SmallBank contracts (and their footprint hints)
-    into ``registry``."""
+    """Install the six SmallBank contracts into ``registry``."""
     for name, body in ALL_CONTRACTS.items():
         registry.register(name, body)
-    for name, hint in FOOTPRINTS.items():
-        registry.register_footprint(name, hint)
 
 
 def default_registry() -> ContractRegistry:

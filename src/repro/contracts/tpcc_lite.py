@@ -118,30 +118,11 @@ def stock_level(warehouse: int, items: Sequence[int]
     return {"ok": True, "low": low}
 
 
-#: Conservative footprint hints per contract (every key the body *could*
-#: touch, independent of data values), mirroring the SmallBank catalog.
-#: With these registered, relaxed-mode streaming stops treating TPC-C-lite
-#: batches as wholesale barriers: the frontier conflict check can reason
-#: about order lines and remote payments key by key.
-FOOTPRINTS = {
-    NEW_ORDER: lambda warehouse, lines: tuple(
-        key for item, _quantity in lines
-        for key in (stock_key(warehouse, item), sold_key(warehouse, item))),
-    PAYMENT: lambda warehouse, customer, amount, pay_to=None: (
-        customer_key(warehouse, customer),
-        ytd_key(warehouse if pay_to is None else pay_to)),
-    STOCK_LEVEL: lambda warehouse, items: tuple(
-        stock_key(warehouse, item) for item in items),
-}
-
-
 def register_tpcc_lite(registry: ContractRegistry) -> None:
     """Install the TPC-C-lite contracts into ``registry``."""
     registry.register(NEW_ORDER, new_order)
     registry.register(PAYMENT, payment)
     registry.register(STOCK_LEVEL, stock_level)
-    for name, footprint in FOOTPRINTS.items():
-        registry.register_footprint(name, footprint)
 
 
 def default_registry() -> ContractRegistry:

@@ -71,13 +71,6 @@ class ClusterResult:
     cc_nodes_pruned: int
     cc_prune_passes: int
     ce_peak_graph_nodes: int
-    #: Relaxed-drain accounting (``CEConfig.strict_order=False``):
-    #: operations released early into an in-flight drain, operations the
-    #: frontier conflict check parked, and serializability-oracle passes
-    #: run at batch boundaries.  All zero under strict ordering.
-    cc_overlap_released: int
-    cc_overlap_parked: int
-    cc_oracle_checks: int
     #: Peak closure row width, in 64-bit words, the reachability index
     #: reached (0 for baseline engines that never ran a CE controller).
     cc_bitset_words: int
@@ -86,8 +79,8 @@ class ClusterResult:
     #: at identical committed schedules can quantify it deterministically.
     events_processed: int
     metrics: MetricsCollector
-    #: Shard-lane pipeline accounting (relaxed cross-shard path; all zero
-    #: in strict batch-synchronous mode).  Summed over replicas: lane
+    #: Shard-lane pipeline accounting (``shard_lanes=True``; all zero on
+    #: the batch-synchronous path).  Summed over replicas: lane
     #: segments retired and their simulated occupancy, lane-skew stall
     #: (prepared lanes waiting on the slowest frontier of a SID set),
     #: dispatch→start prepare latency, pipelined cross-shard waves, and
@@ -98,9 +91,6 @@ class ClusterResult:
     lane_prepare_latency: float = 0.0
     cross_waves_pipelined: int = 0
     lane_oracle_checks: int = 0
-    #: Relaxed releases that needed the controller's live-record probe to
-    #: clear a hint-less batch (``CEConfig.frontier_probe``).
-    cc_overlap_probe_released: int = 0
     #: Committed work items the host replayed / a replica took from the
     #: cluster's ReplayMemo; the model replays (and charges) their sum.
     replays_executed: int = 0
@@ -185,14 +175,13 @@ class Cluster:
         self.adversaries: List[object] = []
         #: Cluster-owned shard-lane pipelines, one per replica (each
         #: replica executes every shard's committed work against its own
-        #: store, so each needs the full lane set).  Only built for the
-        #: relaxed CE engines: strict mode keeps the batch-synchronous
-        #: path untouched, so its schedules stay bit-identical.  The
+        #: store, so each needs the full lane set).  Only built under
+        #: ``config.shard_lanes``: otherwise the batch-synchronous path
+        #: stays untouched, so its schedules stay bit-identical.  The
         #: pipelines are long-lived — they survive reconfigurations; epoch
         #: hand-off drains through ShardLanePipeline.epoch_barrier.
         self.lane_pipelines: Dict[int, ShardLanePipeline] = {}
-        if config.engine in ("ce", "ce-streaming") \
-                and not config.ce.strict_order:
+        if config.shard_lanes:
             for replica in self.replicas:
                 pipeline = ShardLanePipeline(
                     self.env, replica._cross_exec, replica.store,
@@ -292,9 +281,6 @@ class Cluster:
             cc_nodes_pruned=metrics.cc_nodes_pruned,
             cc_prune_passes=metrics.cc_prune_passes,
             ce_peak_graph_nodes=metrics.ce_peak_graph_nodes,
-            cc_overlap_released=metrics.cc_overlap_released,
-            cc_overlap_parked=metrics.cc_overlap_parked,
-            cc_oracle_checks=metrics.cc_oracle_checks,
             cc_bitset_words=metrics.cc_bitset_words,
             events_processed=self.env.events_processed,
             metrics=metrics,
@@ -305,7 +291,6 @@ class Cluster:
             cross_waves_pipelined=metrics.cross_waves_pipelined,
             lane_oracle_checks=sum(p.oracle.checks
                                    for p in self.lane_pipelines.values()),
-            cc_overlap_probe_released=metrics.cc_overlap_probe_released,
             replays_executed=self.memo.executed,
             replays_reused=self.memo.reused,
         )

@@ -14,7 +14,7 @@ Two disciplines share one replay core (:meth:`CrossShardExecutor.replay_one`):
   :meth:`~CrossShardExecutor.execute_serial`): the whole ordered batch runs
   inline against a read-only view and the caller is charged a single
   simulated makespan (lane critical path, or serial sum for the Tusk
-  baseline).  This is the strict-mode path and stays bit-identical to the
+  baseline).  This is the default path and stays bit-identical to the
   original schedule.
 
 * **Pipelined** (:class:`ShardLanePipeline`): each shard owns a long-lived
@@ -186,9 +186,8 @@ class ShardLanePipeline:
     transactions with disjoint SID sets touch disjoint keys and per-key
     apply order equals per-lane dispatch order — the strict total order's
     outcome, reproduced shard by shard.  The pipeline additionally keeps
-    ``recent_writers`` (per-key last pipelined writer — the record surface
-    hint-less contracts are queried through) and records every replayed
-    transaction with read-time provenance into a
+    ``recent_writers`` (per-key last pipelined writer) and records every
+    replayed transaction with read-time provenance into a
     :class:`SerializabilityOracle`, checked at every wave boundary, so the
     claim is *proved* per run rather than assumed.
 

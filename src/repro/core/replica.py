@@ -160,8 +160,9 @@ class Replica:
             registry, memo, op_cost=config.ce.op_cost)
         #: Cluster-owned ShardLanePipeline (attach_lane_pipeline).  When
         #: set, the execution loop routes work through per-shard lanes
-        #: instead of the batch-synchronous path; ``None`` in strict mode,
-        #: so strict schedules stay bit-identical by construction.
+        #: instead of the batch-synchronous path; ``None`` unless
+        #: ``config.shard_lanes``, so default schedules stay bit-identical
+        #: by construction.
         self._lane_pipeline = None
 
         # Hooks and fault state.

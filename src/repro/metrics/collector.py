@@ -54,18 +54,8 @@ class MetricsCollector:
         self.cc_nodes_pruned = 0
         self.cc_prune_passes = 0
         self.ce_peak_graph_nodes = 0
-        # Relaxed-drain accounting (strict_order=False sessions): early
-        # releases into an in-flight drain, frontier-parked operations,
-        # and serializability-oracle passes.  All zero in strict mode.
-        self.cc_overlap_released = 0
-        self.cc_overlap_parked = 0
-        self.cc_oracle_checks = 0
-        #: Of the overlap releases, those that needed the controller's
-        #: live-record probe (key_contended) to clear a hint-less
-        #: predecessor batch — zero unless CEConfig(frontier_probe=True).
-        self.cc_overlap_probe_released = 0
-        # Shard-lane pipeline accounting (relaxed cross-shard path; all
-        # zero in strict batch-synchronous mode).  Summed across replicas:
+        # Shard-lane pipeline accounting (shard_lanes=True; all zero on
+        # the batch-synchronous path).  Summed across replicas:
         # every replica drives its own pipeline over its own store, like
         # validation_reexecutions above.
         self.lane_segments = 0
@@ -119,10 +109,6 @@ class MetricsCollector:
         self.cc_repair_fallbacks += stats.repair_fallbacks
         self.cc_nodes_pruned += stats.nodes_pruned
         self.cc_prune_passes += stats.prune_passes
-        self.cc_overlap_released += stats.overlap_released
-        self.cc_overlap_parked += stats.overlap_parked
-        self.cc_oracle_checks += stats.oracle_checks
-        self.cc_overlap_probe_released += stats.overlap_probe_released
         if stats.bitset_words > self.cc_bitset_words:
             self.cc_bitset_words = stats.bitset_words
         if graph_nodes > self.ce_peak_graph_nodes:

@@ -18,7 +18,7 @@ seed is bit-identical down to its commit digests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, \
     Tuple
 
@@ -89,14 +89,14 @@ class Scenario:
     batch_size: int = 8
     duration: float = 0.25
     drain: float = 0.1
-    #: False runs ``engine="ce-streaming"`` sessions with overlapped
-    #: drains (``CEConfig.strict_order=False``) — byte-identity replaced
-    #: by the commit-time serializability oracle.
-    strict_order: bool = True
+    #: True drains committed work through the shard-lane pipeline
+    #: (``ThunderboltConfig.shard_lanes``), checked by its
+    #: serializability oracle at every wave boundary.
+    shard_lanes: bool = False
 
     @property
     def name(self) -> str:
-        suffix = "" if self.strict_order else "*relaxed"
+        suffix = "*lanes" if self.shard_lanes else ""
         return (f"{self.adversary.name}*{self.engine}"
                 f"*{self.workload.name}*s{self.seed}{suffix}")
 
@@ -145,10 +145,8 @@ def run_scenario(scenario: Scenario) -> CellResult:
     bundle = scenario.workload.build(scenario)
     config = ThunderboltConfig(
         n_replicas=scenario.n_replicas, batch_size=scenario.batch_size,
-        engine=scenario.engine, seed=scenario.seed)
-    if not scenario.strict_order:
-        config = config.with_changes(
-            ce=replace(config.ce, strict_order=False))
+        engine=scenario.engine, seed=scenario.seed,
+        shard_lanes=scenario.shard_lanes)
     if scenario.adversary.config_overrides:
         config = config.with_changes(
             **dict(scenario.adversary.config_overrides))
@@ -233,8 +231,8 @@ def default_adversaries() -> List[AdversaryCase]:
             # A partition that splits *shards*, not just a straggler
             # replica: the replica set halves, so every cross-shard
             # transaction spanning the cut loses a committable quorum
-            # until the heal.  Over the pipelined relaxed path this
-            # stalls lanes mid-wave — exactly the window where a buggy
+            # until the heal.  With shard lanes on, this stalls lanes
+            # mid-wave — exactly the window where a buggy
             # pipeline could apply a half-prepared wave; the per-cell
             # conservation invariant would catch it.
             "shard-split-heal",

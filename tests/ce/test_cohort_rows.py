@@ -128,8 +128,6 @@ class PointQueryController(RecordingController):
                         cascading=True)
 
     def _order_readers_before_writer(self, node, key):
-        if self._unsafe_skip_r1:
-            return
         for reader in self.graph.readers_of(key):
             if node.status is NodeStatus.ABORTED:
                 raise TransactionAborted(node.tx_id, f"cascade during {key}")

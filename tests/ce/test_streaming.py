@@ -69,6 +69,20 @@ def fingerprint(result):
 
 # ---------------------------------------------------------------- equivalence
 
+@pytest.mark.usefixtures("graph_cls")
+def test_strict_mode_byte_identical_on_every_backend():
+    """The byte-identity guarantee holds with or without the closure rows
+    checked against the word layouts (``tests/ce/word_rows.py``)."""
+    registry = default_registry()
+    batches = smallbank_batches(seed=5, n_batches=6, batch_size=30)
+    state = initial_state(64)
+    reference = run_batch_at_a_time(registry, batches, state, 5, 8)
+    streamed, _runner = run_streaming(registry, batches, state, 5, 8)
+    for expected, actual in zip(reference, streamed.batches):
+        assert fingerprint(actual) == fingerprint(expected)
+        assert actual.elapsed == expected.elapsed
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("executors", [4, 16])
 def test_stream_matches_batch_at_a_time(seed, executors):

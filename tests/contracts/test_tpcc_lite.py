@@ -102,42 +102,3 @@ def test_serial_workload_replay_preserves_both_invariants(registry):
     # The stream actually moved value around, it did not no-op.
     assert any(state[ytd_key(w)] > 0 for w in range(4))
     assert conserved_stock(state, 4) == before[1]
-
-
-def test_footprints_cover_every_touched_key(registry):
-    """The registered footprint hints are conservative supersets: over a
-    generated stream (including remote payments and understocked lines),
-    every key a contract actually reads or writes appears in its hint.
-    Relaxed-mode streaming leans on exactly this property to release
-    TPC-C-lite batches past the frontier check."""
-    from repro.core import ShardMap
-    from repro.workloads import TPCCLiteConfig, TPCCLiteWorkload
-
-    config = TPCCLiteConfig(warehouses=4, remote_ratio=0.4)
-    stream = TPCCLiteWorkload(config, ShardMap(2), seed=5)
-    state = config.initial_state()
-    state[stock_key(0, 0)] = 0  # force some backordered lines
-    hinted = 0
-    for tx in stream.batch(300):
-        hint = registry.footprint_of(tx.contract, tx.args)
-        assert hint is not None, tx.contract
-        record = run_inline(registry.get(tx.contract), tx.args, state)
-        touched = set(record.read_set) | set(record.write_set)
-        assert touched <= hint, (tx.contract, touched - hint)
-        state.update(record.write_set)
-        hinted += 1
-    assert hinted == 300
-
-
-def test_footprint_shapes_per_contract(registry):
-    """Spot-check each contract's hint against its key helpers."""
-    assert registry.footprint_of(NEW_ORDER, (2, ((1, 3), (4, 5)))) == \
-        frozenset({stock_key(2, 1), sold_key(2, 1),
-                   stock_key(2, 4), sold_key(2, 4)})
-    assert registry.footprint_of(PAYMENT, (0, 3, 250)) == \
-        frozenset({customer_key(0, 3), ytd_key(0)})
-    # A remote payment's hint follows the target warehouse, not home.
-    assert registry.footprint_of(PAYMENT, (0, 3, 250, 1)) == \
-        frozenset({customer_key(0, 3), ytd_key(1)})
-    assert registry.footprint_of(STOCK_LEVEL, (1, (0, 2))) == \
-        frozenset({stock_key(1, 0), stock_key(1, 2)})

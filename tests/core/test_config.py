@@ -55,3 +55,13 @@ def test_with_changes():
     assert changed.engine == "occ"
     assert changed.batch_size == 77
     assert base.engine == "ce"  # original untouched
+
+
+@pytest.mark.parametrize("engine", ["serial", "occ"])
+def test_shard_lanes_need_a_ce_engine(engine):
+    """Lanes drain CE committed work; asking for them under an engine
+    that never builds them fails at construction instead of silently
+    running without."""
+    with pytest.raises(ConfigError, match="shard_lanes"):
+        ThunderboltConfig(engine=engine, shard_lanes=True)
+    ThunderboltConfig(engine=engine)  # valid without lanes

@@ -159,46 +159,6 @@ def test_reconfigure_mid_drain_tears_down_and_rebuilds():
     assert len(proc.value.committed) == 10
 
 
-def test_reconfigure_mid_overlapped_drain_parity():
-    """Relaxed-mode fault parity: ``_reconfigure`` landing mid-drain on a
-    ``strict_order=False`` session orphans no worker, and the next
-    epoch's session starts clean and functional — the same teardown
-    contract the strict session honours."""
-    from repro.ce.runner import CEConfig
-    replica = make_replica(ce=CEConfig(strict_order=False))
-    env = replica.env
-    old = replica._session
-    assert old.oracle is not None   # the relaxed machinery is armed
-    workload = SmallBankWorkload(
-        WorkloadConfig(accounts=40, read_probability=0.5, theta=0.9),
-        ShardMap(1), seed=4)
-    batch = workload.batch(50)
-    old.admit(batch, base_view=dict(initial_state(40)))
-    proc = old.drain()
-
-    def interrupt():
-        yield env.timeout(2e-5)
-        assert not proc.triggered, "batch finished before the interrupt"
-        replica._reconfigure()
-
-    env.process(interrupt())
-    env.run()
-    assert proc.value is None
-    assert replica.epoch == 1
-    assert old.closed
-    assert all(not worker.is_alive for worker in old.workers)
-    assert not old._orphans          # every orphan completed and retired
-    new = replica._session
-    assert new is not old and not new.closed
-    assert len(new.cc.graph.nodes) == 0
-    # The new epoch's relaxed session commits a round with the oracle on.
-    new.admit(workload.batch(10), base_view=dict(initial_state(40)))
-    proc = new.drain()
-    env.run()
-    assert len(proc.value.committed) == 10
-    assert new.cc.stats.oracle_checks == 1
-
-
 # ------------------------------------------------------- mid-run faults
 
 def run_faulted_cluster(engine, install, seed=21, duration=0.3):

@@ -6,11 +6,12 @@ Three layers of coverage:
   ordering, overlap of disjoint lanes, stall/occupancy accounting, the
   epoch barrier, and the serializability oracle's sensitivity to a
   genuinely broken provenance history.
-* Cluster: relaxed-mode (``strict_order=False``) runs route committed
-  work through per-shard lanes; safety invariants (prefix consistency,
-  convergence, conservation) and determinism must hold, and the oracle
-  must pass every wave boundary.
-* Strict-mode guarantees: with the pipeline never attached, commit-log
+* Cluster: ``shard_lanes=True`` runs route committed work through
+  per-shard lanes; safety invariants (prefix consistency, convergence,
+  conservation) and determinism must hold, the oracle must pass every
+  wave boundary, and pinned digests and lane counters hold the switch to
+  what it builds.
+* Default-path guarantees: with the pipeline never attached, commit-log
   digests match their pinned fingerprints on every row backend id
   (``tests/ce/word_rows.py``), and ``ce-streaming`` commits the same
   logs as ``ce`` over a shard-count × seed sweep (the cross-shard
@@ -52,11 +53,11 @@ def _pipeline(op_cost=1e-4, accounts=8):
     return env, store, ShardLanePipeline(env, executor, store)
 
 
-def _cluster(strict, *, engine="ce", seed=7, n=4, cross=0.6,
+def _cluster(shard_lanes=False, *, engine="ce", seed=7, n=4, cross=0.6,
              duration=0.25, drain=0.1, accounts=64):
     config = ThunderboltConfig(
         n_replicas=n, seed=seed, engine=engine, batch_size=8,
-        ce=CEConfig(executors=8, op_cost=5e-6, strict_order=strict))
+        shard_lanes=shard_lanes, ce=CEConfig(executors=8, op_cost=5e-6))
     workload = WorkloadConfig(accounts=accounts, cross_shard_ratio=cross)
     cluster = Cluster(config, workload)
     result = cluster.run(duration, drain=drain)
@@ -209,7 +210,7 @@ def test_honest_history_passes_many_waves():
 # ---------------------------------------------------------------- cluster layer
 
 def test_pipelined_cluster_is_safe_and_counts_lanes():
-    cluster, result = _cluster(strict=False)
+    cluster, result = _cluster(shard_lanes=True)
     assert result.executed_cross > 0
     assert result.cross_waves_pipelined > 0
     assert result.lane_segments > 0
@@ -223,7 +224,7 @@ def test_pipelined_cluster_is_safe_and_counts_lanes():
 
 def test_pipelined_cluster_conserves_money():
     accounts = 64
-    cluster, _result = _cluster(strict=False, accounts=accounts)
+    cluster, _result = _cluster(shard_lanes=True, accounts=accounts)
 
     def conserved(state):
         return sum(state.get(smallbank.checking_key(a), 0)
@@ -235,7 +236,7 @@ def test_pipelined_cluster_conserves_money():
 
 
 def test_strict_cluster_never_builds_pipelines():
-    cluster, result = _cluster(strict=True)
+    cluster, result = _cluster()
     assert cluster.lane_pipelines == {}
     assert result.cross_waves_pipelined == 0
     assert result.lane_segments == 0
@@ -243,8 +244,8 @@ def test_strict_cluster_never_builds_pipelines():
 
 
 def test_pipelined_run_is_deterministic():
-    cluster_a, result_a = _cluster(strict=False, seed=11)
-    cluster_b, result_b = _cluster(strict=False, seed=11)
+    cluster_a, result_a = _cluster(shard_lanes=True, seed=11)
+    cluster_b, result_b = _cluster(shard_lanes=True, seed=11)
     assert _digests(cluster_a) == _digests(cluster_b)
     assert cluster_a.state_checksums() == cluster_b.state_checksums()
     assert result_a.executed == result_b.executed
@@ -253,27 +254,53 @@ def test_pipelined_run_is_deterministic():
 
 
 def test_pipelined_matches_strict_final_state():
-    """Same seed, both modes drained: per-key apply order is per-lane
-    dispatch order, so the committed logs and final balances agree even
-    though the relaxed schedule interleaves differently in time."""
-    cluster_strict, result_strict = _cluster(strict=True, drain=0.2)
-    cluster_piped, result_piped = _cluster(strict=False, drain=0.2)
+    """Same seed, lanes off and on, drained: per-key apply order is
+    per-lane dispatch order, so the committed logs and final balances
+    agree even though the lanes interleave differently in time."""
+    cluster_strict, result_strict = _cluster(drain=0.2)
+    cluster_piped, result_piped = _cluster(shard_lanes=True, drain=0.2)
     assert result_piped.executed == result_strict.executed
     assert _digests(cluster_piped) == _digests(cluster_strict)
     for strict_replica, piped_replica in zip(cluster_strict.replicas,
                                              cluster_piped.replicas):
         # Values agree key for key; write versions may differ (per-tx
-        # applies on the pipelined path vs per-batch on the strict one).
+        # applies on the pipelined path vs per-batch on the default one).
         assert dict(strict_replica.store.scan()) \
             == dict(piped_replica.store.scan())
 
 
 def test_pipelined_streaming_engine_cluster_is_safe():
-    cluster, result = _cluster(strict=False, engine="ce-streaming")
+    cluster, result = _cluster(shard_lanes=True, engine="ce-streaming")
     assert result.cross_waves_pipelined > 0
     assert result.lane_oracle_checks >= result.cross_waves_pipelined
     report = SafetyChecker().check(cluster)
     assert report.ok, report.failures
+
+
+#: Eight replicas at the 60% cross-shard mix with lanes on: the
+#: fingerprint of every replica's commit-log digests, each replica's
+#: (log length, store checksum), and the lane counters
+#: (``lane_segments``, ``cross_waves_pipelined``, ``lane_oracle_checks``).
+#: Taken before lanes had a switch of their own; the switch must keep
+#: building the same pipelines doing the same work.
+LANE_PINS = {
+    7: ("80b38f8ad618b54d", (1173, "39f2d428791de6fb47a6545402260e4c"),
+        (57976, 504, 504)),
+    11: ("5245c550166f988c", (1159, "312235d2f5dd08d1fb6b60f73eec46c9"),
+         (67232, 432, 432)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LANE_PINS))
+def test_lane_switch_reproduces_pinned_lanes(seed):
+    digests_pin, state_pin, counters_pin = LANE_PINS[seed]
+    cluster, result = _cluster(shard_lanes=True, seed=seed, n=8)
+    assert len(cluster.lane_pipelines) == 8
+    assert hashlib.sha256(repr(_digests(cluster)).encode()).hexdigest()[:16] \
+        == digests_pin
+    assert cluster.state_checksums() == {i: state_pin for i in range(8)}
+    assert (result.lane_segments, result.cross_waves_pipelined,
+            result.lane_oracle_checks) == counters_pin
 
 
 # --------------------------------------------- strict digest sweep (satellite)
@@ -292,7 +319,7 @@ def test_strict_digests_identical_across_backends(monkeypatch, seed):
     for backend in BACKENDS:
         monkeypatch.setattr(controller_module, "DependencyGraph",
                             graph_class(backend))
-        digests = _digests(_cluster(strict=True, engine="ce-streaming",
+        digests = _digests(_cluster(engine="ce-streaming",
                                     seed=seed, cross=0.6, duration=0.15)[0])
         assert hashlib.sha256(repr(digests).encode()).hexdigest()[:16] \
             == STRICT_FINGERPRINTS[seed], backend
@@ -305,6 +332,6 @@ def test_strict_digest_sweep_shard_counts(n_replicas, seed):
     """The long-lived session commits exactly what per-round controllers
     commit, at every shard count."""
     digests = {engine: _digests(_cluster(
-        strict=True, engine=engine, seed=seed, cross=0.6, n=n_replicas,
+        engine=engine, seed=seed, cross=0.6, n=n_replicas,
         duration=0.2)[0]) for engine in ("ce", "ce-streaming")}
     assert digests["ce-streaming"] == digests["ce"], (n_replicas, seed)

@@ -96,24 +96,27 @@ def test_engines_agree_under_byzantine_fault():
 
 
 @pytest.mark.parametrize("adversary", ["crash", "byzantine-exec"])
-def test_relaxed_cells_pass_oracle_under_adversaries(adversary):
-    """``strict_order=False`` cells stay safe under adversaries: every
-    invariant holds, the serializability oracle ran, and — because the
-    replica path admits each round against a quiescent session, where
-    overlapped release degrades to the strict schedule — the commit-log
-    digests match the strict cell bit for bit."""
-    strict = run_scenario(Scenario(
+def test_lane_cells_pass_oracle_under_adversaries(adversary):
+    """``*lanes`` cells stay safe under adversaries: every invariant
+    holds, committed work drains through the shard lanes with an oracle
+    pass at every wave boundary, and — per-key apply order being per-lane
+    dispatch order — the commit-log digests match the lanes-off cell bit
+    for bit."""
+    plain = run_scenario(Scenario(
         adversary=ADVERSARIES[adversary], engine="ce-streaming",
         workload=WORKLOADS["smallbank-flash"], duration=0.15, drain=0.06))
-    relaxed = run_scenario(Scenario(
+    lanes = run_scenario(Scenario(
         adversary=ADVERSARIES[adversary], engine="ce-streaming",
         workload=WORKLOADS["smallbank-flash"], duration=0.15, drain=0.06,
-        strict_order=False))
-    assert relaxed.ok, relaxed.safety
-    assert relaxed.scenario.name.endswith("*relaxed")
-    assert relaxed.result.cc_oracle_checks > 0
-    assert relaxed.result.cc_overlap_parked == 0   # quiescent admits
-    assert relaxed.digests == strict.digests
+        shard_lanes=True))
+    assert lanes.ok, lanes.safety
+    assert lanes.scenario.name.endswith("*lanes")
+    assert lanes.result.cross_waves_pipelined > 0
+    assert lanes.result.lane_segments > 0
+    assert lanes.result.lane_oracle_checks \
+        >= lanes.result.cross_waves_pipelined
+    assert plain.result.lane_segments == 0
+    assert lanes.digests == plain.digests
 
 
 @pytest.mark.slow
@@ -148,26 +151,26 @@ def test_full_matrix_is_safe_and_seed_stable():
 def test_shard_split_cells_are_safe_on_the_pipelined_path(engine):
     """The shard-split adversary partitions the replica set down the
     middle — cross-shard waves lose quorum mid-flight — and heals.  Both
-    disciplines must hold every invariant; the relaxed cell additionally
+    cells must hold every invariant; the ``*lanes`` cell additionally
     routes its committed work through the shard-lane pipeline (lane
     counters populated, an oracle pass at every wave boundary)."""
     strict = run_scenario(Scenario(
         adversary=ADVERSARIES["shard-split-heal"], engine=engine,
         workload=WORKLOADS["smallbank-flash"], duration=0.2, drain=0.08))
-    relaxed = run_scenario(Scenario(
+    lanes = run_scenario(Scenario(
         adversary=ADVERSARIES["shard-split-heal"], engine=engine,
         workload=WORKLOADS["smallbank-flash"], duration=0.2, drain=0.08,
-        strict_order=False))
-    for cell in (strict, relaxed):
+        shard_lanes=True))
+    for cell in (strict, lanes):
         assert cell.ok, cell.safety.failures
         assert cell.result.executed > 0
         assert cell.result.partition_heals == 1
-    # Strict mode never builds lane pipelines...
+    # The lanes-off cell never builds lane pipelines...
     assert strict.result.cross_waves_pipelined == 0
     assert strict.result.lane_segments == 0
-    # ...while the relaxed cell drains cross-shard work through them,
+    # ...while the ``*lanes`` cell drains cross-shard work through them,
     # proving serializability at every wave boundary.
-    assert relaxed.result.cross_waves_pipelined > 0
-    assert relaxed.result.lane_segments > 0
-    assert relaxed.result.lane_oracle_checks \
-        >= relaxed.result.cross_waves_pipelined
+    assert lanes.result.cross_waves_pipelined > 0
+    assert lanes.result.lane_segments > 0
+    assert lanes.result.lane_oracle_checks \
+        >= lanes.result.cross_waves_pipelined
