@@ -162,7 +162,9 @@ def run_stress(graph_cls) -> dict:
     controller_module.DependencyGraph = graph_cls
     try:
         env = Environment()
-        runner = CERunner(registry, CEConfig(executors=16), make_rng(3))
+        # prune=False keeps the batch's graph for the edge count below.
+        runner = CERunner(registry, CEConfig(executors=16), make_rng(3),
+                          prune=False)
         started = time.perf_counter()
         proc = runner.run_batch(env, txs, initial_state(STRESS_RECORDS))
         env.run()
@@ -178,7 +180,7 @@ def run_stress(graph_cls) -> dict:
         "path_queries": result.stats.path_queries,
         "index_rebuilds": result.stats.index_rebuilds,
         "index_repairs": result.stats.index_repairs,
-        "edge_count": runner.last_state.cc.graph.edge_count(),
+        "edge_count": runner.last_session.cc.graph.edge_count(),
     }
 
 

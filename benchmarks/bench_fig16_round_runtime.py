@@ -5,16 +5,7 @@ committed rounds per 100-round window from round 100 to 1300.  The point of
 the figure: the runtime stays in a narrow band (the paper reports
 0.07–0.1 s per round) — Thunderbolt does **not** get stuck during
 reconfigurations.
-
-The second bench compares the two CE round-loop engines on this exact
-setup: per-round ``run_batch`` (``engine="ce"``, a fresh controller and
-worker pool every round) against the epoch-long execution session
-(``engine="ce-streaming"``, one graph/closure-index/pool reused across
-every round, torn down only at reconfigurations).  The committed schedule
-is byte-identical, so the delta isolates per-round setup overhead.
 """
-
-import time
 
 import pytest
 
@@ -61,68 +52,3 @@ def test_fig16_commit_runtime_through_reconfigs(benchmark, fig_table):
     benchmark.extra_info["max_commit_gap_ms"] = round(max(gaps) * 1000, 2)
     benchmark.extra_info["reconfigurations"] = result.reconfigurations
 
-
-# ------------------------------------------------- session vs per-round runner
-
-#: One round's preplay batch cap in ``run_system`` terms (its default
-#: ``batch_size`` for 8 replicas times the default ``max_batch_factor``).
-ROUND_CAP = scaled(50, 30, 15) * 5
-
-
-def run_engine(engine):
-    duration = scaled(3.0, 0.8, 0.5)
-    started = time.perf_counter()
-    result = run_system(engine, N_REPLICAS, duration=duration,
-                        k_prime=K_PRIME, k_silent=8,
-                        reconfig_handoff_cost=0.002)
-    return result, time.perf_counter() - started
-
-
-@pytest.mark.benchmark(group="fig16")
-def test_fig16_session_vs_per_round_runner(benchmark, fig_table):
-    """The epoch-long execution session against the per-round runner on
-    the Fig. 16 reconfiguration workload: identical commit schedule,
-    strictly less per-round setup work, round-scale graph plateau."""
-    def run():
-        per_round, per_round_wall = run_engine("ce")
-        session, session_wall = run_engine("ce-streaming")
-        return per_round, per_round_wall, session, session_wall
-
-    per_round, per_round_wall, session, session_wall = \
-        benchmark.pedantic(run, rounds=1, iterations=1)
-
-    # Byte-identical schedule: the session changes *when work happens*
-    # not at all, only how much scaffolding each round rebuilds.
-    assert session.reconfigurations == per_round.reconfigurations
-    assert session.metrics.commit_times == per_round.metrics.commit_times
-    assert session.executed == per_round.executed
-    # Reduced per-round setup overhead: reusing one pool and graph per
-    # epoch drops the spawn/teardown scheduler events every round paid.
-    assert session.events_processed < per_round.events_processed
-    # Bounded reuse: the epoch-long graph plateaus at round scale (the
-    # boundary prune keeps it under ~2 rounds of nodes at all times).
-    assert session.cc_prune_passes >= 3
-    assert session.ce_peak_graph_nodes <= 2 * ROUND_CAP
-    assert per_round.cc_prune_passes == 0
-
-    saved_events = per_round.events_processed - session.events_processed
-    for label, result, wall in (("per-round (ce)", per_round,
-                                 per_round_wall),
-                                ("session (ce-streaming)", session,
-                                 session_wall)):
-        fig_table.add(label, result.executed, result.reconfigurations,
-                      result.events_processed, result.ce_peak_graph_nodes,
-                      result.cc_prune_passes, f"{wall:.2f}")
-    fig_table.show(
-        f"Fig. 16 workload - per-round runner vs epoch-long execution "
-        f"session (K'={K_PRIME}, {N_REPLICAS} replicas; identical commit "
-        f"schedule, {saved_events} scheduler events saved)",
-        ["engine", "executed", "reconfigs", "events", "peak graph nodes",
-         "prune passes", "wall s"])
-
-    benchmark.extra_info["events_per_round"] = per_round.events_processed
-    benchmark.extra_info["events_session"] = session.events_processed
-    benchmark.extra_info["events_saved"] = saved_events
-    benchmark.extra_info["peak_graph_nodes"] = session.ce_peak_graph_nodes
-    benchmark.extra_info["wall_per_round_s"] = round(per_round_wall, 3)
-    benchmark.extra_info["wall_session_s"] = round(session_wall, 3)

@@ -14,8 +14,8 @@ PR leaves a comparable performance fingerprint:
 * **depgraph-storm** — the same storm through the real
   :class:`~repro.ce.depgraph.DependencyGraph` (bridging, repair
   decision rule, counters included).
-* **streaming** — a short ``engine="ce-streaming"`` cluster run, pinned
-  by its commit-log digest.
+* **streaming** — a short ``engine="ce"`` cluster run (one execution
+  session per replica epoch), pinned by its commit-log digest.
 * **cross-shard-pipeline** — the same deterministic work trace (the
   Fig. 14 60% cross-shard mix) replayed through the batch-synchronous
   cross-shard discipline and through the
@@ -187,10 +187,10 @@ def depgraph_storm(n_txs: int, seed: int = 17) -> Dict:
 
 
 def streaming_run(duration: float, seed: int = 3) -> Dict:
-    """A short ``ce-streaming`` cluster run, fingerprinted by the last
-    commit-log digest."""
+    """A short ``ce`` cluster run, fingerprinted by the last commit-log
+    digest."""
     config = ThunderboltConfig(
-        n_replicas=4, batch_size=10, seed=seed, engine="ce-streaming",
+        n_replicas=4, batch_size=10, seed=seed, engine="ce",
         ce=CEConfig(executors=8))
     cluster = Cluster(config, WorkloadConfig(accounts=200,
                                              cross_shard_ratio=0.1,

@@ -1,20 +1,22 @@
-"""Streaming-runner benchmark — sustained throughput and bounded memory.
+"""Execution-session benchmark — sustained throughput and bounded memory.
 
-The batch-at-a-time runner rebuilds the executor pool and the concurrency
-controller for every batch; the streaming runner
-(:mod:`repro.ce.streaming`) keeps one long-lived pool and one dependency
-graph, admitting batch *k+1* into the graph while batch *k* drains and
-pruning committed nodes at every boundary.
+The reference arm opens a fresh one-batch session per batch
+(``CERunner.run_batch``), so every batch gets a new executor pool and
+concurrency controller; the streamed arm runs the whole stream through one
+session (:mod:`repro.ce.streaming`), which keeps one pool and one
+dependency graph, admitting batch *k+1* into the graph while batch *k*
+drains and pruning committed nodes at every boundary.
 
 Three claims, each asserted over ``STREAM_BATCHES`` (>= 20) consecutive
 batches of a contended SmallBank stream:
 
 * **Equivalence** — per-batch committed results are byte-identical to
-  sequential ``run_batch`` calls (same env, same runner, same RNG).
+  a fresh one-batch session per batch (same env, same runner, same
+  RNG).
 * **Bounded memory** — the graph-size samples plateau at (committed batch
   + admitted batch) with pruning, versus linear growth without it.
 * **No throughput regression** — simulated per-batch throughput matches
-  the batch-at-a-time runner exactly (it is the same schedule), and the
+  the fresh-session arm exactly (it is the same schedule), and the
   *wall-clock* cost per batch stays flat late in the stream instead of
   climbing with accumulated graph history.
 
@@ -30,7 +32,7 @@ import time
 
 import pytest
 
-from repro.ce import CEConfig, CERunner, StreamingRunner
+from repro.ce import CEConfig, CERunner
 from repro.contracts import default_registry, initial_state
 from repro.core.shards import ShardMap
 from repro.sim import Environment, make_rng
@@ -61,7 +63,8 @@ def fingerprint(result):
             for entry in result.committed]
 
 
-def run_batch_at_a_time(batches):
+def run_fresh_sessions(batches):
+    """A fresh one-batch session per batch."""
     registry = default_registry()
     env = Environment()
     runner = CERunner(registry, CEConfig(executors=EXECUTORS),
@@ -81,11 +84,11 @@ def run_batch_at_a_time(batches):
 def run_streaming(batches, prune):
     registry = default_registry()
     env = Environment()
-    runner = StreamingRunner(registry, CEConfig(executors=EXECUTORS),
-                             make_rng(SEED), prune=prune)
-    # The runner pulls batch k+2 from the source at batch k's boundary, so
-    # time-stamping each pull yields per-batch wall-clock durations for
-    # the *streaming* runner itself.
+    runner = CERunner(registry, CEConfig(executors=EXECUTORS),
+                      make_rng(SEED), prune=prune)
+    # The session pulls batch k+2 from the source at batch k's boundary,
+    # so time-stamping each pull yields per-batch wall-clock durations
+    # for the streamed session itself.
     pulls = []
 
     def ticking():
@@ -109,7 +112,7 @@ def mean(values):
 def test_streaming_runner_sustained(benchmark, fig_table):
     def run():
         batches = make_stream()
-        reference, ref_walls = run_batch_at_a_time(batches)
+        reference, ref_walls = run_fresh_sessions(batches)
         pruned, pruned_wall, pruned_batch_walls = \
             run_streaming(batches, prune=True)
         plain, plain_wall, plain_batch_walls = \
@@ -125,7 +128,7 @@ def test_streaming_runner_sustained(benchmark, fig_table):
     assert len(pruned.batches) == len(reference) == STREAM_BATCHES
     for expected, actual in zip(reference, pruned.batches):
         assert fingerprint(actual) == fingerprint(expected), \
-            "streaming runner changed a batch's committed results"
+            "one session changed a batch's committed results"
     assert [fingerprint(b) for b in plain.batches] \
         == [fingerprint(b) for b in reference]
 
@@ -144,27 +147,27 @@ def test_streaming_runner_sustained(benchmark, fig_table):
     sim_tps = [batch.throughput for batch in pruned.batches]
     ref_tps = [batch.throughput for batch in reference]
     assert sim_tps == ref_tps, "simulated per-batch throughput diverged"
-    # With pruning, the streaming runner's own per-batch wall-clock must
+    # With pruning, the streamed session's per-batch wall-clock must
     # not climb with stream position (2x tolerates scheduler noise on the
     # few-ms batches; the unpruned ratio is reported as the contrast).
     late_wall = mean(pruned_batch_walls[-5:])
     early_wall = mean(pruned_batch_walls[:5])
     wall_ratio = late_wall / early_wall if early_wall else 0.0
     assert wall_ratio < 2.0, \
-        f"streaming wall-clock per batch grew {wall_ratio:.2f}x late-stream"
+        f"session wall-clock per batch grew {wall_ratio:.2f}x late-stream"
     plain_ratio = mean(plain_batch_walls[-5:]) / mean(plain_batch_walls[:5])
 
-    fig_table.add("batch-at-a-time", STREAM_BATCHES * BATCH_SIZE,
+    fig_table.add("fresh session per batch", STREAM_BATCHES * BATCH_SIZE,
                   round(mean(ref_tps)),
                   max(batch.graph_nodes for batch in reference),
                   round(sum(ref_walls), 3))
-    fig_table.add("streaming+prune", STREAM_BATCHES * BATCH_SIZE,
+    fig_table.add("one session+prune", STREAM_BATCHES * BATCH_SIZE,
                   round(mean(sim_tps)), peak, round(pruned_wall, 3))
-    fig_table.add("streaming, no prune", STREAM_BATCHES * BATCH_SIZE,
+    fig_table.add("one session, no prune", STREAM_BATCHES * BATCH_SIZE,
                   round(mean([batch.throughput for batch in plain.batches])),
                   unpruned_peak, round(plain_wall, 3))
     fig_table.show(
-        f"Streaming runner - {STREAM_BATCHES} x {BATCH_SIZE} tx batches, "
+        f"Execution session - {STREAM_BATCHES} x {BATCH_SIZE} tx batches, "
         f"SmallBank theta={THETA}",
         ["mode", "txs", "sim tps/batch", "peak graph nodes", "wall s"])
 

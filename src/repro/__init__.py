@@ -24,8 +24,7 @@ Quickstart::
     print(result)
 """
 
-from repro.ce import (CEConfig, CERunner, ConcurrencyController,
-                      StreamingRunner)
+from repro.ce import CEConfig, CERunner, ConcurrencyController
 from repro.core import (Cluster, ClusterResult, ThunderboltConfig,
                         run_cluster)
 from repro.txn import Transaction, TxKind
@@ -40,7 +39,6 @@ __all__ = [
     "ClusterResult",
     "ConcurrencyController",
     "SmallBankWorkload",
-    "StreamingRunner",
     "ThunderboltConfig",
     "Transaction",
     "TxKind",

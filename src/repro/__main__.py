@@ -30,9 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of replicas / shards (default 4)")
     parser.add_argument("--engine", choices=ENGINES, default="ce",
                         help="preplay engine: ce (Thunderbolt), occ "
-                             "(Thunderbolt-OCC), serial (Tusk), "
-                             "ce-streaming (Thunderbolt with one long-lived "
-                             "execution session per epoch)")
+                             "(Thunderbolt-OCC), serial (Tusk)")
     parser.add_argument("--duration", type=float, default=1.0,
                         help="simulated seconds to run (default 1.0)")
     parser.add_argument("--batch", type=int, default=50,
@@ -72,8 +70,7 @@ def main(argv=None) -> int:
     crash = tuple(range(args.replicas - args.crash, args.replicas))
     cluster = Cluster(config, workload, crash_replicas=crash, crash_at=0.05)
     label = {"ce": "Thunderbolt", "occ": "Thunderbolt-OCC",
-             "serial": "Tusk",
-             "ce-streaming": "Thunderbolt (streaming session)"}[args.engine]
+             "serial": "Tusk"}[args.engine]
     print(f"{label}: {args.replicas} replicas, batch {args.batch}, "
           f"Pr={args.pr}, theta={args.theta}, cross={args.cross:.0%}, "
           f"{'WAN' if args.wan else 'LAN'}"

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Set
 
 from repro.ce.controller import CCStats, CommittedTx
-from repro.ce.runner import BatchResult, CEConfig
+from repro.ce.runner import BatchResult, CEConfig, backoff, op_delay
 from repro.contracts.contract import ContractRegistry
 from repro.contracts.ops import ReadOp, WriteOp
 from repro.errors import ContractError, SerializationError
@@ -134,7 +134,7 @@ class TPLNoWaitRunner:
                 try:
                     op = next(generator)
                     while True:
-                        yield env.timeout(self._op_delay())
+                        yield env.timeout(op_delay(self.config, self._rng))
                         slot = controller.hold(config.cc_cost)
                         yield slot
                         try:
@@ -194,16 +194,4 @@ class TPLNoWaitRunner:
                     break
                 shared["re_executions"] += 1
                 shared["stats"].aborts += 1
-                yield env.timeout(self._backoff(attempt))
-
-    def _op_delay(self) -> float:
-        jitter = self.config.jitter
-        if jitter == 0:
-            return self.config.op_cost
-        return self.config.op_cost * (1.0 + self._rng.uniform(-jitter, jitter))
-
-    def _backoff(self, attempt: int) -> float:
-        base = self.config.restart_delay * min(attempt, 8)
-        if self.config.jitter == 0:
-            return base
-        return base * (1.0 + self._rng.random())
+                yield env.timeout(backoff(self.config, self._rng, attempt))

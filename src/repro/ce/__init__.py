@@ -2,13 +2,12 @@
 
 * :class:`~repro.ce.controller.ConcurrencyController` — dependency-graph
   concurrency control without prior read/write-set knowledge.
-* :class:`~repro.ce.runner.CERunner` — the simulated executor pool.
+* :class:`~repro.ce.runner.CERunner` — the simulated executor pool:
+  one-batch runs, batch streams, and sessions.
 * :class:`~repro.ce.streaming.StreamSession` — the open-ended
   admit/drain/close execution session one long-lived controller and pool
-  serve (the replica round loop's engine under ``engine="ce-streaming"``).
-* :class:`~repro.ce.streaming.StreamingRunner` — a long-lived pool serving
-  a continuous batch stream with committed-node pruning, built on the
-  session.
+  serve, pruning committed nodes at every batch boundary (a replica keeps
+  one per epoch).
 * :func:`~repro.ce.validation.validate_block` — commit-time parallel
   validation of preplay results.
 """
@@ -17,7 +16,7 @@ from repro.ce.controller import (CCStats, CommittedTx, ConcurrencyController)
 from repro.ce.depgraph import (DependencyGraph, EdgeKind, KeyRecord,
                                NodeStatus, TxNode)
 from repro.ce.runner import BatchResult, CEConfig, CERunner
-from repro.ce.streaming import StreamingRunner, StreamResult, StreamSession
+from repro.ce.streaming import StreamResult, StreamSession
 from repro.ce.validation import (SerializabilityOracle, ValidationOutcome,
                                  build_validation_levels, validate_block)
 
@@ -35,7 +34,6 @@ __all__ = [
     "SerializabilityOracle",
     "StreamResult",
     "StreamSession",
-    "StreamingRunner",
     "TxNode",
     "ValidationOutcome",
     "build_validation_levels",

@@ -279,7 +279,7 @@ class ConcurrencyController:
         Reads that would have been served by an evicted writer fall
         through to the root, where the committed overlay answers with the
         identical value — that is condition 3 of the safety condition, so
-        behavior is unchanged.  Called by the streaming runner at every
+        behavior is unchanged.  Called by the execution session at every
         batch boundary; safe (merely conservative) at any other time.
         """
         self._stats.prune_passes += 1

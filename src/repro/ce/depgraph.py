@@ -754,7 +754,7 @@ class DependencyGraph:
     def _index_compact_if_dominated(self) -> None:
         """Invariant 4's amortization: pay the hole debt when it dominates.
 
-        When every slot is a hole — the streaming runner's quiescent
+        When every slot is a hole — the execution session's quiescent
         boundary evicts the *entire* indexed population — the index
         resets to empty in place: an empty closure is trivially exact, so
         no rebuild is needed and ``_built_gen`` stays current.  When

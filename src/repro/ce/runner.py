@@ -11,29 +11,28 @@ Aborted transactions are re-executed: a running transaction retries in its
 own executor (after a short backoff); a transaction that had already entered
 finalization and is cascade-aborted later re-enters the work queue.
 
-When the batch completes, one shutdown sentinel per worker is flushed into
-the queue so executors blocked on ``get()`` terminate instead of idling
-forever — important when many batches share one long-lived environment.
+Every batch runs through a :class:`~repro.ce.streaming.StreamSession`:
+one controller, one dependency graph and one worker pool that may serve a
+whole stream of batches (a replica keeps one per epoch).
+:meth:`CERunner.run_batch` is a one-batch session (open, admit, drain,
+close) behind the ``run_batch`` interface the baseline runners of
+:mod:`repro.baselines` share; :meth:`CERunner.run_stream` drives an
+iterable of batches through one session.
 
-This runner is batch-at-a-time: every call to :meth:`CERunner.run_batch`
-builds a fresh controller (and dependency graph) and a fresh worker pool.
-The per-transaction execute/abort/re-execute loop lives in
-:meth:`CERunner._execute` so :class:`repro.ce.streaming.StreamingRunner`
-— which keeps one controller and one pool alive across a whole stream of
-batches, pruning committed nodes at each boundary — drives transactions
-through the identical code path.  The streaming runner's per-batch
-committed results are byte-identical to this runner's (a property the
-tests and ``benchmarks/bench_streaming_runner.py`` assert), so the two
-are interchangeable wherever batches arrive sequentially.
+The pacing draws (:func:`op_delay`, :func:`backoff`) are shared with the
+baseline runners.  Their expressions and the order in which they draw from
+the engine RNG are part of the frozen digest contract: every seeded
+schedule, and with it every commit-log digest, depends on them.
 """
 
 from __future__ import annotations
 
 from random import Random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.ce.controller import CCStats, CommittedTx, ConcurrencyController
+from repro.ce.streaming import StreamSession, _BatchState
 from repro.contracts.contract import ContractRegistry
 from repro.contracts.ops import ReadOp, WriteOp
 from repro.errors import ConfigError, ContractError, SerializationError, \
@@ -80,9 +79,9 @@ class BatchResult:
     re_executions: int
     latencies: Dict[int, float]
     stats: CCStats
-    #: Dependency-graph node count when the batch completed (for the
-    #: streaming runner: before the boundary prune, so it includes the
-    #: next batch's admitted nodes).  Baseline engines leave it 0.
+    #: Dependency-graph node count when the batch completed, before the
+    #: boundary prune (so it includes a next batch already admitted into
+    #: the session).  Baseline engines leave it 0.
     graph_nodes: int = 0
 
     @property
@@ -118,107 +117,140 @@ class BatchResult:
         return writes
 
 
+def op_delay(config: CEConfig, rng: Random) -> float:
+    """Simulated compute of one contract operation: ``op_cost`` with a
+    relative ``jitter`` (one ``uniform`` draw when jitter is on)."""
+    jitter = config.jitter
+    if jitter == 0:
+        return config.op_cost
+    return config.op_cost * (1.0 + rng.uniform(-jitter, jitter))
+
+
+def backoff(config: CEConfig, rng: Random, attempt: int) -> float:
+    """The wait before re-executing after ``attempt`` failed attempts:
+    linear up to 8 attempts, stretched by one ``random`` draw when jitter
+    is on."""
+    base = config.restart_delay * min(attempt, 8)
+    if config.jitter == 0:
+        return base
+    return base * (1.0 + rng.random())
+
+
 class CERunner:
-    """Runs batches of transactions through the Concurrent Executor."""
+    """Runs transactions through the Concurrent Executor, one
+    :class:`~repro.ce.streaming.StreamSession` per batch stream.
+
+    ``prune=False`` keeps committed nodes in the session graph at batch
+    boundaries (so the whole history stays inspectable); base-view
+    switching needs the default ``prune=True``.
+    """
 
     _SHUTDOWN = object()
 
     def __init__(self, registry: ContractRegistry, config: CEConfig,
-                 rng: Random) -> None:
+                 rng: Random, prune: bool = True) -> None:
         self.registry = registry
         self.config = config
         self._rng = rng
+        self.prune = prune
+        #: The most recently opened session, live or closed (tests and
+        #: debugging read its ``cc``, ``workers`` and ``closed``).
+        self.last_session: Optional[StreamSession] = None
+
+    def open_session(self, env: Environment,
+                     base_state: Mapping[str, Any],
+                     default: Any = 0,
+                     record_history: bool = True) -> StreamSession:
+        """Open a :class:`~repro.ce.streaming.StreamSession`: the
+        open-ended admit/drain/close interface over one long-lived
+        controller and worker pool.
+
+        Pass ``record_history=False`` for sessions of unbounded lifetime
+        whose caller consumes each ``drain()`` result and never wants the
+        per-batch lists in ``close()``'s
+        :class:`~repro.ce.streaming.StreamResult` — retaining them would
+        grow with every batch served.
+        """
+        return StreamSession(self, env, base_state, default,
+                             record_history=record_history)
 
     def run_batch(self, env: Environment, transactions: List[Transaction],
                   base_state: Mapping[str, Any], default: Any = 0):
         """Start the batch as a process; its value is a :class:`BatchResult`.
 
+        The batch runs as a one-batch session: open, admit, drain, close.
         Usage from another process: ``result = yield runner.run_batch(...)``.
         Standalone: ``proc = runner.run_batch(...); env.run(); proc.value``.
         """
-        return env.process(self._run(env, list(transactions), base_state,
-                                     default))
+        return env.process(self._run_batch(env, list(transactions),
+                                           base_state, default))
+
+    def run_stream(self, env: Environment,
+                   batches: Iterable[List[Transaction]],
+                   base_state: Mapping[str, Any], default: Any = 0):
+        """Start the stream as a process; its value is a
+        :class:`~repro.ce.streaming.StreamResult`.
+
+        ``batches`` may be any iterable (including a generator producing
+        batches lazily); it is pulled one batch ahead of execution so the
+        next batch can be admitted into the graph while the current one
+        drains.
+        """
+        return env.process(self._run_stream(env, batches, base_state,
+                                            default))
 
     # ------------------------------------------------------------ internals
 
-    def _run(self, env: Environment, transactions: List[Transaction],
-             base_state: Mapping[str, Any], default: Any):
-        if not transactions:
-            stats = CCStats()
-            return BatchResult(committed=[], elapsed=0.0, started_at=env.now,
-                               finished_at=env.now, re_executions=0,
-                               latencies={}, stats=stats)
-        state = _RunState(env=env, total=len(transactions))
-        queue: Store = Store(env)
-        by_id: Dict[int, Transaction] = {}
-        for tx in transactions:
-            if tx.tx_id in by_id:
-                raise SerializationError(
-                    f"duplicate tx id {tx.tx_id} in batch")
-            by_id[tx.tx_id] = tx
-            queue.put(tx)
+    def _run_batch(self, env: Environment, transactions: List[Transaction],
+                   base_state: Mapping[str, Any], default: Any):
+        session = self.open_session(env, base_state, default)
+        session.admit(transactions)
+        result = yield session.drain()
+        session.close()
+        return result
 
-        def on_abort(tx_id: int) -> None:
-            # Cascade-aborted after finalization: nobody owns it; requeue.
-            if tx_id not in state.owned:
-                state.re_executions += 1
-                queue.put(by_id[tx_id])
+    def _run_stream(self, env: Environment,
+                    batches: Iterable[List[Transaction]],
+                    base_state: Mapping[str, Any], default: Any):
+        session = self.open_session(env, base_state, default)
+        source = iter(batches)
 
-        def on_commit(entry: CommittedTx) -> None:
-            state.latencies[entry.tx_id] = env.now - state.first_start.get(
-                entry.tx_id, state.started_at)
-            if cc.committed_count() >= state.total and not state.done.triggered:
-                state.done.succeed()
+        def admit_next() -> bool:
+            try:
+                transactions = list(next(source))
+            except StopIteration:
+                return False
+            session.admit(transactions)
+            return True
 
-        cc = ConcurrencyController(base_state, default=default,
-                                   on_abort=on_abort, on_commit=on_commit)
-        state.cc = cc
-        self.last_state = state  # exposed for tests / debugging
-        cc_gate = Gate(env)
-        workers = min(self.config.executors, len(transactions))
-        for _ in range(workers):
-            state.workers.append(
-                env.process(self._worker(env, queue, cc, cc_gate, state)))
-        state.started_at = env.now
-        yield state.done
-        # Wake every executor still blocked on queue.get() so the pool
-        # terminates cleanly: workers busy at done-time exit through the
-        # loop condition instead and leave their sentinel in the store.
-        for _ in range(workers):
-            queue.put(self._SHUTDOWN)
-        return BatchResult(
-            committed=cc.committed,
-            elapsed=env.now - state.started_at,
-            started_at=state.started_at,
-            finished_at=env.now,
-            re_executions=state.re_executions,
-            latencies=dict(state.latencies),
-            stats=cc.stats,
-            graph_nodes=len(cc.graph.nodes),
-        )
+        if admit_next():      # batch 0 dispatches immediately
+            admit_next()      # batch 1 rides admitted while 0 drains
+        while session.in_flight:
+            yield session.drain()
+            admit_next()
+        return session.close()
 
     def _worker(self, env: Environment, queue: Store,
-                cc: ConcurrencyController, cc_gate: Gate,
-                state: "_RunState"):
-        while not state.done.triggered:
+                cc: ConcurrencyController, cc_gate: Gate):
+        while True:
             item = yield queue.get()
             if item is self._SHUTDOWN:
                 return
-            yield from self._execute(env, item, cc, cc_gate, state)
+            tx, batch, node = item
+            yield from self._execute(env, tx, cc, cc_gate, batch, node)
 
     def _execute(self, env: Environment, tx: Transaction,
                  cc: ConcurrencyController, cc_gate: Gate,
-                 book, node=None):
+                 batch: _BatchState, node=None):
         """Drive one transaction to finalization, re-executing on aborts.
 
-        ``book`` is the mutable bookkeeping for the transaction's batch
-        (``owned`` / ``first_start`` / ``re_executions``) — the whole run's
-        :class:`_RunState` here, a per-batch state in the streaming runner.
-        ``node`` optionally carries a pre-begun first attempt (the
-        streaming runner admits a batch's nodes into the graph before its
-        operations are released).
+        ``batch`` is the bookkeeping of the transaction's batch (``owned``
+        / ``first_start`` / ``re_executions``).  ``node`` optionally
+        carries the first attempt's node, begun when the session admitted
+        the batch.
         """
         config = self.config
+        rng = self._rng
         body = self.registry.get(tx.contract)
         attempt = 0
         while True:
@@ -227,15 +259,15 @@ class CERunner:
                 raise SerializationError(
                     f"transaction {tx.tx_id} exceeded "
                     f"{config.max_attempts} attempts (livelock?)")
-            book.owned.add(tx.tx_id)
-            book.first_start.setdefault(tx.tx_id, env.now)
+            batch.owned.add(tx.tx_id)
+            batch.first_start.setdefault(tx.tx_id, env.now)
             if node is None:
                 node = cc.begin(tx.tx_id, now=env.now)
             generator = body(*tx.args)
             try:
                 op = next(generator)
                 while True:
-                    yield env.timeout(self._op_delay())
+                    yield env.timeout(op_delay(config, rng))
                     slot = cc_gate.hold(config.cc_cost)
                     yield slot
                     try:
@@ -260,50 +292,40 @@ class CERunner:
                     aborted_at_finish = True
                 finally:
                     cc_gate.done(slot)
-                book.owned.discard(tx.tx_id)
+                batch.owned.discard(tx.tx_id)
                 if aborted_at_finish:
-                    book.re_executions += 1
+                    batch.re_executions += 1
                     node = None
-                    yield env.timeout(self._backoff(attempt))
+                    yield env.timeout(backoff(config, rng, attempt))
                     continue
                 break
             except TransactionAborted:
-                book.owned.discard(tx.tx_id)
-                book.re_executions += 1
+                batch.owned.discard(tx.tx_id)
+                batch.re_executions += 1
                 node = None
-                yield env.timeout(self._backoff(attempt))
+                yield env.timeout(backoff(config, rng, attempt))
                 continue
 
-    def _op_delay(self) -> float:
-        jitter = self.config.jitter
-        if jitter == 0:
-            return self.config.op_cost
-        factor = 1.0 + self._rng.uniform(-jitter, jitter)
-        return self.config.op_cost * factor
-
-    def _backoff(self, attempt: int) -> float:
-        base = self.config.restart_delay * min(attempt, 8)
-        if self.config.jitter == 0:
-            return base
-        return base * (1.0 + self._rng.random())
-
-
-@dataclass
-class _RunState:
-    """Mutable bookkeeping shared between the pool's processes."""
-
-    env: Environment
-    total: int
-    started_at: float = 0.0
-    re_executions: int = 0
-    owned: set = field(default_factory=set)
-    first_start: Dict[int, float] = field(default_factory=dict)
-    latencies: Dict[int, float] = field(default_factory=dict)
-    cc: Optional[ConcurrencyController] = None
-    done: Any = None
-    #: Worker process handles; all of them are triggered (terminated) once
-    #: the batch completes and the shutdown sentinels have drained.
-    workers: List[Any] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.done = self.env.event()
+    @staticmethod
+    def _batch_result(env: Environment, cc: ConcurrencyController,
+                      batch: _BatchState, before: CCStats,
+                      after: CCStats) -> BatchResult:
+        """Package one completed batch: entries rebased to batch-local
+        order indexes, stats as the delta accumulated while the batch ran
+        (so a metrics layer folding per-batch stats never double-counts
+        the long-lived controller's cumulative counters).  At a boundary
+        the controller's harvest buffer holds exactly this batch's
+        commits."""
+        base = after.commits - batch.committed_count
+        committed = [replace(entry, order_index=entry.order_index - base)
+                     for entry in cc.harvest_committed()]
+        return BatchResult(
+            committed=committed,
+            elapsed=env.now - batch.started_at if batch.total else 0.0,
+            started_at=batch.started_at if batch.total else env.now,
+            finished_at=env.now,
+            re_executions=batch.re_executions,
+            latencies=dict(batch.latencies),
+            stats=after.delta(before),
+            graph_nodes=batch.graph_nodes_at_boundary,
+        )

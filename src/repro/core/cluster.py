@@ -58,11 +58,10 @@ class ClusterResult:
     #: volume on the reachability index, full rebuilds it paid, aborts
     #: absorbed by decremental repair (and the cone traffic / fallbacks
     #: those repairs cost), committed nodes pruned (with the boundary
-    #: passes that evicted them — nonzero only under ``engine=
-    #: "ce-streaming"``, whose long-lived sessions prune each round), and
-    #: the dependency graph's node high-water mark.  Per-round values are
-    #: boundary deltas, so long-lived session controllers are never
-    #: double-counted.
+    #: passes that evicted them: the CE engine's epoch sessions prune at
+    #: every round), and the dependency graph's node high-water mark.
+    #: Per-round values are boundary deltas, so long-lived session
+    #: controllers are never double-counted.
     cc_path_queries: int
     cc_index_rebuilds: int
     cc_index_repairs: int
@@ -74,9 +73,8 @@ class ClusterResult:
     #: Peak closure row width, in 64-bit words, the reachability index
     #: reached (0 for baseline engines that never ran a CE controller).
     cc_bitset_words: int
-    #: Scheduler events the run consumed — the per-round setup overhead
-    #: (worker spawn/teardown churn) shows up here, so engine comparisons
-    #: at identical committed schedules can quantify it deterministically.
+    #: Scheduler events the run consumed: a deterministic, machine-
+    #: independent measure of simulator work at a given schedule.
     events_processed: int
     metrics: MetricsCollector
     #: Shard-lane pipeline accounting (``shard_lanes=True``; all zero on

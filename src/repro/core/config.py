@@ -11,14 +11,12 @@ from repro.sim.network import LatencyModel
 
 #: The execution engines a shard proposer can preplay with (§12 compares
 #: Thunderbolt = "ce", Thunderbolt-OCC = "occ"; Tusk = "serial" executes
-#: post-order with no preplay at all).  "ce-streaming" is the CE engine
-#: behind a long-lived :class:`~repro.ce.streaming.StreamSession`: one
-#: dependency graph, closure index, and executor pool serve every preplay
-#: round of an epoch (torn down and rebuilt at reconfiguration), with
-#: committed-node pruning keeping the graph at ~2 rounds of nodes.  Its
-#: per-round committed orders and preplay entries are byte-identical to
-#: "ce".
-ENGINES = ("ce", "occ", "serial", "ce-streaming")
+#: post-order with no preplay at all).  "ce" runs every preplay round of
+#: an epoch through one :class:`~repro.ce.streaming.StreamSession`: one
+#: dependency graph, closure index, and executor pool, torn down and
+#: rebuilt at reconfiguration, with committed-node pruning keeping the
+#: graph at ~2 rounds of nodes.  "occ" runs each round on its own.
+ENGINES = ("ce", "occ", "serial")
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,7 @@ class ThunderboltConfig:
     demand_factor: int = 1
     #: Drain committed work through per-shard lanes
     #: (:class:`~repro.core.cross_shard.ShardLanePipeline`) instead of the
-    #: batch-synchronous cross-shard barrier.  CE engines only; off in
+    #: batch-synchronous cross-shard barrier.  CE engine only; off in
     #: every workload the end-to-end benchmark runs (Fig. 14's
     #: Thunderbolt-Piped series turns it on).
     shard_lanes: bool = False
@@ -90,6 +88,8 @@ class ThunderboltConfig:
             raise ConfigError(f"n_replicas must be >= 1: {self.n_replicas}")
         if self.batch_size < 0:
             raise ConfigError(f"batch_size must be >= 0: {self.batch_size}")
+        if self.engine == "ce-streaming":  # as benchmarks/e2e spells "ce"
+            object.__setattr__(self, "engine", "ce")
         if self.engine not in ENGINES:
             raise ConfigError(
                 f"engine must be one of {ENGINES}: {self.engine!r}")
@@ -99,7 +99,7 @@ class ThunderboltConfig:
             raise ConfigError(f"k_silent must be >= 1: {self.k_silent}")
         if self.k_prime is not None and self.k_prime <= self.k_silent:
             raise ConfigError("k_prime must exceed k_silent (K' > K, §6)")
-        if self.shard_lanes and self.engine not in ("ce", "ce-streaming"):
+        if self.shard_lanes and self.engine != "ce":
             raise ConfigError(
                 f"shard_lanes needs a CE engine, not {self.engine!r}")
 

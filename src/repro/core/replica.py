@@ -39,7 +39,6 @@ from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 from repro.baselines.occ import OCCRunner
 from repro.ce.controller import CommittedTx
 from repro.ce.runner import BatchResult, CERunner
-from repro.ce.streaming import StreamingRunner
 from repro.ce.validation import (estimate_validation_cost, reexecute_block,
                                  validate_block)
 from repro.contracts.contract import ContractRegistry
@@ -189,19 +188,13 @@ class Replica:
             return OCCRunner(self.registry, self.config.ce,
                              derive_rng(self._rng, 11))
         if self.config.engine == "ce":
-            return CERunner(self.registry, self.config.ce,
-                            derive_rng(self._rng, 12))
-        if self.config.engine == "ce-streaming":
-            # Same derived RNG stream as "ce", so the session path draws
-            # the identical jitter/backoff sequence and its preplay output
-            # stays byte-identical to the per-round run_batch path.
-            runner = StreamingRunner(self.registry, self.config.ce,
-                                     derive_rng(self._rng, 12))
+            runner = CERunner(self.registry, self.config.ce,
+                              derive_rng(self._rng, 12))
             self._session = self._open_session(runner)
             return runner
         return None  # "serial": no preplay engine (Tusk baseline)
 
-    def _open_session(self, runner: StreamingRunner):
+    def _open_session(self, runner: CERunner):
         """One epoch's execution session: a long-lived controller, graph,
         and worker pool every preplay round of the epoch runs through.
         The base handed over here is a placeholder — each round's admit
@@ -482,13 +475,14 @@ class Replica:
             base = OverlayView(self._overlay, self.store)
             self._preplaying_batch = batch
             if self._session is not None:
-                # One long-lived session per epoch: this round's batch is
-                # admitted against the round's overlay view and drained to
-                # its BatchResult, reusing the epoch's dependency graph,
-                # closure index, and executor pool across rounds.
+                # CE: one long-lived session per epoch.  This round's
+                # batch is admitted against the round's overlay view and
+                # drained to its BatchResult, reusing the epoch's
+                # dependency graph, closure index, and executor pool.
                 self._session.admit(batch, base_view=base)
                 result: BatchResult = yield self._session.drain()
             else:
+                # OCC: the per-round baseline (§12).
                 result = yield self._engine.run_batch(
                     self.env, batch, base)
             self._preplaying_batch = []
@@ -725,7 +719,7 @@ class Replica:
             pipeline.epoch_barrier(lambda e=epoch: self._on_epoch_drained(e))
         else:  # pragma: no cover - defensive
             # "serial" never reaches here: the pipeline is only attached
-            # for the ce/ce-streaming engines.
+            # for the ce engine.
             raise ConsensusError(f"unpipelineable execution item {kind!r}")
 
     def _on_epoch_drained(self, epoch: int) -> None:

@@ -1,18 +1,16 @@
-"""Hostile-world scenario matrix: adversary × engine × workload cells,
+"""Hostile-world scenario matrix: adversary × workload cells,
 each checked against the paper's safety invariants (ROADMAP item 4)."""
 
 from repro.scenarios.checker import SafetyChecker, SafetyReport
-from repro.scenarios.matrix import (DEFAULT_ENGINES, AdversaryCase,
-                                    CellResult, MatrixResult, Scenario,
-                                    WorkloadBundle, WorkloadCase,
-                                    build_matrix, default_adversaries,
-                                    default_workloads, run_matrix,
-                                    run_scenario)
+from repro.scenarios.matrix import (AdversaryCase, CellResult,
+                                    MatrixResult, Scenario, WorkloadBundle,
+                                    WorkloadCase, build_matrix,
+                                    default_adversaries, default_workloads,
+                                    run_matrix, run_scenario)
 
 __all__ = [
     "AdversaryCase",
     "CellResult",
-    "DEFAULT_ENGINES",
     "MatrixResult",
     "SafetyChecker",
     "SafetyReport",

@@ -1,7 +1,7 @@
 """The hostile-world scenario matrix.
 
-A :class:`Scenario` is one cell: an adversary behaviour × an engine × a
-workload shape × a seed, all run inside the deterministic DES by
+A :class:`Scenario` is one cell: an adversary behaviour × a workload
+shape × a seed, run on the CE engine inside the deterministic DES by
 :func:`run_scenario`.  :func:`run_matrix` executes a whole cross product
 and checks every cell against the safety invariants of
 :mod:`repro.scenarios.checker`, so "the protocol stays safe under faults"
@@ -35,10 +35,6 @@ from repro.workloads.shapes import (DiurnalLoad, FlashCrowd, MovingHotspot,
 from repro.workloads.smallbank_workload import (SmallBankWorkload,
                                                 WorkloadConfig)
 from repro.workloads.tpcc_lite import TPCCLiteConfig, TPCCLiteWorkload
-
-#: The engines every scenario must stay safe on (the baselines are
-#: exercised by the figure reproductions; the matrix targets the CE paths).
-DEFAULT_ENGINES: Tuple[str, ...] = ("ce", "ce-streaming")
 
 
 @dataclass(frozen=True)
@@ -79,10 +75,10 @@ class WorkloadCase:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One cell of the matrix."""
+    """One cell of the matrix, run on the CE engine (the baselines are
+    exercised by the figure reproductions)."""
 
     adversary: AdversaryCase
-    engine: str
     workload: WorkloadCase
     seed: int = 0
     n_replicas: int = 4
@@ -97,8 +93,8 @@ class Scenario:
     @property
     def name(self) -> str:
         suffix = "*lanes" if self.shard_lanes else ""
-        return (f"{self.adversary.name}*{self.engine}"
-                f"*{self.workload.name}*s{self.seed}{suffix}")
+        return (f"{self.adversary.name}*{self.workload.name}"
+                f"*s{self.seed}{suffix}")
 
 
 @dataclass
@@ -145,7 +141,7 @@ def run_scenario(scenario: Scenario) -> CellResult:
     bundle = scenario.workload.build(scenario)
     config = ThunderboltConfig(
         n_replicas=scenario.n_replicas, batch_size=scenario.batch_size,
-        engine=scenario.engine, seed=scenario.seed,
+        seed=scenario.seed,
         shard_lanes=scenario.shard_lanes)
     if scenario.adversary.config_overrides:
         config = config.with_changes(
@@ -164,31 +160,28 @@ def run_scenario(scenario: Scenario) -> CellResult:
 
 
 def build_matrix(adversaries: Optional[Sequence[AdversaryCase]] = None,
-                 engines: Sequence[str] = DEFAULT_ENGINES,
                  workloads: Optional[Sequence[WorkloadCase]] = None,
                  seeds: Sequence[int] = (0,),
                  **scenario_kwargs) -> List[Scenario]:
-    """The cross product adversaries × engines × workloads × seeds."""
+    """The cross product adversaries × workloads × seeds."""
     if adversaries is None:
         adversaries = default_adversaries()
     if workloads is None:
         workloads = default_workloads()
-    return [Scenario(adversary=adversary, engine=engine, workload=workload,
-                     seed=seed, **scenario_kwargs)
+    return [Scenario(adversary=adversary, workload=workload, seed=seed,
+                     **scenario_kwargs)
             for adversary in adversaries
-            for engine in engines
             for workload in workloads
             for seed in seeds]
 
 
 def run_matrix(adversaries: Optional[Sequence[AdversaryCase]] = None,
-               engines: Sequence[str] = DEFAULT_ENGINES,
                workloads: Optional[Sequence[WorkloadCase]] = None,
                seeds: Sequence[int] = (0,),
                **scenario_kwargs) -> MatrixResult:
     """Run the whole cross product; every cell gets its safety verdict."""
     matrix = MatrixResult()
-    for scenario in build_matrix(adversaries, engines, workloads, seeds,
+    for scenario in build_matrix(adversaries, workloads, seeds,
                                  **scenario_kwargs):
         matrix.cells.append(run_scenario(scenario))
     return matrix

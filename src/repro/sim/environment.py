@@ -41,7 +41,7 @@ class Environment:
         self._seq = count()
         self._active_process: Optional[Process] = None
         #: Events processed since construction.  Long-lived hosts (the
-        #: streaming runner, multi-batch clusters) report this as a proxy
+        #: execution sessions, multi-batch clusters) report this as a proxy
         #: for scheduler load: a healthy stream processes a flat number of
         #: events per batch instead of an ever-growing one.
         self.events_processed = 0

@@ -14,7 +14,7 @@ words, updated by the textbook unmasked operations.  Covered here:
   index;
 * bridge planning (``DependencyGraph._bridge_plan_from_index``) against
   the reference per-predecessor DFS under randomized churn; and
-* end-to-end fingerprints: ``engine="ce-streaming"`` cluster runs commit
+* end-to-end fingerprints: ``engine="ce"`` cluster runs commit
   their pinned logs, and the same logs with every row checked against
   the word layouts.
 """
@@ -254,7 +254,7 @@ def test_bridge_plan_falls_back_when_index_is_stale():
 
 # ------------------------------------------------------ cluster fingerprints
 
-#: Commit-log fingerprints of short ``ce-streaming`` cluster runs, taken
+#: Commit-log fingerprints of short ``ce`` cluster runs, taken
 #: before the closure rows moved into the graph and the controller's
 #: cohort rules began reading them; any schedule change moves them.
 STREAMING_FINGERPRINTS = {3: "d38b871232d2ced1", 11: "0bf632830f9a6060",
@@ -263,7 +263,6 @@ STREAMING_FINGERPRINTS = {3: "d38b871232d2ced1", 11: "0bf632830f9a6060",
 
 def streaming_digests(monkeypatch, backend, seed):
     config = ThunderboltConfig(n_replicas=4, batch_size=10, seed=seed,
-                               engine="ce-streaming",
                                ce=CEConfig(executors=8))
     with monkeypatch.context() as patch:
         patch.setattr(controller_module, "DependencyGraph",
@@ -288,7 +287,7 @@ def assert_fingerprints(monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", [3])
 def test_streaming_commit_logs_identical_across_backends(monkeypatch, seed):
-    """The acceptance fingerprint: a ``ce-streaming`` cluster run commits
+    """The acceptance fingerprint: a ``ce`` cluster run commits
     its pinned logs, and the same logs with every closure row checked
     against the word layouts."""
     assert_fingerprints(monkeypatch, seed)

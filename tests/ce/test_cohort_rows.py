@@ -22,7 +22,7 @@ import random
 import pytest
 
 from repro.ce import CEConfig, CERunner, ConcurrencyController
-from repro.ce import runner as runner_module
+from repro.ce import streaming as streaming_module
 from repro.ce.depgraph import DependencyGraph, EdgeKind, NodeStatus, TxNode
 from repro.contracts import default_registry, initial_state
 from repro.core.shards import ShardMap
@@ -327,7 +327,7 @@ def test_cohort_rows_match_point_queries_on_a_direct_schedule(seed):
 
 
 def run_batch(monkeypatch, controller_cls, seed, n_tx=60):
-    monkeypatch.setattr(runner_module, "ConcurrencyController",
+    monkeypatch.setattr(streaming_module, "ConcurrencyController",
                         controller_cls)
     workload = SmallBankWorkload(WorkloadConfig(accounts=8, theta=THETA),
                                  ShardMap(1), seed=seed)
@@ -336,18 +336,21 @@ def run_batch(monkeypatch, controller_cls, seed, n_tx=60):
     env = Environment()
     proc = runner.run_batch(env, workload.batch(n_tx), initial_state(8))
     env.run()
-    cc = runner.last_state.cc
+    cc = runner.last_session.cc
     assert isinstance(cc, controller_cls)
-    return cc.outcome(), proc.value.order, env.events_processed
+    # The session harvests the committed entries at the batch boundary,
+    # so the committed order and writes come from the batch result.
+    return (cc.outcome(), proc.value.order, proc.value.final_writes(),
+            env.events_processed)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_cohort_rows_match_point_queries_through_the_executor_pool(
         monkeypatch, seed):
-    outcome, order, events = run_batch(monkeypatch, RecordingController,
-                                       seed)
-    reference, ref_order, ref_events = run_batch(
+    outcome, order, writes, events = run_batch(
+        monkeypatch, RecordingController, seed)
+    reference, ref_order, ref_writes, ref_events = run_batch(
         monkeypatch, PointQueryController, seed)
     assert outcome == reference
-    assert (order, events) == (ref_order, ref_events)
+    assert (order, writes, events) == (ref_order, ref_writes, ref_events)
     assert len(reference["aborts"]) > 5, "storm did not materialize"

@@ -32,7 +32,7 @@ import random
 
 import pytest
 
-from repro.ce import CEConfig, CERunner, ConcurrencyController, StreamingRunner
+from repro.ce import CEConfig, CERunner, ConcurrencyController
 from repro.ce.depgraph import DependencyGraph, EdgeKind, NodeStatus, TxNode
 from repro.contracts import default_registry, initial_state
 from repro.contracts.contract import ContractRegistry
@@ -250,11 +250,11 @@ def test_executor_pool_abort_storm_rebuilds_collapse():
     proc = runner.run_batch(env, txs, ycsb_state(2))
     env.run()
     assert proc.triggered
-    stats = runner.last_state.cc.stats
+    stats = runner.last_session.cc.stats
     assert stats.aborts > 20, "storm did not materialize"
     assert stats.index_rebuilds <= 10
     assert stats.index_repairs >= stats.aborts - stats.repair_fallbacks - 10
-    assert runner.last_state.cc.committed_count() == n
+    assert stats.commits == len(proc.value.committed) == n
 
 
 # ------------------------------------------------------------- pruning interop
@@ -268,16 +268,14 @@ def test_streaming_prune_no_longer_rebuilds_every_boundary():
     Driven through one session with ``run_stream``'s one-batch-ahead
     admission (the graph holds ~2 batches at every boundary, the
     pipelined worst case), so the bitset width can be probed on the live
-    controller before close() clears ``last_cc``."""
+    controller before close()."""
     registry = default_registry()
     workload = SmallBankWorkload(
         WorkloadConfig(accounts=64, read_probability=0.5, theta=0.9),
         ShardMap(1), seed=7)
     batches = [workload.batch(25) for _ in range(8)]
     env = Environment()
-    runner = StreamingRunner(registry,
-                             CEConfig(executors=8),
-                             make_rng(7))
+    runner = CERunner(registry, CEConfig(executors=8), make_rng(7))
     session = runner.open_session(env, dict(initial_state(64)))
     session.admit(batches[0])
     session.admit(batches[1])
@@ -301,7 +299,7 @@ def test_streaming_prune_no_longer_rebuilds_every_boundary():
     assert stats.nodes_pruned == 8 * 25
     assert stats.index_rebuilds < len(batches), \
         "pruning still schedules a rebuild at every boundary"
-    assert runner.last_cc is None
+    assert runner.last_session.closed
 
 
 # ------------------------------------------------------------ counter plumbing

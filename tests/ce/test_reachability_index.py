@@ -309,14 +309,14 @@ def test_abort_storm_edges_bounded_and_acyclic():
     register_ycsb(registry)
     n = 120
     env = Environment()
-    runner = CERunner(registry,
-                      CEConfig(executors=16),
-                      make_rng(5))
+    # prune=False: the batch's whole graph stays for the checks below.
+    runner = CERunner(registry, CEConfig(executors=16), make_rng(5),
+                      prune=False)
     proc = runner.run_batch(env, rmw_txs(n, records=2), ycsb_state(2))
     env.run()
     assert proc.triggered
-    cc = runner.last_state.cc
-    assert cc.committed_count() == n
+    cc = runner.last_session.cc
+    assert cc.stats.commits == len(proc.value.committed) == n
     assert cc.stats.aborts > 20, "storm did not materialize"
     graph = cc.graph
     assert graph.is_acyclic()
@@ -400,7 +400,7 @@ def test_worker_processes_terminate_after_batch():
     proc = runner.run_batch(env, txs, initial_state(8))
     env.run()
     assert proc.triggered
-    workers = runner.last_state.workers
+    workers = runner.last_session.workers
     assert len(workers) == 8
     assert all(not worker.is_alive for worker in workers), \
         "idle workers left blocked on queue.get() after the batch"
@@ -419,6 +419,6 @@ def test_sequential_batches_on_one_environment():
         proc = runner.run_batch(env, txs, initial_state(8))
         env.run()
         assert proc.triggered and len(proc.value.committed) == 10
-        all_workers.extend(runner.last_state.workers)
+        all_workers.extend(runner.last_session.workers)
     assert len(all_workers) == 12
     assert all(not worker.is_alive for worker in all_workers)

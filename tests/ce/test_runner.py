@@ -1,13 +1,18 @@
 """Unit tests for the Concurrent Executor pool."""
 
+from itertools import product
+
 import pytest
 
 from repro.ce import CEConfig, CERunner
 from repro.contracts import (GET_BALANCE, SEND_PAYMENT, default_registry,
                              initial_state, run_inline)
+from repro.core.shards import ShardMap
+from repro.crypto.digest import digest_of
 from repro.errors import ConfigError
 from repro.sim import Environment, make_rng
 from repro.txn import Transaction
+from repro.workloads import SmallBankWorkload, WorkloadConfig
 
 
 def make_txs(n, accounts=8, seed=0, pr=0.5):
@@ -150,3 +155,34 @@ def test_money_conserved():
     final = dict(state)
     final.update(result.final_writes())
     assert sum(final.values()) == sum(state.values())
+
+
+#: Digest of ``sweep()`` recorded from the per-round runner (a fresh
+#: controller and worker pool per call) that ``run_batch`` was before it
+#: became a one-batch session.
+RUN_BATCH_PIN = "73550679760f6e4b8bfafc14ccaf2d34"
+
+
+def test_run_batch_sweep_is_pinned():
+    """Committed entries, latencies, re-executions, timing and graph size
+    over a seeded sweep — low and storm contention, one executor, more
+    executors than transactions, and empty batches — equal the pin."""
+    registry = default_registry()
+    rows = []
+    for theta, seed, executors, size in product((0.5, 0.99), range(3),
+                                                (1, 4, 64), (0, 3, 40)):
+        txs = SmallBankWorkload(WorkloadConfig(accounts=20, theta=theta),
+                                ShardMap(1), seed=seed).batch(size)
+        env = Environment()
+        runner = CERunner(registry, CEConfig(executors=executors),
+                          make_rng(seed))
+        proc = runner.run_batch(env, txs, initial_state(20))
+        env.run()
+        result = proc.value
+        rows.append([[[entry.tx_id, entry.order_index, entry.read_set,
+                       entry.write_set, entry.result, entry.attempts]
+                      for entry in result.committed],
+                     result.latencies, result.re_executions,
+                     result.started_at, result.finished_at, result.elapsed,
+                     result.graph_nodes])
+    assert digest_of(rows) == RUN_BATCH_PIN

@@ -1,11 +1,12 @@
-"""Tests for the streaming multi-batch runner and committed-node pruning.
+"""Tests for the execution session over batch streams and committed-node
+pruning.
 
-Two properties carry the feature:
+Two properties carry the session:
 
-* **Equivalence** — per-batch committed results from the streaming runner
-  are byte-identical to running the same batches through
-  ``CERunner.run_batch`` one at a time (same environment, same runner,
-  same RNG), with and without pruning.
+* **Invisible boundaries** — per-batch committed results of one session
+  serving a stream are byte-identical to running the same batches through
+  ``CERunner.run_batch`` one at a time, each a one-batch session (same
+  environment, same runner, same RNG), with and without pruning.
 * **Boundedness** — with pruning, the dependency graph's node count
   plateaus over a long stream instead of growing linearly.
 """
@@ -13,7 +14,7 @@ Two properties carry the feature:
 import pytest
 
 from repro.ce import (CCStats, CEConfig, CERunner, ConcurrencyController,
-                      NodeStatus, StreamingRunner)
+                      NodeStatus)
 from repro.contracts import default_registry, initial_state
 from repro.core.shards import ShardMap
 from repro.errors import SerializationError
@@ -50,8 +51,8 @@ def run_batch_at_a_time(registry, batches, base_state, seed, executors):
 def run_streaming(registry, batches, base_state, seed, executors,
                   prune=True):
     env = Environment()
-    runner = StreamingRunner(registry, CEConfig(executors=executors),
-                             make_rng(seed), prune=prune)
+    runner = CERunner(registry, CEConfig(executors=executors),
+                      make_rng(seed), prune=prune)
     proc = runner.run_stream(env, batches, dict(base_state))
     env.run()
     assert proc.triggered, "stream deadlocked"
@@ -254,8 +255,8 @@ def test_empty_stream_and_empty_batches():
 
 def make_session(seed=3, executors=4, accounts=64):
     env = Environment()
-    runner = StreamingRunner(default_registry(),
-                             CEConfig(executors=executors), make_rng(seed))
+    runner = CERunner(default_registry(), CEConfig(executors=executors),
+                      make_rng(seed))
     session = runner.open_session(env, dict(initial_state(accounts)))
     return env, runner, session
 
@@ -269,7 +270,7 @@ def test_session_admit_drain_matches_batch_at_a_time():
     state = initial_state(64)
     reference = run_batch_at_a_time(registry, batches, state, 2, 8)
     env = Environment()
-    runner = StreamingRunner(registry, CEConfig(executors=8), make_rng(2))
+    runner = CERunner(registry, CEConfig(executors=8), make_rng(2))
     session = runner.open_session(env, dict(state))
     results = []
 
@@ -322,7 +323,7 @@ def test_session_base_view_switching_matches_fresh_state():
 
     # Session: same evolution, but every batch through one controller.
     env = Environment()
-    runner = StreamingRunner(registry, CEConfig(executors=8), make_rng(6))
+    runner = CERunner(registry, CEConfig(executors=8), make_rng(6))
     session = runner.open_session(env, dict(state0))
     state = dict(state0)
     results = []
@@ -361,8 +362,8 @@ def test_session_base_view_requires_pruning():
     rejected at the admit call site instead of exploding inside a later
     drain process."""
     env = Environment()
-    runner = StreamingRunner(default_registry(), CEConfig(executors=2),
-                             make_rng(0), prune=False)
+    runner = CERunner(default_registry(), CEConfig(executors=2),
+                      make_rng(0), prune=False)
     session = runner.open_session(env, dict(initial_state(8)))
     (batch,) = smallbank_batches(0, n_batches=1, batch_size=5)
     with pytest.raises(SerializationError):
@@ -370,12 +371,12 @@ def test_session_base_view_requires_pruning():
     session.abort()
 
 
-def test_rebase_failure_detaches_session_and_resets_last_cc():
+def test_rebase_failure_closes_the_session():
     """A rebase that explodes at dispatch time (a record-holding node the
     boundary prune could not evict) must not leave a half-dead session
-    behind: the session closes, ``runner.last_cc`` drops its pointer —
-    it resets at close/abort, and a failed rebase is the same death —
-    and the idle worker pool is shut down instead of parking forever."""
+    behind: the session closes (``runner.last_session`` reads as closed,
+    as after close/abort — a failed rebase is the same death) and the
+    idle worker pool is shut down instead of parking forever."""
     env, runner, session = make_session()
     # A record-holding node the session does not know about, standing in
     # for any bug that leaves the graph non-quiescent at a rebase.
@@ -385,7 +386,7 @@ def test_rebase_failure_detaches_session_and_resets_last_cc():
     with pytest.raises(SerializationError):
         session.admit(batch, base_view=dict(initial_state(64)))
     assert session.closed
-    assert runner.last_cc is None
+    assert runner.last_session is session
     env.run()
     assert all(not worker.is_alive for worker in session.workers)
 
@@ -412,7 +413,7 @@ def test_session_without_history_recording_stays_lean():
     registry = default_registry()
     batches = smallbank_batches(4, n_batches=5, batch_size=10)
     env = Environment()
-    runner = StreamingRunner(registry, CEConfig(executors=4), make_rng(4))
+    runner = CERunner(registry, CEConfig(executors=4), make_rng(4))
     session = runner.open_session(env, dict(initial_state(64)),
                                   record_history=False)
     for batch in batches:
@@ -447,15 +448,15 @@ def test_session_lifecycle_errors():
 
 def test_session_abort_mid_drain_leaves_no_orphans():
     """An abort while a batch drains: the batch finishes in the background
-    (RNG parity with the per-round engine's doomed ``run_batch``), the
-    drain then wakes with ``None``, every worker shuts down, and the
-    runner's ``last_cc`` is cleared; a fresh session on the same runner
+    (its RNG draws belong to the seeded schedule), the drain then wakes
+    with ``None``, every worker shuts down, and the runner's
+    ``last_session`` reads as closed; a fresh session on the same runner
     starts from a clean graph."""
     registry = default_registry()
     batches = smallbank_batches(9, n_batches=2, batch_size=40,
                                 theta=0.99)
     env = Environment()
-    runner = StreamingRunner(registry, CEConfig(executors=8), make_rng(9))
+    runner = CERunner(registry, CEConfig(executors=8), make_rng(9))
     session = runner.open_session(env, dict(initial_state(64)))
     session.admit(batches[0])
     session.admit(batches[1])                # pending, pre-admitted nodes
@@ -472,11 +473,11 @@ def test_session_abort_mid_drain_leaves_no_orphans():
     assert proc.value is None                # no result for a dead epoch
     assert session.closed
     # The dispatched batch ran to completion in the background — that is
-    # what keeps the shared engine RNG in lockstep with the per-round
-    # path — while the never-dispatched batch stayed off the pool.
+    # what keeps the shared engine RNG on the seeded schedule — while the
+    # never-dispatched batch stayed off the pool.
     assert session.cc.stats.commits == len(batches[0])
     assert all(not worker.is_alive for worker in session.workers)
-    assert runner.last_cc is None
+    assert runner.last_session.closed
     # The next session is clean and fully functional.
     fresh = runner.open_session(env, dict(initial_state(64)))
     assert len(fresh.cc.graph.nodes) == 0
@@ -490,25 +491,24 @@ def test_session_abort_mid_drain_leaves_no_orphans():
 def test_abort_mid_preplay_preserves_engine_rng_lockstep():
     """The divergence hazard the orphan semantics exist for: interrupt a
     session mid-batch, then run a second batch through a *new* session of
-    the same runner — the second batch's schedule must equal what the
-    per-round engine produces when its first batch is doomed the same
-    way (its run_batch also runs to completion, consuming the same RNG
-    draws before round two starts)."""
+    the same runner — the second batch's schedule must equal what it is
+    when the first batch instead runs to completion through ``run_batch``
+    (the orphan consumes the same RNG draws before round two starts)."""
     registry = default_registry()
     batches = smallbank_batches(12, n_batches=2, batch_size=30, theta=0.95)
 
-    # Reference: per-round engine; batch 0's result is simply discarded
+    # Reference: two one-batch runs; batch 0's result is simply discarded
     # (the replica's epoch check), batch 1 runs afterwards.
     env = Environment()
-    per_round = CERunner(registry, CEConfig(executors=8), make_rng(12))
-    per_round.run_batch(env, batches[0], dict(initial_state(64)))
+    reference = CERunner(registry, CEConfig(executors=8), make_rng(12))
+    reference.run_batch(env, batches[0], dict(initial_state(64)))
     env.run()
-    ref = per_round.run_batch(env, batches[1], dict(initial_state(64)))
+    ref = reference.run_batch(env, batches[1], dict(initial_state(64)))
     env.run()
 
     # Session path: abort mid-batch-0, fresh session for batch 1.
     env = Environment()
-    runner = StreamingRunner(registry, CEConfig(executors=8), make_rng(12))
+    runner = CERunner(registry, CEConfig(executors=8), make_rng(12))
     session = runner.open_session(env, dict(initial_state(64)))
     session.admit(batches[0])
     proc = session.drain()
@@ -536,7 +536,7 @@ def test_session_abort_idle_is_clean_and_idempotent():
     session.abort()                          # idempotent
     env.run()
     assert all(not worker.is_alive for worker in session.workers)
-    assert runner.last_cc is None
+    assert runner.last_session.closed
 
 
 def test_ccstats_snapshot_and_delta():
@@ -565,7 +565,7 @@ def test_duplicate_ids_in_stream_window_rejected():
     registry = default_registry()
     (batch,) = smallbank_batches(0, n_batches=1, batch_size=5)
     env = Environment()
-    runner = StreamingRunner(registry, CEConfig(executors=2), make_rng(0))
+    runner = CERunner(registry, CEConfig(executors=2), make_rng(0))
     runner.run_stream(env, [batch, batch], initial_state(64))
     with pytest.raises(SerializationError):
         env.run()
@@ -573,13 +573,13 @@ def test_duplicate_ids_in_stream_window_rejected():
 
 def test_stream_reports_bounded_controller_buffers():
     """The controller's committed buffer and attempt map are drained per
-    batch, so a long stream doesn't accumulate them — and ``last_cc`` is
-    cleared at session close so post-run reads can't mistake the dead
-    controller's counters for live ones."""
+    batch, so a long stream doesn't accumulate them — and the runner's
+    ``last_session`` reads as closed after close(), so post-run reads
+    can't mistake the dead controller's counters for live ones."""
     registry = default_registry()
     batches = smallbank_batches(3, n_batches=6, batch_size=15)
     env = Environment()
-    runner = StreamingRunner(registry, CEConfig(executors=4), make_rng(3))
+    runner = CERunner(registry, CEConfig(executors=4), make_rng(3))
     session = runner.open_session(env, dict(initial_state(64)))
     for batch in batches:
         session.admit(batch)
@@ -587,9 +587,9 @@ def test_stream_reports_bounded_controller_buffers():
         env.run()
         assert proc.value is not None
     cc = session.cc
-    assert runner.last_cc is cc  # live while the session is open
+    assert runner.last_session is session and not session.closed
     assert cc.committed == []
     assert cc._attempts == {}
     assert len(cc.graph.nodes) == 0
     session.close()
-    assert runner.last_cc is None  # staleness guard after teardown
+    assert runner.last_session.closed  # staleness guard after teardown

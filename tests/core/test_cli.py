@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.core.config import ENGINES
 
 
 def test_parser_defaults():
@@ -15,6 +16,13 @@ def test_parser_defaults():
 def test_parser_rejects_bad_engine():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--engine", "magic"])
+
+
+def test_parser_offers_only_the_three_engines():
+    assert ENGINES == ("ce", "occ", "serial")
+    (action,) = [action for action in build_parser()._actions
+                 if action.dest == "engine"]
+    assert tuple(action.choices) == ENGINES
 
 
 def test_crash_validation():

@@ -23,6 +23,23 @@ def test_engine_validation():
         ThunderboltConfig(engine="magic")
 
 
+def test_ce_streaming_spelling_maps_to_ce():
+    """The end-to-end benchmark's workloads still spell the CE engine
+    "ce-streaming"; that one spelling maps to "ce", lanes included."""
+    assert ThunderboltConfig(engine="ce-streaming").engine == "ce"
+    assert ThunderboltConfig(engine="ce-streaming",
+                             shard_lanes=True).engine == "ce"
+    assert ThunderboltConfig().with_changes(
+        engine="ce-streaming").engine == "ce"
+
+
+@pytest.mark.parametrize("engine", ["streaming", "ce_streaming", "CE",
+                                    "ce-streaming ", ""])
+def test_other_unknown_engines_still_raise(engine):
+    with pytest.raises(ConfigError):
+        ThunderboltConfig(engine=engine)
+
+
 def test_replica_count_validation():
     with pytest.raises(ConfigError):
         ThunderboltConfig(n_replicas=0)

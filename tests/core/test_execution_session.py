@@ -1,14 +1,13 @@
-"""The replica execution session (``engine="ce-streaming"``).
+"""The replica execution session (the ``ce`` engine).
 
-Under ``ce-streaming`` a replica runs every preplay round of an epoch
-through one long-lived :class:`~repro.ce.streaming.StreamSession` —
-one dependency graph, closure index, and executor pool — instead of a
-throwaway ``run_batch`` call per round.  Three properties carry the mode:
+A replica runs every preplay round of an epoch through one long-lived
+:class:`~repro.ce.streaming.StreamSession` — one dependency graph,
+closure index, and executor pool.  Three properties carry the engine:
 
-* **Equivalence** — per-round committed orders and preplay entries (and
-  hence every block digest and the whole commit log) are byte-identical
-  to the ``engine="ce"`` per-round path, across seeds, executor counts,
-  and reconfigurations.
+* **Pinned schedules** — commit logs and counts equal the fingerprints
+  the per-round runner (a fresh controller and pool every round, since
+  deleted) recorded for the same seeds, across executor counts,
+  reconfigurations, a mid-drain crash and a mid-run censorship window.
 * **Boundedness** — boundary pruning keeps the session graph at round
   scale for the whole epoch; the peak never grows with round count.
 * **Teardown** — ``_reconfigure`` aborts the epoch's session (even
@@ -21,69 +20,77 @@ import pytest
 from repro.contracts import ReplayMemo, default_registry, initial_state
 from repro.core import ThunderboltConfig
 from repro.core.cluster import Cluster
-from repro.core.config import ENGINES
 from repro.core.replica import Replica
 from repro.core.shards import ShardMap
+from repro.crypto.digest import digest_of
 from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.metrics.collector import MetricsCollector
 from repro.sim import Environment, LatencyModel, Network, make_rng
 from repro.workloads import SmallBankWorkload, WorkloadConfig
 
 
-def run_cluster(engine, seed, duration, executors=16, **config_kwargs):
+def run_cluster(seed, duration, executors=16, install=None, drain=0.0,
+                **config_kwargs):
+    """Run a small cluster; ``install(cluster)`` may plant a fault
+    schedule first."""
     from repro.ce.runner import CEConfig
     config = ThunderboltConfig(n_replicas=4, batch_size=10, seed=seed,
-                               engine=engine,
                                ce=CEConfig(executors=executors),
                                **config_kwargs)
     cluster = Cluster(config, WorkloadConfig(accounts=200,
                                              cross_shard_ratio=0.1))
-    result = cluster.run(duration)
+    if install is not None:
+        install(cluster)
+    result = cluster.run(duration, drain=drain)
     digests = tuple(tuple(r.commit_log.digests()) for r in cluster.replicas)
     return result, digests, cluster
 
 
-# ---------------------------------------------------------------- equivalence
+def pinned(result, digests):
+    """What each pin holds: the commit-log fingerprint of every replica
+    and the counts the schedule determines."""
+    return (digest_of([list(log) for log in digests]), result.executed,
+            result.re_executions, result.ce_peak_graph_nodes,
+            result.reconfigurations)
 
-def test_ce_streaming_is_a_registered_engine():
-    assert "ce-streaming" in ENGINES
 
+#: case -> (fingerprint, executed, re_executions, ce_peak_graph_nodes,
+#: reconfigurations), recorded from the per-round runner.
+PINS = {
+    "executors-4": ("0383ea5bdad43824c81f72a6da507275", 455, 7, 50, 0),
+    "executors-16": ("487294cabca4619ab40609d0469f89b8", 455, 44, 50, 0),
+    "reconfig-6": ("1543107f286b5245f3341d97be84eec2", 7021, 2143, 50, 66),
+    "reconfig-14": ("ebc7fc9e0e0e697e3d499cbbb1e63229", 6968, 2138, 50, 68),
+    "reconfig-33": ("9b8a2b0cf2ebb8c9b54398ea8b7b8ebc", 6941, 2049, 50, 68),
+    "mid-drain-crash": ("1954cf4105d0235bf7393cd9e536f690", 2077, 279, 50,
+                        18),
+    "mid-run-censorship": ("c852c771aa3bf950445c6219e8837911", 5415, 1342,
+                           50, 12),
+}
+
+
+# ------------------------------------------------------------ pinned schedules
 
 @pytest.mark.parametrize("executors", [4, 16])
 def test_streaming_session_matches_per_round_engine(executors):
-    """Same seed, same workload: the session path's commit logs are
-    digest-identical to the per-round ``run_batch`` path — the digests
-    cover every block's preplay entries and committed orders."""
-    reference, ref_digests, _ = run_cluster("ce", 13, 0.2,
-                                            executors=executors)
-    streamed, digests, _ = run_cluster("ce-streaming", 13, 0.2,
-                                       executors=executors)
-    assert digests == ref_digests
-    assert streamed.executed == reference.executed
-    assert streamed.re_executions == reference.re_executions
-    assert streamed.ce_peak_graph_nodes == reference.ce_peak_graph_nodes
-    # The whole point: rounds reuse one graph/pool, so the session path
-    # pays strictly fewer scheduler events for the identical schedule.
-    assert streamed.events_processed < reference.events_processed
-    # And the reuse is visible in the pruning counters.
-    assert streamed.cc_prune_passes > 0
-    assert reference.cc_prune_passes == 0
+    """Same seed, same workload: the session's commit logs — which cover
+    every block's preplay entries and committed orders — and counts are
+    the per-round runner's."""
+    result, digests, _ = run_cluster(13, 0.2, executors=executors)
+    assert pinned(result, digests) == PINS[f"executors-{executors}"]
+    # Rounds reuse one graph and pool, pruned at every boundary.
+    assert result.cc_prune_passes > 0
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [6, 14, 33])
 def test_streaming_session_matches_through_reconfigurations(seed):
-    """Byte-identity holds across epoch transitions: every reconfiguration
-    tears the session down and the rebuilt one continues the identical
+    """The pins hold across epoch transitions: every reconfiguration
+    tears the session down and the rebuilt one continues the pinned
     schedule."""
-    reference, ref_digests, _ = run_cluster("ce", seed, 0.8,
-                                            k_prime=15, k_silent=10)
-    streamed, digests, _ = run_cluster("ce-streaming", seed, 0.8,
-                                       k_prime=15, k_silent=10)
-    assert reference.reconfigurations >= 1
-    assert streamed.reconfigurations == reference.reconfigurations
-    assert digests == ref_digests
-    assert streamed.executed == reference.executed
+    result, digests, _ = run_cluster(seed, 0.8, k_prime=15, k_silent=10)
+    assert result.reconfigurations >= 1
+    assert pinned(result, digests) == PINS[f"reconfig-{seed}"]
 
 
 # --------------------------------------------------------------- boundedness
@@ -93,7 +100,7 @@ def test_session_graph_stays_bounded_across_rounds():
     session graph's high-water mark stays at single-round scale — the
     epoch-long graph never accumulates round history."""
     config_cap = 10 * 5  # batch_size * max_batch_factor (one round's cap)
-    result, _, cluster = run_cluster("ce-streaming", 7, 0.2)
+    result, _, cluster = run_cluster(7, 0.2)
     assert result.cc_prune_passes >= 3, "run too short to cover 3 rounds"
     assert result.cc_nodes_pruned > 0
     assert result.ce_peak_graph_nodes <= config_cap
@@ -107,8 +114,7 @@ def test_session_graph_stays_bounded_across_rounds():
 # ------------------------------------------------------------------ teardown
 
 def make_replica(replica_id=0, n=4, **config_kwargs):
-    defaults = dict(n_replicas=n, batch_size=10, seed=1,
-                    engine="ce-streaming")
+    defaults = dict(n_replicas=n, batch_size=10, seed=1)
     defaults.update(config_kwargs)
     config = ThunderboltConfig(**defaults)
     env = Environment()
@@ -161,56 +167,38 @@ def test_reconfigure_mid_drain_tears_down_and_rebuilds():
 
 # ------------------------------------------------------- mid-run faults
 
-def run_faulted_cluster(engine, install, seed=21, duration=0.3):
-    """Build a cluster, let ``install(cluster)`` plant a fault schedule,
-    then run — so both engines see the identical hostile timeline."""
-    from repro.ce.runner import CEConfig
-    config = ThunderboltConfig(n_replicas=4, batch_size=10, seed=seed,
-                               engine=engine, ce=CEConfig(executors=16),
-                               k_silent=4, leader_timeout=0.01)
-    cluster = Cluster(config, WorkloadConfig(accounts=200,
-                                             cross_shard_ratio=0.1))
-    install(cluster)
-    result = cluster.run(duration, drain=0.1)
-    digests = tuple(tuple(r.commit_log.digests()) for r in cluster.replicas)
-    return result, digests, cluster
+def run_faulted_cluster(install, duration=0.3):
+    return run_cluster(21, duration, install=install, drain=0.1,
+                       k_silent=4, leader_timeout=0.01)
 
 
 def test_streaming_matches_per_round_under_mid_drain_crash():
     """A replica crash-stopped mid-run (timed to land inside a preplay
-    drain) leaves the streaming engine digest-identical to ``ce`` — an
-    aborted session must not perturb the committed schedule."""
+    drain) leaves the pinned schedule in place — an aborted session must
+    not perturb what commits."""
     from repro.adversary import schedule_crashes
 
     def crash(cluster):
         schedule_crashes(cluster, [3], at=0.11)
 
-    reference, ref_digests, _ = run_faulted_cluster("ce", crash)
-    streamed, digests, cluster = run_faulted_cluster("ce-streaming", crash)
+    result, digests, cluster = run_faulted_cluster(crash)
     assert cluster.replicas[3].crashed
-    assert digests == ref_digests
-    assert streamed.executed == reference.executed
-    assert streamed.executed > 0
+    assert pinned(result, digests) == PINS["mid-drain-crash"]
     assert cluster.logs_prefix_consistent()
 
 
 def test_streaming_matches_per_round_under_mid_run_censorship():
     """A censorship window opening and closing mid-run (forcing a
-    Shift-block reconfiguration that tears sessions down) keeps the two
-    engines digest-identical."""
+    Shift-block reconfiguration that tears sessions down) keeps the
+    pinned schedule."""
     from repro.adversary import Censorship
 
     def censor(cluster):
         cluster.install(Censorship([1], start=0.08, end=0.2))
 
-    reference, ref_digests, _ = run_faulted_cluster("ce", censor,
-                                                    duration=0.4)
-    streamed, digests, cluster = run_faulted_cluster("ce-streaming", censor,
-                                                     duration=0.4)
-    assert streamed.reconfigurations >= 1
-    assert streamed.reconfigurations == reference.reconfigurations
-    assert digests == ref_digests
-    assert streamed.executed == reference.executed
+    result, digests, cluster = run_faulted_cluster(censor, duration=0.4)
+    assert result.reconfigurations >= 1
+    assert pinned(result, digests) == PINS["mid-run-censorship"]
     assert cluster.logs_prefix_consistent()
 
 
@@ -227,8 +215,7 @@ def test_cluster_reconfigurations_orphan_no_workers(monkeypatch):
         return session
 
     monkeypatch.setattr(Replica, "_open_session", tracking)
-    result, _, cluster = run_cluster("ce-streaming", 6, 0.8,
-                                     k_prime=15, k_silent=10)
+    result, _, cluster = run_cluster(6, 0.8, k_prime=15, k_silent=10)
     assert result.reconfigurations >= 1
     live = {r._session for r in cluster.replicas}
     superseded = [s for s in sessions if s not in live]

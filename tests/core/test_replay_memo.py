@@ -220,15 +220,15 @@ def watch_memo(monkeypatch):
     return seen
 
 
-def run_cell(adversary, engine="ce-streaming"):
+def run_cell(adversary):
     """One cell of the hostile-world matrix, built as ``run_scenario``
     builds it, but handing back the cluster."""
-    scenario = Scenario(adversary=ADVERSARIES[adversary], engine=engine,
+    scenario = Scenario(adversary=ADVERSARIES[adversary],
                         workload=SMALLBANK_FLASH, duration=0.2, drain=0.08)
     bundle = scenario.workload.build(scenario)
     config = ThunderboltConfig(
         n_replicas=scenario.n_replicas, batch_size=scenario.batch_size,
-        engine=engine, seed=scenario.seed,
+        seed=scenario.seed,
         **dict(scenario.adversary.config_overrides))
     cluster = Cluster(config, bundle.workload_config,
                       initial_state=bundle.initial_state,
@@ -248,23 +248,22 @@ def decided(cluster):
 
 
 @pytest.mark.parametrize("adversary", ["partition-heal", "shard-split-heal"])
-@pytest.mark.parametrize("engine", ["ce", "ce-streaming"])
 def test_replicas_arriving_after_the_eviction_recompute_and_converge(
-        adversary, engine, monkeypatch):
+        adversary, monkeypatch):
     """With room for one entry, a replica that trails its neighbours by a
     single work item finds the entry gone.  It recomputes; nothing that
     the cluster decides moves, against the memo at its size and against no
     memo at all."""
-    reference, full = run_cell(adversary, engine)
+    reference, full = run_cell(adversary)
     assert full.replays_reused > 0
     monkeypatch.setattr(replay_module, "MEMO_ENTRIES", 1)
-    starved, tight = run_cell(adversary, engine)
+    starved, tight = run_cell(adversary)
     assert tight.replays_executed > full.replays_executed     # misses,
     assert tight.replays_reused > 0                           # not only
     assert tight.replays_executed + tight.replays_reused == \
         full.replays_executed + full.replays_reused
     monkeypatch.setattr(replay_module, "MEMO_ENTRIES", 0)
-    unmemoised, none = run_cell(adversary, engine)
+    unmemoised, none = run_cell(adversary)
     assert none.replays_reused == 0
     assert decided(starved) == decided(reference) == decided(unmemoised)
     assert tight.events_processed == full.events_processed \
@@ -276,8 +275,7 @@ def test_the_bound_holds_through_rotations_and_a_crash(monkeypatch):
     replica 3 crashed a third in."""
     seen = watch_memo(monkeypatch)
     cluster = Cluster(
-        ThunderboltConfig(n_replicas=4, engine="ce-streaming", batch_size=50,
-                          k_prime=20, seed=1),
+        ThunderboltConfig(n_replicas=4, batch_size=50, k_prime=20, seed=1),
         WorkloadConfig(accounts=200), crash_replicas=(3,), crash_at=0.2 / 3)
     result = cluster.run(0.2, drain=0.06)
     assert result.reconfigurations >= 2

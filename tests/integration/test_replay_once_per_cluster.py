@@ -33,7 +33,7 @@ SHAPES = {
         "7ed37f8a215ce2b6e3c1dcf7f16a9c37",
         "94d863f12505d78776ff8f9ee7e1b656"),
     "cross_shard": (
-        dict(n_replicas=8, engine="ce-streaming", batch_size=50),
+        dict(n_replicas=8, engine="ce", batch_size=50),
         dict(accounts=400, cross_shard_ratio=0.6), 0.006, 0.3, 1016,
         "c4a8c5f9e15ae08760e0b5a7b37520f1",
         "e1a359880223136f7e98af6345a3654b"),

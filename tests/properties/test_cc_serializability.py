@@ -115,13 +115,14 @@ def test_ce_graph_ends_acyclic_and_all_committed(workload):
     accounts, txs, seed, executors = workload
     state = initial_state(accounts)
     env = Environment()
+    # prune=False: the batch's whole graph stays for the checks below.
     runner = CERunner(REGISTRY, CEConfig(executors=executors),
-                      make_rng(seed ^ 0xACE))
+                      make_rng(seed ^ 0xACE), prune=False)
     proc = runner.run_batch(env, txs, state)
     env.run()
-    cc = runner.last_state.cc
+    cc = runner.last_session.cc
     assert cc.graph.is_acyclic()
-    assert cc.committed_count() == len(txs)
+    assert cc.stats.commits == len(proc.value.committed) == len(txs)
     # order indexes are a permutation
-    orders = [entry.order_index for entry in cc.committed]
+    orders = [entry.order_index for entry in proc.value.committed]
     assert sorted(orders) == list(range(len(txs)))

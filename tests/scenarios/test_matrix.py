@@ -1,7 +1,7 @@
 """The hostile-world scenario matrix (ROADMAP item 4).
 
-Fast lane: a reduced matrix (three adversaries × one engine × two
-workload families) plus targeted cells — under 30 s wall clock.  Slow
+Fast lane: a reduced matrix (three adversaries × two workload
+families) plus targeted cells — under 30 s wall clock.  Slow
 lane: the full default cross product, run twice to pin bit-identical
 commit digests per seed, with the per-cell counters the ISSUE's
 acceptance criteria name.
@@ -9,33 +9,28 @@ acceptance criteria name.
 
 import pytest
 
-from repro.scenarios import (DEFAULT_ENGINES, Scenario, build_matrix,
-                             default_adversaries, default_workloads,
-                             run_matrix, run_scenario)
+from repro.scenarios import (Scenario, build_matrix, default_adversaries,
+                             default_workloads, run_matrix, run_scenario)
 
 ADVERSARIES = {case.name: case for case in default_adversaries()}
 WORKLOADS = {case.name: case for case in default_workloads()}
 
 #: Reduced axes for the CI smoke: the three most failure-prone
-#: adversaries, the streaming engine, one shaped and one multi-key
-#: workload, short cells.
+#: adversaries, one shaped and one multi-key workload, short cells.
 SMOKE_KWARGS = dict(
     adversaries=[ADVERSARIES["crash"], ADVERSARIES["partition-heal"],
                  ADVERSARIES["byzantine-exec"]],
-    engines=("ce-streaming",),
     workloads=[WORKLOADS["smallbank-flash"], WORKLOADS["tpcc-lite"]],
     duration=0.15, drain=0.06,
 )
 
 
 def test_default_catalog_meets_matrix_floor():
-    """The acceptance floor: >= 3 adversaries x 2 engines x >= 3 workload
-    shapes."""
+    """The acceptance floor: >= 3 adversaries x >= 3 workload shapes."""
     assert len(default_adversaries()) >= 3
-    assert len(DEFAULT_ENGINES) == 2
     assert len(default_workloads()) >= 3
     matrix = build_matrix()
-    assert len(matrix) == (len(default_adversaries()) * 2
+    assert len(matrix) == (len(default_adversaries())
                            * len(default_workloads()))
     assert len({scenario.name for scenario in matrix}) == len(matrix)
 
@@ -58,7 +53,6 @@ def test_byzantine_cell_rejects_and_reexecutes():
     """The Byzantine-executor cell shows >= 1 validation rejection followed
     by deterministic re-execution — and still converges."""
     scenario = Scenario(adversary=ADVERSARIES["byzantine-exec"],
-                        engine="ce-streaming",
                         workload=WORKLOADS["tpcc-lite"],
                         duration=0.15, drain=0.06)
     cell = run_scenario(scenario)
@@ -74,25 +68,13 @@ def test_byzantine_cell_rejects_and_reexecutes():
 def test_cell_is_seed_stable(adversary):
     """A cell rerun with the same seed is bit-identical down to every
     replica's commit digests (determinism stays a tested feature)."""
-    scenario = Scenario(adversary=ADVERSARIES[adversary], engine="ce",
+    scenario = Scenario(adversary=ADVERSARIES[adversary],
                         workload=WORKLOADS["smallbank-hotspot"],
                         duration=0.15, drain=0.06, seed=3)
     first = run_scenario(scenario)
     second = run_scenario(scenario)
     assert first.digests == second.digests
     assert first.result.executed == second.result.executed
-
-
-def test_engines_agree_under_byzantine_fault():
-    """ce and ce-streaming commit digest-identical logs even while
-    rejecting and re-executing forged preplay blocks."""
-    cells = {}
-    for engine in DEFAULT_ENGINES:
-        cells[engine] = run_scenario(Scenario(
-            adversary=ADVERSARIES["byzantine-exec"], engine=engine,
-            workload=WORKLOADS["smallbank-flash"],
-            duration=0.15, drain=0.06))
-    assert cells["ce"].digests == cells["ce-streaming"].digests
 
 
 @pytest.mark.parametrize("adversary", ["crash", "byzantine-exec"])
@@ -103,10 +85,10 @@ def test_lane_cells_pass_oracle_under_adversaries(adversary):
     dispatch order — the commit-log digests match the lanes-off cell bit
     for bit."""
     plain = run_scenario(Scenario(
-        adversary=ADVERSARIES[adversary], engine="ce-streaming",
+        adversary=ADVERSARIES[adversary],
         workload=WORKLOADS["smallbank-flash"], duration=0.15, drain=0.06))
     lanes = run_scenario(Scenario(
-        adversary=ADVERSARIES[adversary], engine="ce-streaming",
+        adversary=ADVERSARIES[adversary],
         workload=WORKLOADS["smallbank-flash"], duration=0.15, drain=0.06,
         shard_lanes=True))
     assert lanes.ok, lanes.safety
@@ -147,18 +129,17 @@ def test_full_matrix_is_safe_and_seed_stable():
         assert cell_a.digests == cell_b.digests, cell_a.scenario.name
 
 
-@pytest.mark.parametrize("engine", DEFAULT_ENGINES)
-def test_shard_split_cells_are_safe_on_the_pipelined_path(engine):
+def test_shard_split_cells_are_safe_on_the_pipelined_path():
     """The shard-split adversary partitions the replica set down the
     middle — cross-shard waves lose quorum mid-flight — and heals.  Both
     cells must hold every invariant; the ``*lanes`` cell additionally
     routes its committed work through the shard-lane pipeline (lane
     counters populated, an oracle pass at every wave boundary)."""
     strict = run_scenario(Scenario(
-        adversary=ADVERSARIES["shard-split-heal"], engine=engine,
+        adversary=ADVERSARIES["shard-split-heal"],
         workload=WORKLOADS["smallbank-flash"], duration=0.2, drain=0.08))
     lanes = run_scenario(Scenario(
-        adversary=ADVERSARIES["shard-split-heal"], engine=engine,
+        adversary=ADVERSARIES["shard-split-heal"],
         workload=WORKLOADS["smallbank-flash"], duration=0.2, drain=0.08,
         shard_lanes=True))
     for cell in (strict, lanes):
