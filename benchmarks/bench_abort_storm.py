@@ -1,33 +1,23 @@
 """Abort-storm benchmark — what one abort costs the reachability index.
 
 ``bench_depgraph_reachability.py`` measures the end-to-end acceptance
-scenario; this module isolates the *deletion* path the decremental repair
-attacks.  Under contention almost every transaction aborts at least once,
-and before the repair each abort invalidated the whole transitive-closure
-index: a batch with ~300 abort cascades paid ~300 full O(V + E) rebuilds.
-The decremental scheme (see :mod:`repro.ce.depgraph` and
-``docs/REACHABILITY.md``) clears the departing node's bit from its
-ancestor/descendant cone instead, so a storm pays one initial build plus
-O(cone) word operations per abort.
+scenario; this module isolates the *deletion* path.  Under contention
+almost every transaction aborts at least once.  Each abort tombstones the
+departing node's serial in O(1) — clear its ``live`` bit, zero its rows —
+whatever its ancestor/descendant cone (see :mod:`repro.ce.depgraph` and
+``docs/REACHABILITY.md``); rebuilds happen only to compact holes.
 
 Two measurements:
 
 * **index-maintenance storm** — a batch-shaped DAG where victims detach
-  one by one with controller-style queries between detaches (each query
-  forces the lazy graph to pay its pending rebuild, exactly like the
-  first ``has_path`` after an abort does in the controller).  Lazy
-  invalidation vs decremental repair; identical answers asserted, wall
-  clock and rebuild/repair/fallback counters reported.
+  one by one with controller-style queries between detaches; answers
+  spot-checked against the reference DFS, wall clock per detach and the
+  rebuild/repair counters reported.
 * **counter smoke** — a tiny controller-driven hot-key storm asserting
   the counter plumbing end to end (graph -> ``CCStats`` ->
   ``MetricsCollector``).  This test needs no benchmark fixture and runs
   in well under a second: CI's fast lane invokes it so the plumbing
   cannot silently rot.
-
-Measured on the reference container (default scale, 600 nodes / 150
-detaches / 30 queries between detaches): lazy ~145 rebuilds, decremental
-1 rebuild + ~144 in-place repairs, ~8x less wall time on the storm loop
-(~800 -> ~94 us per detach including its queries).
 """
 
 from __future__ import annotations
@@ -42,8 +32,7 @@ from repro.ce.depgraph import DependencyGraph, NodeStatus
 from repro.errors import TransactionAborted
 from repro.metrics import MetricsCollector
 
-from benchmarks.bench_depgraph_reachability import (
-    LazyRebuildDependencyGraph, build_batch_graph)
+from benchmarks.bench_depgraph_reachability import build_batch_graph
 from benchmarks.conftest import scaled
 
 #: Storm sizing: DAG nodes / victims detached / queries between detaches.
@@ -57,12 +46,6 @@ def run_storm(graph_cls, nodes: int, detaches: int, queries: int,
     """Detach victims one at a time, querying survivors in between."""
     graph = graph_cls()
     txs = build_batch_graph(graph, nodes, seed=seed)
-    # Prime the index outside the timed loop: the query needs two
-    # *distinct* indexed endpoints, or has_path short-circuits before the
-    # build and the first detach rides the stale path instead.
-    indexed = [tx for tx in txs if tx._index_owner is graph]
-    graph.has_path(indexed[0], indexed[-1])
-    assert graph._built_gen == graph._gen, "prime did not build the index"
     rng = random.Random(seed * 13 + 1)
     alive = list(range(nodes))
     checksum = 0
@@ -85,48 +68,32 @@ def run_storm(graph_cls, nodes: int, detaches: int, queries: int,
         "checksum": checksum,
         "rebuilds": graph.index_rebuilds,
         "repairs": graph.index_repairs,
-        "fallbacks": graph.repair_fallbacks,
-        "frontier": graph.repair_frontier_nodes,
         "edge_count": graph.edge_count(),
     }
 
 
 @pytest.mark.benchmark(group="abort-storm")
 def test_abort_storm_index_maintenance(benchmark, fig_table):
-    """Lazy invalidation vs decremental repair under a detach storm."""
+    """Tombstoned detaches under a storm, with queries in between."""
     def run():
-        return (run_storm(LazyRebuildDependencyGraph, STORM_NODES,
-                          STORM_DETACHES, STORM_QUERIES, seed=11),
-                run_storm(DependencyGraph, STORM_NODES, STORM_DETACHES,
-                          STORM_QUERIES, seed=11))
+        return run_storm(DependencyGraph, STORM_NODES, STORM_DETACHES,
+                         STORM_QUERIES, seed=11)
 
-    lazy, repaired = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert repaired["checksum"] == lazy["checksum"], \
-        "decremental repair changed query answers"
-    assert repaired["edge_count"] == lazy["edge_count"]
-    speedup = lazy["wall"] / repaired["wall"]
-    for label, info in (("lazy-rebuild", lazy), ("decremental", repaired)):
-        fig_table.add(label, STORM_NODES, STORM_DETACHES,
-                      round(info["wall"] * 1e6 / STORM_DETACHES),
-                      info["rebuilds"], info["repairs"], info["fallbacks"],
-                      info["frontier"],
-                      f"{lazy['wall'] / info['wall']:.1f}x")
+    storm = benchmark.pedantic(run, rounds=1, iterations=1)
+    fig_table.add("tombstone", STORM_NODES, STORM_DETACHES,
+                  round(storm["wall"] * 1e6 / STORM_DETACHES),
+                  storm["rebuilds"], storm["repairs"])
     fig_table.show(
         f"Abort storm - {STORM_DETACHES} detaches over a "
         f"{STORM_NODES}-node batch DAG, {STORM_QUERIES} queries between",
-        ["graph", "nodes", "detaches", "us/detach", "rebuilds", "repairs",
-         "fallbacks", "frontier", "speedup"])
-    benchmark.extra_info["speedup"] = round(speedup, 1)
-    benchmark.extra_info["lazy_rebuilds"] = lazy["rebuilds"]
-    benchmark.extra_info["repaired_rebuilds"] = repaired["rebuilds"]
-    # One rebuild per indexed detach collapses to the initial build plus
-    # rare hole-compaction fallbacks.  (A few victims never touched an
-    # edge and cost neither graph anything, hence the 90% floor.)
-    assert lazy["rebuilds"] >= STORM_DETACHES * 9 // 10
-    assert repaired["rebuilds"] <= 1 + repaired["fallbacks"]
-    assert repaired["rebuilds"] <= max(3, STORM_DETACHES // 10)
-    assert repaired["repairs"] >= lazy["rebuilds"] - repaired["fallbacks"] - 1
-    assert speedup >= 2.0, f"repair only {speedup:.1f}x vs lazy rebuilds"
+        ["graph", "nodes", "detaches", "us/detach", "rebuilds", "repairs"])
+    benchmark.extra_info["us_per_detach"] = round(
+        storm["wall"] * 1e6 / STORM_DETACHES)
+    # Every indexed victim is one tombstone (a few never touched an edge
+    # and cost nothing, hence the 90% floor); fewer than a quarter of the
+    # serials die, so holes never dominate and nothing compacts.
+    assert storm["repairs"] >= STORM_DETACHES * 9 // 10
+    assert storm["rebuilds"] == 0
 
 
 def test_abort_storm_counter_smoke(fig_table):
@@ -150,24 +117,19 @@ def test_abort_storm_counter_smoke(fig_table):
             cc.abort_transaction(live.pop(rng.randrange(len(live))),
                                  reason="storm")
     stats = cc.stats
-    fig_table.add(stats.aborts, stats.index_repairs, stats.index_rebuilds,
-                  stats.repair_fallbacks, stats.repair_frontier_nodes)
+    fig_table.add(stats.aborts, stats.index_repairs, stats.index_rebuilds)
     fig_table.show("Abort-storm smoke - controller counters",
-                   ["aborts", "repairs", "rebuilds", "fallbacks",
-                    "frontier"])
+                   ["aborts", "repairs", "rebuilds"])
     assert stats.aborts >= 5, "storm did not materialize"
     assert stats.index_repairs >= 1
-    assert stats.repair_frontier_nodes >= 1
-    # Rebuilds are the initial build plus exactly what the fallbacks
-    # scheduled — in a 40-tx graph where most nodes abort, the serial
-    # space *should* go hole-dominated and compact a few times.
-    assert stats.index_rebuilds <= 1 + stats.repair_fallbacks
-    # Every detach of an indexed node either repaired or fell back.
-    assert stats.index_repairs + stats.repair_fallbacks <= stats.aborts
+    # One tombstone per indexed detach; edge-less victims cost nothing.
+    assert stats.index_repairs <= stats.aborts
+    # In a 40-tx graph where most nodes abort, the serial space *should*
+    # go hole-dominated and compact a few times — never more often than
+    # once per detach.
+    assert 1 <= stats.index_rebuilds <= stats.index_repairs
     assert cc.graph.is_acyclic()
     collector = MetricsCollector()
     collector.record_ce_batch(stats, graph_nodes=len(cc.graph.nodes))
     assert collector.cc_index_repairs == stats.index_repairs
-    assert collector.cc_repair_frontier_nodes == stats.repair_frontier_nodes
-    assert collector.cc_repair_fallbacks == stats.repair_fallbacks
     assert collector.cc_index_rebuilds == stats.index_rebuilds

@@ -14,19 +14,16 @@ Two measurements:
   the reference DFS (:meth:`DependencyGraph._has_path_dfs`).
 * **cc-stress** — a 500-transaction high-contention YCSB-F batch (50%
   reads / 50% read-modify-writes over 4 hot records, theta = 0.99) through
-  the real DES executor pool, three ways: a seed-faithful graph (DFS
-  queries + bridge-every-pair detach), the PR-1 index with lazy
-  generation-bump invalidation on every abort, and the current index with
-  decremental repair.  Committed results must be identical across all
-  three; the wall-clock ratio vs seed is the end-to-end win (asserted
-  >= 5x), and the decremental graph must pay <= 10 full rebuilds where
-  the lazy one pays one per abort cascade (~300).
+  the real DES executor pool, two ways: a seed-faithful graph (DFS
+  queries + bridge-every-pair detach) and the closure index with
+  tombstoned aborts.  Committed results must be identical; the wall-clock
+  ratio vs seed is the end-to-end win (asserted >= 5x), and the index
+  may compact its serial space at most 10 times.
 
 Measured on the reference container (default scale): micro ~20x per query
-(~18000ns -> ~900ns), cc-stress ~6x end-to-end for the lazy index
-(~5.5s -> ~0.9s, 305 rebuilds) and ~27x for the decremental index
-(~0.2s, 1 rebuild / 480 in-place repairs), with ~480 re-executions and
-~107k path queries either way.
+(~18000ns -> ~900ns); cc-stress ~27x end-to-end for the index with
+in-place detach repair (~0.2s, ~480 repairs), with ~480 re-executions
+and ~107k path queries.
 """
 
 from __future__ import annotations
@@ -41,6 +38,7 @@ from repro.ce.depgraph import DependencyGraph, EdgeKind, NodeStatus, TxNode
 import repro.ce.controller as controller_module
 from repro.contracts.contract import ContractRegistry
 from repro.core.shards import ShardMap
+from repro.errors import SerializationError
 from repro.sim import Environment, make_rng
 from repro.workloads.ycsb import (YCSBConfig, YCSBWorkload, initial_state,
                                   register_ycsb)
@@ -60,24 +58,6 @@ STRESS_THETA = 0.99
 STRESS_SPEEDUP_FLOOR = scaled(5.0, 5.0, 1.3)
 
 
-class LazyRebuildDependencyGraph(DependencyGraph):
-    """The PR-1 behavior: every detach of an indexed node invalidates the
-    whole closure (generation bump + lazy rebuild at the next query)
-    instead of repairing the bitsets in place."""
-
-    def _index_detach(self, node, owner):
-        serial = node._index_serial
-        if serial is not None and serial < len(owner._indexed) \
-                and owner._indexed[serial] is node:
-            owner._indexed[serial] = None
-            owner._index_holes += 1
-        node._index_serial = None
-        node._index_owner = None
-        owner._gen += 1
-        if owner is not self:
-            self._gen += 1
-
-
 class SeedDependencyGraph(DependencyGraph):
     """The seed behavior: DFS per query, bridge every pair on detach, no
     index maintenance (so the baseline pays no closure-update costs)."""
@@ -86,8 +66,12 @@ class SeedDependencyGraph(DependencyGraph):
         self.path_queries += 1
         return self._has_path_dfs(src, dst)
 
-    def _index_add_edge(self, src: TxNode, dst: TxNode) -> None:
-        pass
+    def add_edge(self, src: TxNode, dst: TxNode, key: str,
+                 kind: EdgeKind) -> None:
+        if src is dst:
+            raise SerializationError(f"self-edge on {src.tx_id}")
+        src.out_edges.setdefault(dst, {})[(key, kind)] = None
+        dst.in_edges.setdefault(src, {})[(key, kind)] = None
 
     def detach_node(self, node: TxNode):
         for key, record in node.records.items():
@@ -215,24 +199,18 @@ def test_reachability_micro(benchmark, fig_table):
 
 @pytest.mark.benchmark(group="depgraph-reachability")
 def test_cc_stress_high_contention(benchmark, fig_table):
-    """End-to-end: the acceptance scenario — seed DFS vs lazy-rebuild
-    index vs decremental-repair index, byte-identical committed orders."""
+    """End-to-end: the acceptance scenario — seed DFS vs the tombstoning
+    index, byte-identical committed orders."""
     def run():
-        return (run_stress(SeedDependencyGraph),
-                run_stress(LazyRebuildDependencyGraph),
-                run_stress(DependencyGraph))
+        return run_stress(SeedDependencyGraph), run_stress(DependencyGraph)
 
-    seed_run, lazy_run, repaired_run = benchmark.pedantic(
-        run, rounds=1, iterations=1)
-    for other in (lazy_run, repaired_run):
-        assert other["order"] == seed_run["order"], \
-            "index changed the committed execution order"
-        assert other["writes"] == seed_run["writes"]
-        assert other["re_exec"] == seed_run["re_exec"]
-    speedup = seed_run["wall"] / repaired_run["wall"]
-    for label, run_info in (("seed-dfs", seed_run),
-                            ("lazy-rebuild", lazy_run),
-                            ("decremental", repaired_run)):
+    seed_run, index_run = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert index_run["order"] == seed_run["order"], \
+        "index changed the committed execution order"
+    assert index_run["writes"] == seed_run["writes"]
+    assert index_run["re_exec"] == seed_run["re_exec"]
+    speedup = seed_run["wall"] / index_run["wall"]
+    for label, run_info in (("seed-dfs", seed_run), ("index", index_run)):
         fig_table.add(label, STRESS_TXS, round(run_info["wall"], 3),
                       run_info["path_queries"], run_info["index_rebuilds"],
                       run_info["index_repairs"], run_info["edge_count"],
@@ -244,16 +222,9 @@ def test_cc_stress_high_contention(benchmark, fig_table):
          "final_edges", "speedup"])
     benchmark.extra_info["speedup"] = round(speedup, 1)
     benchmark.extra_info["seed_wall"] = round(seed_run["wall"], 3)
-    benchmark.extra_info["lazy_wall"] = round(lazy_run["wall"], 3)
-    benchmark.extra_info["repaired_wall"] = round(repaired_run["wall"], 3)
-    benchmark.extra_info["lazy_rebuilds"] = lazy_run["index_rebuilds"]
-    benchmark.extra_info["repaired_rebuilds"] = repaired_run["index_rebuilds"]
+    benchmark.extra_info["index_wall"] = round(index_run["wall"], 3)
+    benchmark.extra_info["index_rebuilds"] = index_run["index_rebuilds"]
     assert speedup >= STRESS_SPEEDUP_FLOOR, \
         f"CC stress only {speedup:.1f}x faster"
-    # The tentpole claim: aborts stop invalidating the closure.  The lazy
-    # index pays roughly one rebuild per abort cascade; the decremental
-    # one pays the first build plus at most a handful of fallbacks.
-    assert repaired_run["index_rebuilds"] <= 10, repaired_run
-    assert lazy_run["index_rebuilds"] >= 10 * repaired_run["index_rebuilds"]
-    assert repaired_run["wall"] <= lazy_run["wall"], \
-        "decremental repair slower than rebuilding every abort"
+    # Aborts never invalidate the closure: rebuilds are hole compactions.
+    assert index_run["index_rebuilds"] <= 10, index_run

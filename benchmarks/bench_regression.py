@@ -9,11 +9,10 @@ PR leaves a comparable performance fingerprint:
   500-tx theta=0.99 YCSB-F batch is a near-total order; with
   re-executions the graph holds roughly three attempt nodes per
   transaction, hence the ~1500-serial default): build the dense closure
-  edge by edge, repair a 30% abort storm in place, rebuild over the
-  survivors.
+  edge by edge, tombstone a 30% abort storm, rebuild over the survivors.
 * **depgraph-storm** — the same storm through the real
-  :class:`~repro.ce.depgraph.DependencyGraph` (bridging, repair
-  decision rule, counters included).
+  :class:`~repro.ce.depgraph.DependencyGraph` (bridging, tombstones,
+  compaction, counters included).
 * **streaming** — a short ``engine="ce"`` cluster run (one execution
   session per replica epoch), pinned by its commit-log digest.
 * **cross-shard-pipeline** — the same deterministic work trace (the
@@ -89,7 +88,7 @@ SCALES = {
 
 def closure_churn(n_nodes: int, seed: int = 7) -> Dict:
     """Drive the closure rows through the dense-closure lifecycle: hot-key
-    spine build, random shortcut edges, a 30% repair storm, and three
+    spine build, random shortcut edges, a 30% tombstone storm, and three
     from-scratch rebuilds over the survivors."""
     rng = random.Random(seed)
     graph = DependencyGraph()
@@ -109,12 +108,12 @@ def closure_churn(n_nodes: int, seed: int = 7) -> Dict:
     build_wall = time.perf_counter() - started
     victims = rng.sample(range(n_nodes), n_nodes * 3 // 10)
     started = time.perf_counter()
-    cone_total = 0
     for victim in victims:
-        cone = graph._discard(victim, 1 << 30)
-        assert cone is not None
-        cone_total += cone
+        graph._tombstone(victim)
     repair_wall = time.perf_counter() - started
+    live = graph._live
+    live_closure_bits = sum((graph._down[serial] & live).bit_count()
+                            for serial in range(n_nodes))
     survivors = sorted(set(range(n_nodes)) - set(victims))
     out_serials: List[List[int]] = [[] for _ in range(n_nodes)]
     in_serials: List[List[int]] = [[] for _ in range(n_nodes)]
@@ -132,7 +131,7 @@ def closure_churn(n_nodes: int, seed: int = 7) -> Dict:
         "nodes": n_nodes,
         "connects": connects,
         "repairs": len(victims),
-        "repair_cone_nodes": cone_total,
+        "live_closure_bits": live_closure_bits,
         "peak_words": graph.peak_bitset_words,
         "wall_ms": {
             "build": round(build_wall * 1000, 2),
@@ -150,7 +149,7 @@ def closure_churn(n_nodes: int, seed: int = 7) -> Dict:
 def depgraph_storm(n_txs: int, seed: int = 17) -> Dict:
     """Hot-key read-modify-write storm through the real dependency graph:
     a third of the in-flight transactions abort mid-stream, so detach
-    bridging and the repair decision rule carry the load."""
+    bridging, tombstones and compaction carry the load."""
     rng = random.Random(seed)
     cc = ConcurrencyController({f"k{i}": 0 for i in range(3)})
     live: List[int] = []
@@ -174,9 +173,6 @@ def depgraph_storm(n_txs: int, seed: int = 17) -> Dict:
         "path_queries": stats.path_queries,
         "index_rebuilds": stats.index_rebuilds,
         "index_repairs": stats.index_repairs,
-        "repair_fallbacks": stats.repair_fallbacks,
-        "bridge_plans": cc.graph.bridge_plans,
-        "bridge_fallbacks": cc.graph.bridge_fallbacks,
         "peak_words": stats.bitset_words,
         "wall_ms": round(wall * 1000, 2),
         "ops_per_sec": round(n_txs / wall) if wall else 0,
@@ -348,10 +344,9 @@ def run_all(scale: str) -> Dict:
         "storm_aborts": storm["aborts"],
         "storm_rebuilds": storm["index_rebuilds"],
         "storm_repairs": storm["index_repairs"],
-        "storm_bridge_plans": storm["bridge_plans"],
         "stream_executed": stream["executed"],
         "stream_digest": stream["digest"],
-        "churn_repair_cone_nodes": churn["repair_cone_nodes"],
+        "churn_live_closure_bits": churn["live_closure_bits"],
         "churn_peak_words": churn["peak_words"],
     }
     for shards in PIPELINE_SHARDS:

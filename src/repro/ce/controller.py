@@ -42,8 +42,7 @@ R4 (commit): when T commits, every other live writer of each key T wrote
 Every rule above is a reachability question; the graph answers it from an
 incremental transitive-closure index (one closure row of descendants and
 one of ancestors per node, masked Italiano-style propagation on
-``add_edge``, decremental in-place repair when an abort detaches a node,
-with a generation-counter lazy rebuild kept only as the fallback — see the
+``add_edge``, an O(1) tombstone when an abort detaches a node — see the
 :mod:`repro.ce.depgraph` module docstring and ``docs/REACHABILITY.md``).
 
 Cohort classification
@@ -57,21 +56,17 @@ precedes the writer); R2: ``down[node] | up[chosen]`` (the writer
 already follows the reader or precedes the version read); R4:
 ``down[node]`` (the writer already follows the committer).  The other
 members are visited in cohort order with the rule's remaining point
-queries.  Two rules keep this exact:
-
-* *reclassify on mutation* — an ``add_edge`` or abort inside the loop
-  changes the closure, so the rows are read again before the next test;
-* *read lazily* — the rows are read where the point-query form made its
-  first ``has_path`` on two indexed nodes, so a stale index is rebuilt at
-  the same moment as before and every rebuild/repair count is unchanged.
+queries.  One rule keeps this exact: *reclassify on mutation* — an
+``add_edge`` or abort inside the loop changes the closure, so the rows
+are read again before the next test.  A row may still hold the bit of a
+departed serial; the rules only test the bits of live indexed members.
 
 A member the graph has not indexed has no edge, so it is in no class and
 is visited.  The point-query forms survive as test-only references
 (``tests/ce/test_cohort_rows.py``), which pin edge insertions, aborts and
 commit orders to them.  :class:`CCStats` surfaces the remaining point
-queries as ``path_queries``, the per-abort repair traffic as
-``index_repairs``/``repair_frontier_nodes``, and the residual rebuild
-rate as ``index_rebuilds``/``repair_fallbacks``.
+queries as ``path_queries``, the indexed detaches as ``index_repairs``,
+and the compactions as ``index_rebuilds``.
 
 Long-lived use (streaming)
 --------------------------
@@ -116,10 +111,8 @@ class CCStats:
     commits: int = 0
     conflict_repairs: int = 0  # reads repaired by the ancestor fallback
     path_queries: int = 0      # has_path() calls answered by the index
-    index_rebuilds: int = 0    # full closure rebuilds (first build + fallbacks)
-    index_repairs: int = 0     # aborts absorbed in place by decremental repair
-    repair_frontier_nodes: int = 0  # cone members touched across all repairs
-    repair_fallbacks: int = 0  # detaches that invalidated instead of repairing
+    index_rebuilds: int = 0    # compactions of the closure's serial space
+    index_repairs: int = 0     # indexed detaches (each an O(1) tombstone)
     nodes_pruned: int = 0      # committed nodes evicted from the graph
     prune_passes: int = 0      # prune_committed() invocations
     bitset_words: int = 0      # peak closure row width, in 64-bit words
@@ -195,8 +188,6 @@ class ConcurrencyController:
         self._stats.path_queries = self.graph.path_queries
         self._stats.index_rebuilds = self.graph.index_rebuilds
         self._stats.index_repairs = self.graph.index_repairs
-        self._stats.repair_frontier_nodes = self.graph.repair_frontier_nodes
-        self._stats.repair_fallbacks = self.graph.repair_fallbacks
         self._stats.nodes_pruned = self.graph.nodes_pruned
         self._stats.bitset_words = self.graph.peak_bitset_words
         return self._stats
@@ -382,7 +373,7 @@ class ConcurrencyController:
         are skipped on one row test (see "Cohort classification").
         """
         graph = self.graph
-        settled = None  # down[node] | up[chosen]; None: (re)read lazily
+        settled = None  # down[node] | up[chosen]; None: read at next use
         for writer in graph.writers_of(key):
             if node.status is _ABORTED:
                 # A cascade triggered below can reach us through another key.
@@ -391,7 +382,7 @@ class ConcurrencyController:
                 continue
             if writer.status is _ABORTED:
                 continue  # aborted by a cascade earlier in this very loop
-            if writer._index_owner is graph:
+            if writer._index_serial is not None:
                 if settled is None:
                     settled = graph.rows(node)[0]
                     if chosen is not None:
@@ -429,7 +420,7 @@ class ConcurrencyController:
         Readers already in ``up[node]`` need nothing and are skipped on
         one row test (see "Cohort classification")."""
         graph = self.graph
-        before = None  # up[node]; None: (re)read lazily
+        before = None  # up[node]; None: read at next use
         for reader in graph.readers_of(key):
             if node.status is _ABORTED:
                 raise TransactionAborted(node.tx_id, f"cascade during {key}")
@@ -439,9 +430,8 @@ class ConcurrencyController:
                 continue  # aborted by a cascade earlier in this very loop
             # The row test may precede the record checks below, which never
             # skip: a registered reader holds its read record, and none
-            # read from ``node`` (this is its first write of ``key``).  So
-            # the rows are still read where the point form first asked.
-            if reader._index_owner is graph:
+            # read from ``node`` (this is its first write of ``key``).
+            if reader._index_serial is not None:
                 if before is None:
                     before = graph.rows(node)[1]
                 if before >> reader._index_serial & 1:
@@ -547,14 +537,14 @@ class ConcurrencyController:
         Writers already in ``down[node]`` need nothing and are skipped on
         one row test (see "Cohort classification")."""
         graph = self.graph
-        after = None  # down[node]; None: (re)read lazily
+        after = None  # down[node]; None: read at next use
         for key, record in node.records.items():
             if not record.wrote:
                 continue
             for writer in graph.writers_of(key):
                 if writer is node or not writer.alive:
                     continue
-                if writer._index_owner is graph:
+                if writer._index_serial is not None:
                     if after is None:
                         after = graph.rows(node)[0]
                     if after >> writer._index_serial & 1:

@@ -23,66 +23,57 @@ Every read pins the other writers of the key, every first write orders
 the key's readers before it, every commit orders the remaining writers,
 and all three are reachability questions.  A DFS per query makes a
 contended batch of n transactions cost O(n^3); instead the graph
-maintains a transitive-closure index:
+maintains a transitive-closure index that is exact at every moment:
 
-* every currently-indexed node gets a small integer *serial* (per build
-  generation) and two closure rows, each one Python int used as a bit
+* a node gets a small integer *serial* on its first edge, one bit in the
+  ``live`` set, and two closure rows, each one Python int used as a bit
   set — ``down`` (descendants, self included) and ``up`` (ancestors,
   self included);
 * ``add_edge(u, v)`` updates the closure with Italiano-style propagation:
   if ``v`` is not already a descendant of ``u``, OR ``down[v]`` into the
-  ancestors of ``u`` and ``up[u]`` into the descendants of ``v`` —
-  *masked*: an ancestor that already reaches ``v`` already holds
-  ``down[v]`` by transitivity (likewise a descendant ``u`` already
-  reaches), so only ``up[u] & ~up[v]`` and ``down[v] & ~down[u]`` are
-  ORed into, both masks taken before any row changes.  Nothing happens
-  when the edge is redundant;
-* ``detach_node`` (aborts) repairs the closure *decrementally*.  General
-  decremental reachability is hard because an edge deletion can sever
-  paths, but this graph's detach protocol makes it trivial: every
-  (predecessor, successor) ordering observed through the departing node
-  is re-established by a ``BRIDGE`` edge in the same pass, so removal
-  never changes reachability among the survivors.  The whole repair is
-  therefore clearing the node's bit from its ancestors' ``down`` sets and
-  its descendants' ``up`` sets — the *affected cone*, O(|up| + |down|)
-  single-bit word operations — after which the bridge insertions are
-  index no-ops (each bridged pair is already marked reachable).  The
-  node's serial becomes a *hole* that the next full rebuild compacts
-  away.  See :meth:`DependencyGraph._index_detach` for the repair-vs-
-  rebuild decision rule: when the repair is inapplicable (index already
-  stale, serial space hole-dominated, cone above ``repair_max_cone``) the
-  detach falls back to the legacy scheme — bump a *generation counter*
-  (O(1)) and let the next query rebuild from the live adjacency in
-  topological order, O(V + E) set unions, compacting serials.
-* ``has_path`` is then a single bit test, O(1), and :meth:`rows` hands
-  the controller a node's whole ``down``/``up`` rows, so a rule over a
-  key's cohort tests one bit per member instead of asking one
-  ``has_path`` per member (see :mod:`repro.ce.controller`).
+  ancestors of ``u`` and ``up[u]`` into the descendants of ``v``, both
+  masked with ``live`` first.  Only rows that change are touched: an
+  ancestor that already reaches ``v`` already holds ``down[v]`` by
+  transitivity (likewise a descendant ``u`` already reaches), so only
+  ``up[u] & ~up[v]`` and ``down[v] & ~down[u]`` are ORed into, both sets
+  taken before any row changes;
+* ``detach_node`` (aborts) *tombstones* the departing serial in O(1):
+  clear its ``live`` bit and zero its own rows.  General decremental
+  reachability is hard because a deletion can sever paths, but this
+  graph's detach protocol rules that out: every (predecessor, successor)
+  ordering observed through the departing node is re-established by a
+  ``BRIDGE`` edge in the same pass, so removal never changes
+  reachability among the survivors.  The dead bit may stay set in
+  survivors' rows; it is never tested (callers test live members' bits
+  only) and never spreads (propagation masks with ``live``).  The serial
+  becomes a *hole* that compaction later drops;
+* ``has_path`` is a single bit test, O(1), and :meth:`rows` hands the
+  controller a node's whole ``down``/``up`` rows, so a rule over a key's
+  cohort tests one bit per member instead of asking one ``has_path`` per
+  member (see :mod:`repro.ce.controller`).
 
-The index is an exact mirror of the adjacency lists: answers are identical
-to the reference DFS (kept as :meth:`DependencyGraph._has_path_dfs` for
-tests and benchmarks), so controller behavior is bit-for-bit unchanged.
-``path_queries`` / ``index_rebuilds`` / ``index_repairs`` /
-``repair_frontier_nodes`` / ``repair_fallbacks`` counters feed
-:class:`CCStats` so Fig. 11-style runs can report the query load, the
-(now rare) rebuild rate, and the per-abort repair cost.
+Answers are identical to the reference DFS (kept as
+:meth:`DependencyGraph._has_path_dfs` for tests and benchmarks), so
+controller behavior is bit-for-bit unchanged.  ``path_queries`` /
+``index_repairs`` (one per indexed detach) / ``index_rebuilds``
+(compactions) feed :class:`CCStats`.
+
+A node is indexed by one graph at a time: adding an edge to a node
+another graph indexes raises :class:`~repro.errors.SerializationError`.
 
 Closure-index invariants
 ------------------------
-1. *Mirror*: for every pair of indexed nodes ``(u, v)``,
-   ``down[u] >> serial(v) & 1`` equals DFS reachability over the current
-   adjacency lists whenever ``_built_gen == _gen``.
-2. *Self-inclusion*: every indexed node's ``down``/``up`` bitsets contain
-   its own bit.
-3. *Staleness is explicit*: any mutation the closure cannot absorb in
-   place (a repair fallback, an ownership steal) bumps ``_gen``; queries
-   never read bitsets while ``_built_gen != _gen``.
-4. *Serial density is amortized*: a detach or eviction absorbed in place
-   leaves a hole instead of forcing a rebuild, but once holes outnumber
-   live serials the mutation falls back to a generation bump, so the next
-   query's rebuild compacts and bitset width stays within ~2x the live
-   graph.  (A full reference for invariants 1-4, the repair argument, and
-   the decision rule lives in ``docs/REACHABILITY.md``.)
+1. *Mirror*: for every pair of live serials ``(u, v)``,
+   ``down[u] >> v & 1`` equals DFS reachability over the current
+   adjacency lists.  A dead serial's row is zero, and no row gains a
+   dead bit after the serial dies.
+2. *Self-inclusion*: every live node's ``down``/``up`` rows contain its
+   own bit.
+3. *Serial density is amortized*: a detach or eviction leaves a hole,
+   and once holes outnumber live serials the same call compacts the
+   serial space (a Kahn-order rebuild over the survivors), so row width
+   stays within ~2x the live graph.  (A full reference for invariants
+   1-3 and the tombstone argument lives in ``docs/REACHABILITY.md``.)
 
 Committed-node pruning
 ----------------------
@@ -110,11 +101,10 @@ Under 1–3 the controller's observable behavior — values read, aborts,
 commit order — is unchanged by the eviction; only edges *touching* a
 victim (which cannot influence any surviving decision) disappear.
 Clause 1 also makes eviction free for the closure index: victims form
-closed components, so no surviving bitset carries a victim's bit and the
-eviction just punches holes into the serial space in place — no
-generation bump, no rebuild.  Once holes outnumber live serials the pass
-schedules one compacting rebuild (invariant 4), which is how a streaming
-controller keeps its bitset width plateaued over an unbounded stream.
+closed components, so no surviving row carries a victim's bit and the
+eviction just tombstones their serials.  Once holes outnumber live
+serials the pass compacts (invariant 3), which is how a streaming
+controller keeps its row width plateaued over an unbounded stream.
 
 Determinism note: all collections that the controller iterates are dicts
 used as ordered sets, so runs are reproducible (plain ``set`` of objects
@@ -201,7 +191,7 @@ class TxNode:
 
     __slots__ = ("tx_id", "attempt", "status", "records", "out_edges",
                  "in_edges", "order_index", "result", "started_at",
-                 "committed_at", "_index_serial", "_index_owner")
+                 "committed_at", "_index_serial")
 
     def __init__(self, tx_id: int, attempt: int, started_at: float = 0.0) -> None:
         self.tx_id = tx_id
@@ -215,13 +205,10 @@ class TxNode:
         self.result: Any = None
         self.started_at = started_at
         self.committed_at: Optional[float] = None
-        #: Bit position in the owning graph's reachability index plus the
-        #: graph that assigned it; set on first edge contact.  A node is
-        #: normally indexed by one graph at a time — a query from a graph
-        #: that is not the current owner falls back to DFS, and the next
-        #: rebuild of that graph re-claims the node.
+        #: Bit position in the reachability index of the one graph this
+        #: node has edges in; set on first edge contact, cleared when the
+        #: node leaves that graph (detach or eviction).
         self._index_serial: Optional[int] = None
-        self._index_owner: Optional["DependencyGraph"] = None
 
     # -- key-level classification (§8.1) -----------------------------------
 
@@ -268,52 +255,29 @@ class DependencyGraph:
         #: key -> nodes holding a read record on the key.
         self._readers: Dict[str, Dict[TxNode, None]] = {}
         # -- reachability index state --------------------------------------
-        #: serial -> node for every node that ever touched an edge here;
-        #: ``None`` marks a detached (aborted) node's hole.  Serials are
-        #: permanent per graph, so nodes carry them in a slot and no
-        #: id()-keyed lookups are needed on the hot path.
+        #: serial -> node for every node holding edges here; ``None`` marks
+        #: the hole a detached or evicted node leaves until compaction.
+        #: Nodes carry their serial in a slot, so no id()-keyed lookups
+        #: are needed on the hot path.
         self._indexed: List[Optional[TxNode]] = []
-        #: Invalidation generation; bumped only when a mutation cannot be
-        #: absorbed in place (repair fallback, ownership steal).
-        self._gen = 0
-        #: Generation the closure rows were built for; ``!= _gen`` means
-        #: the index is stale and the next query rebuilds it.
-        self._built_gen = -1
         #: Closure rows, one int per serial: bit ``t`` of ``_down[s]`` is
         #: set iff serial ``t`` is a descendant of ``s`` (self included);
-        #: ``_up`` is the transpose (ancestors).
+        #: ``_up`` is the transpose (ancestors).  Exact at live bits.
         self._down: List[int] = []
         self._up: List[int] = []
+        #: One bit per live serial: every propagation masks with it.
+        self._live = 0
         #: High-water row width in 64-bit words (never reset by clears;
         #: surfaced as ``CCStats.bitset_words``).
         self.peak_bitset_words = 0
-        #: When True (default), ``detach_node`` plans its bridge edges
-        #: from the pre-removal closure snapshot; False forces the
-        #: reference per-predecessor DFS (kept for equivalence tests).
-        self.bridge_via_index = True
-        #: Hole slots in ``_indexed`` (detached/evicted serials awaiting
-        #: compaction); invariant 4's fallback trigger compares it to the
-        #: live serial count.
+        #: Hole slots in ``_indexed``; compaction (invariant 3) fires when
+        #: they outnumber the live serials.
         self._index_holes = 0
-        #: Repair-vs-rebuild threshold: a detach whose affected cone
-        #: (ancestors + descendants) exceeds this falls back to the lazy
-        #: rebuild.  The repair is asymptotically never slower than a
-        #: rebuild, so this is a worst-case single-detach latency guard
-        #: for enormous hand-built graphs, not a tuning knob the
-        #: controller's workloads reach.
-        self.repair_max_cone = 1 << 16
         #: Counters surfaced through :class:`repro.ce.controller.CCStats`.
         self.path_queries = 0
         self.index_rebuilds = 0
         self.index_repairs = 0
-        self.repair_frontier_nodes = 0
-        self.repair_fallbacks = 0
         self.nodes_pruned = 0
-        #: Detach bridging: pairs answered from the pre-removal closure
-        #: snapshot (``bridge_plans``) versus detaches where the planner
-        #: declined and the reference DFS ran (``bridge_fallbacks``).
-        self.bridge_plans = 0
-        self.bridge_fallbacks = 0
 
     # -- node lifecycle ------------------------------------------------------
 
@@ -334,32 +298,26 @@ class DependencyGraph:
         bridged with a ``BRIDGE`` edge when no other path orders it: the
         controller's rules skip adding an ordering edge whenever a path
         already exists, so paths observed through this node must survive
-        its departure.  Pairs the reachability index already proves ordered
-        through surviving nodes are skipped — the transitive closure over
-        the remaining nodes is identical either way, but edge counts stay
-        bounded under abort-heavy workloads instead of densifying
-        quadratically.  Bridging cannot create cycles (the path existed)
-        and never touches other aborted nodes (their adjacency must stay
-        empty).
+        its departure.  Pairs already ordered through surviving nodes are
+        skipped, so edge counts stay bounded under abort-heavy workloads
+        instead of densifying quadratically.  Bridging cannot create
+        cycles (the path existed) and never touches other aborted nodes
+        (their adjacency must stay empty).
 
         Because bridging preserves every surviving ordering and invents
-        none, removal leaves the closure over the survivors untouched —
-        so :meth:`_index_detach` repairs the bitsets in place (clear this
-        node's bit from its ancestor/descendant cone) instead of
-        invalidating the whole index, falling back to the generation-bump
-        lazy rebuild only per the decision rule documented there.  The
-        bridge decisions are planned *before* any mutation from the
-        pre-removal closure snapshot (:meth:`_bridge_plan_from_index`);
-        only when the index cannot answer (stale, shared ownership,
-        hand-built cycles) does each predecessor pay the reference DFS
-        over the post-removal adjacency.  Both planners produce the same
-        bridge edges in the same order, so schedules are identical (see
-        the regression test in ``tests/ce/test_reachability_index.py``).
+        none, the closure over the survivors is unchanged, and the index
+        absorbs the departure by tombstoning the node's serial (O(1)).
+        The bridges are planned *before* any mutation, from the closure
+        while it still carries this node (:meth:`_bridge_plan_from_index`);
+        the plan equals the reference per-predecessor DFS over the
+        post-removal adjacency edge for edge, in the same order (see
+        ``tests/ce/test_bitset_backends.py``).
 
         Returns the former out-neighbours (the controller re-checks their
         commit eligibility).  Read-from back-references are cleaned so the
         source writers no longer consider this node a dependant.
         """
+        indexed = self._own_serial(node) is not None
         for key, record in node.records.items():
             if record.read_from is not None:
                 source = record.read_from.records.get(key)
@@ -368,43 +326,44 @@ class DependencyGraph:
             self._writers.get(key, {}).pop(node, None)
             self._readers.get(key, {}).pop(node, None)
         former_out = list(node.out_edges)
-        predecessors = [p for p in node.in_edges
-                        if p.status is not NodeStatus.ABORTED]
-        successors = [s for s in former_out
-                      if s.status is not NodeStatus.ABORTED]
+        predecessors = [p for p in node.in_edges if p.status is not _ABORTED]
+        successors = [s for s in former_out if s.status is not _ABORTED]
         plan: Optional[List[Tuple[TxNode, TxNode]]] = None
-        if self.bridge_via_index and predecessors and successors:
-            # Plan the bridges from the closure while it still carries
-            # this node's contribution; no row copies are needed because
-            # nothing has been mutated yet.
+        if predecessors and successors:
             plan = self._bridge_plan_from_index(node, predecessors,
                                                 successors)
-            if plan is not None:
-                self.bridge_plans += 1
-            else:
-                self.bridge_fallbacks += 1
         for neighbor in former_out:
             neighbor.in_edges.pop(node, None)
-        for neighbor in list(node.in_edges):
+        for neighbor in node.in_edges:
             neighbor.out_edges.pop(node, None)
         node.out_edges.clear()
         node.in_edges.clear()
-        owner = node._index_owner
-        if owner is not None:
+        if indexed:
             # An edge-less node was never indexed and skips this, so
             # aborts of conflict-free transactions cost nothing.
-            self._index_detach(node, owner)
+            self._index_remove(node)
+            self.index_repairs += 1
         if plan is not None:
             for predecessor, successor in plan:
                 self.add_edge(predecessor, successor, "", EdgeKind.BRIDGE)
-            return former_out
+        elif predecessors and successors:
+            self._bridge_by_dfs(predecessors, successors)
+        self._compact_if_dominated()
+        return former_out
+
+    def _bridge_by_dfs(self, predecessors: List[TxNode],
+                       successors: List[TxNode]) -> None:
+        """The reference bridge planner: one incremental DFS per
+        predecessor over the evolving post-removal adjacency.
+
+        Only a cyclic cone sends ``detach_node`` here, and only the
+        controller's known cycle (ROADMAP: "close the controller's
+        serializability hole") builds one; closing it deletes this path.
+        """
         for predecessor in predecessors:
-            if not successors:
-                break
-            # One incremental DFS per predecessor: ``reached`` holds the
-            # nodes reachable from it in the *current* graph (including
-            # bridges added for earlier successors), exactly mirroring a
-            # per-pair ``has_path`` check against the evolving adjacency.
+            # ``reached`` holds the nodes reachable from the predecessor
+            # in the *current* graph (including bridges added for earlier
+            # successors), mirroring a per-pair ``has_path`` check.
             reached = self._collect_descendants({}, predecessor)
             for successor in successors:
                 if predecessor is successor or successor in reached:
@@ -412,20 +371,19 @@ class DependencyGraph:
                 self.add_edge(predecessor, successor, "", EdgeKind.BRIDGE)
                 reached[successor] = None
                 self._collect_descendants(reached, successor)
-        return former_out
 
     def _bridge_plan_from_index(
             self, node: TxNode, predecessors: List[TxNode],
             successors: List[TxNode]
     ) -> Optional[List[Tuple[TxNode, TxNode]]]:
         """The (predecessor, successor) pairs ``detach_node`` must bridge,
-        answered from the pre-removal closure instead of per-predecessor
-        DFS.  Returns ``None`` when the index cannot answer exactly (then
-        the caller runs the reference DFS).
+        answered from the closure before removal instead of per-predecessor
+        DFS.  Returns ``None`` on a cyclic cone (then the caller runs
+        :meth:`_bridge_by_dfs`).
 
-        Correctness sketch (DAG case; the guards below fall back on
-        anything else).  Let ``v`` be the departing node and ``D`` its
-        descendant cone (``down[v]`` minus ``v``).
+        Correctness sketch (DAG case).  Let ``v`` be the departing node
+        and ``D`` its live descendant cone (``down[v] & live`` minus
+        ``v``).
 
         * Outside ``D``, "reachable while avoiding ``v``" equals plain
           closure reachability: any path through ``v`` ends inside ``D``.
@@ -444,46 +402,23 @@ class DependencyGraph:
           over the evolving adjacency tests, so the emitted pairs (and
           their order) are identical.
         """
-        if self._built_gen != self._gen:
-            return None
         indexed = self._indexed
         down = self._down
-
-        def live_serial(candidate: TxNode) -> Optional[int]:
-            serial = candidate._index_serial
-            if (candidate._index_owner is not self or serial is None
-                    or serial >= len(indexed)
-                    or indexed[serial] is not candidate):
+        victim_serial = node._index_serial
+        cone_row = down[victim_serial]
+        pred_serials = [predecessor._index_serial
+                        for predecessor in predecessors]
+        for serial in pred_serials:
+            if cone_row >> serial & 1:
+                # A predecessor inside the descendant cone: a cycle
+                # through the node (see _bridge_by_dfs).
                 return None
-            return serial
-
-        victim_serial = live_serial(node)
-        if victim_serial is None:
-            return None
-        pred_serials: List[int] = []
-        for predecessor in predecessors:
-            serial = live_serial(predecessor)
-            if serial is None or down[victim_serial] >> serial & 1:
-                # Unindexed/foreign predecessor — or (hand-built cycles
-                # only) a predecessor inside the descendant cone, which
-                # breaks the one-bridge-per-path argument.
-                return None
-            pred_serials.append(serial)
-        succ_serials: List[int] = []
-        for successor in successors:
-            serial = live_serial(successor)
-            if serial is None:
-                return None
-            succ_serials.append(serial)
-        cone_serials = _bits(down[victim_serial] & ~(1 << victim_serial))
+        succ_serials = [successor._index_serial for successor in successors]
         position: Dict[int, int] = {}
         cone_nodes: List[TxNode] = []
-        for serial in cone_serials:
-            member = indexed[serial] if serial < len(indexed) else None
-            if member is None or live_serial(member) != serial:
-                return None
+        for serial in _bits(cone_row & self._live & ~(1 << victim_serial)):
             position[serial] = len(cone_nodes)
-            cone_nodes.append(member)
+            cone_nodes.append(indexed[serial])
         # avoid[i]: bitset over predecessor positions that reach cone
         # member i with the victim removed.
         avoid = [0] * len(cone_nodes)
@@ -493,9 +428,7 @@ class DependencyGraph:
             for source in member.in_edges:
                 if source is node:
                     continue
-                serial = live_serial(source)
-                if serial is None:
-                    return None
+                serial = source._index_serial
                 if serial in position:
                     indegree[cone_index] += 1
                 else:
@@ -512,18 +445,13 @@ class DependencyGraph:
             processed += 1
             bits = avoid[cone_index]
             for target in cone_nodes[cone_index].out_edges:
-                serial = live_serial(target)
-                if serial is None:
-                    return None
-                target_index = position.get(serial)
-                if target_index is None:
-                    return None  # closure/adjacency mismatch; play safe
+                target_index = position[target._index_serial]
                 avoid[target_index] |= bits
                 indegree[target_index] -= 1
                 if indegree[target_index] == 0:
                     ready.append(target_index)
         if processed != len(cone_nodes):
-            return None  # a hand-built cycle inside the cone
+            return None  # a cycle inside the cone (see _bridge_by_dfs)
         # cover[j]: successor positions ordered once a bridge lands on
         # successor j (its closure descendants among the successors).
         cover = []
@@ -533,12 +461,7 @@ class DependencyGraph:
                 if other_index != index and down[serial] >> other & 1:
                     bits |= 1 << other_index
             cover.append(bits)
-        avoid_succ = []
-        for serial in succ_serials:
-            succ_position = position.get(serial)
-            if succ_position is None:
-                return None
-            avoid_succ.append(avoid[succ_position])
+        avoid_succ = [avoid[position[serial]] for serial in succ_serials]
         plan: List[Tuple[TxNode, TxNode]] = []
         bridged: List[Tuple[int, int]] = []  # (pred serial, cover bits)
         for pred_index, predecessor in enumerate(predecessors):
@@ -558,71 +481,6 @@ class DependencyGraph:
                 bridged.append((pred_serial, cover[succ_index]))
                 covered |= cover[succ_index]
         return plan
-
-    def _index_detach(self, node: TxNode, owner: "DependencyGraph") -> None:
-        """Absorb an indexed node's departure into the closure, in place
-        when possible.
-
-        **Repair** (the common case): clear the node's bit from ``down``
-        of every ancestor and ``up`` of every descendant — the *affected
-        cone*, read straight from the node's own bitsets — and mark its
-        serial as a hole.  Bridging (run by the caller afterwards) keeps
-        reachability among survivors identical to before the removal, so
-        this is the entire repair and invariant 1 holds throughout; the
-        subsequent bridge ``add_edge`` calls find their pairs already
-        marked reachable and cost one bit test each.
-
-        **Fallback** (bump the generation counter; the next query
-        rebuilds from adjacency and compacts serials) when the repair is
-        unavailable or a rebuild is due anyway:
-
-        * the bitsets don't carry this node's contribution — index
-          already stale, or the node is owned by another graph under
-          hand-built sharing (then *both* graphs are invalidated, as
-          before);
-        * holes would outnumber live serials — the serial space is
-          garbage-dominated and a compacting rebuild is the cheaper way
-          to pay the debt (invariant 4);
-        * the cone exceeds ``repair_max_cone`` — a worst-case
-          single-detach latency guard.
-
-        Only the last two count as ``repair_fallbacks``: they are the
-        decision rule choosing a rebuild, whereas a stale index already
-        had one scheduled.
-        """
-        serial = node._index_serial
-        slot_ok = (serial is not None and serial < len(owner._indexed)
-                   and owner._indexed[serial] is node)
-        if slot_ok:
-            owner._indexed[serial] = None
-            owner._index_holes += 1
-        node._index_serial = None
-        node._index_owner = None
-        if owner is not self:
-            owner._gen += 1
-            self._gen += 1
-            return
-        if not slot_ok or self._built_gen != self._gen:
-            self._gen += 1
-            return
-        if self._index_holes == len(self._indexed):
-            # This detach emptied the index.  No live bitset can mention
-            # the departed node (none are left), so resetting to an empty
-            # — trivially exact — index is the whole repair.
-            self._index_reset_empty()
-            self.index_repairs += 1
-            return
-        if 2 * self._index_holes > len(self._indexed):
-            self.repair_fallbacks += 1
-            self._gen += 1
-            return
-        cone = self._discard(serial, self.repair_max_cone)
-        if cone is None:
-            self.repair_fallbacks += 1
-            self._gen += 1
-            return
-        self.index_repairs += 1
-        self.repair_frontier_nodes += cone
 
     # -- committed-node pruning ---------------------------------------------
 
@@ -679,19 +537,16 @@ class DependencyGraph:
 
     def _key_cohort_evictable(self, key: str, victims: Dict[TxNode, None],
                               root_value) -> bool:
-        """Whether ``key``'s whole history can leave: every non-aborted
-        holder is a victim, and the root already serves the value the
-        last-registered writer would have."""
+        """Whether ``key``'s whole history can leave: every holder (none
+        is aborted: ``detach_node`` drops those) is a victim, and the root
+        already serves the value the last-registered writer would have."""
         last_writer: Optional[TxNode] = None
         for holder in self._writers.get(key, {}):
-            if holder.status is NodeStatus.ABORTED:
-                continue
             if holder not in victims:
                 return False
             last_writer = holder
         for holder in self._readers.get(key, {}):
-            if holder.status is not NodeStatus.ABORTED \
-                    and holder not in victims:
+            if holder not in victims:
                 return False
         if last_writer is not None \
                 and last_writer.records[key].last_write != root_value(key):
@@ -703,21 +558,17 @@ class DependencyGraph:
 
         Evicted nodes leave the node table, the per-key writer/reader
         indexes, the adjacency lists, and the closure universe.  Unlike
-        :meth:`detach_node` no bridging is needed, and no repair either:
-        condition 1 of the safety condition guarantees no surviving pair
-        was ordered through a victim — victims form closed components, so
-        no surviving bitset carries a victim's bit and eviction just
-        punches holes into the serial space while the index stays valid.
-        Only when holes come to outnumber live serials (or the index was
-        already stale) is a compacting rebuild scheduled via the
-        generation counter, which is what keeps a streaming controller's
-        bitset width plateaued instead of paying one rebuild per batch
-        boundary.
+        :meth:`detach_node` no bridging is needed: condition 1 of the
+        safety condition guarantees no surviving pair was ordered through
+        a victim — victims form closed components, so no surviving row
+        carries a victim's bit and eviction just tombstones their serials.
+        When holes come to outnumber live serials the pass compacts
+        (invariant 3), which keeps a streaming controller's row width
+        plateaued instead of paying one rebuild per batch boundary.
         """
         victims = self.prunable_committed(root_value)
         if not victims:
             return 0
-        valid = self._built_gen == self._gen
         for node in victims:
             for key in node.records:
                 for index in (self._writers, self._readers):
@@ -736,44 +587,33 @@ class DependencyGraph:
             node.in_edges.clear()
             if self.nodes.get(node.tx_id) is node:
                 del self.nodes[node.tx_id]
-            if node._index_owner is self:
-                serial = node._index_serial
-                if serial is not None and serial < len(self._indexed) \
-                        and self._indexed[serial] is node:
-                    self._indexed[serial] = None
-                    self._index_holes += 1
-                    if valid:
-                        self._down[serial] = self._up[serial] = 0
-                node._index_serial = None
-                node._index_owner = None
-        if valid:
-            self._index_compact_if_dominated()
+            if self._own_serial(node) is not None:
+                self._index_remove(node)
+        self._compact_if_dominated()
         self.nodes_pruned += len(victims)
         return len(victims)
 
-    def _index_compact_if_dominated(self) -> None:
-        """Invariant 4's amortization: pay the hole debt when it dominates.
+    def _compact_if_dominated(self) -> None:
+        """Invariant 3's amortization: pay the hole debt when it dominates.
 
         When every slot is a hole — the execution session's quiescent
         boundary evicts the *entire* indexed population — the index
-        resets to empty in place: an empty closure is trivially exact, so
-        no rebuild is needed and ``_built_gen`` stays current.  When
-        holes merely outnumber live serials, the generation counter is
-        bumped so the next query pays one compacting rebuild.
+        resets to empty in place.  When holes merely outnumber live
+        serials, one Kahn-order rebuild compacts the serial space.
         """
-        if self._index_holes == 0:
-            return
-        if self._index_holes == len(self._indexed):
-            self._index_reset_empty()
-        elif 2 * self._index_holes > len(self._indexed):
-            self._gen += 1
+        holes = self._index_holes
+        if 2 * holes > len(self._indexed):
+            if holes == len(self._indexed):
+                self._index_reset_empty()
+            else:
+                self._rebuild_index()
 
     def _index_reset_empty(self) -> None:
-        """Drop a fully-holed serial space: an empty index is trivially
-        exact, so ``_built_gen`` stays current and no rebuild is owed."""
+        """Drop a fully-holed serial space: an empty index is exact."""
         self._indexed.clear()
         self._down.clear()
         self._up.clear()
+        self._live = 0
         self._index_holes = 0
 
     @staticmethod
@@ -803,14 +643,13 @@ class DependencyGraph:
         self._readers.setdefault(key, {})[node] = None
 
     def writers_of(self, key: str) -> List[TxNode]:
-        """Live or committed writer nodes of ``key`` in first-write order."""
-        return [node for node in self._writers.get(key, {})
-                if node.status is not _ABORTED]
+        """Live or committed writer nodes of ``key`` in first-write order
+        (``detach_node`` drops an aborted node from every per-key index)."""
+        return list(self._writers.get(key, ()))
 
     def readers_of(self, key: str) -> List[TxNode]:
         """Nodes holding a read record on ``key`` (live or committed)."""
-        return [node for node in self._readers.get(key, {})
-                if node.status is not _ABORTED]
+        return list(self._readers.get(key, ()))
 
     def latest_alive_writer(self, key: str) -> Optional[TxNode]:
         """The most recent non-aborted writer of ``key``, if any."""
@@ -826,9 +665,12 @@ class DependencyGraph:
         if src is dst:
             raise SerializationError(
                 f"self-edge on {src.tx_id} (key {key}, {kind.value})")
+        src_serial = self._ensure_serial(src)
+        dst_serial = self._ensure_serial(dst)
         src.out_edges.setdefault(dst, {})[(key, kind)] = None
         dst.in_edges.setdefault(src, {})[(key, kind)] = None
-        self._index_add_edge(src, dst)
+        if not self._down[src_serial] >> dst_serial & 1:
+            self._connect(src_serial, dst_serial)
 
     def has_edge(self, src: TxNode, dst: TxNode) -> bool:
         return dst in src.out_edges
@@ -838,34 +680,25 @@ class DependencyGraph:
         self.path_queries += 1
         if src is dst:
             return True
-        if src._index_owner is not self or dst._index_owner is not self:
-            # Unindexed endpoints (no edges yet) are the common case here.
-            if not src.out_edges or not dst.in_edges:
-                return False
-            # Indexed by another graph (hand-built sharing): answer from
-            # the adjacency directly; our next rebuild re-claims the node.
-            return self._has_path_dfs(src, dst)
-        if self._built_gen != self._gen:
-            self._rebuild_index()
-        return bool(self._down[src._index_serial] >> dst._index_serial & 1)
+        src_serial = src._index_serial
+        dst_serial = dst._index_serial
+        if src_serial is None or dst_serial is None:
+            return False  # a node without edges reaches nothing
+        return bool(self._down[src_serial] >> dst_serial & 1)
 
     def rows(self, node: TxNode) -> Tuple[int, int]:
         """``node``'s closure rows ``(down, up)``: its descendants and its
-        ancestors, self included.  Node ``m`` is in a row iff
-        ``m._index_owner is self`` and bit ``m._index_serial`` is set.
+        ancestors, self included.  Node ``m`` is in a row iff bit
+        ``m._index_serial`` is set.  A dead serial's bit may still be set
+        in a row, so callers test only the bits of live indexed members.
 
         A node this graph has not indexed never touched an edge here (or
         left with its edges): it reaches nothing, nothing reaches it, and
-        its rows are ``(0, 0)``.  A stale index is rebuilt first, exactly
-        as a :meth:`has_path` between ``node`` and an indexed node would,
-        and a rebuild renumbers serials — read a member's serial after
-        this call.  Not counted in ``path_queries``: that counter is the
-        point queries the rows replace."""
-        if node._index_owner is not self:
-            return 0, 0
-        if self._built_gen != self._gen:
-            self._rebuild_index()
+        its rows are ``(0, 0)``.  Not counted in ``path_queries``: that
+        counter is the point queries the rows replace."""
         serial = node._index_serial
+        if serial is None:
+            return 0, 0
         return self._down[serial], self._up[serial]
 
     def _has_path_dfs(self, src: TxNode, dst: TxNode) -> bool:
@@ -887,35 +720,35 @@ class DependencyGraph:
 
     # -- reachability index internals ------------------------------------------
 
+    def _own_serial(self, node: TxNode) -> Optional[int]:
+        """``node``'s serial here, or ``None`` if it holds no edges.
+
+        Raises :class:`SerializationError` for a node another graph
+        indexes: one graph owns a node's edges and rows at a time."""
+        serial = node._index_serial
+        if serial is not None and (serial >= len(self._indexed)
+                                   or self._indexed[serial] is not node):
+            raise SerializationError(
+                f"transaction {node.tx_id} is indexed by another graph")
+        return serial
+
     def _ensure_serial(self, node: TxNode) -> int:
-        """Return ``node``'s serial, registering it on first edge contact.
-
-        A node currently owned by *another* graph (hand-built sharing) is
-        re-claimed; since it may carry edges this graph's clean rows know
-        nothing about, that case invalidates the index and lets the next
-        rebuild heal the closure."""
-        if node._index_owner is not self:
-            stolen = node._index_owner is not None
-            serial = len(self._indexed)
-            node._index_serial = serial
-            node._index_owner = self
+        """Return ``node``'s serial, registering it on first edge contact."""
+        serial = self._own_serial(node)
+        if serial is None:
+            serial = node._index_serial = len(self._indexed)
             self._indexed.append(node)
-            if stolen:
-                self._gen += 1  # force a rebuild; singleton sets would lie
-            elif self._built_gen == self._gen:
-                self._append_singleton()
-            return serial
-        return node._index_serial
+            self._append_singleton()
+        return serial
 
-    def _index_add_edge(self, src: TxNode, dst: TxNode) -> None:
-        """Italiano-style closure maintenance for a new edge src -> dst."""
-        src_serial = self._ensure_serial(src)
-        dst_serial = self._ensure_serial(dst)
-        if self._built_gen != self._gen:
-            return  # stale: the next query rebuilds from adjacency anyway
-        if self._down[src_serial] >> dst_serial & 1:
-            return  # already ordered; closure unchanged
-        self._connect(src_serial, dst_serial)
+    def _index_remove(self, node: TxNode) -> None:
+        """Take ``node`` out of the index in O(1), whatever its cone: its
+        serial is tombstoned and leaves a hole for compaction."""
+        serial = node._index_serial
+        node._index_serial = None
+        self._indexed[serial] = None
+        self._index_holes += 1
+        self._tombstone(serial)
 
     # -- closure rows ------------------------------------------------------------
 
@@ -925,26 +758,35 @@ class DependencyGraph:
             self.peak_bitset_words = width
 
     def _append_singleton(self) -> None:
-        """Register the next serial with only its own bit set."""
+        """Register the next serial, live, with only its own bit set."""
         bit = 1 << len(self._down)
         self._down.append(bit)
         self._up.append(bit)
+        self._live |= bit
         self._note_width()
+
+    def _tombstone(self, serial: int) -> None:
+        """Clear ``serial``'s ``live`` bit and zero its rows.  Its bit may
+        stay set in other rows (see :meth:`rows`)."""
+        self._live ^= 1 << serial
+        self._down[serial] = self._up[serial] = 0
 
     def _connect(self, src: int, dst: int) -> None:
         """Propagate a new non-redundant edge ``src -> dst`` (serials).
 
         ``down[dst]`` goes into the ancestors of ``src`` and ``up[src]``
         into the descendants of ``dst`` (both cones include their
-        endpoint) — but only into rows it changes.  An ancestor ``a``
-        already in ``up[dst]`` reaches ``dst``, so ``down[a]`` already
-        holds ``down[dst]`` by transitivity; a descendant already in
-        ``down[src]`` already holds ``up[src]``.  Both masks are taken
+        endpoint), masked with ``live`` so no row gains a dead bit — but
+        only into rows it changes.  An ancestor ``a`` already in
+        ``up[dst]`` reaches ``dst``, so ``down[a]`` already holds
+        ``down[dst]`` by transitivity; a descendant already in
+        ``down[src]`` already holds ``up[src]``.  Both sets are taken
         before any row changes (the first loop grows ``down[src]``)."""
         down = self._down
         up = self._up
-        ancestors = up[src]
-        descendants = down[dst]
+        live = self._live
+        ancestors = up[src] & live
+        descendants = down[dst] & live
         grow_down = ancestors & ~up[dst]    # ancestors not reaching dst
         grow_up = descendants & ~down[src]  # descendants src misses
         while grow_down:
@@ -956,36 +798,11 @@ class DependencyGraph:
             up[low.bit_length() - 1] |= ancestors
             grow_up ^= low
 
-    def _discard(self, serial: int, max_cone: int) -> Optional[int]:
-        """Decremental repair: clear ``serial``'s bit from its affected
-        cone and zero its own rows.  Returns the cone size, or ``None``
-        — with nothing mutated — when the cone exceeds ``max_cone``."""
-        mask = 1 << serial
-        ancestors = self._up[serial] & ~mask
-        descendants = self._down[serial] & ~mask
-        cone = ancestors.bit_count() + descendants.bit_count()
-        if cone > max_cone:
-            return None
-        down = self._down
-        up = self._up
-        remaining = ancestors
-        while remaining:
-            low = remaining & -remaining
-            down[low.bit_length() - 1] &= ~mask
-            remaining ^= low
-        remaining = descendants
-        while remaining:
-            low = remaining & -remaining
-            up[low.bit_length() - 1] &= ~mask
-            remaining ^= low
-        down[serial] = 0
-        up[serial] = 0
-        return cone
-
     def _rebuild_rows(self, count: int, topo: Optional[List[int]],
                       out_serials: List[List[int]],
                       in_serials: List[List[int]]) -> None:
-        """Closure rows from scratch over ``count`` compacted serials.
+        """Closure rows from scratch over ``count`` compacted serials, all
+        live.
 
         ``topo`` is a topological order (down rows are unioned in reverse
         topo, up rows in topo order); ``None`` means the caller found a
@@ -1004,7 +821,10 @@ class DependencyGraph:
                 for source in in_serials[serial]:
                     acc |= up[source]
                 up[serial] = acc
-        else:  # pragma: no cover - cycles only arise in hand-built graphs
+        else:
+            # Only the controller's known cycle (ROADMAP: "close the
+            # controller's serializability hole") reaches this fixpoint;
+            # closing it deletes this branch.
             for sets, edges in ((down, out_serials), (up, in_serials)):
                 changed = True
                 while changed:
@@ -1018,39 +838,19 @@ class DependencyGraph:
                             changed = True
         self._down = down
         self._up = up
+        self._live = (1 << count) - 1
         self._note_width()
 
     def _rebuild_index(self) -> None:
-        """Recompute the closure rows from the live adjacency.
-
-        Serials are compacted first — detached nodes' holes are dropped so
-        rows stay as dense as the surviving graph — and any neighbor
-        another graph claimed in the meantime (hand-built sharing) is
-        re-claimed.  Nodes are then processed in Kahn topological order
-        (one pass of set unions); graphs with a cycle — only constructible
-        by hand, the controller never creates one — fall back to a
-        fixpoint iteration so the answers still match DFS reachability.
-        """
+        """Compact the serial space: drop the holes, renumber the live
+        nodes in their serial order, and recompute the rows from the
+        adjacency in one Kahn-order pass of set unions (a cyclic graph
+        falls back to a fixpoint iteration, so the answers still match
+        DFS reachability)."""
         self.index_rebuilds += 1
-        nodes = [node for serial, node in enumerate(self._indexed)
-                 if node is not None and node._index_owner is self
-                 and node._index_serial == serial]
+        nodes = [node for node in self._indexed if node is not None]
         for serial, node in enumerate(nodes):
             node._index_serial = serial
-        # Re-claim foreign neighbors (and their adjacency, transitively).
-        cursor = 0
-        while cursor < len(nodes):
-            node = nodes[cursor]
-            cursor += 1
-            for edges in (node.out_edges, node.in_edges):
-                for neighbor in edges:
-                    serial = neighbor._index_serial
-                    if neighbor._index_owner is not self \
-                            or serial >= len(nodes) \
-                            or nodes[serial] is not neighbor:
-                        neighbor._index_serial = len(nodes)
-                        neighbor._index_owner = self
-                        nodes.append(neighbor)
         self._indexed = nodes
         self._index_holes = 0
         count = len(nodes)
@@ -1077,7 +877,6 @@ class DependencyGraph:
                     ready.append(target)
         self._rebuild_rows(count, topo if len(topo) == count else None,
                            out_serials, in_serials)
-        self._built_gen = self._gen
 
     # -- whole-graph queries ---------------------------------------------------
 

@@ -55,9 +55,9 @@ class ClusterResult:
     dropped_transactions: int
     blocks_committed: int
     #: Concurrency-controller health across every preplayed batch: query
-    #: volume on the reachability index, full rebuilds it paid, aborts
-    #: absorbed by decremental repair (and the cone traffic / fallbacks
-    #: those repairs cost), committed nodes pruned (with the boundary
+    #: volume on the reachability index, the compactions it paid, the
+    #: aborts it absorbed (one O(1) tombstone each), committed nodes
+    #: pruned (with the boundary
     #: passes that evicted them: the CE engine's epoch sessions prune at
     #: every round), and the dependency graph's node high-water mark.
     #: Per-round values are boundary deltas, so long-lived session
@@ -65,8 +65,6 @@ class ClusterResult:
     cc_path_queries: int
     cc_index_rebuilds: int
     cc_index_repairs: int
-    cc_repair_frontier_nodes: int
-    cc_repair_fallbacks: int
     cc_nodes_pruned: int
     cc_prune_passes: int
     ce_peak_graph_nodes: int
@@ -274,8 +272,6 @@ class Cluster:
             cc_path_queries=metrics.cc_path_queries,
             cc_index_rebuilds=metrics.cc_index_rebuilds,
             cc_index_repairs=metrics.cc_index_repairs,
-            cc_repair_frontier_nodes=metrics.cc_repair_frontier_nodes,
-            cc_repair_fallbacks=metrics.cc_repair_fallbacks,
             cc_nodes_pruned=metrics.cc_nodes_pruned,
             cc_prune_passes=metrics.cc_prune_passes,
             ce_peak_graph_nodes=metrics.ce_peak_graph_nodes,

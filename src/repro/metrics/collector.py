@@ -49,8 +49,6 @@ class MetricsCollector:
         self.cc_path_queries = 0
         self.cc_index_rebuilds = 0
         self.cc_index_repairs = 0
-        self.cc_repair_frontier_nodes = 0
-        self.cc_repair_fallbacks = 0
         self.cc_nodes_pruned = 0
         self.cc_prune_passes = 0
         self.ce_peak_graph_nodes = 0
@@ -105,8 +103,6 @@ class MetricsCollector:
         self.cc_path_queries += stats.path_queries
         self.cc_index_rebuilds += stats.index_rebuilds
         self.cc_index_repairs += stats.index_repairs
-        self.cc_repair_frontier_nodes += stats.repair_frontier_nodes
-        self.cc_repair_fallbacks += stats.repair_fallbacks
         self.cc_nodes_pruned += stats.nodes_pruned
         self.cc_prune_passes += stats.prune_passes
         if stats.bitset_words > self.cc_bitset_words:

@@ -12,6 +12,7 @@ combinators.
 
 from __future__ import annotations
 
+import heapq
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
 from repro.errors import SimulationError
@@ -30,6 +31,8 @@ class Event:
     (scheduled with a value on the event queue), and *processed* (callbacks
     have run).  Processes wait on events by yielding them.
     """
+
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_processed")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
@@ -93,18 +96,25 @@ class Event:
 class Timeout(Event):
     """An event that fires automatically ``delay`` time units in the future."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(env)
-        self.delay = delay
+        self.env = env
+        self.callbacks = []
         self._ok = True
         self._value = value
-        env.schedule(self, delay=delay)
+        self._processed = False
+        self.delay = delay
+        # ``env.schedule`` inlined: the delay is checked above.
+        heapq.heappush(env._queue, (env._now + delay, 1, next(env._seq), self))
 
 
 class Initialize(Event):
     """Internal event used to start a freshly created process."""
+
+    __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process") -> None:
         super().__init__(env)
@@ -121,6 +131,8 @@ class Process(Event):
     (value = the generator's return value) or raises (failure).  This lets
     processes wait for each other simply by yielding the other process.
     """
+
+    __slots__ = ("_generator", "_target")
 
     def __init__(self, env: "Environment", generator) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -204,6 +216,8 @@ class AllOf(Event):
     The value is a list of the child values in the order given.
     """
 
+    __slots__ = ("_events", "_pending")
+
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
         self._events = list(events)
@@ -232,6 +246,8 @@ class AnyOf(Event):
 
     The value is a ``(event, value)`` pair identifying the winner.
     """
+
+    __slots__ = ("_events",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)

@@ -11,6 +11,7 @@ Two primitives cover everything the Thunderbolt stack needs:
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from typing import Any, Deque, List
 
@@ -50,10 +51,11 @@ class Gate:
         slot = Event(env)
         queue = self._queue
         if duration > 0:
-            end = max(env.now, self._free_at) + duration
+            end = max(env._now, self._free_at) + duration
             self._free_at = end
             slot._value = None
-            env.schedule_at(slot, end)
+            # ``env.schedule_at`` inlined: ``end`` is past ``now``.
+            heapq.heappush(env._queue, (end, 1, next(env._seq), slot))
         elif duration < 0:
             raise SimulationError(f"negative hold: {duration}")
         elif not queue:

@@ -4,16 +4,17 @@ The reachability index (``repro.ce.depgraph``) keeps one Python int per
 closure row; determinism of the whole executor rests on those rows being
 the exact transitive closure.  ``tests/ce/word_rows.py`` keeps the same
 closure as rows of 8-bit (``packed``) and 64-bit (``packed-array``)
-words, updated by the textbook unmasked operations.  Covered here:
+words, updated by the textbook operations.  Covered here:
 
-* op-level parity: identical random append/connect/discard/zero/rebuild
-  sequences leave the int rows and both word layouts with the same bits,
-  including ``_discard``'s refuse-without-mutating contract;
+* op-level parity: identical random append/connect/tombstone/rebuild
+  sequences leave the int rows, the ``live`` set and both word layouts
+  with the same bits;
 * word-boundary growth: rows widen correctly past 64/128 serials and
   ``peak_bitset_words`` is a high-water mark that survives an emptied
   index;
 * bridge planning (``DependencyGraph._bridge_plan_from_index``) against
-  the reference per-predecessor DFS under randomized churn; and
+  the reference per-predecessor DFS (``_bridge_by_dfs``) under randomized
+  churn, and the DFS fallback on a cyclic cone; and
 * end-to-end fingerprints: ``engine="ce"`` cluster runs commit
   their pinned logs, and the same logs with every row checked against
   the word layouts.
@@ -62,10 +63,13 @@ def test_backend_ops_parity(seed):
     graph = DependencyGraph()
     references = [WordRows(typecode) for typecode in TYPECODES.values()]
     count = 0
+    live = []
     edges = set()
 
     def assert_rows_agree(context):
         for reference in references:
+            assert reference.live_int() == graph._live, \
+                (context, reference.typecode)
             assert reference.as_ints() == (graph._down, graph._up), \
                 (context, reference.typecode)
 
@@ -80,43 +84,42 @@ def test_backend_ops_parity(seed):
         for reference in references:
             reference.rebuild(count, topo, out_serials, in_serials)
 
+    def tombstone(victims):
+        nonlocal edges
+        for victim in victims:
+            live.remove(victim)
+            graph._tombstone(victim)
+            for reference in references:
+                reference.discard(victim)
+        edges = {(a, b) for (a, b) in edges
+                 if a not in victims and b not in victims}
+
     for step in range(250):
         action = rng.random()
-        if action < 0.30 or count < 2:
+        if action < 0.30 or len(live) < 2:
             graph._append_singleton()
             for reference in references:
                 reference.append_singleton()
+            live.append(count)
             count += 1
         elif action < 0.70:
-            src, dst = sorted(rng.sample(range(count), 2))
+            src, dst = sorted(rng.sample(live, 2))
             if not graph._down[src] >> dst & 1:  # depgraph pre-checks
                 edges.add((src, dst))
                 graph._connect(src, dst)
                 for reference in references:
                     reference.connect(src, dst)
         elif action < 0.85:
-            victim = rng.randrange(count)
-            max_cone = rng.choice([0, 2, 10_000])
-            cones = [graph._discard(victim, max_cone)] + [
-                reference.discard(victim, max_cone)
-                for reference in references]
-            assert len(set(cones)) == 1, (seed, step, cones)
-            if cones[0] is not None:
-                edges = {(a, b) for (a, b) in edges
-                         if a != victim and b != victim}
+            tombstone([rng.choice(live)])  # a detach
         else:
             # Eviction as prune_committed does it: a closed component's
-            # rows are zeroed, and no surviving row carries its bits.
-            victims = component(graph, rng.randrange(count))
-            for victim in victims:
-                graph._down[victim] = graph._up[victim] = 0
-                for reference in references:
-                    reference.zero_node(victim)
-            edges = {(a, b) for (a, b) in edges
-                     if a not in victims and b not in victims}
+            # live serials are tombstoned.
+            members = component(graph, rng.choice(live))
+            tombstone([serial for serial in members if serial in live])
         assert_rows_agree((seed, step))
         if step % 50 == 49 and rng.random() < 0.5:
             rebuild_all()
+            live = list(range(count))
             assert_rows_agree((seed, step, "rebuilt"))
     assert_rows_agree((seed, "final"))
 
@@ -127,22 +130,6 @@ def chain_graph(n, graph_cls=DependencyGraph):
     for i in range(n - 1):
         graph.add_edge(nodes[i], nodes[i + 1], "k", EdgeKind.ANTI)
     return graph, nodes
-
-
-def test_discard_over_threshold_mutates_nothing():
-    """``_discard`` must refuse (return None) without touching any row
-    when the cone exceeds ``max_cone`` — the detach falls back to a
-    rebuild, and a half-cleared cone would corrupt the closure."""
-    for name in BACKENDS:
-        graph, nodes = chain_graph(5, graph_class(name))
-        assert graph.has_path(nodes[0], nodes[4]), name  # builds the rows
-        rows = (list(graph._down), list(graph._up))
-        serial = nodes[2]._index_serial
-        assert graph._discard(serial, 1) is None, name  # cone = 2 + 2 > 1
-        assert (graph._down, graph._up) == rows, name
-        assert graph._discard(serial, 4) == 4, name     # now it repairs
-        assert not graph._down[nodes[0]._index_serial] >> serial & 1, name
-        assert graph.has_path(nodes[0], nodes[4]), name  # survivors keep order
 
 
 def bits(*nodes):
@@ -158,10 +145,9 @@ def test_growth_across_word_boundaries():
         graph, nodes = chain_graph(2, graph_class(name))
         n = 150
         nodes += [TxNode(tx_id=i, attempt=1) for i in range(2, n)]
-        assert graph.has_path(nodes[0], nodes[1]), name  # the only build
         for i in range(1, n - 1):
             graph.add_edge(nodes[i], nodes[i + 1], "k", EdgeKind.ANTI)
-        assert graph.index_rebuilds == 1, name
+        assert graph.index_rebuilds == 0, name
         assert graph.has_path(nodes[0], nodes[n - 1]), name
         assert graph.has_path(nodes[63], nodes[64]), name
         assert graph.has_path(nodes[0], nodes[127]), name
@@ -179,12 +165,39 @@ def test_growth_across_word_boundaries():
 # ------------------------------------------------- bridge planning regression
 
 
-def churn_with_bridges(rng, graph_cls, via_index, n_nodes=28, n_ops=220):
+def planner_graph(graph_cls):
+    """``graph_cls`` counting the index planner's plans and declines."""
+
+    class PlannerGraph(graph_cls):
+        plans = declines = 0
+
+        def _bridge_plan_from_index(self, node, predecessors, successors):
+            plan = super()._bridge_plan_from_index(node, predecessors,
+                                                   successors)
+            if plan is None:
+                self.declines += 1
+            else:
+                self.plans += 1
+            return plan
+
+    return PlannerGraph
+
+
+def dfs_bridged_graph(graph_cls):
+    """``graph_cls`` bridging every detach with the reference DFS."""
+
+    class DfsBridgedGraph(graph_cls):
+        def _bridge_plan_from_index(self, node, predecessors, successors):
+            return None
+
+    return DfsBridgedGraph
+
+
+def churn_with_bridges(rng, graph_cls, n_nodes=28, n_ops=220):
     """Detach-heavy churn (compared to the reachability suite) so most
     detaches hit the bridging path; returns the graph, its nodes, the
     survivor ids, and every bridge edge in insertion order."""
     graph = graph_cls()
-    graph.bridge_via_index = via_index
     nodes = [TxNode(tx_id=i, attempt=1) for i in range(n_nodes)]
     for node in nodes:
         graph.add_node(node)
@@ -202,7 +215,7 @@ def churn_with_bridges(rng, graph_cls, via_index, n_nodes=28, n_ops=220):
             graph.detach_node(nodes[victim])
         else:
             a, b = rng.choice(alive), rng.choice(alive)
-            graph.has_path(nodes[a], nodes[b])  # keeps the index warm
+            graph.has_path(nodes[a], nodes[b])
     for node in (nodes[i] for i in sorted(alive)):
         for neighbor, labels in node.out_edges.items():
             for position, (key, kind) in enumerate(labels):
@@ -215,18 +228,18 @@ def churn_with_bridges(rng, graph_cls, via_index, n_nodes=28, n_ops=220):
 @pytest.mark.parametrize("seed", range(6))
 def test_bridge_plan_matches_dfs_reference(seed, backend):
     """Satellite regression for the detach fast path: planning bridges
-    from the pre-removal closure snapshot must produce exactly the edges
-    the per-predecessor DFS reference produces, in the same positions,
-    and an identical surviving closure."""
+    from the closure before removal must produce exactly the edges the
+    per-predecessor DFS reference produces, in the same positions, and an
+    identical surviving closure."""
     graph_cls = graph_class(backend)
     reference = churn_with_bridges(random.Random(seed * 31 + 7),
-                                   graph_cls, via_index=False)
+                                   dfs_bridged_graph(graph_cls))
     planned = churn_with_bridges(random.Random(seed * 31 + 7),
-                                 graph_cls, via_index=True)
+                                 planner_graph(graph_cls))
     ref_graph, ref_nodes, ref_alive, ref_bridges = reference
     graph, nodes, alive, bridges = planned
-    assert ref_graph.bridge_plans == ref_graph.bridge_fallbacks == 0
-    assert graph.bridge_plans > 0, "planner was never exercised"
+    assert graph.plans > 0, "planner was never exercised"
+    assert graph.declines == 0  # acyclic churn: the planner always answers
     assert alive == ref_alive
     assert bridges == ref_bridges, (seed, backend)
     for a in alive:
@@ -237,19 +250,25 @@ def test_bridge_plan_matches_dfs_reference(seed, backend):
                 graph._has_path_dfs(nodes[a], nodes[b]), (seed, a, b)
 
 
-def test_bridge_plan_falls_back_when_index_is_stale():
-    """No closure snapshot exists before the first build, so the very
-    first detach must take the reference DFS path (and count it)."""
-    graph = DependencyGraph()
+def test_bridge_plan_declines_on_a_cyclic_cone():
+    """A hand-built cycle through the departing node puts a predecessor
+    in its descendant cone: the planner declines and the reference DFS
+    bridges instead; compaction then takes the cyclic fixpoint."""
+    graph = planner_graph(DependencyGraph)()
     a, mid, b = (TxNode(tx_id=i, attempt=1) for i in range(3))
     for node in (a, mid, b):
         graph.add_node(node)
     graph.add_edge(a, mid, "k", EdgeKind.READ_FROM)
     graph.add_edge(mid, b, "k", EdgeKind.READ_FROM)
+    graph.add_edge(b, a, "k", EdgeKind.ANTI)  # closes a -> mid -> b -> a
     mid.status = NodeStatus.ABORTED
-    graph.detach_node(mid)  # index never built: planner must decline
-    assert graph.bridge_fallbacks == 1
-    assert graph.has_path(a, b)  # DFS bridging still bridged correctly
+    graph.detach_node(mid)  # holes 1 of 3: no compaction yet
+    assert (graph.plans, graph.declines) == (0, 1)
+    assert graph.has_edge(a, b)  # bridged by the DFS
+    graph._rebuild_index()
+    for x in (a, b):
+        for y in (a, b):
+            assert graph.has_path(x, y) == graph._has_path_dfs(x, y) is True
 
 
 # ------------------------------------------------------ cluster fingerprints

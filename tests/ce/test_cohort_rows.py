@@ -5,16 +5,17 @@ each keeps its old form here, as a test-only reference, and is held to it:
 
 * ``DependencyGraph._connect`` ORs only into the closure rows an edge
   changes (``up[src] & ~up[dst]`` and ``down[dst] & ~down[src]``).
-  ``UnmaskedGraph._connect`` ORs into every ancestor and descendant row;
-  under randomized churn with aborts, prunes and rebuilds the two row
-  tables must be bit-identical after every operation.
+  ``UnmaskedGraph._connect`` ORs into every live ancestor and descendant
+  row; under randomized churn with aborts, prunes and compactions the two
+  row tables must be bit-identical after every operation.
 * The controller classifies a key's cohort with the node's rows (R1:
   ``up[node]``, R2: ``down[node] | up[chosen]``, R4: ``down[node]``).
   ``PointQueryController`` asks ``has_path`` per member, as the rules did
   before; over seeded theta = 0.99 schedules both must insert the same
-  edges, abort the same attempts and commit the same order — with the
-  same index rebuilds and repairs, since the rows are read where the
-  first point query used to rebuild a stale index.
+  edges, abort the same attempts and commit the same order, with the
+  same index repairs and compactions.  After every call of the direct
+  schedule, no aborted node may sit in a per-key index (``writers_of``
+  and ``readers_of`` copy those indexes without a status filter).
 """
 
 import random
@@ -37,13 +38,13 @@ THETA = 0.99
 
 
 class UnmaskedGraph(DependencyGraph):
-    """``_connect`` as it was before the masks."""
+    """``_connect`` without the skip of rows that already hold the edge."""
 
     def _connect(self, src, dst):
         down = self._down
         up = self._up
-        ancestors = up[src]
-        descendants = down[dst]
+        ancestors = up[src] & self._live
+        descendants = down[dst] & self._live
         remaining = ancestors
         while remaining:
             low = remaining & -remaining
@@ -87,8 +88,7 @@ class RecordingController(ConcurrencyController):
             "aborts": self.aborts,
             "order": self.execution_order(),
             "writes": self.final_writes(),
-            "index": (stats.index_rebuilds, stats.index_repairs,
-                      stats.repair_fallbacks, stats.repair_frontier_nodes),
+            "index": (stats.index_rebuilds, stats.index_repairs),
         }
 
 
@@ -172,7 +172,7 @@ def churn(rng, graphs, n_nodes=36, n_ops=400):
     """Apply one random operation sequence to every graph in ``graphs``
     and yield after each operation: edge inserts (low -> high, so the
     graph stays acyclic), aborts (detach with bridging), commits and
-    prunes of committed components, forced rebuilds, queries."""
+    prunes of committed components, forced compactions, queries."""
     nodes = [[TxNode(tx_id=i, attempt=1) for i in range(n_nodes)]
              for _ in graphs]
     for graph, own in zip(graphs, nodes):
@@ -200,7 +200,7 @@ def churn(rng, graphs, n_nodes=36, n_ops=400):
                      if nodes[0][index].tx_id in graphs[0].nodes]
         elif action < 0.82:
             for graph in graphs:
-                graph._gen += 1  # the next query rebuilds from adjacency
+                graph._rebuild_index()
         else:
             a, b = rng.choice(alive), rng.choice(alive)
             answers = {graph.has_path(own[a], own[b])
@@ -219,8 +219,7 @@ def test_masked_connect_rows_equal_the_unmasked_reference(seed):
         steps += 1
         assert masked._down == unmasked._down, (seed, steps)
         assert masked._up == unmasked._up, (seed, steps)
-        assert masked._built_gen - masked._gen \
-            == unmasked._built_gen - unmasked._gen
+        assert masked._live == unmasked._live, (seed, steps)
     assert steps > 50
     assert masked.index_rebuilds > 1 and masked.index_repairs > 0
     assert masked.nodes_pruned > 0
@@ -248,7 +247,6 @@ def test_connect_skips_the_rows_that_already_hold_the_edge():
         a, b, c = (TxNode(tx_id=i, attempt=1) for i in range(3))
         graph.add_edge(a, c, "k", EdgeKind.ANTI)
         graph.add_edge(b, c, "k", EdgeKind.ANTI)
-        assert graph.has_path(a, c)  # build the rows
         graph._down, graph._up = RowSpy(graph._down), RowSpy(graph._up)
         graph.add_edge(a, b, "k", EdgeKind.ANTI)
         serial = {"a": a._index_serial, "b": b._index_serial,
@@ -262,6 +260,14 @@ def test_connect_skips_the_rows_that_already_hold_the_edge():
 # ------------------------------------------------------- cohort classifier
 
 
+def assert_no_aborted_holder(graph):
+    for index in (graph._writers, graph._readers):
+        for key, holders in index.items():
+            for node in holders:
+                assert node.status is not NodeStatus.ABORTED, \
+                    (key, node.tx_id, node.attempt)
+
+
 def drive(controller_cls, seed, n_tx=45, n_keys=5, max_open=6):
     """One seeded interleaving of begin/read/write/finish/abort calls on a
     fresh controller, keys drawn Zipf(theta); restarts aborted attempts
@@ -272,7 +278,9 @@ def drive(controller_cls, seed, n_tx=45, n_keys=5, max_open=6):
     close a cycle in both forms alike.  A read can take an older
     committed version and be ordered before a newer committed writer,
     and R4 assumes committed nodes have only committed predecessors.
-    The comparison still holds there."""
+    The comparison still holds there.
+
+    After every call, no aborted node sits in a per-key index."""
     rng = random.Random(seed)
     keys = [f"k{rank}" for rank in range(n_keys)]
     weights = [1 / (rank + 1) ** THETA for rank in range(n_keys)]
@@ -311,6 +319,7 @@ def drive(controller_cls, seed, n_tx=45, n_keys=5, max_open=6):
                 cc.abort_transaction(tx_id, reason="external")
         except TransactionAborted:
             calls.append(("aborted", tx_id))
+        assert_no_aborted_holder(cc.graph)
     assert cc.committed_count() == n_tx, "schedule did not drain"
     return calls, cc
 

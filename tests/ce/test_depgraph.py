@@ -80,20 +80,28 @@ def test_writer_reader_indexes(graph):
     assert graph.latest_alive_writer("k") is a
 
 
+def abort(graph, node):
+    """What the controller does to an aborted attempt."""
+    node.status = NodeStatus.ABORTED
+    graph.detach_node(node)
+
+
 def test_aborted_nodes_excluded_from_indexes(graph):
     a = make_node(1)
+    a.records["k"] = KeyRecord(wrote=True)
     graph.register_writer("k", a)
-    a.status = NodeStatus.ABORTED
+    abort(graph, a)
     assert graph.writers_of("k") == []
     assert graph.latest_alive_writer("k") is None
 
 
 def test_latest_writer_is_insertion_order(graph):
     a, b = make_node(1), make_node(2)
-    graph.register_writer("k", a)
-    graph.register_writer("k", b)
+    for node in (a, b):
+        node.records["k"] = KeyRecord(wrote=True)
+        graph.register_writer("k", node)
     assert graph.latest_alive_writer("k") is b
-    b.status = NodeStatus.ABORTED
+    abort(graph, b)
     assert graph.latest_alive_writer("k") is a
 
 

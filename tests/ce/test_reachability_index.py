@@ -23,7 +23,7 @@ import pytest
 from repro.ce import CEConfig, CERunner, ConcurrencyController
 from repro.ce.depgraph import (DependencyGraph, EdgeKind, NodeStatus, TxNode)
 from repro.contracts import default_registry, initial_state
-from repro.errors import TransactionAborted
+from repro.errors import SerializationError, TransactionAborted
 from repro.sim import Environment, make_rng
 from repro.txn import Transaction
 from repro.workloads.ycsb import (YCSB_RMW, initial_state as ycsb_state,
@@ -112,52 +112,24 @@ def test_detach_skips_redundant_bridges(graph_cls):
 
 
 def test_node_shared_across_two_graphs(graph_cls):
-    """Hand-built sharing: a second graph re-claiming a node must not
-    crash or corrupt the first graph's answers (it falls back to DFS and
-    heals at its next rebuild)."""
-    graph_a = graph_cls()
-    graph_b = graph_cls()
-    n0, n1 = TxNode(tx_id=0, attempt=1), TxNode(tx_id=1, attempt=1)
-    graph_a.add_edge(n0, n1, "k", EdgeKind.ANTI)
-    assert graph_a.has_path(n0, n1)
-    # graph B steals the nodes' serials (and adds its own edges)
-    extra = [TxNode(tx_id=i, attempt=1) for i in range(2, 6)]
-    for i in range(len(extra) - 1):
-        graph_b.add_edge(extra[i], extra[i + 1], "x", EdgeKind.ANTI)
-    graph_b.add_edge(extra[-1], n1, "x", EdgeKind.ANTI)
-    graph_b.add_edge(n1, n0, "x", EdgeKind.ANTI)  # reversed in B's blend
-    # A must still answer (shared adjacency is the ground truth)
-    assert graph_a.has_path(n0, n1) == graph_a._has_path_dfs(n0, n1)
-    assert graph_a.has_path(extra[0], n0) == \
-        graph_a._has_path_dfs(extra[0], n0)
-    # force A to rebuild (detach an indexed node) and re-check everything
-    n2 = TxNode(tx_id=6, attempt=1)
-    graph_a.add_node(n2)
-    graph_a.add_edge(n0, n2, "k", EdgeKind.ANTI)
-    n2.status = NodeStatus.ABORTED
-    graph_a.detach_node(n2)
-    everyone = [n0, n1] + extra
-    for a in everyone:
-        for b in everyone:
-            assert graph_a.has_path(a, b) == graph_a._has_path_dfs(a, b), \
-                (a.tx_id, b.tx_id)
-
-
-def test_detach_through_non_owner_graph_invalidates_owner(graph_cls):
-    """Detaching a shared node via a graph that does not own its serial
-    must still invalidate the owner's closure."""
+    """One graph indexes a node at a time: a second graph may neither add
+    an edge to it nor detach it, and the owner's answers stay intact."""
     graph_a = graph_cls()
     graph_b = graph_cls()
     x, n, y = (TxNode(tx_id=i, attempt=1) for i in range(3))
     graph_a.add_edge(x, n, "k", EdgeKind.ANTI)
     graph_a.add_edge(n, y, "k", EdgeKind.ANTI)
-    graph_a.add_edge(x, y, "k", EdgeKind.ANTI)
-    assert graph_a.has_path(x, n)  # builds A's closure
+    outsider = TxNode(tx_id=3, attempt=1)
+    with pytest.raises(SerializationError, match="another graph"):
+        graph_b.add_edge(outsider, n, "x", EdgeKind.ANTI)
+    assert n not in outsider.out_edges  # refused before any mutation
     n.status = NodeStatus.ABORTED
-    graph_b.detach_node(n)  # B never indexed n; A owns the serial
-    assert not graph_a.has_path(x, n)
-    assert graph_a.has_path(x, y)  # direct edge survives
-    assert graph_a.has_path(x, n) == graph_a._has_path_dfs(x, n)
+    with pytest.raises(SerializationError, match="another graph"):
+        graph_b.detach_node(n)
+    assert graph_a.has_path(x, y) and graph_a.has_edge(x, n)
+    graph_a.detach_node(n)  # the owner may
+    assert graph_a.has_path(x, y) == graph_a._has_path_dfs(x, y) is True
+    graph_b.add_edge(outsider, n, "x", EdgeKind.ANTI)  # unowned now
 
 
 def test_edgeless_abort_costs_no_rebuild(graph_cls):
@@ -177,18 +149,22 @@ def test_edgeless_abort_costs_no_rebuild(graph_cls):
 
 
 def test_index_compacts_on_rebuild(graph_cls):
-    """Detached nodes' bit positions are dropped at the next rebuild."""
+    """Detached nodes' bit positions are dropped when holes come to
+    outnumber live serials, and by any rebuild."""
     graph = graph_cls()
     nodes = [TxNode(tx_id=i, attempt=1) for i in range(10)]
     for node in nodes:
         graph.add_node(node)
     for i in range(9):
         graph.add_edge(nodes[i], nodes[i + 1], "k", EdgeKind.ANTI)
-    assert graph.has_path(nodes[0], nodes[9])
     for node in nodes[1:9]:
         node.status = NodeStatus.ABORTED
         graph.detach_node(node)
-    assert graph.has_path(nodes[0], nodes[9])  # bridged chain, rebuilt
+    # The sixth detach compacted 10 serials to 4; two holes since.
+    assert graph.index_rebuilds == 1
+    assert (len(graph._indexed), graph._index_holes) == (4, 2)
+    assert graph.has_path(nodes[0], nodes[9])  # bridged chain
+    graph._rebuild_index()
     assert len(graph._indexed) == 2
     assert graph._indexed[nodes[0]._index_serial] is nodes[0]
 
@@ -203,16 +179,14 @@ def test_stats_counters_exposed():
     t3 = cc.begin(3)
     cc.read(t3, "k")   # rf edge t1 -> t3
     assert cc.stats.path_queries == cc.graph.path_queries > 0
-    # The index was never built yet (no query hit two indexed endpoints),
-    # so this detach rides the pending first build rather than repairing.
+    # The index is exact from the first edge: each abort is one tombstone
+    # (see test_decremental_repair.py for the full counter coverage).
     cc.abort_transaction(2)
-    node1, node3 = cc.graph.get(1), cc.graph.get(3)
-    assert cc.graph.has_path(node1, node3)  # first build fires here
-    assert cc.stats.index_rebuilds == cc.graph.index_rebuilds >= 1
-    # Further aborts are absorbed decrementally (see
-    # test_decremental_repair.py for the full counter coverage).
-    cc.abort_transaction(3)
     assert cc.stats.index_repairs == cc.graph.index_repairs == 1
+    assert cc.stats.index_rebuilds == cc.graph.index_rebuilds == 0
+    cc.abort_transaction(3)  # two holes of three serials: compacts
+    assert cc.stats.index_repairs == cc.graph.index_repairs == 2
+    assert cc.stats.index_rebuilds == cc.graph.index_rebuilds == 1
 
 
 def bits(*nodes):
@@ -225,10 +199,9 @@ def test_rows_of_a_node_without_edges_are_empty():
     a, b, loner = (TxNode(tx_id=i, attempt=1) for i in range(3))
     graph.add_edge(a, b, "k", EdgeKind.ANTI)
     assert graph.rows(loner) == (0, 0)
-    assert graph.index_rebuilds == 0  # no row read, so no build
     down, up = graph.rows(a)
-    assert graph.index_rebuilds == 1  # a stale index builds on first read
     assert down == bits(a, b) and up == bits(a)
+    assert graph.index_rebuilds == 0  # exact from the first edge
 
 
 # ------------------------------------------------------- topological order

@@ -4,7 +4,8 @@ keeps.
 
 :class:`WordRows` holds the same closure as ``array`` rows of fixed-width
 words and updates it with the textbook operations (``connect`` ORs into
-every ancestor and descendant row, unmasked).  :func:`graph_class` names a
+every live ancestor and descendant row, without the production graph's
+skip of rows that already hold the edge).  :func:`graph_class` names a
 graph class per row backend id:
 
 * ``pyint`` — the production graph, unchanged;
@@ -13,6 +14,12 @@ graph class per row backend id:
   several words, and both tables compared after each mutation;
 * ``packed-array`` — the same with 64-bit words (``array('Q')``).
 
+Both sides tombstone a departing serial: its ``live`` bit goes and its
+rows are zeroed, while its bit may stay in other rows.  The reference
+ORs ``live``-masked rows into every live ancestor and descendant row, so
+the two tables must agree bit for bit — at live bits, where the closure
+is exact, and at dead bits, which neither side may add to.
+
 The ids are those of the row backends the graph once chose between; a
 test parametrized over :data:`BACKENDS` runs its scenario once plain and
 twice with the int rows held, step by step, to an independent layout.
@@ -20,7 +27,7 @@ twice with the int rows held, step by step, to an independent layout.
 
 import sys
 from array import array
-from typing import List, Optional
+from typing import List, Optional, Set
 
 from repro.ce.depgraph import DependencyGraph
 
@@ -36,6 +43,7 @@ class WordRows:
         self.width = 8 * array(typecode).itemsize
         self.down: List[array] = []
         self.up: List[array] = []
+        self.live: Set[int] = set()
         self.words = 0
 
     def _zero_row(self) -> array:
@@ -55,8 +63,16 @@ class WordRows:
                 word ^= low
         return out
 
+    def _live_only(self, row: array) -> array:
+        out = self._zero_row()
+        for serial in self._bits(row):
+            if serial in self.live:
+                out[serial // self.width] |= 1 << serial % self.width
+        return out
+
     def clear(self) -> None:
         self.down, self.up, self.words = [], [], 0
+        self.live = set()
 
     def append_singleton(self) -> None:
         serial = len(self.down)
@@ -68,31 +84,19 @@ class WordRows:
             self.words = need
         self.down.append(self._singleton(serial))
         self.up.append(self._singleton(serial))
+        self.live.add(serial)
 
     def connect(self, src: int, dst: int) -> None:
-        descendants, ancestors = self.down[dst], self.up[src]
+        descendants = self._live_only(self.down[dst])
+        ancestors = self._live_only(self.up[src])
         for serial in self._bits(ancestors):
             _or_into(self.down[serial], descendants)
         for serial in self._bits(descendants):
             _or_into(self.up[serial], ancestors)
 
-    def discard(self, serial: int, max_cone: int) -> Optional[int]:
-        ancestors = [a for a in self._bits(self.up[serial]) if a != serial]
-        descendants = [d for d in self._bits(self.down[serial])
-                       if d != serial]
-        cone = len(ancestors) + len(descendants)
-        if cone > max_cone:
-            return None
-        word, bit = divmod(serial, self.width)
-        keep = ((1 << self.width) - 1) ^ (1 << bit)
-        for ancestor in ancestors:
-            self.down[ancestor][word] &= keep
-        for descendant in descendants:
-            self.up[descendant][word] &= keep
-        self.zero_node(serial)
-        return cone
-
-    def zero_node(self, serial: int) -> None:
+    def discard(self, serial: int) -> None:
+        """Tombstone ``serial``: drop it from ``live``, zero its rows."""
+        self.live.discard(serial)
         self.down[serial] = self._zero_row()
         self.up[serial] = self._zero_row()
 
@@ -118,11 +122,15 @@ class WordRows:
                         _or_into(row, table[neighbor])
                     changed |= row.tobytes() != before
         self.down, self.up = down, up
+        self.live = set(range(count))
 
     def as_ints(self):
         """Both tables as lists of Python ints, bit ``t`` = serial ``t``."""
         return ([self._to_int(row) for row in self.down],
                 [self._to_int(row) for row in self.up])
+
+    def live_int(self) -> int:
+        return sum(1 << serial for serial in self.live)
 
     @staticmethod
     def _to_int(row: array) -> int:
@@ -152,6 +160,8 @@ def graph_class(backend: str):
             self.word_rows = WordRows(typecode)
 
         def _check_rows(self) -> None:
+            assert self.word_rows.live_int() == self._live, \
+                (backend, len(self._down))
             assert self.word_rows.as_ints() == (self._down, self._up), \
                 (backend, len(self._down))
 
@@ -165,11 +175,10 @@ def graph_class(backend: str):
             super()._connect(src, dst)
             self._check_rows()
 
-        def _discard(self, serial: int, max_cone: int) -> Optional[int]:
-            cone = self.word_rows.discard(serial, max_cone)
-            assert super()._discard(serial, max_cone) == cone
+        def _tombstone(self, serial: int) -> None:
+            super()._tombstone(serial)
+            self.word_rows.discard(serial)
             self._check_rows()
-            return cone
 
         def _rebuild_rows(self, count, topo, out_serials, in_serials):
             super()._rebuild_rows(count, topo, out_serials, in_serials)
@@ -180,19 +189,6 @@ def graph_class(backend: str):
             super()._index_reset_empty()
             self.word_rows.clear()
             self._check_rows()
-
-        def prune_committed(self, root_value) -> int:
-            # Eviction zeroes the rows of every serial it turns into a
-            # hole, while the index is current.
-            valid = self._built_gen == self._gen
-            before = list(self._indexed)
-            pruned = super().prune_committed(root_value)
-            if valid and self._indexed:
-                for serial, node in enumerate(before):
-                    if node is not None and self._indexed[serial] is None:
-                        self.word_rows.zero_node(serial)
-            self._check_rows()
-            return pruned
 
     RowCheckedGraph.__name__ = f"RowCheckedGraph[{backend}]"
     return RowCheckedGraph
