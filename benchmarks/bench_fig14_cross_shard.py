@@ -7,16 +7,10 @@ Thunderbolt holds several times higher; even at P = 100 Thunderbolt's
 deterministic lane execution keeps it ~2x over Tusk.  Thunderbolt's latency
 stays roughly half of Thunderbolt-OCC's.
 
-Beyond the paper's systems, the sweep runs **Thunderbolt-Piped** — the
-``shard_lanes=True`` configuration that drains cross-shard waves
-through per-shard lanes (:mod:`repro.core.cross_shard`) — at the
-cross-heavy mixes.  At bench scale the cluster is consensus-bound, so
-its end-to-end throughput tracks plain Thunderbolt; the interesting
-evidence here is that the full system stays safe with lanes live
-(waves and oracle checks both nonzero).  The execution-layer makespan
-win itself is gated deterministically in
-``benchmarks/bench_regression.py`` (``cross_shard_pipeline``), where
-consensus cannot mask it.
+Thunderbolt runs every committed cross-shard batch as one ordered OE
+replay charged the critical path of its per-SID lane plan
+(:class:`repro.core.cross_shard.CrossShardExecutor`); Tusk is charged the
+serial sum of the same replay.
 """
 
 import pytest
@@ -24,9 +18,6 @@ import pytest
 from benchmarks.conftest import run_system, scaled
 
 RATIOS = [0.0, 0.04, 0.08, 0.20, 0.60, 1.00]
-#: Cross-heavy subset the pipelined system runs at (keeps the default
-#: profile's runtime bounded; the 60% point is the acceptance mix).
-PIPED_RATIOS = [0.20, 0.60]
 N_REPLICAS = scaled(24, 16, 4)   # FULL pushes past the paper's 16 shards
 DURATION = scaled(0.6, 0.18, 0.15)
 SYSTEMS = [("Thunderbolt", "ce"), ("Thunderbolt-OCC", "occ"),
@@ -40,11 +31,6 @@ def sweep():
             result = run_system(engine, N_REPLICAS, duration=DURATION,
                                 cross_shard_ratio=ratio, drain=0.1)
             series.setdefault(name, {})[ratio] = result
-    for ratio in PIPED_RATIOS:
-        result = run_system(
-            "ce", N_REPLICAS, duration=DURATION, cross_shard_ratio=ratio,
-            drain=0.1, shard_lanes=True)
-        series.setdefault("Thunderbolt-Piped", {})[ratio] = result
     return series
 
 
@@ -74,16 +60,3 @@ def test_fig14_cross_shard_ratio(benchmark, fig_table):
         * occ[0.20].throughput
     # Cross-shard latency costs show up against the P = 0 baseline.
     assert tb[0.20].mean_latency > tb[0.0].mean_latency
-
-    # The pipelined configuration holds plain Thunderbolt's throughput
-    # (consensus-bound at this scale) with the lane machinery live and
-    # every wave boundary's serializability check passed.
-    piped = series["Thunderbolt-Piped"]
-    for ratio in PIPED_RATIOS:
-        assert piped[ratio].executed_cross > 0
-        assert piped[ratio].cross_waves_pipelined > 0
-        assert piped[ratio].lane_segments > 0
-        assert piped[ratio].lane_oracle_checks >= \
-            piped[ratio].cross_waves_pipelined
-        assert piped[ratio].throughput >= scaled(0.9, 0.9, 0.8) \
-            * tb[ratio].throughput

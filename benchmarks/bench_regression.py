@@ -1,8 +1,8 @@
-"""Bench-regression harness — per-PR ``BENCH_fig_regression.json``.
+"""Bench-regression harness — ``BENCH_fig_regression.json``.
 
 Runs the depgraph/abort-storm/streaming performance scenarios the repo
 already benchmarks and writes one schema-versioned JSON record so every
-PR leaves a comparable performance fingerprint:
+change leaves a comparable performance fingerprint:
 
 * **closure-churn** — the dependency graph's closure rows driven
   directly with the contention shape of the acceptance scenario (a
@@ -15,22 +15,15 @@ PR leaves a comparable performance fingerprint:
   compaction, counters included).
 * **streaming** — a short ``engine="ce"`` cluster run (one execution
   session per replica epoch), pinned by its commit-log digest.
-* **cross-shard-pipeline** — the same deterministic work trace (the
-  Fig. 14 60% cross-shard mix) replayed through the batch-synchronous
-  cross-shard discipline and through the
-  :class:`~repro.core.cross_shard.ShardLanePipeline`, identical
-  per-transaction costs in both arms.  Conflicting transactions share a
-  lane, so both arms commit the same serial order per conflict chain and
-  must end in checksum-identical stores; the sim-time makespan speedup
-  (lane overlap only) gates in ``ratios`` and the lane/oracle counters
-  in ``exact``.
 
 Wall-clock figures (``ops_per_sec``, ``wall_ms``) are recorded for the
 curious but never compared: they depend on the host and jitter at quick
-scale.  Regression gating uses the ``ratios`` block — simulated-time
-speedups, deterministic and machine-independent — plus the ``exact``
-block of deterministic counters and digests, which must reproduce
-bit-for-bit anywhere:
+scale.  Regression gating uses the ``exact`` block of deterministic
+counters and digests, which must reproduce bit-for-bit anywhere, plus
+the ``ratios`` block of simulated-time speedups (deterministic and
+machine-independent).  ``ratios`` is empty for now: the figure floors
+(Thunderbolt/OCC throughput, the cross-shard curve, ...) are still to be
+added, and :func:`compare` gates whatever it holds:
 
     python benchmarks/bench_regression.py --quick \\
         --baseline BENCH_fig_regression.quick.json --tolerance 0.25
@@ -51,35 +44,17 @@ from typing import Dict, List, Optional
 
 from repro.ce import CEConfig, ConcurrencyController
 from repro.ce.depgraph import DependencyGraph
-from repro.contracts import ReplayMemo, default_registry, initial_state
 from repro.core import ThunderboltConfig
 from repro.core.cluster import Cluster
-from repro.core.cross_shard import CrossShardExecutor, ShardLanePipeline
-from repro.core.shards import ShardMap
 from repro.errors import TransactionAborted
-from repro.sim import Environment
-from repro.storage.kvstore import KVStore
-from repro.workloads import SmallBankWorkload, WorkloadConfig
+from repro.workloads import WorkloadConfig
 
 SCHEMA = "bench-regression/v1"
 
-#: Shard counts for the cross-shard-pipeline trace replay; 16 scales
-#: past the paper's largest evaluated configuration.  The speedup grows
-#: with the lane count (1.1x -> 3x over this range): at 4 shards a
-#: two-shard transaction occupies half the lanes, so convoys cap the
-#: overlap, while wider clusters approach the packing bound.  The
-#: acceptance floor (>= 1.2x at the 60% mix) is asserted from
-#: ``PIPELINE_FLOOR_SHARDS`` up.
-PIPELINE_SHARDS = (4, 8, 16)
-PIPELINE_FLOOR_SHARDS = 8
-
-#: (nodes, storm transactions, streaming duration, pipeline-trace
-#: transactions) per scale.
+#: (nodes, storm transactions, streaming duration) per scale.
 SCALES = {
-    "default": {"nodes": 1400, "storm_txs": 900, "stream_duration": 0.3,
-                "pipeline_txs": 600},
-    "quick": {"nodes": 700, "storm_txs": 300, "stream_duration": 0.1,
-              "pipeline_txs": 240},
+    "default": {"nodes": 1400, "storm_txs": 900, "stream_duration": 0.3},
+    "quick": {"nodes": 700, "storm_txs": 300, "stream_duration": 0.1},
 }
 
 
@@ -209,102 +184,6 @@ def streaming_run(duration: float, seed: int = 3) -> Dict:
     }
 
 
-# ----------------------------------------------------- cross-shard pipeline
-
-
-def cross_shard_pipeline(n_shards: int, n_txs: int, seed: int = 21,
-                         cross_ratio: float = 0.6) -> Dict:
-    """Batch-synchronous vs pipelined cross-shard drain on one trace.
-
-    One deterministic SmallBank trace at the Fig. 14 60% cross-shard mix
-    is replayed twice with identical per-transaction costs:
-
-    * **batch-synchronous** — the strict discipline's timing model: per
-      batch, shard-local transactions drain in parallel across shards
-      (serial within a shard), then the batch's cross-shard transactions
-      execute serially as a global barrier.
-    * **pipelined** — every batch is a :class:`ShardLanePipeline` wave;
-      a transaction occupies only the lanes of the shards it touches, so
-      disjoint cross-shard transactions overlap instead of serializing.
-
-    Any two conflicting transactions share a shard — SmallBank keys are
-    per-account and an account lives on one shard — hence share a lane
-    and replay in the same order in both arms, so the two stores must
-    end checksum-identical: the speedup is pure lane overlap, never a
-    different schedule.  Everything here is simulated time, so the ratio
-    is deterministic and machine-independent."""
-    accounts, batch_size = 256, 40
-    registry = default_registry()
-    workload = SmallBankWorkload(
-        WorkloadConfig(accounts=accounts, cross_shard_ratio=cross_ratio,
-                       theta=0.6),
-        ShardMap(n_shards), seed=seed)
-    batches = [workload.batch(batch_size)
-               for _ in range(max(2, n_txs // batch_size))]
-    wall = 0.0
-
-    # Arm 1: batch-synchronous replay (plain arithmetic over the same
-    # replay costs — the strict path's lane plan needs no event loop).
-    store_sync = KVStore()
-    store_sync.apply_batch(initial_state(accounts))
-    executor = CrossShardExecutor(registry, ReplayMemo())
-    started = time.perf_counter()
-    sync_makespan = 0.0
-    order = 0
-    for batch in batches:
-        local_cost: Dict[int, float] = {}
-        cross_cost = 0.0
-        for tx in batch:
-            entry, cost = executor.replay_one(tx, store_sync, order)
-            order += 1
-            store_sync.apply_batch(entry.write_set)
-            if len(set(tx.shard_ids)) > 1:
-                cross_cost += cost
-            else:
-                local_cost[tx.home_shard] = \
-                    local_cost.get(tx.home_shard, 0.0) + cost
-        sync_makespan += max(local_cost.values(), default=0.0) + cross_cost
-    wall += time.perf_counter() - started
-
-    # Arm 2: the same batches as pipeline waves, all submitted up front —
-    # lane tails chain them in order, cross segments overlap when their
-    # shard sets are disjoint.
-    env = Environment()
-    store_piped = KVStore()
-    store_piped.apply_batch(initial_state(accounts))
-    pipeline = ShardLanePipeline(env,
-                                 CrossShardExecutor(registry, ReplayMemo()),
-                                 store_piped)
-    committed: List[int] = []
-    started = time.perf_counter()
-    for batch in batches:
-        pipeline.submit_wave(list(batch),
-                             lambda tx, entry: committed.append(tx.tx_id))
-    env.run()
-    wall += time.perf_counter() - started
-    piped_makespan = env.now
-
-    assert store_piped.checksum() == store_sync.checksum(), \
-        "pipelined replay diverged from the batch-synchronous schedule"
-    assert len(committed) == sum(len(batch) for batch in batches)
-    assert pipeline.oracle.checks == len(batches)
-    return {
-        "shards": n_shards,
-        "transactions": len(committed),
-        "cross_ratio": cross_ratio,
-        "sync_sim_makespan_us": round(sync_makespan * 1e6, 3),
-        "piped_sim_makespan_us": round(piped_makespan * 1e6, 3),
-        "sim_speedup": round(sync_makespan / piped_makespan, 4),
-        "lane_segments": pipeline.segments,
-        "waves": pipeline.waves,
-        "lane_oracle_checks": pipeline.oracle.checks,
-        "stall_time_us": round(pipeline.stall_time * 1e6, 3),
-        "store_checksum": store_piped.checksum(),
-        "wall_ms": round(wall * 1000, 2),
-        "_wall": wall,
-    }
-
-
 # ------------------------------------------------------------- orchestration
 
 
@@ -313,52 +192,23 @@ def run_all(scale: str) -> Dict:
     churn = closure_churn(sizes["nodes"])
     storm = depgraph_storm(sizes["storm_txs"])
     stream = streaming_run(sizes["stream_duration"])
-    record: Dict = {
+    return {
         "schema": SCHEMA,
         "scale": scale,
         "benches": {"closure_churn": churn, "depgraph_storm": storm,
                     "streaming": stream},
         "ratios": {},
-        "exact": {},
+        # Deterministic values: identical on any host at the same scale.
+        "exact": {
+            "storm_aborts": storm["aborts"],
+            "storm_rebuilds": storm["index_rebuilds"],
+            "storm_repairs": storm["index_repairs"],
+            "stream_executed": stream["executed"],
+            "stream_digest": stream["digest"],
+            "churn_live_closure_bits": churn["live_closure_bits"],
+            "churn_peak_words": churn["peak_words"],
+        },
     }
-    pipe = {shards: cross_shard_pipeline(shards, sizes["pipeline_txs"])
-            for shards in PIPELINE_SHARDS}
-    record["benches"]["cross_shard_pipeline"] = {
-        str(shards): {key: value for key, value in pipe[shards].items()
-                      if not key.startswith("_")}
-        for shards in PIPELINE_SHARDS
-    }
-    for shards in PIPELINE_SHARDS:
-        speedup = pipe[shards]["sim_speedup"]
-        # The acceptance floor: the pipelined discipline beats
-        # batch-synchronous by >= 1.2x at the 60% cross-shard mix (from
-        # PIPELINE_FLOOR_SHARDS lanes up; narrower clusters are recorded
-        # for the scale-out curve and gated against baseline only).
-        if shards >= PIPELINE_FLOOR_SHARDS:
-            assert speedup >= 1.2, \
-                f"pipeline speedup {speedup} < 1.2 at {shards} shards"
-        record["ratios"][f"cross_shard_pipeline.sim_speedup_s{shards}"] = \
-            speedup
-    # Deterministic values: identical on any host at the same scale.
-    record["exact"] = {
-        "storm_aborts": storm["aborts"],
-        "storm_rebuilds": storm["index_rebuilds"],
-        "storm_repairs": storm["index_repairs"],
-        "stream_executed": stream["executed"],
-        "stream_digest": stream["digest"],
-        "churn_live_closure_bits": churn["live_closure_bits"],
-        "churn_peak_words": churn["peak_words"],
-    }
-    for shards in PIPELINE_SHARDS:
-        record["exact"][f"pipeline_lane_segments_s{shards}"] = \
-            pipe[shards]["lane_segments"]
-        record["exact"][f"pipeline_waves_s{shards}"] = \
-            pipe[shards]["waves"]
-        record["exact"][f"pipeline_oracle_checks_s{shards}"] = \
-            pipe[shards]["lane_oracle_checks"]
-        record["exact"][f"pipeline_store_checksum_s{shards}"] = \
-            pipe[shards]["store_checksum"]
-    return record
 
 
 def compare(record: Dict, baseline: Dict, tolerance: float) -> List[str]:

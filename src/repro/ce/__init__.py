@@ -17,8 +17,8 @@ from repro.ce.depgraph import (DependencyGraph, EdgeKind, KeyRecord,
                                NodeStatus, TxNode)
 from repro.ce.runner import BatchResult, CEConfig, CERunner
 from repro.ce.streaming import StreamResult, StreamSession
-from repro.ce.validation import (SerializabilityOracle, ValidationOutcome,
-                                 build_validation_levels, validate_block)
+from repro.ce.validation import (ValidationOutcome, build_validation_levels,
+                                 validate_block)
 
 __all__ = [
     "BatchResult",
@@ -31,7 +31,6 @@ __all__ = [
     "EdgeKind",
     "KeyRecord",
     "NodeStatus",
-    "SerializabilityOracle",
     "StreamResult",
     "StreamSession",
     "TxNode",

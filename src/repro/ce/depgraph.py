@@ -880,9 +880,6 @@ class DependencyGraph:
 
     # -- whole-graph queries ---------------------------------------------------
 
-    def live_nodes(self) -> Iterator[TxNode]:
-        return (node for node in self.nodes.values() if node.alive)
-
     def edge_count(self) -> int:
         return sum(len(labels) for node in self.nodes.values()
                    for labels in node.out_edges.values())

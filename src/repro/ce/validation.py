@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.ce.controller import CommittedTx
 from repro.contracts.contract import ContractRegistry, run_inline
 from repro.contracts.replay import OverlayView
-from repro.errors import ValidationError
 from repro.txn import Transaction
 
 
@@ -205,164 +204,4 @@ def _makespan(costs: List[float], workers: int) -> float:
         lane = min(range(len(lanes)), key=lanes.__getitem__)
         lanes[lane] += cost
     return max(lanes)
-
-
-@dataclass(frozen=True)
-class OracleEntry:
-    """One committed transaction's observed keys and read versions, as the
-    :class:`SerializabilityOracle` stores it.
-
-    ``read_sources`` maps each first-read key to the tx id of the
-    committed writer whose version the read observed — ``None`` for the
-    pristine base state, and possibly an id the oracle has already
-    compacted away (then treated as an ancestor version, older than every
-    in-window write of that key).
-    """
-
-    tx_id: int
-    order_index: int
-    read_keys: Tuple[str, ...]
-    write_keys: Tuple[str, ...]
-    read_sources: Mapping[str, Optional[int]]
-
-
-class SerializabilityOracle:
-    """Commit-time serializability proof obligation for shard lanes.
-
-    The batch-synchronous cross-shard path replays the DAG total order
-    serially; the shard-lane pipeline
-    (:class:`~repro.core.cross_shard.ShardLanePipeline`) interleaves
-    lanes instead, and this oracle is the machine check that the result
-    is still "equivalent to *some* serial order".  The pipeline records
-    every committed transaction's read/write keys and read versions
-    (:meth:`record`), and :meth:`check`
-    builds the multi-version serialization graph over the recorded
-    window and raises :class:`~repro.errors.ValidationError` on a cycle.
-
-    Edges (commit order doubles as version order per key — the
-    controller's rule R4 fixes write-write order at commit):
-
-    * **wr** — version source → reader, for every read whose source is in
-      the window;
-    * **ww** — consecutive committed writers of each key;
-    * **rw** — reader → the writer immediately following its source
-      version (the read must precede the overwrite).  A source outside
-      the window (the base state, or a compacted ancestor) is older than
-      every in-window version, so the anti-dependency targets the first
-      in-window writer.
-
-    :meth:`compact` drops the recorded window; it is sound exactly at
-    quiescent points — every released transaction committed — because
-    nothing still running can have observed an in-window version, so no
-    future edge can reach back into the dropped entries.
-    """
-
-    def __init__(self) -> None:
-        self._entries: List[OracleEntry] = []
-        #: Serializability checks run (``ClusterResult.lane_oracle_checks``
-        #: sums them over replicas).
-        self.checks = 0
-        #: Largest window a single check covered (observability).
-        self.peak_window = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def record(self, tx_id: int, order_index: int,
-               read_keys: Sequence[str], write_keys: Sequence[str],
-               read_sources: Mapping[str, Optional[int]]) -> None:
-        """Record one committed transaction's keys.  Keys are stored
-        sorted so the precedence graph (and any failure report) is
-        independent of dict iteration history."""
-        self._entries.append(OracleEntry(
-            tx_id=tx_id, order_index=order_index,
-            read_keys=tuple(sorted(read_keys)),
-            write_keys=tuple(sorted(write_keys)),
-            read_sources=dict(read_sources)))
-
-    def compact(self) -> int:
-        """Forget the recorded window (quiescent points only — see the
-        class docstring); returns the number of entries dropped."""
-        dropped = len(self._entries)
-        self._entries = []
-        return dropped
-
-    def check(self) -> int:
-        """Assert the recorded commit log is equivalent to some serial
-        order; returns the window size checked.  Raises
-        :class:`~repro.errors.ValidationError` on a precedence cycle."""
-        entries = self._entries
-        self.checks += 1
-        self.peak_window = max(self.peak_window, len(entries))
-        in_window = {entry.tx_id for entry in entries}
-        #: key -> committed writer tx ids in commit order (= version order).
-        versions: Dict[str, List[int]] = {}
-        for entry in entries:
-            for key in entry.write_keys:
-                versions.setdefault(key, []).append(entry.tx_id)
-        successors: Dict[int, List[int]] = {
-            entry.tx_id: [] for entry in entries}
-
-        def add_edge(src: int, dst: int) -> None:
-            if src != dst:
-                successors[src].append(dst)
-
-        for chain in versions.values():
-            for earlier, later in zip(chain, chain[1:]):
-                add_edge(earlier, later)                       # ww
-        for entry in entries:
-            for key in entry.read_keys:
-                source = entry.read_sources.get(key)
-                if source is not None and source in in_window:
-                    add_edge(source, entry.tx_id)              # wr
-                    chain = versions.get(key, [])
-                    position = chain.index(source) + 1
-                else:
-                    # Base state or compacted ancestor: older than every
-                    # in-window version of the key.
-                    chain = versions.get(key, [])
-                    position = 0
-                if position < len(chain):
-                    add_edge(entry.tx_id, chain[position])     # rw
-        cycle = _find_cycle(successors)
-        if cycle is not None:
-            raise ValidationError(
-                "committed a non-serializable history: "
-                f"precedence cycle {' -> '.join(map(str, cycle))} "
-                f"over a window of {len(entries)} transactions")
-        return len(entries)
-
-
-def _find_cycle(successors: Dict[int, List[int]]) -> Optional[List[int]]:
-    """A precedence cycle in ``successors`` (as a closed node walk), or
-    ``None``.  Iterative colouring DFS in insertion order, so reports are
-    deterministic."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    colour = {node: WHITE for node in successors}
-    for root in successors:
-        if colour[root] != WHITE:
-            continue
-        stack: List[Tuple[int, int]] = [(root, 0)]
-        path: List[int] = []
-        while stack:
-            node, edge_index = stack.pop()
-            if edge_index == 0:
-                colour[node] = GRAY
-                path.append(node)
-            out = successors[node]
-            advanced = False
-            while edge_index < len(out):
-                succ = out[edge_index]
-                edge_index += 1
-                if colour[succ] == GRAY:
-                    return path[path.index(succ):] + [succ]
-                if colour[succ] == WHITE:
-                    stack.append((node, edge_index))
-                    stack.append((succ, 0))
-                    advanced = True
-                    break
-            if not advanced:
-                colour[node] = BLACK
-                path.pop()
-    return None
 

@@ -15,7 +15,6 @@ from repro.contracts import smallbank
 from repro.contracts.contract import ContractRegistry
 from repro.contracts.replay import ReplayMemo
 from repro.core.config import ThunderboltConfig
-from repro.core.cross_shard import ShardLanePipeline
 from repro.core.replica import Replica
 from repro.core.shards import ShardMap
 from repro.crypto.keys import KeyPair, KeyRegistry
@@ -75,18 +74,6 @@ class ClusterResult:
     #: independent measure of simulator work at a given schedule.
     events_processed: int
     metrics: MetricsCollector
-    #: Shard-lane pipeline accounting (``shard_lanes=True``; all zero on
-    #: the batch-synchronous path).  Summed over replicas: lane
-    #: segments retired and their simulated occupancy, lane-skew stall
-    #: (prepared lanes waiting on the slowest frontier of a SID set),
-    #: dispatch→start prepare latency, pipelined cross-shard waves, and
-    #: lane-oracle boundary passes proving the interleaving serializable.
-    lane_segments: int = 0
-    lane_busy_time: float = 0.0
-    lane_stall_time: float = 0.0
-    lane_prepare_latency: float = 0.0
-    cross_waves_pipelined: int = 0
-    lane_oracle_checks: int = 0
     #: Committed work items the host replayed / a replica took from the
     #: cluster's ReplayMemo; the model replays (and charges) their sum.
     replays_executed: int = 0
@@ -169,21 +156,6 @@ class Cluster:
         self.generated = 0
         #: Installed adversary behaviours (see :meth:`install`).
         self.adversaries: List[object] = []
-        #: Cluster-owned shard-lane pipelines, one per replica (each
-        #: replica executes every shard's committed work against its own
-        #: store, so each needs the full lane set).  Only built under
-        #: ``config.shard_lanes``: otherwise the batch-synchronous path
-        #: stays untouched, so its schedules stay bit-identical.  The
-        #: pipelines are long-lived — they survive reconfigurations; epoch
-        #: hand-off drains through ShardLanePipeline.epoch_barrier.
-        self.lane_pipelines: Dict[int, ShardLanePipeline] = {}
-        if config.shard_lanes:
-            for replica in self.replicas:
-                pipeline = ShardLanePipeline(
-                    self.env, replica._cross_exec, replica.store,
-                    metrics=self.metrics)
-                self.lane_pipelines[replica.id] = pipeline
-                replica.attach_lane_pipeline(pipeline)
 
     def install(self, behavior) -> None:
         """Install a fault/attack behaviour (repro.adversary.behaviors).
@@ -278,13 +250,6 @@ class Cluster:
             cc_bitset_words=metrics.cc_bitset_words,
             events_processed=self.env.events_processed,
             metrics=metrics,
-            lane_segments=metrics.lane_segments,
-            lane_busy_time=metrics.lane_busy_time,
-            lane_stall_time=metrics.lane_stall_time,
-            lane_prepare_latency=metrics.lane_prepare_latency,
-            cross_waves_pipelined=metrics.cross_waves_pipelined,
-            lane_oracle_checks=sum(p.oracle.checks
-                                   for p in self.lane_pipelines.values()),
             replays_executed=self.memo.executed,
             replays_reused=self.memo.reused,
         )

@@ -72,12 +72,6 @@ class ThunderboltConfig:
     #: throughput measures capacity, which is how the paper's evaluation
     #: operates.
     demand_factor: int = 1
-    #: Drain committed work through per-shard lanes
-    #: (:class:`~repro.core.cross_shard.ShardLanePipeline`) instead of the
-    #: batch-synchronous cross-shard barrier.  CE engine only; off in
-    #: every workload the end-to-end benchmark runs (Fig. 14's
-    #: Thunderbolt-Piped series turns it on).
-    shard_lanes: bool = False
 
     # -- environment -----------------------------------------------------------
     latency: LatencyModel = field(default_factory=LatencyModel.lan)
@@ -99,9 +93,6 @@ class ThunderboltConfig:
             raise ConfigError(f"k_silent must be >= 1: {self.k_silent}")
         if self.k_prime is not None and self.k_prime <= self.k_silent:
             raise ConfigError("k_prime must exceed k_silent (K' > K, §6)")
-        if self.shard_lanes and self.engine != "ce":
-            raise ConfigError(
-                f"shard_lanes needs a CE engine, not {self.engine!r}")
 
     @property
     def faults_tolerated(self) -> int:

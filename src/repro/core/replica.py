@@ -157,12 +157,6 @@ class Replica:
         self._engine = self._make_engine()
         self._cross_exec = CrossShardExecutor(
             registry, memo, op_cost=config.ce.op_cost)
-        #: Cluster-owned ShardLanePipeline (attach_lane_pipeline).  When
-        #: set, the execution loop routes work through per-shard lanes
-        #: instead of the batch-synchronous path; ``None`` unless
-        #: ``config.shard_lanes``, so default schedules stay bit-identical
-        #: by construction.
-        self._lane_pipeline = None
 
         # Hooks and fault state.
         self.on_drop = None        # callable(replica, list[Transaction])
@@ -667,29 +661,12 @@ class Replica:
 
     # ------------------------------------------------------ execution pipeline
 
-    def attach_lane_pipeline(self, pipeline) -> None:
-        """Adopt a cluster-owned :class:`ShardLanePipeline`: from now on
-        committed work is dispatched onto per-shard lanes (validation
-        blocks occupy their shard's lane, cross-shard transactions every
-        lane in their SID set) instead of running batch-synchronously.
-        Must be attached before the simulation starts."""
-        self._lane_pipeline = pipeline
-
     def _execution_loop(self):
-        """Applies committed work in order, consuming simulated time.
-
-        With a lane pipeline attached, each item is *dispatched* (in the
-        same total order) rather than run inline: per-lane order is the
-        dispatch order, so per-shard semantics match the strict path while
-        disjoint shards overlap in simulated time.
-        """
+        """Applies committed work in order, consuming simulated time."""
         # Replica-lifetime consumer: a parked simulated process is inert
         # once the DES event queue drains, so no sentinel is needed.
         while True:
             item = yield self._exec_queue.get()  # reprolint: disable=C303
-            if self._lane_pipeline is not None:
-                self._dispatch_pipelined(item)
-                continue
             kind = item[0]
             if kind == "validate":
                 yield from self._run_validation(item[1])
@@ -702,42 +679,6 @@ class Replica:
                     self._awaiting_drain = False
             else:  # pragma: no cover - defensive
                 raise ConsensusError(f"unknown execution item {kind!r}")
-
-    def _dispatch_pipelined(self, item) -> None:
-        """Route one committed work item onto the shard lanes."""
-        pipeline = self._lane_pipeline
-        kind = item[0]
-        if kind == "validate":
-            vertex = item[1]
-            pipeline.schedule_local(
-                vertex.block.shard,
-                lambda v=vertex: self._run_validation(v))
-        elif kind == "cross":
-            pipeline.submit_wave(item[1], self._on_cross_executed)
-        elif kind == "epoch-drained":
-            epoch = item[1]
-            pipeline.epoch_barrier(lambda e=epoch: self._on_epoch_drained(e))
-        else:  # pragma: no cover - defensive
-            # "serial" never reaches here: the pipeline is only attached
-            # for the ce engine.
-            raise ConsensusError(f"unpipelineable execution item {kind!r}")
-
-    def _on_epoch_drained(self, epoch: int) -> None:
-        if epoch == self.epoch:
-            self._awaiting_drain = False
-
-    def _on_cross_executed(self, tx: Transaction, entry) -> None:
-        """Per-transaction commit callback from the lane pipeline (the
-        pipeline has already applied the writes to our store)."""
-        self._record_execution(tx.tx_id, self._tx_kind.get(tx.tx_id, "cross"))
-        for sid in tx.shard_ids:
-            pending = self._pending_cross.get(sid)
-            if pending is not None:
-                pending.pop(tx.tx_id, None)
-        if self.my_shard in tx.shard_ids:
-            # Cross-shard writes landed in our shard: the speculative
-            # overlay would now diverge from committed state.
-            self._overlay_dirty = True
 
     def _run_validation(self, vertex: Vertex):
         """Validate one preplay block against local state and apply it (§4)."""

@@ -45,18 +45,9 @@ class SerializationError(ReproError):
     """The dependency graph could not produce a valid serial order."""
 
 
-class ValidationError(ReproError):
-    """Commit-time validation found a block whose declared read set does not
-    match re-execution (the block must be discarded, §4 of the paper)."""
-
-
 class ConsensusError(ReproError):
     """The DAG layer detected an inconsistency (missing causal history,
     invalid certificate, equivocation)."""
-
-
-class ReconfigurationError(ReproError):
-    """The Shift-block protocol was violated."""
 
 
 class ConfigError(ReproError):

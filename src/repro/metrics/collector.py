@@ -52,15 +52,6 @@ class MetricsCollector:
         self.cc_nodes_pruned = 0
         self.cc_prune_passes = 0
         self.ce_peak_graph_nodes = 0
-        # Shard-lane pipeline accounting (shard_lanes=True; all zero on
-        # the batch-synchronous path).  Summed across replicas:
-        # every replica drives its own pipeline over its own store, like
-        # validation_reexecutions above.
-        self.lane_segments = 0
-        self.lane_busy_time = 0.0
-        self.lane_stall_time = 0.0
-        self.lane_prepare_latency = 0.0
-        self.cross_waves_pipelined = 0
         #: Peak closure row width, in 64-bit words, across all controllers.
         self.cc_bitset_words = 0
 
@@ -109,26 +100,6 @@ class MetricsCollector:
             self.cc_bitset_words = stats.bitset_words
         if graph_nodes > self.ce_peak_graph_nodes:
             self.ce_peak_graph_nodes = graph_nodes
-
-    def record_lane_segment(self, lanes_occupied: int, busy_time: float,
-                            stall_time: float, prepare_latency: float) -> None:
-        """Fold one retired pipeline segment's lane accounting in.
-
-        ``lanes_occupied`` counts the shard lanes the segment held (1 for
-        local validation work, |SID set| for a cross-shard transaction);
-        ``busy_time`` is simulated occupancy summed over those lanes;
-        ``stall_time`` is lane-skew stall (prepared lanes waiting for the
-        slowest frontier in the SID set) and ``prepare_latency`` the
-        dispatch→start wait of the segment itself."""
-        self.lane_segments += lanes_occupied
-        self.lane_busy_time += busy_time
-        self.lane_stall_time += stall_time
-        self.lane_prepare_latency += prepare_latency
-
-    def record_lane_wave(self) -> None:
-        """Count one pipelined cross-shard wave (an ordered commit batch
-        dispatched through a ShardLanePipeline)."""
-        self.cross_waves_pipelined += 1
 
     # -- summaries ------------------------------------------------------------
 

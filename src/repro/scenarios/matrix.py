@@ -85,16 +85,10 @@ class Scenario:
     batch_size: int = 8
     duration: float = 0.25
     drain: float = 0.1
-    #: True drains committed work through the shard-lane pipeline
-    #: (``ThunderboltConfig.shard_lanes``), checked by its
-    #: serializability oracle at every wave boundary.
-    shard_lanes: bool = False
 
     @property
     def name(self) -> str:
-        suffix = "*lanes" if self.shard_lanes else ""
-        return (f"{self.adversary.name}*{self.workload.name}"
-                f"*s{self.seed}{suffix}")
+        return f"{self.adversary.name}*{self.workload.name}*s{self.seed}"
 
 
 @dataclass
@@ -141,8 +135,7 @@ def run_scenario(scenario: Scenario) -> CellResult:
     bundle = scenario.workload.build(scenario)
     config = ThunderboltConfig(
         n_replicas=scenario.n_replicas, batch_size=scenario.batch_size,
-        seed=scenario.seed,
-        shard_lanes=scenario.shard_lanes)
+        seed=scenario.seed)
     if scenario.adversary.config_overrides:
         config = config.with_changes(
             **dict(scenario.adversary.config_overrides))
@@ -224,10 +217,9 @@ def default_adversaries() -> List[AdversaryCase]:
             # A partition that splits *shards*, not just a straggler
             # replica: the replica set halves, so every cross-shard
             # transaction spanning the cut loses a committable quorum
-            # until the heal.  With shard lanes on, this stalls lanes
-            # mid-wave — exactly the window where a buggy
-            # pipeline could apply a half-prepared wave; the per-cell
-            # conservation invariant would catch it.
+            # until the heal, then commits and replays as ordered OE
+            # batches; the per-cell conservation invariant catches a
+            # batch the partition split and only half applied.
             "shard-split-heal",
             lambda cluster, scenario: cluster.install(Partition(
                 groups=(tuple(range(scenario.n_replicas // 2)),

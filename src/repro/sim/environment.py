@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
+from repro.sim.events import Event, Process, Timeout
 
 
 class Environment:
@@ -39,7 +39,6 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._seq = count()
-        self._active_process: Optional[Process] = None
         #: Events processed since construction.  Long-lived hosts (the
         #: execution sessions, multi-batch clusters) report this as a proxy
         #: for scheduler load: a healthy stream processes a flat number of
@@ -52,11 +51,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # -- event construction --------------------------------------------------
 
@@ -71,14 +65,6 @@ class Environment:
     def process(self, generator) -> Process:
         """Start ``generator`` as a new simulation process."""
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Wait for every event in ``events``."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Wait for the first event in ``events``."""
-        return AnyOf(self, events)
 
     # -- scheduling ------------------------------------------------------------
 

@@ -167,7 +167,6 @@ class Process(Event):
     # -- driving the generator ----------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        self.env._active_process = self
         while True:
             try:
                 if event._ok:
@@ -199,7 +198,6 @@ class Process(Event):
             target.callbacks.append(self._resume)
             self._target = target
             break
-        self.env._active_process = None
 
 
 class Interrupt(Exception):

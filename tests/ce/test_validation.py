@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ce import CommittedTx, build_validation_levels, validate_block
-from repro.ce.validation import (SerializabilityOracle,
-                                 estimate_validation_cost, reexecute_block,
+from repro.ce.validation import (estimate_validation_cost, reexecute_block,
                                  _makespan)
 from repro.contracts import (SEND_PAYMENT, GET_BALANCE, default_registry,
                              initial_state, run_inline)
-from repro.errors import ValidationError
 from repro.txn import Transaction
 
 
@@ -269,76 +267,3 @@ def test_contention_does_not_serialize_validation():
     assert estimate_validation_cost(conflicting, validators=8) == \
         pytest.approx(estimate_validation_cost(disjoint, validators=8))
 
-
-# ------------------------------------------ the serializability oracle
-
-def test_oracle_accepts_a_serial_chain():
-    oracle = SerializabilityOracle()
-    oracle.record(1, 0, read_keys=[], write_keys=["x"], read_sources={})
-    oracle.record(2, 1, read_keys=["x"], write_keys=["y"],
-                  read_sources={"x": 1})
-    oracle.record(3, 2, read_keys=["y"], write_keys=["z"],
-                  read_sources={"y": 2})
-    assert oracle.check() == 3
-    assert oracle.checks == 1
-
-
-def test_oracle_accepts_concurrent_read_only():
-    oracle = SerializabilityOracle()
-    oracle.record(1, 0, read_keys=["x", "y"], write_keys=[],
-                  read_sources={"x": None, "y": None})
-    oracle.record(2, 1, read_keys=["x", "y"], write_keys=[],
-                  read_sources={"x": None, "y": None})
-    oracle.check()
-
-
-def test_oracle_rejects_a_lost_update():
-    """Two read-modify-writes of the same key that both read the base
-    version: ww orders T1 before T2, but T2's stale read must precede
-    T1's overwrite — a cycle."""
-    oracle = SerializabilityOracle()
-    oracle.record(1, 0, read_keys=["x"], write_keys=["x"],
-                  read_sources={"x": None})
-    oracle.record(2, 1, read_keys=["x"], write_keys=["x"],
-                  read_sources={"x": None})
-    with pytest.raises(ValidationError, match="non-serializable"):
-        oracle.check()
-
-
-def test_oracle_rejects_write_skew():
-    """The classic: T1 reads {x, y} and writes y; T2 reads {x, y} and
-    writes x; both read the base versions.  Each anti-depends on the
-    other — a two-cycle no serial order satisfies."""
-    oracle = SerializabilityOracle()
-    oracle.record(1, 0, read_keys=["x", "y"], write_keys=["y"],
-                  read_sources={"x": None, "y": None})
-    oracle.record(2, 1, read_keys=["x", "y"], write_keys=["x"],
-                  read_sources={"x": None, "y": None})
-    with pytest.raises(ValidationError, match="precedence cycle"):
-        oracle.check()
-
-
-def test_oracle_read_from_committed_writer_is_clean():
-    """The same two-writer shape is serializable when the second reader
-    observed the first writer's version instead of the base."""
-    oracle = SerializabilityOracle()
-    oracle.record(1, 0, read_keys=["x"], write_keys=["x"],
-                  read_sources={"x": None})
-    oracle.record(2, 1, read_keys=["x"], write_keys=["x"],
-                  read_sources={"x": 1})
-    oracle.check()
-
-
-def test_oracle_compaction_forgets_the_window():
-    """After a quiescent-point compaction the same record that closed a
-    cycle before is judged against an empty window: the old writer is an
-    ancestor version, so no edge reaches back."""
-    oracle = SerializabilityOracle()
-    oracle.record(1, 0, read_keys=["x"], write_keys=["x"],
-                  read_sources={"x": None})
-    assert oracle.compact() == 1
-    assert len(oracle) == 0
-    oracle.record(2, 1, read_keys=["x"], write_keys=["x"],
-                  read_sources={"x": None})
-    oracle.check()   # T1 is out of the window: reading "base" is fine
-    assert oracle.peak_window == 1

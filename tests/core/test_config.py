@@ -25,10 +25,8 @@ def test_engine_validation():
 
 def test_ce_streaming_spelling_maps_to_ce():
     """The end-to-end benchmark's workloads still spell the CE engine
-    "ce-streaming"; that one spelling maps to "ce", lanes included."""
+    "ce-streaming"; that one spelling maps to "ce"."""
     assert ThunderboltConfig(engine="ce-streaming").engine == "ce"
-    assert ThunderboltConfig(engine="ce-streaming",
-                             shard_lanes=True).engine == "ce"
     assert ThunderboltConfig().with_changes(
         engine="ce-streaming").engine == "ce"
 
@@ -73,12 +71,3 @@ def test_with_changes():
     assert changed.batch_size == 77
     assert base.engine == "ce"  # original untouched
 
-
-@pytest.mark.parametrize("engine", ["serial", "occ"])
-def test_shard_lanes_need_a_ce_engine(engine):
-    """Lanes drain CE committed work; asking for them under an engine
-    that never builds them fails at construction instead of silently
-    running without."""
-    with pytest.raises(ConfigError, match="shard_lanes"):
-        ThunderboltConfig(engine=engine, shard_lanes=True)
-    ThunderboltConfig(engine=engine)  # valid without lanes
