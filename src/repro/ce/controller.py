@@ -54,11 +54,13 @@ rule reads the node's rows once and skips every member whose bit falls
 in the rule's no-op class — R1: ``up[node]`` (the reader already
 precedes the writer); R2: ``down[node] | up[chosen]`` (the writer
 already follows the reader or precedes the version read); R4:
-``down[node]`` (the writer already follows the committer).  The other
-members are visited in cohort order with the rule's remaining point
-queries.  One rule keeps this exact: *reclassify on mutation* — an
-``add_edge`` or abort inside the loop changes the closure, so the rows
-are read again before the next test.  A row may still hold the bit of a
+``down[node]`` (the writer already follows the committer).  Both
+``down`` rows read are of open nodes, which the graph keeps exact: a
+running reader, and a committer before ``graph.close`` freezes its row.
+The other members are visited in cohort order with the rule's remaining
+point queries.  One rule keeps this exact: *reclassify on mutation* —
+an ``add_edge`` or abort inside the loop changes the closure, so the
+rows are read again before the next test.  A row may still hold the bit of a
 departed serial; the rules only test the bits of live indexed members.
 
 A member the graph has not indexed has no edge, so it is in no class and
@@ -503,7 +505,10 @@ class ConcurrencyController:
             return False
         if not self._dependencies_committed(node):
             return False
+        # R4 reads down[node]: run it before the node commits and closes.
+        self._order_later_writers(node)
         node.status = NodeStatus.COMMITTED
+        self.graph.close(node)
         node.order_index = self._order_counter
         self._order_counter += 1
         node.committed_at = now
@@ -521,7 +526,6 @@ class ConcurrencyController:
         self._committed.append(entry)
         if self._on_commit is not None:
             self._on_commit(entry)
-        self._order_later_writers(node)
         if self._check_invariants and not self.graph.is_acyclic():
             raise SerializationError(
                 f"cycle introduced by commit of {node.tx_id}")

@@ -28,15 +28,18 @@ maintains a transitive-closure index that is exact at every moment:
 * a node gets a small integer *serial* on its first edge, one bit in the
   ``live`` set, and two closure rows, each one Python int used as a bit
   set — ``down`` (descendants, self included) and ``up`` (ancestors,
-  self included);
+  self included).  ``down`` rows are kept only for *open* (uncommitted)
+  nodes: no rule reads a committed node's descendants, so :meth:`close`
+  freezes its row at commit;
 * ``add_edge(u, v)`` updates the closure with Italiano-style propagation:
-  if ``v`` is not already a descendant of ``u``, OR ``down[v]`` into the
-  ancestors of ``u`` and ``up[u]`` into the descendants of ``v``, both
-  masked with ``live`` first.  Only rows that change are touched: an
+  if ``u`` is not already an ancestor of ``v``, OR ``down[v]`` into the
+  open ancestors of ``u`` and ``up[u]`` into the descendants of ``v``,
+  both masked with ``live`` first.  Only rows that change are touched: an
   ancestor that already reaches ``v`` already holds ``down[v]`` by
   transitivity (likewise a descendant ``u`` already reaches), so only
-  ``up[u] & ~up[v]`` and ``down[v] & ~down[u]`` are ORed into, both sets
-  taken before any row changes;
+  ``up[u] & open & ~up[v]`` and ``down[v] & ~down[u]`` are ORed into,
+  both sets taken before any row changes.  An edge into a closed ``v``
+  first reopens it: one DFS makes ``down[v]`` exact again;
 * ``detach_node`` (aborts) *tombstones* the departing serial in O(1):
   clear its ``live`` bit and zero its own rows.  General decremental
   reachability is hard because a deletion can sever paths, but this
@@ -47,10 +50,10 @@ maintains a transitive-closure index that is exact at every moment:
   survivors' rows; it is never tested (callers test live members' bits
   only) and never spreads (propagation masks with ``live``).  The serial
   becomes a *hole* that compaction later drops;
-* ``has_path`` is a single bit test, O(1), and :meth:`rows` hands the
-  controller a node's whole ``down``/``up`` rows, so a rule over a key's
-  cohort tests one bit per member instead of asking one ``has_path`` per
-  member (see :mod:`repro.ce.controller`).
+* ``has_path(u, v)`` is a single bit test of ``up[v]``, O(1), and
+  :meth:`rows` hands the controller a node's whole ``down``/``up`` rows,
+  so a rule over a key's cohort tests one bit per member instead of
+  asking one ``has_path`` per member (see :mod:`repro.ce.controller`).
 
 Answers are identical to the reference DFS (kept as
 :meth:`DependencyGraph._has_path_dfs` for tests and benchmarks), so
@@ -64,9 +67,10 @@ another graph indexes raises :class:`~repro.errors.SerializationError`.
 Closure-index invariants
 ------------------------
 1. *Mirror*: for every pair of live serials ``(u, v)``,
-   ``down[u] >> v & 1`` equals DFS reachability over the current
-   adjacency lists.  A dead serial's row is zero, and no row gains a
-   dead bit after the serial dies.
+   ``up[v] >> u & 1`` equals DFS reachability over the current
+   adjacency lists, and so does ``down[u] >> v & 1`` when ``u`` is open
+   (a closed ``down`` row holds a subset).  A dead serial's row is zero,
+   and no row gains a dead bit after the serial dies.
 2. *Self-inclusion*: every live node's ``down``/``up`` rows contain its
    own bit.
 3. *Serial density is amortized*: a detach or eviction leaves a hole,
@@ -262,11 +266,14 @@ class DependencyGraph:
         self._indexed: List[Optional[TxNode]] = []
         #: Closure rows, one int per serial: bit ``t`` of ``_down[s]`` is
         #: set iff serial ``t`` is a descendant of ``s`` (self included);
-        #: ``_up`` is the transpose (ancestors).  Exact at live bits.
+        #: ``_up`` is the transpose (ancestors).  Exact at live bits
+        #: (``_down`` only at open serials).
         self._down: List[int] = []
         self._up: List[int] = []
         #: One bit per live serial: every propagation masks with it.
         self._live = 0
+        #: The live serials whose node is open (not committed).
+        self._open = 0
         #: High-water row width in 64-bit words (never reset by clears;
         #: surfaced as ``CCStats.bitset_words``).
         self.peak_bitset_words = 0
@@ -403,9 +410,9 @@ class DependencyGraph:
           their order) are identical.
         """
         indexed = self._indexed
-        down = self._down
+        up = self._up
         victim_serial = node._index_serial
-        cone_row = down[victim_serial]
+        cone_row = self._down[victim_serial]  # the victim is live: open
         pred_serials = [predecessor._index_serial
                         for predecessor in predecessors]
         for serial in pred_serials:
@@ -434,7 +441,7 @@ class DependencyGraph:
                 else:
                     for bit, pred_serial in enumerate(pred_serials):
                         if pred_serial == serial \
-                                or down[pred_serial] >> serial & 1:
+                                or up[serial] >> pred_serial & 1:
                             boundary |= 1 << bit
             avoid[cone_index] = boundary
         ready = [index for index in range(len(cone_nodes))
@@ -458,7 +465,7 @@ class DependencyGraph:
         for index, serial in enumerate(succ_serials):
             bits = 1 << index
             for other_index, other in enumerate(succ_serials):
-                if other_index != index and down[serial] >> other & 1:
+                if other_index != index and up[other] >> serial & 1:
                     bits |= 1 << other_index
             cover.append(bits)
         avoid_succ = [avoid[position[serial]] for serial in succ_serials]
@@ -472,7 +479,7 @@ class DependencyGraph:
                     covered |= 1 << succ_index
             for earlier_serial, earlier_cover in bridged:
                 if covered | earlier_cover != covered \
-                        and down[pred_serial] >> earlier_serial & 1:
+                        and up[earlier_serial] >> pred_serial & 1:
                     covered |= earlier_cover
             for succ_index, successor in enumerate(successors):
                 if covered >> succ_index & 1:
@@ -614,6 +621,7 @@ class DependencyGraph:
         self._down.clear()
         self._up.clear()
         self._live = 0
+        self._open = 0
         self._index_holes = 0
 
     @staticmethod
@@ -669,8 +677,24 @@ class DependencyGraph:
         dst_serial = self._ensure_serial(dst)
         src.out_edges.setdefault(dst, {})[(key, kind)] = None
         dst.in_edges.setdefault(src, {})[(key, kind)] = None
-        if not self._down[src_serial] >> dst_serial & 1:
+        if not self._up[dst_serial] >> src_serial & 1:
+            if not self._open >> dst_serial & 1:
+                self._reopen(dst)
             self._connect(src_serial, dst_serial)
+
+    def close(self, node: TxNode) -> None:
+        """Freeze committed ``node``'s ``down`` row (an edge into it
+        reopens it)."""
+        serial = node._index_serial
+        if serial is not None:
+            self._open &= ~(1 << serial)
+
+    def _reopen(self, node: TxNode) -> None:
+        """Make closed ``node``'s ``down`` row exact again, by one DFS."""
+        serial = node._index_serial
+        self._down[serial] = sum(1 << other._index_serial for other in
+                                 self._collect_descendants({node: None}, node))
+        self._open |= 1 << serial
 
     def has_edge(self, src: TxNode, dst: TxNode) -> bool:
         return dst in src.out_edges
@@ -684,13 +708,15 @@ class DependencyGraph:
         dst_serial = dst._index_serial
         if src_serial is None or dst_serial is None:
             return False  # a node without edges reaches nothing
-        return bool(self._down[src_serial] >> dst_serial & 1)
+        return bool(self._up[dst_serial] >> src_serial & 1)
 
     def rows(self, node: TxNode) -> Tuple[int, int]:
         """``node``'s closure rows ``(down, up)``: its descendants and its
         ancestors, self included.  Node ``m`` is in a row iff bit
         ``m._index_serial`` is set.  A dead serial's bit may still be set
         in a row, so callers test only the bits of live indexed members.
+        ``down`` is exact only while ``node`` is open (R2 reads it for
+        the running reader, R4 for the committer before :meth:`close`).
 
         A node this graph has not indexed never touched an edge here (or
         left with its edges): it reaches nothing, nothing reaches it, and
@@ -739,6 +765,8 @@ class DependencyGraph:
             serial = node._index_serial = len(self._indexed)
             self._indexed.append(node)
             self._append_singleton()
+            if node.status is _COMMITTED:
+                self.close(node)
         return serial
 
     def _index_remove(self, node: TxNode) -> None:
@@ -763,31 +791,35 @@ class DependencyGraph:
         self._down.append(bit)
         self._up.append(bit)
         self._live |= bit
+        self._open |= bit
         self._note_width()
 
     def _tombstone(self, serial: int) -> None:
         """Clear ``serial``'s ``live`` bit and zero its rows.  Its bit may
         stay set in other rows (see :meth:`rows`)."""
         self._live ^= 1 << serial
+        self._open &= ~(1 << serial)
         self._down[serial] = self._up[serial] = 0
 
     def _connect(self, src: int, dst: int) -> None:
-        """Propagate a new non-redundant edge ``src -> dst`` (serials).
+        """Propagate a new non-redundant edge ``src -> dst`` (serials;
+        ``dst`` is open).
 
-        ``down[dst]`` goes into the ancestors of ``src`` and ``up[src]``
-        into the descendants of ``dst`` (both cones include their
-        endpoint), masked with ``live`` so no row gains a dead bit — but
-        only into rows it changes.  An ancestor ``a`` already in
+        ``down[dst]`` goes into the open ancestors of ``src`` and
+        ``up[src]`` into the descendants of ``dst`` (both cones include
+        their endpoint), masked with ``live`` so no row gains a dead bit
+        — but only into rows it changes.  An ancestor ``a`` already in
         ``up[dst]`` reaches ``dst``, so ``down[a]`` already holds
         ``down[dst]`` by transitivity; a descendant already in
-        ``down[src]`` already holds ``up[src]``.  Both sets are taken
-        before any row changes (the first loop grows ``down[src]``)."""
+        ``down[src]`` already holds ``up[src]`` (a closed ``src``'s row
+        is a subset, which only lets no-op ORs through).  Both sets are
+        taken before any row changes (the first loop grows ``down[src]``)."""
         down = self._down
         up = self._up
         live = self._live
         ancestors = up[src] & live
         descendants = down[dst] & live
-        grow_down = ancestors & ~up[dst]    # ancestors not reaching dst
+        grow_down = ancestors & self._open & ~up[dst]  # open, not reaching dst
         grow_up = descendants & ~down[src]  # descendants src misses
         while grow_down:
             low = grow_down & -grow_down
@@ -800,9 +832,10 @@ class DependencyGraph:
 
     def _rebuild_rows(self, count: int, topo: Optional[List[int]],
                       out_serials: List[List[int]],
-                      in_serials: List[List[int]]) -> None:
+                      in_serials: List[List[int]],
+                      open_: Optional[int] = None) -> None:
         """Closure rows from scratch over ``count`` compacted serials, all
-        live.
+        live; ``open_`` is the open set (default: every serial).
 
         ``topo`` is a topological order (down rows are unioned in reverse
         topo, up rows in topo order); ``None`` means the caller found a
@@ -839,6 +872,7 @@ class DependencyGraph:
         self._down = down
         self._up = up
         self._live = (1 << count) - 1
+        self._open = self._live if open_ is None else open_
         self._note_width()
 
     def _rebuild_index(self) -> None:
@@ -875,8 +909,10 @@ class DependencyGraph:
                 indegree[target] -= 1
                 if indegree[target] == 0:
                     ready.append(target)
+        open_ = sum(1 << serial for serial, node in enumerate(nodes)
+                    if node.status is not _COMMITTED)
         self._rebuild_rows(count, topo if len(topo) == count else None,
-                           out_serials, in_serials)
+                           out_serials, in_serials, open_)
 
     # -- whole-graph queries ---------------------------------------------------
 

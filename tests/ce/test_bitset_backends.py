@@ -6,9 +6,9 @@ the exact transitive closure.  ``tests/ce/word_rows.py`` keeps the same
 closure as rows of 8-bit (``packed``) and 64-bit (``packed-array``)
 words, updated by the textbook operations.  Covered here:
 
-* op-level parity: identical random append/connect/tombstone/rebuild
-  sequences leave the int rows, the ``live`` set and both word layouts
-  with the same bits;
+* op-level parity: identical random append/connect/close/tombstone/
+  rebuild sequences leave the int rows, the ``live`` and ``open`` sets
+  and both word layouts with the same bits;
 * word-boundary growth: rows widen correctly past 64/128 serials and
   ``peak_bitset_words`` is a high-water mark that survives an emptied
   index;
@@ -22,6 +22,7 @@ words, updated by the textbook operations.  Covered here:
 
 import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -57,8 +58,8 @@ def component(graph, serial):
 @pytest.mark.parametrize("seed", range(5))
 def test_backend_ops_parity(seed):
     """One random op sequence on the graph's int rows and on both word
-    layouts: identical bits after every mutation kind, including
-    mid-sequence rebuilds."""
+    layouts: identical bits after every mutation kind, including closes
+    (a closed ``down`` row stops growing) and mid-sequence rebuilds."""
     rng = random.Random(seed * 104729 + 1)
     graph = DependencyGraph()
     references = [WordRows(typecode) for typecode in TYPECODES.values()]
@@ -70,6 +71,8 @@ def test_backend_ops_parity(seed):
         for reference in references:
             assert reference.live_int() == graph._live, \
                 (context, reference.typecode)
+            assert reference.open_int() == graph._open, \
+                (context, reference.typecode)
             assert reference.as_ints() == (graph._down, graph._up), \
                 (context, reference.typecode)
 
@@ -80,9 +83,11 @@ def test_backend_ops_parity(seed):
             out_serials[src].append(dst)
             in_serials[dst].append(src)
         topo = list(range(count))  # edges always run low -> high
-        graph._rebuild_rows(count, topo, out_serials, in_serials)
+        open_ = sum(1 << serial for serial in range(count)
+                    if rng.random() < 0.7)
+        graph._rebuild_rows(count, topo, out_serials, in_serials, open_)
         for reference in references:
-            reference.rebuild(count, topo, out_serials, in_serials)
+            reference.rebuild(count, topo, out_serials, in_serials, open_)
 
     def tombstone(victims):
         nonlocal edges
@@ -102,13 +107,20 @@ def test_backend_ops_parity(seed):
                 reference.append_singleton()
             live.append(count)
             count += 1
-        elif action < 0.70:
+        elif action < 0.62:
             src, dst = sorted(rng.sample(live, 2))
-            if not graph._down[src] >> dst & 1:  # depgraph pre-checks
+            # The graph pre-checks redundancy on ``up`` and reopens a
+            # closed destination first (a node-level operation).
+            if not graph._up[dst] >> src & 1 and graph._open >> dst & 1:
                 edges.add((src, dst))
                 graph._connect(src, dst)
                 for reference in references:
                     reference.connect(src, dst)
+        elif action < 0.70:
+            serial = rng.choice(live)  # a commit
+            graph.close(SimpleNamespace(_index_serial=serial))
+            for reference in references:
+                reference.close(serial)
         elif action < 0.85:
             tombstone([rng.choice(live)])  # a detach
         else:

@@ -4,10 +4,12 @@ Two optimisations replace per-row and per-member work with row algebra;
 each keeps its old form here, as a test-only reference, and is held to it:
 
 * ``DependencyGraph._connect`` ORs only into the closure rows an edge
-  changes (``up[src] & ~up[dst]`` and ``down[dst] & ~down[src]``).
-  ``UnmaskedGraph._connect`` ORs into every live ancestor and descendant
-  row; under randomized churn with aborts, prunes and compactions the two
-  row tables must be bit-identical after every operation.
+  changes (``up[src] & open & ~up[dst]`` and ``down[dst] & ~down[src]``).
+  ``UnmaskedGraph._connect`` ORs into every live descendant's ``up`` row
+  and every live open ancestor's ``down`` row; under randomized churn
+  with commits, reopens, aborts, prunes and compactions the two row
+  tables and ``live``/``open`` sets must be bit-identical after every
+  operation, and every query must match the reference DFS.
 * The controller classifies a key's cohort with the node's rows (R1:
   ``up[node]``, R2: ``down[node] | up[chosen]``, R4: ``down[node]``).
   ``PointQueryController`` asks ``has_path`` per member, as the rules did
@@ -38,14 +40,15 @@ THETA = 0.99
 
 
 class UnmaskedGraph(DependencyGraph):
-    """``_connect`` without the skip of rows that already hold the edge."""
+    """``_connect`` without the skip of rows that already hold the edge
+    (closed ``down`` rows still do not grow)."""
 
     def _connect(self, src, dst):
         down = self._down
         up = self._up
         ancestors = up[src] & self._live
         descendants = down[dst] & self._live
-        remaining = ancestors
+        remaining = ancestors & self._open
         while remaining:
             low = remaining & -remaining
             down[low.bit_length() - 1] |= descendants
@@ -171,8 +174,10 @@ class PointQueryController(RecordingController):
 def churn(rng, graphs, n_nodes=36, n_ops=400):
     """Apply one random operation sequence to every graph in ``graphs``
     and yield after each operation: edge inserts (low -> high, so the
-    graph stays acyclic), aborts (detach with bridging), commits and
-    prunes of committed components, forced compactions, queries."""
+    graph stays acyclic; an edge into a committed node reopens it),
+    aborts of uncommitted nodes (detach with bridging), commits (which
+    close) and prunes of committed components, forced compactions, and
+    queries (held to the reference DFS)."""
     nodes = [[TxNode(tx_id=i, attempt=1) for i in range(n_nodes)]
              for _ in graphs]
     for graph, own in zip(graphs, nodes):
@@ -187,6 +192,9 @@ def churn(rng, graphs, n_nodes=36, n_ops=400):
                 graph.add_edge(own[a], own[b], "k", EdgeKind.ANTI)
         elif action < 0.70 and len(alive) > 2:
             victim = alive.pop(rng.randrange(len(alive)))
+            if nodes[0][victim].status is NodeStatus.COMMITTED:
+                alive.append(victim)  # the controller never aborts these
+                continue
             for graph, own in zip(graphs, nodes):
                 own[victim].status = NodeStatus.ABORTED
                 graph.detach_node(own[victim])
@@ -195,6 +203,7 @@ def churn(rng, graphs, n_nodes=36, n_ops=400):
             for graph, own in zip(graphs, nodes):
                 for index in chosen:
                     own[index].status = NodeStatus.COMMITTED
+                    graph.close(own[index])
                 graph.prune_committed(lambda key: None)
             alive = [index for index in alive
                      if nodes[0][index].tx_id in graphs[0].nodes]
@@ -205,7 +214,8 @@ def churn(rng, graphs, n_nodes=36, n_ops=400):
             a, b = rng.choice(alive), rng.choice(alive)
             answers = {graph.has_path(own[a], own[b])
                        for graph, own in zip(graphs, nodes)}
-            assert len(answers) == 1
+            assert answers == {graphs[0]._has_path_dfs(nodes[0][a],
+                                                       nodes[0][b])}
         if len(alive) < 2:
             break
         yield
@@ -220,6 +230,7 @@ def test_masked_connect_rows_equal_the_unmasked_reference(seed):
         assert masked._down == unmasked._down, (seed, steps)
         assert masked._up == unmasked._up, (seed, steps)
         assert masked._live == unmasked._live, (seed, steps)
+        assert masked._open == unmasked._open, (seed, steps)
     assert steps > 50
     assert masked.index_rebuilds > 1 and masked.index_repairs > 0
     assert masked.nodes_pruned > 0

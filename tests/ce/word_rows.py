@@ -4,9 +4,10 @@ keeps.
 
 :class:`WordRows` holds the same closure as ``array`` rows of fixed-width
 words and updates it with the textbook operations (``connect`` ORs into
-every live ancestor and descendant row, without the production graph's
-skip of rows that already hold the edge).  :func:`graph_class` names a
-graph class per row backend id:
+every live descendant's ``up`` row and every open live ancestor's
+``down`` row, without the production graph's skip of rows that already
+hold the edge; ``reopen`` recomputes a closed node's ``down`` row by its
+own DFS).  :func:`graph_class` names a graph class per row backend id:
 
 * ``pyint`` — the production graph, unchanged;
 * ``packed`` — the production graph with every row mutation mirrored into
@@ -14,11 +15,14 @@ graph class per row backend id:
   several words, and both tables compared after each mutation;
 * ``packed-array`` — the same with 64-bit words (``array('Q')``).
 
-Both sides tombstone a departing serial: its ``live`` bit goes and its
-rows are zeroed, while its bit may stay in other rows.  The reference
-ORs ``live``-masked rows into every live ancestor and descendant row, so
-the two tables must agree bit for bit — at live bits, where the closure
-is exact, and at dead bits, which neither side may add to.
+Both sides tombstone a departing serial: its ``live`` and ``open`` bits
+go and its rows are zeroed, while its bit may stay in other rows.  Both
+close a committed node (its ``down`` row stops growing) and reopen it
+when an edge comes into it.  The reference ORs ``live``-masked rows into
+every row the propagation may touch, so the two tables must agree bit
+for bit — at live bits, where ``up`` and open ``down`` rows are exact,
+at closed ``down`` rows, which neither side may grow, and at dead bits,
+which neither side may add to.
 
 The ids are those of the row backends the graph once chose between; a
 test parametrized over :data:`BACKENDS` runs its scenario once plain and
@@ -27,7 +31,7 @@ twice with the int rows held, step by step, to an independent layout.
 
 import sys
 from array import array
-from typing import List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from repro.ce.depgraph import DependencyGraph
 
@@ -44,6 +48,7 @@ class WordRows:
         self.down: List[array] = []
         self.up: List[array] = []
         self.live: Set[int] = set()
+        self.open: Set[int] = set()
         self.words = 0
 
     def _zero_row(self) -> array:
@@ -72,7 +77,7 @@ class WordRows:
 
     def clear(self) -> None:
         self.down, self.up, self.words = [], [], 0
-        self.live = set()
+        self.live, self.open = set(), set()
 
     def append_singleton(self) -> None:
         serial = len(self.down)
@@ -85,27 +90,44 @@ class WordRows:
         self.down.append(self._singleton(serial))
         self.up.append(self._singleton(serial))
         self.live.add(serial)
+        self.open.add(serial)
 
     def connect(self, src: int, dst: int) -> None:
         descendants = self._live_only(self.down[dst])
         ancestors = self._live_only(self.up[src])
         for serial in self._bits(ancestors):
-            _or_into(self.down[serial], descendants)
+            if serial in self.open:
+                _or_into(self.down[serial], descendants)
         for serial in self._bits(descendants):
             _or_into(self.up[serial], ancestors)
 
+    def close(self, serial: int) -> None:
+        self.open.discard(serial)
+
+    def reopen(self, serial: int, descendants: Iterable[int]) -> None:
+        """Open ``serial`` with ``down`` = itself plus ``descendants``."""
+        row = self._singleton(serial)
+        for other in descendants:
+            row[other // self.width] |= 1 << other % self.width
+        self.down[serial] = row
+        self.open.add(serial)
+
     def discard(self, serial: int) -> None:
-        """Tombstone ``serial``: drop it from ``live``, zero its rows."""
+        """Tombstone ``serial``: drop it from ``live`` and ``open``, zero
+        its rows."""
         self.live.discard(serial)
+        self.open.discard(serial)
         self.down[serial] = self._zero_row()
         self.up[serial] = self._zero_row()
 
     def rebuild(self, count: int, topo: Optional[List[int]],
                 out_serials: List[List[int]],
-                in_serials: List[List[int]]) -> None:
+                in_serials: List[List[int]],
+                open_: Optional[int] = None) -> None:
         """Closure from scratch, iterated to a fixpoint: one pass in
         topological order settles it, and a cycle (``topo`` is ``None``)
-        takes as many passes as it needs."""
+        takes as many passes as it needs.  ``open_`` is the open set as
+        an int (default: every serial)."""
         self.words = -(-count // self.width)
         down = [self._singleton(serial) for serial in range(count)]
         up = [self._singleton(serial) for serial in range(count)]
@@ -123,6 +145,8 @@ class WordRows:
                     changed |= row.tobytes() != before
         self.down, self.up = down, up
         self.live = set(range(count))
+        self.open = set(range(count)) if open_ is None \
+            else {serial for serial in self.live if open_ >> serial & 1}
 
     def as_ints(self):
         """Both tables as lists of Python ints, bit ``t`` = serial ``t``."""
@@ -131,6 +155,9 @@ class WordRows:
 
     def live_int(self) -> int:
         return sum(1 << serial for serial in self.live)
+
+    def open_int(self) -> int:
+        return sum(1 << serial for serial in self.open)
 
     @staticmethod
     def _to_int(row: array) -> int:
@@ -143,6 +170,18 @@ class WordRows:
 def _or_into(target: array, source: array) -> None:
     for index, word in enumerate(source):
         target[index] |= word
+
+
+def descendants(node) -> Set:
+    """Every node reachable from ``node`` over out-edges, by DFS."""
+    seen, stack = set(), [node]
+    while stack:
+        for child in stack.pop().out_edges:
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    seen.discard(node)
+    return seen
 
 
 def graph_class(backend: str):
@@ -162,6 +201,8 @@ def graph_class(backend: str):
         def _check_rows(self) -> None:
             assert self.word_rows.live_int() == self._live, \
                 (backend, len(self._down))
+            assert self.word_rows.open_int() == self._open, \
+                (backend, len(self._down))
             assert self.word_rows.as_ints() == (self._down, self._up), \
                 (backend, len(self._down))
 
@@ -180,9 +221,25 @@ def graph_class(backend: str):
             self.word_rows.discard(serial)
             self._check_rows()
 
-        def _rebuild_rows(self, count, topo, out_serials, in_serials):
-            super()._rebuild_rows(count, topo, out_serials, in_serials)
-            self.word_rows.rebuild(count, topo, out_serials, in_serials)
+        def close(self, node) -> None:
+            super().close(node)
+            if node._index_serial is not None:
+                self.word_rows.close(node._index_serial)
+                self._check_rows()
+
+        def _reopen(self, node) -> None:
+            super()._reopen(node)
+            self.word_rows.reopen(node._index_serial,
+                                  [other._index_serial
+                                   for other in descendants(node)])
+            self._check_rows()
+
+        def _rebuild_rows(self, count, topo, out_serials, in_serials,
+                          open_=None):
+            super()._rebuild_rows(count, topo, out_serials, in_serials,
+                                  open_)
+            self.word_rows.rebuild(count, topo, out_serials, in_serials,
+                                   open_)
             self._check_rows()
 
         def _index_reset_empty(self) -> None:

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from repro.ce.depgraph import DependencyGraph
 from tools import profile_e2e
 
 
@@ -62,14 +63,43 @@ def test_counts_point_queries_and_connect_rows():
     # The masks skip rows an unmasked propagation would OR, never add any.
     assert 0 < counts["rows_ored"] < counts["rows_unmasked"]
     assert counts["rows_ored"] >= counts["connects"]
+    # Committed ancestors' down rows are frozen; the executor pool never
+    # adds an edge into a committed node, so nothing reopens.
+    assert counts["skipped_closed"] > 0
+    assert counts["reopens"] == 0
+
+
+def test_counts_exactly_the_rows_connect_ors(monkeypatch):
+    """The counted rows are the rows whose value ``_connect`` changes or
+    rewrites: a stand-in ``_connect`` that records every written row
+    index sees the same total."""
+    written = Counter()
+    connect = DependencyGraph._connect
+
+    class Spy(list):
+        def __setitem__(self, index, value):
+            written["rows"] += 1
+            super().__setitem__(index, value)
+
+    def spying_connect(graph, src, dst):
+        graph._down, graph._up = Spy(graph._down), Spy(graph._up)
+        try:
+            connect(graph, src, dst)
+        finally:
+            graph._down, graph._up = list(graph._down), list(graph._up)
+
+    monkeypatch.setattr(DependencyGraph, "_connect", spying_connect)
+    counts, _ = profile_e2e.count_closure_work("hot_key", "smoke")
+    assert counts["rows_ored"] == written["rows"] > 0
 
 
 def test_prints_the_closure_work(capsys):
     profile_e2e.print_closure_work(
         Counter(path_queries=10, connects=4, rows_ored=12,
-                rows_unmasked=16), 5)
+                rows_unmasked=16, skipped_closed=3), 5)
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
         "closure: 10 point queries (2.00 per transaction), 4 connects",
-        "connect rows ORed: 12 (2.40 per transaction, 3.0 per connect); "
-        "unmasked 16, 25.0% skipped"]
+        "connect rows ORed: 12 (2.40 per transaction, 3.00 per connect); "
+        "unmasked 16, 25.0% skipped",
+        "ancestors skipped as committed: 3; reopens of committed nodes: 0"]
