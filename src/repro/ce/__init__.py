@@ -17,8 +17,7 @@ from repro.ce.depgraph import (DependencyGraph, EdgeKind, KeyRecord,
                                NodeStatus, TxNode)
 from repro.ce.runner import BatchResult, CEConfig, CERunner
 from repro.ce.streaming import StreamResult, StreamSession
-from repro.ce.validation import (ValidationOutcome, build_validation_levels,
-                                 validate_block)
+from repro.ce.validation import ValidationOutcome, validate_block
 
 __all__ = [
     "BatchResult",
@@ -35,6 +34,5 @@ __all__ = [
     "StreamSession",
     "TxNode",
     "ValidationOutcome",
-    "build_validation_levels",
     "validate_block",
 ]

@@ -28,7 +28,7 @@ schedule, and with it every commit-log digest, depends on them.
 from __future__ import annotations
 
 from random import Random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 from repro.ce.controller import CCStats, CommittedTx, ConcurrencyController
@@ -315,10 +315,11 @@ class CERunner:
         (so a metrics layer folding per-batch stats never double-counts
         the long-lived controller's cumulative counters).  At a boundary
         the controller's harvest buffer holds exactly this batch's
-        commits."""
+        commits, released by it: they are rebased in place."""
         base = after.commits - batch.committed_count
-        committed = [replace(entry, order_index=entry.order_index - base)
-                     for entry in cc.harvest_committed()]
+        committed = cc.harvest_committed()
+        for entry in committed:
+            entry.order_index -= base
         return BatchResult(
             committed=committed,
             elapsed=env.now - batch.started_at if batch.total else 0.0,

@@ -3,8 +3,9 @@
 A validator receives a block containing, for each transaction, the scheduled
 execution order, the read set (key → value observed) and the write set
 (key → final value).  It re-executes the contracts in the scheduled order
-against its local state and confirms every declared read matches; any
-discrepancy flags the whole block invalid and it is discarded.
+against its local state and confirms every declared read and write matches,
+value and exact type; any discrepancy flags the whole block invalid and it
+is discarded.
 
 Validation parallelism ("parallel transaction validation rather than
 sequential checks", §4): because the read/write *sets are declared*, each
@@ -12,20 +13,19 @@ transaction's input view can be reconstructed from the predecessors'
 declared writes without executing them — so every transaction validates
 independently and the block parallelises perfectly across the validator
 pool, **regardless of data contention**.  The simulated cost is therefore a
-makespan of per-transaction costs over the validators; the dependency
-*levels* are still computed as a structural metric (and for tests), but
-they do not serialise validation.
+makespan of per-transaction costs over the validators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapreplace
 from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.ce.controller import CommittedTx
 from repro.contracts.contract import ContractRegistry, run_inline
-from repro.contracts.replay import OverlayView
+from repro.contracts.replay import _SCALARS, OverlayView
 from repro.txn import Transaction
 
 
@@ -39,43 +39,24 @@ class ValidationOutcome:
     simulated_cost: float = 0.0
     #: State updates to apply if valid (final value per key, read-only).
     writes: Mapping[str, Any] = field(default_factory=dict)
-    #: Number of dependency-graph levels (critical path length in txs).
-    critical_path: int = 0
 
 
-def build_validation_levels(entries: Sequence[CommittedTx]) -> List[List[CommittedTx]]:
-    """Group transactions into dependency levels using declared r/w sets.
-
-    Transactions in the same level touch pairwise-disjoint keys relative to
-    all *conflicting* predecessors, so a level can be validated in parallel.
-    The grouping respects the scheduled order: a transaction lands in the
-    first level after the last conflicting predecessor.
-    """
-    level_of: Dict[int, int] = {}
-    last_writer_level: Dict[str, int] = {}
-    last_reader_level: Dict[str, int] = {}
-    levels: List[List[CommittedTx]] = []
-    for entry in entries:
-        # Sorted key order keeps level assignment (and therefore validator
-        # scheduling) independent of PYTHONHASHSEED.
-        keys_read = sorted(set(entry.read_set))
-        keys_written = sorted(set(entry.write_set))
-        level = 0
-        for key in sorted(set(keys_read) | set(keys_written)):
-            if key in last_writer_level:
-                level = max(level, last_writer_level[key] + 1)
-        for key in keys_written:
-            if key in last_reader_level:
-                level = max(level, last_reader_level[key] + 1)
-        level_of[entry.tx_id] = level
-        while len(levels) <= level:
-            levels.append([])
-        levels[level].append(entry)
-        for key in keys_written:
-            last_writer_level[key] = level
-        for key in keys_read:
-            last_reader_level[key] = max(last_reader_level.get(key, -1), level)
-    return levels
+def _alike(declared: Any, observed: Any) -> bool:
+    """Whether two equal values have the same exact type at every level:
+    ``==`` forgives what a block's digest does not (``1.0 == 1 == True``,
+    ``[1] == [True]``), so such a declared value is not what ran."""
+    kind = type(observed)
+    if type(declared) is not kind:
+        return False
+    if kind is dict:
+        for key, value in observed.items():
+            seen = declared[key]
+            if type(seen) is not type(value) or (
+                    type(value) not in _SCALARS and not _alike(seen, value)):
+                return False
+    elif kind is list or kind is tuple:
+        return all(map(_alike, declared, observed))
+    return True
 
 
 def validate_block(entries: Sequence[CommittedTx],
@@ -99,22 +80,22 @@ def validate_block(entries: Sequence[CommittedTx],
                 valid=False, reason=f"unknown transaction {entry.tx_id}")
         body = registry.get(tx.contract)
         record = run_inline(body, tx.args, view, default=default)
-        if record.read_set != entry.read_set:
+        if record.read_set != entry.read_set \
+                or not _alike(entry.read_set, record.read_set):
             return ValidationOutcome(
                 valid=False,
                 reason=(f"tx {entry.tx_id}: read set mismatch "
                         f"(declared {entry.read_set}, observed "
                         f"{record.read_set})"))
-        if record.write_set != entry.write_set:
+        if record.write_set != entry.write_set \
+                or not _alike(entry.write_set, record.write_set):
             return ValidationOutcome(
                 valid=False,
                 reason=(f"tx {entry.tx_id}: write set mismatch"))
         view.overlay.update(record.write_set)
-    levels = build_validation_levels(entries)
     cost = _parallel_cost(entries, validators, op_cost)
     return ValidationOutcome(valid=True, simulated_cost=cost,
-                             writes=MappingProxyType(view.overlay),
-                             critical_path=len(levels))
+                             writes=MappingProxyType(view.overlay))
 
 
 @dataclass
@@ -196,12 +177,12 @@ def _parallel_cost(entries: Sequence[CommittedTx],
 
 
 def _makespan(costs: List[float], workers: int) -> float:
-    """Greedy longest-processing-time makespan over ``workers`` lanes."""
+    """Greedy longest-processing-time makespan over ``workers`` lanes (the
+    least loaded, lowest first; no more lanes than costs can be reached)."""
     if not costs:
         return 0.0
-    lanes = [0.0] * max(1, workers)
+    lanes = [(0.0, lane) for lane in range(min(max(1, workers), len(costs)))]
     for cost in sorted(costs, reverse=True):
-        lane = min(range(len(lanes)), key=lanes.__getitem__)
-        lanes[lane] += cost
-    return max(lanes)
-
+        load, lane = lanes[0]
+        heapreplace(lanes, (load + cost, lane))
+    return max(lanes)[0]

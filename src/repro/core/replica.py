@@ -52,7 +52,7 @@ from repro.crypto.keys import KeyPair, KeyRegistry
 from repro.dag.leader import LeaderSchedule
 from repro.dag.store import DagStore
 from repro.dag.tusk import CommitEvent, TuskConsensus
-from repro.dag.types import Block, BlockKind, PreplayEntry, Vertex
+from repro.dag.types import Block, BlockKind, Vertex
 from repro.errors import ConsensusError
 from repro.metrics.collector import MetricsCollector
 from repro.sim.environment import Environment
@@ -67,11 +67,7 @@ from repro.txn import Transaction
 
 def _declared(block: Block):
     """A block's published preplay, in the form ``validate_block`` takes."""
-    return ([CommittedTx(tx_id=e.tx_id, order_index=e.order_index,
-                         read_set=e.read_set, write_set=e.write_set,
-                         result=e.result, attempts=1)
-             for e in block.preplay],
-            {tx.tx_id: tx for tx in block.preplayed_txs})
+    return block.preplay, {tx.tx_id: tx for tx in block.preplayed_txs}
 
 
 class Replica:
@@ -461,7 +457,7 @@ class Replica:
                                           cross_payload)
         # EOV path: preplay a batch on the speculative shard state.
         batch = self._pull_batch()
-        preplay: Tuple[PreplayEntry, ...] = ()
+        preplay: Tuple[CommittedTx, ...] = ()
         if batch:
             if self._overlay_dirty:
                 self._overlay = {}
@@ -485,8 +481,7 @@ class Replica:
             self.metrics.re_executions += result.re_executions
             self.metrics.record_ce_batch(result.stats, result.graph_nodes)
             self._overlay.update(result.final_writes())
-            preplay = tuple(PreplayEntry.from_committed(entry)
-                            for entry in result.committed)
+            preplay = tuple(result.committed)
             if self.preplay_tamper is not None and preplay:
                 # Published sets may lie; the speculative overlay above
                 # keeps the honest writes (the executor ran correctly, the

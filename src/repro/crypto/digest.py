@@ -29,10 +29,12 @@ def canonical_encode(value: Any) -> bytes:
 
     Supports the JSON-ish subset used by protocol objects: ``None``, bools,
     ints, floats, strings, bytes, and (nested) lists/tuples/dicts with
-    string-sortable keys.  Deterministic across runs and platforms.
+    string-sortable keys, plus any object whose type writes its own
+    encoding with ``canonical_into(parts)``.  Deterministic across runs and
+    platforms.
     """
     parts: list[bytes] = []
-    _encode_into(value, parts)
+    encode_into(value, parts)
     return b"".join(parts)
 
 
@@ -40,7 +42,8 @@ def canonical_encode(value: Any) -> bytes:
 _BASES = (bool, int, float, str, bytes, list, tuple, dict)
 
 
-def _encode_into(value: Any, parts: list, kind: Any = None) -> None:
+def encode_into(value: Any, parts: list, kind: Any = None) -> None:
+    """Append ``value``'s canonical encoding to ``parts``."""
     # Dispatch on the exact type, what protocol objects are made of first;
     # a subclass is encoded as the first of ``_BASES`` it is an instance of.
     if kind is None:
@@ -56,12 +59,19 @@ def _encode_into(value: Any, parts: list, kind: Any = None) -> None:
         for key in keys:
             encoded = str(key).encode("utf-8")
             parts.append(b"S%d:%b" % (len(encoded), encoded))
-            _encode_into(value[key], parts)
+            item = value[key]
+            if type(item) is int:
+                parts.append(b"I%d;" % item)
+            else:
+                encode_into(item, parts)
         parts.append(b"}")
     elif kind is list or kind is tuple:
         parts.append(b"L%d[" % len(value))
         for item in value:
-            _encode_into(item, parts)
+            if type(item) is int:
+                parts.append(b"I%d;" % item)
+            else:
+                encode_into(item, parts)
         parts.append(b"]")
     elif value is None:
         parts.append(b"N")
@@ -71,10 +81,12 @@ def _encode_into(value: Any, parts: list, kind: Any = None) -> None:
         parts.append(b"D%b;" % repr(value).encode())
     elif kind is bytes:
         parts.append(b"B%d:" % len(value) + value)
+    elif hasattr(kind, "canonical_into"):
+        value.canonical_into(parts)
     else:
         for base in _BASES:
             if isinstance(value, base):
-                return _encode_into(value, parts, base)
+                return encode_into(value, parts, base)
         raise TypeError(f"cannot canonically encode {type(value).__name__}")
 
 

@@ -3,8 +3,7 @@
 from repro.dag.leader import LeaderSchedule
 from repro.dag.store import DagStore
 from repro.dag.tusk import CommitEvent, TuskConsensus
-from repro.dag.types import (Block, BlockKind, PreplayEntry, Vertex,
-                             encode_transaction)
+from repro.dag.types import Block, BlockKind, Vertex
 
 __all__ = [
     "Block",
@@ -12,8 +11,6 @@ __all__ = [
     "CommitEvent",
     "DagStore",
     "LeaderSchedule",
-    "PreplayEntry",
     "TuskConsensus",
     "Vertex",
-    "encode_transaction",
 ]

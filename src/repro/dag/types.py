@@ -19,14 +19,14 @@ transactions — single-shard transactions promoted by rules P3/P4/P6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Any, Dict, Optional, Tuple
+from typing import Tuple
 
 from repro.ce.controller import CommittedTx
 from repro.crypto.certificates import Certificate, vote_payload
-from repro.crypto.digest import Encoded, digest_of
+from repro.crypto.digest import Encoded, digest_of, encode_into
 from repro.txn import Transaction
 
 
@@ -37,31 +37,22 @@ class BlockKind(Enum):
     SHIFT = "shift"
 
 
-@dataclass(frozen=True)
-class PreplayEntry:
-    """One transaction's preplay outcome as published in a block (§4)."""
-
-    tx_id: int
-    order_index: int
-    read_set: Dict[str, Any]
-    write_set: Dict[str, Any]
-    result: Any
-
-    @classmethod
-    def from_committed(cls, entry: CommittedTx) -> "PreplayEntry":
-        return cls(tx_id=entry.tx_id, order_index=entry.order_index,
-                   read_set=dict(entry.read_set),
-                   write_set=dict(entry.write_set), result=entry.result)
-
-    def encode(self) -> dict:
-        return {"tx": self.tx_id, "order": self.order_index,
-                "reads": self.read_set, "writes": self.write_set,
-                "result": self.result}
-
-
-def encode_transaction(tx: Transaction) -> dict:
-    return {"id": tx.tx_id, "contract": tx.contract,
-            "args": list(tx.args), "shards": list(tx.shard_ids)}
+def _transactions_into(prefix: bytes, txs: Tuple[Transaction, ...],
+                       parts: list) -> None:
+    """Append ``prefix`` and the encoding of ``[{"args": ..., "contract":
+    ..., "id": ..., "shards": ...}, ...]`` for ``txs``."""
+    parts.append(b"%bL%d[" % (prefix, len(txs)))
+    for tx in txs:
+        parts.append(b"M4{S4:args")
+        encode_into(tx.args, parts)
+        parts.append(b"S8:contract")
+        encode_into(tx.contract, parts)
+        parts.append(b"S2:id")
+        encode_into(tx.tx_id, parts)
+        parts.append(b"S6:shards")
+        encode_into(tx.shard_ids, parts)
+        parts.append(b"}")
+    parts.append(b"]")
 
 
 @dataclass(frozen=True)
@@ -75,7 +66,9 @@ class Block:
     kind: BlockKind
     parents: Tuple[str, ...]
     transactions: Tuple[Transaction, ...] = ()
-    preplay: Tuple[PreplayEntry, ...] = ()
+    #: Each committed preplay transaction's order, read set, write set and
+    #: result (§4); ``attempts`` rides along unhashed.
+    preplay: Tuple[CommittedTx, ...] = ()
     #: The single-shard transactions behind ``preplay`` — validators need
     #: the contract invocations to re-execute (§4).
     preplayed_txs: Tuple[Transaction, ...] = ()
@@ -86,20 +79,43 @@ class Block:
 
     @cached_property
     def digest(self) -> str:
-        return digest_of({
-            "author": self.author,
-            "shard": self.shard,
-            "epoch": self.epoch,
-            "round": self.round_number,
-            "kind": self.kind.value,
-            "parents": list(self.parents),
-            "transactions": [encode_transaction(tx)
-                             for tx in self.transactions],
-            "preplay": [entry.encode() for entry in self.preplay],
-            "preplayed_txs": [encode_transaction(tx)
-                              for tx in self.preplayed_txs],
-            "converted": [encode_transaction(tx) for tx in self.converted],
-        })
+        return digest_of(self)
+
+    def canonical_into(self, parts: list) -> None:
+        """Append the canonical encoding of the block's map form: the keys
+        ``author`` … ``transactions`` in sorted order, a transaction as
+        ``{args, contract, id, shards}``, a preplay entry as ``{order,
+        reads, result, tx, writes}``."""
+        parts.append(b"M10{S6:author")
+        encode_into(self.author, parts)
+        _transactions_into(b"S9:converted", self.converted, parts)
+        parts.append(b"S5:epoch")
+        encode_into(self.epoch, parts)
+        parts.append(b"S4:kind")
+        encode_into(self.kind.value, parts)
+        parts.append(b"S7:parents")
+        encode_into(self.parents, parts)
+        parts.append(b"S7:preplayL%d[" % len(self.preplay))
+        for entry in self.preplay:
+            parts.append(b"M5{S5:order")
+            encode_into(entry.order_index, parts)
+            parts.append(b"S5:reads")
+            encode_into(entry.read_set, parts)
+            parts.append(b"S6:result")
+            encode_into(entry.result, parts)
+            parts.append(b"S2:tx")
+            encode_into(entry.tx_id, parts)
+            parts.append(b"S6:writes")
+            encode_into(entry.write_set, parts)
+            parts.append(b"}")
+        parts.append(b"]")
+        _transactions_into(b"S13:preplayed_txs", self.preplayed_txs, parts)
+        parts.append(b"S5:round")
+        encode_into(self.round_number, parts)
+        parts.append(b"S5:shard")
+        encode_into(self.shard, parts)
+        _transactions_into(b"S12:transactions", self.transactions, parts)
+        parts.append(b"}")
 
     @cached_property
     def vote_payload(self) -> Encoded:

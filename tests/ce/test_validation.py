@@ -1,16 +1,18 @@
 """Unit tests for commit-time parallel validation (§4)."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ce import CommittedTx, build_validation_levels, validate_block
+from repro.ce import CommittedTx, validate_block
 from repro.ce.validation import (estimate_validation_cost, reexecute_block,
                                  _makespan)
-from repro.contracts import (SEND_PAYMENT, GET_BALANCE, default_registry,
-                             initial_state, run_inline)
+from repro.contracts import (AMALGAMATE, SEND_PAYMENT, GET_BALANCE, ReadOp,
+                             WriteOp, default_registry, initial_state,
+                             run_inline)
 from repro.txn import Transaction
 
 
@@ -73,6 +75,60 @@ def test_write_mismatch_rejected(registry):
     assert not outcome.valid
 
 
+def test_values_of_another_type_are_rejected(registry):
+    """``10000.0 == 10000 == True`` for ``==`` but not for the block digest:
+    a preplay that declares an equal value of another type publishes sets
+    other than the ones that ran, and is rejected like any other lie."""
+    state = initial_state(8)
+    state["savings:1"] = 1
+    txs = [Transaction(0, SEND_PAYMENT, (0, 1, 10), (0,)),
+           Transaction(1, AMALGAMATE, (1, 2), (0,))]
+    txmap = {t.tx_id: t for t in txs}
+    entries = preplay_serial(txs, registry, state)
+    assert validate_block(entries, txmap, registry, state).valid
+    as_float = dataclasses.replace(
+        entries[0],
+        read_set={k: float(v) for k, v in entries[0].read_set.items()},
+        write_set={k: float(v) for k, v in entries[0].write_set.items()})
+    assert as_float.read_set == entries[0].read_set
+    outcome = validate_block([as_float, entries[1]], txmap, registry, state)
+    assert not outcome.valid
+    assert "read set mismatch" in outcome.reason
+    only_writes = dataclasses.replace(entries[0], write_set={
+        k: float(v) for k, v in entries[0].write_set.items()})
+    outcome = validate_block([only_writes, entries[1]], txmap, registry,
+                             state)
+    assert not outcome.valid
+    assert "write set mismatch" in outcome.reason
+    assert entries[1].read_set["savings:1"] == 1
+    as_bool = dataclasses.replace(
+        entries[1], read_set={**entries[1].read_set, "savings:1": True})
+    assert as_bool.read_set == entries[1].read_set
+    outcome = validate_block([entries[0], as_bool], txmap, registry, state)
+    assert not outcome.valid
+    assert "tx 1: read set mismatch" in outcome.reason
+
+
+def test_containers_must_match_down_to_their_item_types():
+    """A custom contract storing containers: ``[1] == [True]``, but only
+    the exact observed value passes."""
+    registry = default_registry()
+
+    def copy_list(src, dst):
+        value = yield ReadOp(src)
+        yield WriteOp(dst, value)
+    registry.register("test.copy", copy_list)
+    state = {"a": [1, {"n": 2}]}
+    tx = Transaction(0, "test.copy", ("a", "b"), (0,))
+    honest = CommittedTx(0, 0, {"a": [1, {"n": 2}]}, {"b": [1, {"n": 2}]},
+                         None, 1)
+    assert validate_block([honest], {0: tx}, registry, state).valid
+    for lie in ([True, {"n": 2}], [1, {"n": 2.0}]):
+        forged = dataclasses.replace(honest, read_set={"a": lie})
+        assert forged.read_set == honest.read_set
+        assert not validate_block([forged], {0: tx}, registry, state).valid
+
+
 def test_unknown_transaction_rejected(registry):
     entry = CommittedTx(tx_id=42, order_index=0, read_set={}, write_set={},
                         result=None, attempts=1)
@@ -94,54 +150,38 @@ def test_stale_state_detected(registry):
     assert not outcome.valid
 
 
-def test_levels_disjoint_same_level():
-    entries = [
-        CommittedTx(0, 0, {"a": 1}, {"a": 2}, None, 1),
-        CommittedTx(1, 1, {"b": 1}, {"b": 2}, None, 1),
-        CommittedTx(2, 2, {"c": 1}, {"c": 2}, None, 1),
-    ]
-    levels = build_validation_levels(entries)
-    assert len(levels) == 1
-    assert len(levels[0]) == 3
-
-
-def test_levels_write_write_conflict_serializes():
-    entries = [
-        CommittedTx(0, 0, {}, {"a": 1}, None, 1),
-        CommittedTx(1, 1, {}, {"a": 2}, None, 1),
-    ]
-    levels = build_validation_levels(entries)
-    assert len(levels) == 2
-
-
-def test_levels_read_after_write_serializes():
-    entries = [
-        CommittedTx(0, 0, {}, {"a": 1}, None, 1),
-        CommittedTx(1, 1, {"a": 1}, {}, None, 1),
-    ]
-    assert len(build_validation_levels(entries)) == 2
-
-
-def test_levels_write_after_read_serializes():
-    entries = [
-        CommittedTx(0, 0, {"a": 0}, {}, None, 1),
-        CommittedTx(1, 1, {}, {"a": 1}, None, 1),
-    ]
-    assert len(build_validation_levels(entries)) == 2
-
-
-def test_levels_reads_share_level():
-    entries = [
-        CommittedTx(0, 0, {"a": 0}, {}, None, 1),
-        CommittedTx(1, 1, {"a": 0}, {}, None, 1),
-    ]
-    assert len(build_validation_levels(entries)) == 1
-
-
 def test_makespan():
     assert _makespan([], 4) == 0.0
     assert _makespan([1.0, 1.0, 1.0, 1.0], 2) == pytest.approx(2.0)
     assert _makespan([4.0, 1.0, 1.0], 2) == pytest.approx(4.0)
+
+
+def reference_makespan(costs, workers):
+    """The lane scan ``_makespan`` replaced: the first least-loaded lane."""
+    if not costs:
+        return 0.0
+    lanes = [0.0] * max(1, workers)
+    for cost in sorted(costs, reverse=True):
+        lane = min(range(len(lanes)), key=lanes.__getitem__)
+        lanes[lane] += cost
+    return max(lanes)
+
+
+def test_makespan_heap_matches_the_lane_scan():
+    """Same lane choice (least load, lowest index), so the same float sums:
+    equal bit for bit, with ties, zero costs and more workers than costs."""
+    rng = random.Random(4104)
+    for _ in range(2000):
+        workers = rng.randint(0, 20)
+        size = rng.randint(0, 30)
+        pool = [0.0, 5e-6, 1e-5, 1.5e-5, 0.1, 0.3]
+        costs = [rng.choice(pool) if rng.random() < 0.5
+                 else rng.random() * 1e-3 for _ in range(size)]
+        assert _makespan(costs, workers) == \
+            reference_makespan(costs, workers), (costs, workers)
+    assert _makespan([0.0, 0.0], 4) == 0.0
+    assert _makespan([0.1, 0.2], 1) == 0.1 + 0.2
+    assert _makespan([0.3, 0.1, 0.1, 0.1], 2) == 0.1 + 0.1 + 0.1
 
 
 def test_more_validators_cheaper():

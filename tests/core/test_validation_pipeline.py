@@ -5,7 +5,7 @@ import pytest
 
 from repro.ce.controller import CommittedTx
 from repro.core import ThunderboltConfig
-from repro.dag.types import Block, BlockKind, PreplayEntry
+from repro.dag.types import Block
 from repro.workloads import WorkloadConfig
 
 from tests.conftest import make_cluster
@@ -32,10 +32,11 @@ def test_strict_validation_discards_forged_preplay():
         if block is None or not block.preplay:
             return block
         forged = tuple(
-            PreplayEntry(tx_id=e.tx_id, order_index=e.order_index,
-                         read_set={k: (v + 1 if isinstance(v, int) else v)
-                                   for k, v in e.read_set.items()},
-                         write_set=e.write_set, result=e.result)
+            CommittedTx(tx_id=e.tx_id, order_index=e.order_index,
+                        read_set={k: (v + 1 if isinstance(v, int) else v)
+                                  for k, v in e.read_set.items()},
+                        write_set=e.write_set, result=e.result,
+                        attempts=e.attempts)
             for e in block.preplay)
         return Block(author=block.author, shard=block.shard,
                      epoch=block.epoch, round_number=block.round_number,

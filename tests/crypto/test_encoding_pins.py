@@ -1,9 +1,12 @@
-"""Byte pins for the canonical encoder and the carried vote payload.
+"""Byte pins for the canonical encoder, a block's own encoding and the
+carried vote payload.
 
-The encoder dispatches on exact ``type()`` and a vote's payload is encoded
-once per vertex and shared; neither may move one encoded byte, one digest or
-one MAC.  The golden strings below were produced by the seed encoder, which
-is also kept verbatim as the reference for the Hypothesis comparison.
+The encoder dispatches on exact ``type()``, a block writes its own bytes,
+and a vote's payload is encoded once per vertex and shared; none of them may
+move one encoded byte, one digest or one MAC.  The golden strings below were
+produced by the seed encoder, which is also kept verbatim as the reference
+for the Hypothesis comparisons, next to the dict form a block's digest was
+once computed from.
 """
 
 import enum
@@ -12,12 +15,14 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.ce import CommittedTx
 from repro.crypto import (CertificateBuilder, Encoded, KeyPair, KeyRegistry,
                           canonical_encode, digest_of, quorum_size,
                           vote_message, vote_payload)
 from repro.crypto import certificates, digest, keys
 from repro.dag import Block, BlockKind, Vertex
 from repro.errors import CryptoError
+from repro.txn import Transaction
 
 
 def seed_encode(value) -> bytes:
@@ -183,6 +188,106 @@ def test_encoder_matches_seed_encoder(value):
     assert canonical_encode(value) == seed_encode(value)
 
 
+# -- a block's own encoding -----------------------------------------------
+
+def encode_transaction(tx):
+    return {"id": tx.tx_id, "contract": tx.contract,
+            "args": list(tx.args), "shards": list(tx.shard_ids)}
+
+
+def encode_entry(entry):
+    return {"tx": entry.tx_id, "order": entry.order_index,
+            "reads": entry.read_set, "writes": entry.write_set,
+            "result": entry.result}
+
+
+def dict_form(block):
+    """What ``Block.digest`` hashed before the block wrote its own bytes."""
+    return {
+        "author": block.author,
+        "shard": block.shard,
+        "epoch": block.epoch,
+        "round": block.round_number,
+        "kind": block.kind.value,
+        "parents": list(block.parents),
+        "transactions": [encode_transaction(tx)
+                         for tx in block.transactions],
+        "preplay": [encode_entry(entry) for entry in block.preplay],
+        "preplayed_txs": [encode_transaction(tx)
+                          for tx in block.preplayed_txs],
+        "converted": [encode_transaction(tx) for tx in block.converted],
+    }
+
+
+PINNED_BLOCK = Block(
+    author=3, shard=3, epoch=0, round_number=7, kind=BlockKind.NORMAL,
+    parents=("aa", "bb"),
+    transactions=(Transaction(12, "smallbank.send_payment", (4, 9, 5),
+                              (3,)),),
+    preplay=(CommittedTx(11, 0, {"checking:4": 100},
+                         {"checking:4": 95, "savings:9": 5.5}, None, 4),))
+
+
+def test_block_bytes_and_digest_pinned():
+    """The block behind ``BLOCK_SHAPED``; ``attempts`` is not hashed."""
+    assert dict_form(PINNED_BLOCK) == BLOCK_SHAPED
+    assert canonical_encode(PINNED_BLOCK) == BLOCK_SHAPED_BYTES
+    assert PINNED_BLOCK.digest == "2c640adb28fb7308ff6fe8b76c5c6768"
+
+
+_ints = st.one_of(st.integers(), st.sampled_from([Color.RED, Count(3)]))
+_transactions = st.builds(
+    Transaction, tx_id=_ints, contract=st.text(),
+    args=st.one_of(st.lists(_values, max_size=4).map(tuple),
+                   st.lists(_values, max_size=4)),
+    shard_ids=st.lists(st.one_of(st.integers(0, 64),
+                                 st.sampled_from([Color.RED, Count(3)])),
+                       min_size=1, max_size=3).map(tuple))
+_entries = st.builds(
+    CommittedTx, tx_id=_ints, order_index=_ints,
+    read_set=st.dictionaries(_keys, _values, max_size=4),
+    write_set=st.dictionaries(_keys, _values, max_size=4),
+    result=_values, attempts=st.integers(1, 5))
+_tx_tuples = st.lists(_transactions, max_size=3).map(tuple)
+_blocks = st.builds(
+    Block, author=_ints, shard=_ints, epoch=_ints, round_number=_ints,
+    kind=st.sampled_from(BlockKind),
+    parents=st.lists(st.text(), max_size=3).map(tuple),
+    transactions=_tx_tuples,
+    preplay=st.lists(_entries, max_size=3).map(tuple),
+    preplayed_txs=_tx_tuples, converted=_tx_tuples)
+
+
+def assert_block_encodes_as_its_dict_form(block):
+    form = dict_form(block)
+    assert canonical_encode(block) == seed_encode(form)
+    assert block.digest == digest_of(form)
+
+
+@given(_blocks)
+@settings(max_examples=300, deadline=None)
+def test_block_encodes_as_its_dict_form(block):
+    assert_block_encodes_as_its_dict_form(block)
+
+
+def test_swapped_field_prefixes_fail_the_block_property(monkeypatch):
+    """A planted bug: ``epoch`` and ``round`` written under each other's
+    names.  The property must catch it."""
+    swap = {b"S5:epoch": b"S5:round", b"S5:round": b"S5:epoch"}
+    original = Block.canonical_into
+
+    def swapped(self, parts):
+        scratch = []
+        original(self, scratch)
+        parts.extend(swap.get(part, part) for part in scratch)
+
+    monkeypatch.setattr(Block, "canonical_into", swapped)
+    planted = settings(max_examples=300, deadline=None, database=None)(
+        given(_blocks)(assert_block_encodes_as_its_dict_form))
+    with pytest.raises(AssertionError):
+        planted()
+
+
 # -- the carried vote payload ---------------------------------------------
 
 DIGEST = "ab" * 16
@@ -267,6 +372,7 @@ def test_certifying_a_vertex_encodes_at_most_twice(monkeypatch):
     assert builder.vote_count == quorum_size(n)
     vertex = Vertex(block=block, certificate=builder.build())
     assert len(calls) <= 2
+    assert calls[0] is block
     assert calls[1] == vote_message(block.digest, 0, 3)
     # Checking the finished certificate encodes its message once, not once
     # per signature.

@@ -1,6 +1,7 @@
 """Smoke test for ``python -m tools.profile_e2e``."""
 
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -103,3 +104,50 @@ def test_prints_the_closure_work(capsys):
         "connect rows ORed: 12 (2.40 per transaction, 3.00 per connect); "
         "unmasked 16, 25.0% skipped",
         "ancestors skipped as committed: 3; reopens of committed nodes: 0"]
+
+
+def test_samples_a_smoke_run_by_self_and_inclusive_share(capsys):
+    samples, cluster = profile_e2e.sample_workload("hot_key", "smoke")
+    assert cluster.metrics.executions
+    assert samples.total > 0
+    assert sum(samples.self.values()) == samples.total
+    # Every sample was taken inside the benchmark's driver loop.
+    [driver] = [label for label in samples.inclusive
+                if label.startswith("run_and_drain (")]
+    assert samples.inclusive[driver] == samples.total
+    assert max(samples.self.values()) <= samples.total
+    # A generated frame is named after the class its ``self`` is.
+    generated = sum(count for label, count in samples.self.items()
+                    if label.endswith("<string>"))
+    assert sum(samples.callers.values()) == generated
+    profile_e2e.print_samples(samples, 3)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"samples: {samples.total}"
+    assert lines[1].split() == ["share", "samples", "self"]
+
+
+def test_labels_a_dataclass_init_by_its_class():
+    from repro.txn import Transaction
+    samples = profile_e2e.Samples()
+    seen = []
+
+    class Spy(Transaction):
+        def __post_init__(self):
+            seen.append(sys._getframe(1))   # the generated __init__
+            super().__post_init__()
+
+    Spy(1, "c", (), (0,))
+    samples.record(seen[0])
+    [(leaf, caller)] = samples.callers
+    assert leaf == "Spy.__init__ <string>"
+    assert caller.startswith("test_labels_a_dataclass_init_by_its_class (")
+    assert samples.self[leaf] == samples.inclusive[leaf] == 1
+
+
+def test_main_samples_instead_of_profiling(capsys):
+    assert profile_e2e.main(["tusk_wide", "--scale", "smoke", "--sample",
+                             "--top", "5"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("samples: ")
+    assert "Ordered by: internal time" not in out
+    assert re.search(r"^replays: \d+ executed", out, re.MULTILINE)

@@ -1,7 +1,7 @@
-"""cProfile one run of an end-to-end benchmark workload.
+"""Profile one run of an end-to-end benchmark workload.
 
 ``PYTHONPATH=src python -m tools.profile_e2e <workload> [--scale smoke|full]
-[--top N]`` builds the cluster exactly as the benchmark does
+[--top N] [--sample]`` builds the cluster exactly as the benchmark does
 (``benchmarks.e2e.iteration.build_cluster``, seed 1), runs ``run_and_drain``
 under cProfile and prints the ``N`` functions with the largest self time,
 then how many committed work items the host replayed and how many the
@@ -21,16 +21,27 @@ reopens of committed nodes (``_reopen``).
 cProfile charges every Python call but nothing inside native code, so the
 proportions are shifted: use this to find candidates, and
 ``python -m benchmarks.e2e`` (profiling off) to measure them.
+
+``--sample`` replaces cProfile with a statistical sampler: every
+millisecond of process CPU time (``ITIMER_PROF``; the kernel rounds it up
+to its timer tick, 4 ms on a 250 Hz kernel) it records the running stack, then prints each function's self share (the samples it was running)
+and inclusive share (the samples it was on the stack), and the callers of
+generated frames that have no source file — a dataclass ``__init__`` is
+labelled by the class it builds.  A sample costs one stack walk, where
+cProfile charges every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import os
 import pstats
+import signal
 import sys
 from collections import Counter
-from typing import Optional, Sequence, Tuple
+from types import FrameType
+from typing import Dict, Optional, Sequence, Tuple
 
 from benchmarks.e2e.iteration import build_cluster, run_and_drain
 from benchmarks.e2e.workloads import WORKLOADS
@@ -40,6 +51,8 @@ from repro.sim.events import Event, Process
 
 
 SEED = 1
+#: Process CPU seconds between two samples of ``--sample``.
+SAMPLE_INTERVAL_S = 0.001
 
 
 def _build(name: str, scale: str) -> Tuple[Cluster, tuple]:
@@ -61,6 +74,84 @@ def profile_workload(name: str,
     profiler = cProfile.Profile()
     profiler.runcall(run_and_drain, cluster, *args)
     return pstats.Stats(profiler), cluster
+
+
+def frame_label(frame: FrameType, cache: Dict[object, str]) -> str:
+    """``qualname (file:line)``; a generated frame (its file is ``<string>``
+    or the like) is named after the class of its ``self`` argument."""
+    code = frame.f_code
+    label = cache.get(code)
+    if label is not None:
+        return label
+    if not code.co_filename.startswith("<"):
+        label = cache[code] = (f"{code.co_qualname} ("
+                               f"{os.path.basename(code.co_filename)}:"
+                               f"{code.co_firstlineno})")
+        return label
+    owner = frame.f_locals.get("self") if code.co_argcount else None
+    name = code.co_name if owner is None \
+        else f"{type(owner).__name__}.{code.co_name}"
+    return f"{name} {code.co_filename}"
+
+
+class Samples:
+    """What the sampler saw: per label, the samples it was running
+    (``self``) and on the stack (``inclusive``), and per generated leaf
+    frame the function that called it (``callers``)."""
+
+    def __init__(self) -> None:
+        self.total = 0
+        self.self: Counter = Counter()
+        self.inclusive: Counter = Counter()
+        self.callers: Counter = Counter()
+        self._labels: Dict[object, str] = {}
+
+    def record(self, frame: Optional[FrameType]) -> None:
+        if frame is None:
+            return
+        self.total += 1
+        leaf = frame_label(frame, self._labels)
+        self.self[leaf] += 1
+        if frame.f_code.co_filename.startswith("<") and frame.f_back:
+            self.callers[leaf, frame_label(frame.f_back, self._labels)] += 1
+        on_stack = set()
+        while frame is not None:
+            on_stack.add(frame_label(frame, self._labels))
+            frame = frame.f_back
+        self.inclusive.update(on_stack)
+
+
+def sample_workload(name: str,
+                    scale: str = "full") -> Tuple[Samples, Cluster]:
+    """Run workload ``name`` under an ``ITIMER_PROF`` sampler that records
+    the stack every :data:`SAMPLE_INTERVAL_S` of process CPU time; the
+    cluster is built outside the sampled region, as the benchmark times
+    it."""
+    cluster, args = _build(name, scale)
+    samples = Samples()
+    previous = signal.signal(signal.SIGPROF,
+                             lambda _signum, frame: samples.record(frame))
+    signal.setitimer(signal.ITIMER_PROF, SAMPLE_INTERVAL_S,
+                     SAMPLE_INTERVAL_S)
+    try:
+        run_and_drain(cluster, *args)
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0, 0)
+        signal.signal(signal.SIGPROF, previous)
+    return samples, cluster
+
+
+def print_samples(samples: Samples, top: int) -> None:
+    total = max(samples.total, 1)
+    print(f"samples: {samples.total}")
+    for title, counts in (("self", samples.self),
+                          ("inclusive", samples.inclusive)):
+        print(f"{'share':>7} {'samples':>8}  {title}")
+        for label, count in counts.most_common(top):
+            print(f"{count / total:>7.1%} {count:>8}  {label}")
+    print(f"{'share':>7} {'samples':>8}  generated frame <- caller")
+    for (leaf, caller), count in samples.callers.most_common(top):
+        print(f"{count / total:>7.1%} {count:>8}  {leaf} <- {caller}")
 
 
 def resumes(event: Event) -> str:
@@ -171,9 +262,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--scale", choices=("smoke", "full"), default="full")
     parser.add_argument("--top", type=int, default=25,
                         help="rows to print, by self time (default 25)")
+    parser.add_argument("--sample", action="store_true",
+                        help="sample the stack instead of cProfiling")
     args = parser.parse_args(argv)
-    stats, cluster = profile_workload(args.workload, args.scale)
-    stats.strip_dirs().sort_stats("tottime").print_stats(args.top)
+    if args.sample:
+        samples, cluster = sample_workload(args.workload, args.scale)
+        print_samples(samples, args.top)
+    else:
+        stats, cluster = profile_workload(args.workload, args.scale)
+        stats.strip_dirs().sort_stats("tottime").print_stats(args.top)
     memo = cluster.memo
     print(f"replays: {memo.executed} executed, {memo.reused} reused "
           f"(modelled: {memo.executed + memo.reused}, one per replica "
