@@ -49,13 +49,12 @@ def _redeliver(network: Network, env: Environment, message: Message,
     One event ``delay`` from now hands the clone to the recipient's
     connected handler.  The clone re-runs the delivery filters installed at
     replay time (so a concurrent partition or censorship still applies) but
-    carries a ``_replayed`` marker so relay-style behaviours do not
-    intercept their own clones.
+    is marked ``replayed`` so relay-style behaviours do not intercept their
+    own clones.
     """
     clone = Message(sender=message.sender, recipient=message.recipient,
                     kind=message.kind, payload=message.payload,
-                    sent_at=message.sent_at)
-    clone._replayed = True
+                    sent_at=message.sent_at, replayed=True)
 
     def arrive(event) -> None:
         for delivery_filter in tuple(network._filters):
@@ -291,7 +290,7 @@ class GrayFailure:
                 return True
             if message.sender not in self.replicas:
                 return True
-            if getattr(message, "_replayed", False):
+            if message.replayed:
                 return True
             extra = max(0.0, rng.gauss(
                 self.extra_mean, self.extra_mean * self.extra_jitter))
@@ -347,7 +346,7 @@ def install_proposal_delay(cluster: Cluster, replicas: Iterable[int],
         if message.sender not in blocked \
                 or message.kind not in _BLOCK_KINDS:
             return True
-        if getattr(message, "_replayed", False):
+        if message.replayed:
             return True
         _redeliver(network, env, message, extra_delay)
         return False

@@ -42,7 +42,7 @@ class SerialRunner:
         for index, tx in enumerate(transactions):
             body = self.registry.get(tx.contract)
             record = run_inline(body, tx.args, view, default=default)
-            cost = max(1, len(record.operations)) * self.config.op_cost
+            cost = max(1, record.op_count) * self.config.op_cost
             yield env.timeout(cost)
             view.overlay.update(record.write_set)
             committed.append(CommittedTx(

@@ -148,7 +148,7 @@ def reexecute_block(entries: Sequence[CommittedTx],
         record = run_inline(body, tx.args, view, default=default)
         view.overlay.update(record.write_set)
         results[tx_id] = record.result
-        total_ops += len(record.operations)
+        total_ops += record.op_count
     return ReexecutionOutcome(writes=MappingProxyType(view.overlay),
                               results=results, executed=list(ordered),
                               simulated_cost=total_ops * op_cost)

@@ -60,12 +60,12 @@ class ExecutionRecord:
 
     ``read_set`` maps key → value observed; ``write_set`` maps key → last
     value written.  These are exactly the preplay outputs a shard proposer
-    publishes in its block (§4).
+    publishes in its block (§4).  ``op_count`` counts the operations run.
     """
 
     read_set: Dict[str, Any] = field(default_factory=dict)
     write_set: Dict[str, Any] = field(default_factory=dict)
-    operations: List[Operation] = field(default_factory=list)
+    op_count: int = 0
     result: Any = None
 
     @property
@@ -87,7 +87,7 @@ def run_inline(body: ContractBody, args: tuple,
     try:
         op = next(generator)
         while True:
-            record.operations.append(op)
+            record.op_count += 1
             if isinstance(op, ReadOp):
                 if op.key in record.write_set:
                     value = record.write_set[op.key]

@@ -65,7 +65,7 @@ class CrossShardExecutor:
             tx_id=tx.tx_id, order_index=order_index,
             read_set=record.read_set, write_set=record.write_set,
             result=record.result, attempts=1)
-        return entry, max(1, len(record.operations)) * self.op_cost
+        return entry, max(1, record.op_count) * self.op_cost
 
     def _replay(self, transactions: Sequence[Transaction],
                 view: OverlayView) -> Iterator[Tuple[Transaction, float]]:

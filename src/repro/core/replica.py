@@ -34,7 +34,7 @@ differ.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.baselines.occ import OCCRunner
 from repro.ce.controller import CommittedTx
@@ -706,8 +706,7 @@ class Replica:
                     yield self.env.timeout(recovery.simulated_cost)
                 self.store.apply_batch(recovery.writes)
                 self.metrics.validation_reexecutions += len(recovery.executed)
-                for tx_id in recovery.executed:
-                    self._record_execution(tx_id, "single")
+                self._record_executions(recovery.executed, "single")
                 return
             writes = outcome.writes
         else:
@@ -720,18 +719,18 @@ class Replica:
             for entry in block.preplay:
                 writes.update(entry.write_set)
         self.store.apply_batch(writes)
-        for entry in block.preplay:
-            self._record_execution(entry.tx_id, "single")
+        self._record_executions((entry.tx_id for entry in block.preplay),
+                                "single")
 
     def _run_cross(self, runnable: List[Transaction]):
         outcome = self._cross_exec.execute(runnable, self.store)
         if outcome.simulated_cost > 0:
             yield self.env.timeout(outcome.simulated_cost)
         self.store.apply_batch(outcome.writes)
+        self._record_executions((tx.tx_id for tx in runnable), "cross",
+                                self._tx_kind)
         touched: Set[int] = set()
         for tx in runnable:
-            self._record_execution(
-                tx.tx_id, self._tx_kind.get(tx.tx_id, "cross"))
             for sid in tx.shard_ids:
                 touched.add(sid)
                 pending = self._pending_cross.get(sid)
@@ -751,16 +750,25 @@ class Replica:
         if outcome.simulated_cost > 0:
             yield self.env.timeout(outcome.simulated_cost)
         self.store.apply_batch(outcome.writes)
-        for tx in runnable:
-            self._record_execution(
-                tx.tx_id, self._tx_kind.get(tx.tx_id, "serial"))
+        self._record_executions((tx.tx_id for tx in runnable), "serial",
+                                self._tx_kind)
 
-    def _record_execution(self, tx_id: int, kind: str) -> None:
-        if tx_id in self.executed:
-            return
-        self.executed.add(tx_id)
-        submitted = self._submit_times.get(tx_id, self.env.now)
-        self.metrics.record_execution(tx_id, kind, submitted, self.env.now)
+    def _record_executions(self, tx_ids: Iterable[int], kind: str,
+                           kinds: Optional[Dict[int, str]] = None) -> None:
+        """Mark one applied batch executed here, at this instant; pass the
+        collector, which samples a transaction once per cluster, only those
+        it has not recorded, of kind ``kinds.get(tx_id, kind)``."""
+        now = self.env.now
+        executed = self.executed
+        recorded = self.metrics.recorded_ids
+        for tx_id in tx_ids:
+            if tx_id in executed:
+                continue
+            executed.add(tx_id)
+            if tx_id not in recorded:
+                self.metrics.record_execution(
+                    tx_id, kind if kinds is None else kinds.get(tx_id, kind),
+                    self._submit_times.get(tx_id, now), now)
 
     # ------------------------------------------------------- reconfiguration
 

@@ -26,8 +26,6 @@ class DagStore:
         #: is impossible because certification requires a 2f+1 quorum).
         self._rounds: Dict[int, Dict[int, Vertex]] = defaultdict(dict)
         self._pending: Dict[str, Vertex] = {}
-        #: digest -> vertices citing it as a parent (reverse parent links).
-        self._children: Dict[str, List[Vertex]] = defaultdict(list)
         #: Vertices collected by :meth:`causal_history` walks so far.
         self.walk_visits = 0
 
@@ -70,8 +68,6 @@ class DagStore:
                 f"round {vertex.round_number} — quorum intersection broken")
         self._by_digest[vertex.digest] = vertex
         self._rounds[vertex.round_number][vertex.author] = vertex
-        for parent in dict.fromkeys(vertex.block.parents):
-            self._children[parent].append(vertex)
         return vertex
 
     def _parents_present(self, block: Block) -> bool:
@@ -106,9 +102,10 @@ class DagStore:
 
     def support(self, digest: str, round_number: int) -> int:
         """How many vertices of ``round_number`` reference ``digest`` as a
-        parent — the f+1 commit condition of the Tusk rule."""
-        return sum(1 for child in self._children.get(digest, ())
-                   if child.block.round_number == round_number)
+        parent — the f+1 commit condition of the Tusk rule.  Scanned on read
+        (once per leader, over at most n vertices), not indexed on insert."""
+        return sum(1 for vertex in self._rounds.get(round_number, {}).values()
+                   if digest in vertex.block.parents)
 
     # -- causal history ------------------------------------------------------------
 

@@ -9,7 +9,7 @@ and reconfiguration events (Fig. 15).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 
 @dataclass
@@ -29,7 +29,8 @@ class MetricsCollector:
 
     def __init__(self) -> None:
         self.executions: List[ExecutionSample] = []
-        self._executed_ids: set = set()
+        #: Ids of the transactions in :attr:`executions`.
+        self.recorded_ids: Set[int] = set()
         self.commit_times: List[Tuple[int, int, float]] = []  # epoch, round, t
         self.reconfigurations: List[Tuple[int, float]] = []   # epoch, time
         self.re_executions = 0
@@ -62,9 +63,9 @@ class MetricsCollector:
         """Record a transaction's first execution; repeats are ignored
         (a transaction executes once per cluster even though every replica
         applies it)."""
-        if tx_id in self._executed_ids:
+        if tx_id in self.recorded_ids:
             return False
-        self._executed_ids.add(tx_id)
+        self.recorded_ids.add(tx_id)
         self.executions.append(ExecutionSample(
             tx_id=tx_id, kind=kind, submitted_at=submitted_at,
             executed_at=executed_at))

@@ -50,12 +50,13 @@ class LatencyModel:
         return cls(mean=delay, stddev=0.0, minimum=delay)
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """An authenticated message travelling between replicas.
 
     ``payload`` carries a protocol object (block, certificate vote, ...).
-    ``kind`` is a short routing tag so handlers can dispatch cheaply.
+    ``kind`` is a short routing tag so handlers can dispatch cheaply;
+    ``replayed`` marks an adversary's late clone of a held-back message.
     """
 
     sender: int
@@ -64,6 +65,7 @@ class Message:
     payload: Any
     sent_at: float = 0.0
     delivered_at: float = 0.0
+    replayed: bool = False
 
 
 #: A filter deciding whether a message is delivered. Returning ``False``

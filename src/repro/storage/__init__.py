@@ -1,6 +1,6 @@
 """Storage substrate: versioned KV store (LevelDB stand-in) and commit log."""
 
-from repro.storage.kvstore import KVStore, Snapshot, VersionedValue
+from repro.storage.kvstore import KVStore, Snapshot
 from repro.storage.log import CommitLog, LogEntry, prefix_consistent
 
 __all__ = [
@@ -8,6 +8,5 @@ __all__ = [
     "KVStore",
     "LogEntry",
     "Snapshot",
-    "VersionedValue",
     "prefix_consistent",
 ]

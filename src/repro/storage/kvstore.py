@@ -5,22 +5,16 @@ store each replica applies committed results to.  Every key carries a
 monotonically increasing version, which is exactly what the OCC baseline's
 central verifier checks (§11.1), and snapshots give validators a stable view
 to re-execute against.
+
+Values and versions live in two dicts, as in the OCC baseline's
+``_VersionedState``: applying a write set builds no record per key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 from repro.errors import StorageError
-
-
-@dataclass(frozen=True)
-class VersionedValue:
-    """A value together with the version at which it was written."""
-
-    value: Any
-    version: int
 
 
 class KVStore:
@@ -32,84 +26,84 @@ class KVStore:
     """
 
     def __init__(self) -> None:
-        self._data: Dict[str, VersionedValue] = {}
+        self._values: Dict[str, Any] = {}
+        self._versions: Dict[str, int] = {}
         self.writes_applied = 0
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._values)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._data
+        return key in self._values
 
     # -- point operations ---------------------------------------------------
 
     def get(self, key: str, default: Any = None) -> Any:
         """Current value for ``key`` or ``default``."""
-        entry = self._data.get(key)
-        return default if entry is None else entry.value
-
-    def get_versioned(self, key: str) -> Optional[VersionedValue]:
-        """Value with version metadata, or ``None`` if absent."""
-        return self._data.get(key)
+        return self._values.get(key, default)
 
     def version(self, key: str) -> int:
         """Current version of ``key`` (0 if never written)."""
-        entry = self._data.get(key)
-        return 0 if entry is None else entry.version
+        return self._versions.get(key, 0)
 
     def put(self, key: str, value: Any) -> int:
         """Write ``value``; returns the new version."""
-        if not isinstance(key, str):
-            raise StorageError(f"keys must be strings, got {type(key).__name__}")
-        old = self._data.get(key)
-        new_version = 1 if old is None else old.version + 1
-        self._data[key] = VersionedValue(value=value, version=new_version)
-        self.writes_applied += 1
-        return new_version
+        self.apply_batch({key: value})
+        return self._versions[key]
 
     def delete(self, key: str) -> None:
         """Remove ``key`` if present (idempotent)."""
-        self._data.pop(key, None)
+        self._values.pop(key, None)
+        self._versions.pop(key, None)
 
     # -- bulk operations ------------------------------------------------------
 
     def apply_batch(self, writes: Dict[str, Any]) -> None:
-        """Apply a write set atomically (deterministic key order)."""
+        """Apply a write set atomically (deterministic key order): a
+        non-``str`` key raises :class:`StorageError` before any write."""
+        for key in writes:
+            if not isinstance(key, str):
+                raise StorageError(
+                    f"keys must be strings, got {type(key).__name__}")
+        values, versions = self._values, self._versions
         for key in sorted(writes):
-            self.put(key, writes[key])
+            values[key] = writes[key]
+            versions[key] = versions.get(key, 0) + 1
+        self.writes_applied += len(writes)
 
     def scan(self, prefix: str = "") -> Iterator[Tuple[str, Any]]:
         """Iterate ``(key, value)`` pairs with ``prefix`` in sorted key order."""
-        for key in sorted(self._data):
+        for key in sorted(self._values):
             if key.startswith(prefix):
-                yield key, self._data[key].value
+                yield key, self._values[key]
 
     def snapshot(self) -> "Snapshot":
-        """An immutable point-in-time view (copy-on-write by copying the
-        dict of immutable entries — entries themselves are frozen)."""
-        return Snapshot(dict(self._data))
+        """An immutable point-in-time view: copies of both dicts, so later
+        writes to the store do not show through."""
+        return Snapshot(dict(self._values), dict(self._versions))
 
     def checksum(self) -> str:
         """A digest of the full state — used by tests to assert that all
         honest replicas converge to identical state."""
         from repro.crypto.digest import digest_of
-        return digest_of({k: [v.value, v.version]
-                          for k, v in self._data.items()})
+        versions = self._versions
+        return digest_of({k: [v, versions[k]]
+                          for k, v in self._values.items()})
 
 
 class Snapshot:
     """Read-only view of a store at a point in time."""
 
-    def __init__(self, data: Dict[str, VersionedValue]) -> None:
-        self._data = data
+    def __init__(self, values: Dict[str, Any],
+                 versions: Dict[str, int]) -> None:
+        self._values = values
+        self._versions = versions
 
     def __contains__(self, key: str) -> bool:
-        return key in self._data
+        return key in self._values
 
     def get(self, key: str, default: Any = None) -> Any:
-        entry = self._data.get(key)
-        return default if entry is None else entry.value
+        return self._values.get(key, default)
 
     def version(self, key: str) -> int:
-        entry = self._data.get(key)
-        return 0 if entry is None else entry.version
+        return self._versions.get(key, 0)

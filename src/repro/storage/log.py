@@ -3,12 +3,15 @@
 Each replica appends every committed block here, giving the total order the
 safety arguments (and tests) inspect: two honest replicas must produce
 prefix-consistent logs of (epoch, round, block digest) entries.
+
+A block is stored as a plain ``(epoch, round, digest, committed_at)`` row at
+its sequence number; a :class:`LogEntry` is built only when one is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import StorageError
 
@@ -22,47 +25,43 @@ class LogEntry:
     round_number: int
     digest: str
     committed_at: float
-    payload: Any = None
 
 
 class CommitLog:
     """Append-only log of committed blocks."""
 
     def __init__(self) -> None:
-        self._entries: List[LogEntry] = []
+        self._rows: List[Tuple[int, int, str, float]] = []
         self._digests: set[str] = set()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[LogEntry]:
-        return iter(self._entries)
+        return (LogEntry(i, *row) for i, row in enumerate(self._rows))
 
     def __getitem__(self, index: int) -> LogEntry:
-        return self._entries[index]
+        return LogEntry(range(len(self))[index], *self._rows[index])
 
     def append(self, epoch: int, round_number: int, digest: str,
-               committed_at: float, payload: Any = None) -> LogEntry:
-        """Append the next committed block; duplicate digests are rejected
-        (a block commits exactly once)."""
+               committed_at: float) -> int:
+        """Append the next committed block and return its sequence number;
+        duplicate digests are rejected (a block commits exactly once)."""
         if digest in self._digests:
             raise StorageError(f"block {digest[:8]} committed twice")
-        entry = LogEntry(sequence=len(self._entries), epoch=epoch,
-                         round_number=round_number, digest=digest,
-                         committed_at=committed_at, payload=payload)
-        self._entries.append(entry)
         self._digests.add(digest)
-        return entry
+        self._rows.append((epoch, round_number, digest, committed_at))
+        return len(self._rows) - 1
 
     def contains(self, digest: str) -> bool:
         return digest in self._digests
 
     def digests(self) -> List[str]:
         """Digests in commit order."""
-        return [entry.digest for entry in self._entries]
+        return [row[2] for row in self._rows]
 
     def last(self) -> Optional[LogEntry]:
-        return self._entries[-1] if self._entries else None
+        return self[-1] if self._rows else None
 
 
 def prefix_consistent(log_a: CommitLog, log_b: CommitLog) -> bool:

@@ -43,7 +43,7 @@ def test_run_inline_records_sets():
     assert record.read_set == {"k": 5}
     assert record.write_set == {"k": 6}
     assert record.result == 6
-    assert len(record.operations) == 2
+    assert record.op_count == 2
 
 
 def test_run_inline_missing_key_uses_default():

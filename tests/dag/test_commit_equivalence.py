@@ -1,17 +1,20 @@
-"""The bounded commit walk and the indexed ``support`` against the seed's
-forms, kept here verbatim as references.
+"""The bounded commit walk and the scanned ``support`` against reference
+forms kept here: the seed's full commit walk, verbatim, and a reverse
+parent index for ``support``.
 
 The seed re-walked an anchor's whole causal history back to round 0 on every
-commit and counted support by scanning a round's parent tuples.  Their
-replacements must yield the identical sequence of ``CommitEvent``s (leader,
-round, delivery order) and the identical counts — for every DAG and every
-arrival order — and the walks must cost what a commit newly delivers, not
-the length of the run.  ``insert`` is the seed's; it is held to the validity
-property under adversarial arrival orders.
+commit.  Its replacement must yield the identical sequence of
+``CommitEvent``s (leader, round, delivery order) for every DAG and every
+arrival order, and the walks must cost what a commit newly delivers, not
+the length of the run.  ``support`` scans a round's parent tuples (the
+seed's form); the index it once used, a list of children per parent written
+on every insert, must give the identical counts.  ``insert`` is the seed's;
+it is held to the validity property under adversarial arrival orders.
 """
 
 import random
-from typing import List
+from collections import defaultdict
+from typing import Dict, List
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -27,15 +30,26 @@ SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
-# -- the seed's forms, verbatim -------------------------------------------
+# -- the reference forms ------------------------------------------------
 
 
-class SeedDagStore(DagStore):
-    """``support`` as the seed shipped it: a scan of the round."""
+class IndexedDagStore(DagStore):
+    """``support`` from a reverse parent index: every inserted vertex is
+    appended to the children list of each distinct parent it cites."""
+
+    def __init__(self, epoch: int) -> None:
+        super().__init__(epoch)
+        self._children: Dict[str, List[Vertex]] = defaultdict(list)
+
+    def _insert_ready(self, vertex: Vertex) -> Vertex:
+        super()._insert_ready(vertex)
+        for parent in dict.fromkeys(vertex.block.parents):
+            self._children[parent].append(vertex)
+        return vertex
 
     def support(self, digest: str, round_number: int) -> int:
-        return sum(1 for vertex in self._rounds.get(round_number, {}).values()
-                   if digest in vertex.block.parents)
+        return sum(1 for child in self._children.get(digest, ())
+                   if child.block.round_number == round_number)
 
 
 class SeedTuskConsensus(TuskConsensus):
@@ -86,27 +100,28 @@ def event_key(event: CommitEvent):
 
 
 def run_side_by_side(arrivals, n):
-    """Feed ``arrivals`` to the shipped pair and to the seed pair; every
+    """Feed ``arrivals`` to the shipped pair and to the reference pair; every
     ``advance`` result and the parents' support counts must agree step by
     step, and no vertex may land before its parents.  Returns the shipped
     side."""
     store, consensus = DagStore(epoch=0), TuskConsensus(n, 0)
-    seed_store, seed_consensus = SeedDagStore(epoch=0), SeedTuskConsensus(n, 0)
+    ref_store, ref_consensus = (IndexedDagStore(epoch=0),
+                                SeedTuskConsensus(n, 0))
     events = []
     landed_so_far = set()
     for vertex in arrivals:
         added = store.insert(vertex)
-        seed_store.insert(vertex)
+        ref_store.insert(vertex)
         for landed in added:
             assert landed_so_far.issuperset(landed.block.parents)
             assert landed.digest not in landed_so_far
             landed_so_far.add(landed.digest)
             for parent in landed.block.parents:
                 assert (store.support(parent, landed.round_number)
-                        == seed_store.support(parent, landed.round_number))
+                        == ref_store.support(parent, landed.round_number))
         new = consensus.advance(store)
-        seed_new = seed_consensus.advance(seed_store)
-        assert [event_key(e) for e in new] == [event_key(e) for e in seed_new]
+        ref_new = ref_consensus.advance(ref_store)
+        assert [event_key(e) for e in new] == [event_key(e) for e in ref_new]
         events.extend(new)
     return store, consensus, events
 
@@ -258,7 +273,7 @@ def test_support_counts_a_vertex_once_and_only_in_the_asked_round():
     doubled = uncertified(Block(
         author=0, shard=0, epoch=0, round_number=2, kind=BlockKind.NORMAL,
         parents=(parent.digest, parent.digest)))
-    for store in (DagStore(epoch=0), SeedDagStore(epoch=0)):
+    for store in (DagStore(epoch=0), IndexedDagStore(epoch=0)):
         for vertex in by_round[0] + by_round[1] + [doubled]:
             store.insert(vertex)
         assert store.support(parent.digest, 1) == 4

@@ -17,22 +17,44 @@ keys = st.text(alphabet="abcde", min_size=1, max_size=2)
 values = st.integers(min_value=-100, max_value=100)
 
 
-@given(st.lists(st.tuples(keys, values), max_size=50))
+store_operations = st.one_of(
+    st.tuples(st.just("put"), keys, values),
+    st.tuples(st.just("delete"), keys),
+    st.tuples(st.just("batch"), st.dictionaries(keys, values, max_size=4)))
+
+
+@given(st.lists(store_operations, max_size=50))
 @SETTINGS
 def test_kvstore_matches_dict_model(operations):
-    """The store behaves like a dict with version counters."""
+    """The store behaves like a dict with version counters: a delete
+    forgets the version, a batch bumps each of its keys once, and the
+    checksum digests the model's ``{key: [value, version]}``."""
     store = KVStore()
     model = {}
     versions = {}
-    for key, value in operations:
-        store.put(key, value)
-        model[key] = value
-        versions[key] = versions.get(key, 0) + 1
+    for operation in operations:
+        if operation[0] == "delete":
+            store.delete(operation[1])
+            model.pop(operation[1], None)
+            versions.pop(operation[1], None)
+            continue
+        if operation[0] == "put":
+            writes = {operation[1]: operation[2]}
+            store.put(operation[1], operation[2])
+        else:
+            writes = operation[1]
+            store.apply_batch(writes)
+        for key, value in writes.items():
+            model[key] = value
+            versions[key] = versions.get(key, 0) + 1
     for key in model:
         assert store.get(key) == model[key]
         assert store.version(key) == versions[key]
+    assert store.version("zz") == 0 and store.get("zz", "d") == "d"
     assert len(store) == len(model)
     assert [k for k, _ in store.scan()] == sorted(model)
+    assert store.checksum() == digest_of(
+        {key: [value, versions[key]] for key, value in model.items()})
 
 
 @given(st.lists(st.tuples(keys, values), max_size=30), keys, values)

@@ -29,16 +29,19 @@ def test_versions_start_at_one_and_bump(store):
     assert store.version("a") == 2
 
 
-def test_get_versioned(store):
-    store.put("a", 5)
-    entry = store.get_versioned("a")
-    assert entry.value == 5 and entry.version == 1
-    assert store.get_versioned("missing") is None
-
-
 def test_non_string_key_rejected(store):
     with pytest.raises(StorageError):
         store.put(5, "value")
+
+
+def test_apply_batch_rejects_a_non_string_key_before_any_write(store):
+    store.put("a", 0)
+    with pytest.raises(StorageError):
+        store.apply_batch({"a": 1, 2: 3})
+    with pytest.raises(StorageError):
+        store.apply_batch({1: 1, 2: 2})   # sortable, still not strings
+    assert store.get("a") == 0 and store.version("a") == 1
+    assert len(store) == 1 and store.writes_applied == 1
 
 
 def test_delete_idempotent(store):
@@ -111,3 +114,18 @@ def test_writes_applied_counter(store):
     store.put("a", 1)
     store.apply_batch({"b": 2, "c": 3})
     assert store.writes_applied == 3
+
+
+def test_checksum_is_pinned():
+    """Values of every JSON-like type, overwrites, a delete and two batches:
+    the digest the store computed when each key held a frozen
+    value-and-version record."""
+    store = KVStore()
+    store.apply_batch({"checking:2": 20, "savings:1": 7, "checking:1": 10})
+    store.put("checking:1", 11)
+    store.put("flag", None)
+    store.put("nested", [1, "x", {"k": 2.5}])
+    store.delete("savings:1")
+    store.apply_batch({"savings:1": -3, "checking:2": 21})
+    assert store.writes_applied == 8
+    assert store.checksum() == "f4e9d81dcedbb3d2e2bad4cd775fad9d"

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.crypto.digest import digest_of
 from repro.errors import StorageError
-from repro.storage import CommitLog, prefix_consistent
+from repro.storage import CommitLog, LogEntry, prefix_consistent
 
 
 @pytest.fixture
@@ -12,9 +13,10 @@ def log():
 
 
 def test_append_assigns_sequence(log):
-    e0 = log.append(epoch=0, round_number=1, digest="d0", committed_at=1.0)
-    e1 = log.append(epoch=0, round_number=1, digest="d1", committed_at=1.0)
-    assert e0.sequence == 0 and e1.sequence == 1
+    assert log.append(epoch=0, round_number=1, digest="d0",
+                      committed_at=1.0) == 0
+    assert log.append(epoch=0, round_number=1, digest="d1",
+                      committed_at=1.0) == 1
     assert len(log) == 2
 
 
@@ -37,6 +39,29 @@ def test_iteration_and_indexing(log):
     entries = list(log)
     assert entries[0].digest == "a"
     assert log[0].digest == "a"
+
+
+def test_entries_read_back_what_was_appended(log):
+    appended = [(0, 1, "a", 1.0), (0, 3, "b", 2.5), (1, 0, "c", 4.25)]
+    for row in appended:
+        log.append(*row)
+    expected = [LogEntry(sequence, *row)
+                for sequence, row in enumerate(appended)]
+    assert list(log) == expected
+    assert [log[i] for i in range(3)] == expected
+    assert [log[i] for i in (-3, -2, -1)] == expected
+    assert log.last() == expected[-1]
+    with pytest.raises(IndexError):
+        log[3]
+
+
+def test_digests_are_pinned():
+    """The digest of a log's digest sequence, as recorded when every
+    append built a frozen entry."""
+    log = CommitLog()
+    for i, name in enumerate(["b0", "a1", "c2", "a3"]):
+        log.append(i // 2, i, digest_of(name), 0.5 * i)
+    assert digest_of(log.digests()) == "266beaf4b828d6241bc241ec8b73c44e"
 
 
 def test_last(log):

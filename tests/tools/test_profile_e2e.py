@@ -25,6 +25,8 @@ def test_profiles_a_smoke_run_and_prints_self_time_rows(capsys):
         out, re.MULTILINE).groups())
     assert executed > 0 and reused == 15 * executed
     assert modelled == executed + reused
+    assert re.search(r"^records: \d+ built for \d+ executed transactions",
+                     out, re.MULTILINE)
 
 
 def test_counts_events_per_transaction_by_class_and_by_what_they_resume():
@@ -104,6 +106,31 @@ def test_prints_the_closure_work(capsys):
         "connect rows ORed: 12 (2.40 per transaction, 3.00 per connect); "
         "unmasked 16, 25.0% skipped",
         "ancestors skipped as committed: 3; reopens of committed nodes: 0"]
+
+
+def test_counts_records_built_per_transaction_by_class():
+    counts, cluster = profile_e2e.count_records("tusk_wide", "smoke")
+    executed = len(cluster.metrics.executions)
+    # Applying committed work builds no per-key or per-block record ...
+    assert counts["VersionedValue"] == counts["LogEntry"] == 0
+    # ... and each transaction is built once and sampled once.
+    assert counts["Transaction"] / executed == 1.0
+    assert counts["ExecutionSample"] == executed
+    assert counts["Message"] == cluster.network.messages_sent
+    # The wrappers are gone once the run is over.
+    before = sum(counts.values())
+    cluster.metrics.record_execution(-1, "serial", 0.0, 0.0)
+    assert sum(counts.values()) == before
+
+
+def test_prints_the_record_table(capsys):
+    profile_e2e.print_records(Counter(Message=6, Transaction=2), 2)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "records: 8 built for 2 executed transactions " \
+                       "(4.00 per transaction)"
+    assert lines[1].split() == ["records", "per", "tx", "class"]
+    assert lines[2].split() == ["6", "3.00", "Message"]
+    assert lines[3].split() == ["2", "1.00", "Transaction"]
 
 
 def test_samples_a_smoke_run_by_self_and_inclusive_share(capsys):

@@ -16,7 +16,9 @@ controller's point queries (``has_path``), the closure rows each new
 edge ORs into (``_connect``: exactly its two grow sets), next to the rows
 an unmasked propagation — every live ancestor and descendant row — would
 have ORed and the ancestors skipped because they committed, and the
-reopens of committed nodes (``_reopen``).
+reopens of committed nodes (``_reopen``).  A fourth counts the records
+built per executed transaction, by class: every call of the ``__init__``
+of a dataclass the library defines.
 
 cProfile charges every Python call but nothing inside native code, so the
 proportions are shifted: use this to find candidates, and
@@ -35,13 +37,14 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import dataclasses
 import os
 import pstats
 import signal
 import sys
 from collections import Counter
 from types import FrameType
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from benchmarks.e2e.iteration import build_cluster, run_and_drain
 from benchmarks.e2e.workloads import WORKLOADS
@@ -255,6 +258,49 @@ def print_closure_work(counts: Counter, executed: int) -> None:
           f"reopens of committed nodes: {counts['reopens']}")
 
 
+def record_classes() -> List[type]:
+    """Every dataclass defined in a loaded ``repro`` module."""
+    return [value for module_name, module in sorted(sys.modules.items())
+            if module_name.partition(".")[0] == "repro"
+            for value in vars(module).values()
+            if isinstance(value, type) and dataclasses.is_dataclass(value)
+            and value.__module__ == module_name]
+
+
+def count_records(name: str,
+                  scale: str = "full") -> Tuple[Counter, Cluster]:
+    """Run workload ``name`` unprofiled, counting the records built, by
+    the class of the record: every ``__init__`` call of a library
+    dataclass (:func:`record_classes`)."""
+    cluster, args = _build(name, scale)
+    counts: Counter = Counter()
+    originals = {cls: cls.__init__ for cls in record_classes()}
+
+    def counting(init):
+        def counting_init(self, *init_args, **init_kwargs):
+            counts[type(self).__name__] += 1
+            init(self, *init_args, **init_kwargs)
+        return counting_init
+
+    for cls, init in originals.items():
+        cls.__init__ = counting(init)
+    try:
+        run_and_drain(cluster, *args)
+    finally:
+        for cls, init in originals.items():
+            cls.__init__ = init
+    return counts, cluster
+
+
+def print_records(counts: Counter, executed: int) -> None:
+    total = sum(counts.values())
+    print(f"records: {total} built for {executed} executed transactions "
+          f"({total / executed:.2f} per transaction)")
+    print(f"{'records':>9} {'per tx':>8}  class")
+    for label, count in counts.most_common():
+        print(f"{count:>9} {count / executed:>8.2f}  {label}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.profile_e2e", description=__doc__.split("\n")[0])
@@ -279,6 +325,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print_events(by_class, by_target, len(counted.metrics.executions))
     work, counted = count_closure_work(args.workload, args.scale)
     print_closure_work(work, len(counted.metrics.executions))
+    records, counted = count_records(args.workload, args.scale)
+    print_records(records, len(counted.metrics.executions))
     return 0
 
 
