@@ -22,13 +22,16 @@ R1 (§8.2, Fig. 9a): a new writer of K receives an anti-edge from every live
     so it must precede the writer).  If the reader is already ordered
     *after* the writer, its read is stale — the reader aborts (cascading).
 
-R2 (§8.2, Fig. 9b): a read of K attaches to the latest writer of K that does
-    not create a cycle (walking earlier writers = the "read from ancestor"
-    repair of §8.4, with the root/storage as the final fallback), then every
-    other writer of K is pinned: either a path into the chosen writer, or an
-    anti-edge putting it after the reader.  Writers that can do neither are
-    conflicting and abort (or, per §8.4 case 1, if the reading transaction
-    has no writes it aborts itself instead of killing a writer).
+R2 (§8.2, Fig. 9b): a read of K attaches to the writer of K latest in
+    serialization order that does not create a cycle — live writers,
+    latest registered first, then the newest committed one (walking back
+    is the "read from ancestor" repair of §8.4; the root/storage is the
+    final fallback).  Then every other writer of K is pinned: either a
+    path into the chosen writer, or an anti-edge putting it after the
+    reader; a committed chosen writer takes no pin, and two committed
+    writers need none (commit order orders them).  Writers that can do
+    neither are conflicting and abort (or, per §8.4 case 1, if the reading
+    transaction has no writes it aborts itself instead of killing a writer).
 
 R3 (§8.3, Table 1 t5/t9, Fig. 10b): a repeated write to K by T invalidates
     every transaction that read T's previous value on K — they abort with
@@ -36,8 +39,14 @@ R3 (§8.3, Table 1 t5/t9, Fig. 10b): a repeated write to K by T invalidates
 
 R4 (commit): when T commits, every other live writer of each key T wrote
     receives a write-write edge ``T -> v`` (Write-Complete, Def. 5: commit
-    order is write order).  This edge can never cycle because v could not
-    have committed, hence no path v -> T existed through committed nodes.
+    order is write order).  This edge can never cycle: no rule adds an
+    edge into a committed node, so a committed node has only committed
+    predecessors, and live v cannot reach T.
+
+The graph is therefore acyclic by construction, and
+:meth:`~repro.ce.depgraph.DependencyGraph.add_edge` checks it at every
+edge in O(1): an edge into a committed node, or one that closes a cycle,
+raises :class:`~repro.errors.SerializationError`.
 
 Every rule above is a reachability question; the graph answers it from an
 incremental transitive-closure index (one closure row of descendants and
@@ -169,14 +178,13 @@ class ConcurrencyController:
     def __init__(self, base_state: Mapping[str, Any],
                  default: Any = 0,
                  on_abort: Optional[Callable[[int], None]] = None,
-                 on_commit: Optional[Callable[[CommittedTx], None]] = None,
-                 check_invariants: bool = False) -> None:
+                 on_commit: Optional[Callable[[CommittedTx], None]] = None
+                 ) -> None:
         self.graph = DependencyGraph()
         self._base_state = base_state
         self._default = default
         self._on_abort = on_abort
         self._on_commit = on_commit
-        self._check_invariants = check_invariants
         self._overlay: Dict[str, Any] = {}
         self._order_counter = 0
         self._committed: List[CommittedTx] = []
@@ -353,14 +361,25 @@ class ConcurrencyController:
                             key: str) -> Tuple[Any, Optional[TxNode]]:
         """Pick the writer to read ``key`` from (R2).
 
-        Prefers the latest writer; walks toward older writers when a cycle
-        would form ("read from its ancestor", §8.4); falls back to the root.
+        Tries the writers latest in serialization order first: live ones,
+        latest registered first, walking toward older ones when a cycle
+        would form ("read from its ancestor", §8.4); then the committed
+        writer with the newest ``order_index``, which no live node can
+        reach; then the root.
         """
-        writers = [w for w in self.graph.writers_of(key) if w is not node]
-        for writer in reversed(writers):
+        newest: Optional[TxNode] = None
+        for writer in reversed(self.graph.writers_of(key)):
+            if writer is node:
+                continue
+            if writer.status is _COMMITTED:
+                if newest is None or writer.order_index > newest.order_index:
+                    newest = writer
+                continue
             if not self.graph.has_path(node, writer):
                 return writer.records[key].last_write, writer
             self._stats.conflict_repairs += 1
+        if newest is not None:
+            return newest.records[key].last_write, newest
         return self.read_root(key), None
 
     def _pin_other_writers(self, node: TxNode, key: str,
@@ -375,6 +394,7 @@ class ConcurrencyController:
         are skipped on one row test (see "Cohort classification").
         """
         graph = self.graph
+        chosen_committed = chosen is not None and chosen.status is _COMMITTED
         settled = None  # down[node] | up[chosen]; None: read at next use
         for writer in graph.writers_of(key):
             if node.status is _ABORTED:
@@ -391,8 +411,11 @@ class ConcurrencyController:
                         settled |= graph.rows(chosen)[1]
                 if settled >> writer._index_serial & 1:
                     continue  # before the version read, or after the reader
+            if chosen_committed and writer.status is _COMMITTED:
+                continue  # commit order already puts it before chosen
             settled = None  # every path below adds an edge or aborts
-            if chosen is not None and not graph.has_path(chosen, writer) \
+            if chosen is not None and not chosen_committed \
+                    and not graph.has_path(chosen, writer) \
                     and not graph.has_path(writer, node):
                 # Unordered w.r.t. both: pin it before the chosen writer.
                 graph.add_edge(writer, chosen, key, EdgeKind.PIN)
@@ -526,9 +549,6 @@ class ConcurrencyController:
         self._committed.append(entry)
         if self._on_commit is not None:
             self._on_commit(entry)
-        if self._check_invariants and not self.graph.is_acyclic():
-            raise SerializationError(
-                f"cycle introduced by commit of {node.tx_id}")
         # Commits may unblock dependants (Table 1 t7 -> t8).
         for neighbor in list(node.out_edges):
             if neighbor.status is _FINISHED:

@@ -38,8 +38,11 @@ maintains a transitive-closure index that is exact at every moment:
   ancestor that already reaches ``v`` already holds ``down[v]`` by
   transitivity (likewise a descendant ``u`` already reaches), so only
   ``up[u] & open & ~up[v]`` and ``down[v] & ~down[u]`` are ORed into,
-  both sets taken before any row changes.  An edge into a closed ``v``
-  first reopens it: one DFS makes ``down[v]`` exact again;
+  both sets taken before any row changes.  The graph is acyclic by
+  construction (see :mod:`repro.ce.controller`), and ``add_edge`` checks
+  it with two bit tests: an edge into a closed ``v`` (``open``) or one
+  that closes a cycle (``up[u]`` holds ``v``) raises
+  :class:`~repro.errors.SerializationError`;
 * ``detach_node`` (aborts) *tombstones* the departing serial in O(1):
   clear its ``live`` bit and zero its own rows.  General decremental
   reachability is hard because a deletion can sever paths, but this
@@ -316,9 +319,9 @@ class DependencyGraph:
         absorbs the departure by tombstoning the node's serial (O(1)).
         The bridges are planned *before* any mutation, from the closure
         while it still carries this node (:meth:`_bridge_plan_from_index`);
-        the plan equals the reference per-predecessor DFS over the
-        post-removal adjacency edge for edge, in the same order (see
-        ``tests/ce/test_bitset_backends.py``).
+        the plan equals a per-predecessor DFS over the post-removal
+        adjacency edge for edge, in the same order (the test-only
+        reference in ``tests/ce/test_bitset_backends.py``).
 
         Returns the former out-neighbours (the controller re-checks their
         commit eligibility).  Read-from back-references are cleaned so the
@@ -335,7 +338,7 @@ class DependencyGraph:
         former_out = list(node.out_edges)
         predecessors = [p for p in node.in_edges if p.status is not _ABORTED]
         successors = [s for s in former_out if s.status is not _ABORTED]
-        plan: Optional[List[Tuple[TxNode, TxNode]]] = None
+        plan: List[Tuple[TxNode, TxNode]] = []
         if predecessors and successors:
             plan = self._bridge_plan_from_index(node, predecessors,
                                                 successors)
@@ -350,47 +353,21 @@ class DependencyGraph:
             # aborts of conflict-free transactions cost nothing.
             self._index_remove(node)
             self.index_repairs += 1
-        if plan is not None:
-            for predecessor, successor in plan:
-                self.add_edge(predecessor, successor, "", EdgeKind.BRIDGE)
-        elif predecessors and successors:
-            self._bridge_by_dfs(predecessors, successors)
+        for predecessor, successor in plan:
+            self.add_edge(predecessor, successor, "", EdgeKind.BRIDGE)
         self._compact_if_dominated()
         return former_out
 
-    def _bridge_by_dfs(self, predecessors: List[TxNode],
-                       successors: List[TxNode]) -> None:
-        """The reference bridge planner: one incremental DFS per
-        predecessor over the evolving post-removal adjacency.
-
-        Only a cyclic cone sends ``detach_node`` here, and only the
-        controller's known cycle (ROADMAP: "close the controller's
-        serializability hole") builds one; closing it deletes this path.
-        """
-        for predecessor in predecessors:
-            # ``reached`` holds the nodes reachable from the predecessor
-            # in the *current* graph (including bridges added for earlier
-            # successors), mirroring a per-pair ``has_path`` check.
-            reached = self._collect_descendants({}, predecessor)
-            for successor in successors:
-                if predecessor is successor or successor in reached:
-                    continue
-                self.add_edge(predecessor, successor, "", EdgeKind.BRIDGE)
-                reached[successor] = None
-                self._collect_descendants(reached, successor)
-
     def _bridge_plan_from_index(
             self, node: TxNode, predecessors: List[TxNode],
-            successors: List[TxNode]
-    ) -> Optional[List[Tuple[TxNode, TxNode]]]:
+            successors: List[TxNode]) -> List[Tuple[TxNode, TxNode]]:
         """The (predecessor, successor) pairs ``detach_node`` must bridge,
         answered from the closure before removal instead of per-predecessor
-        DFS.  Returns ``None`` on a cyclic cone (then the caller runs
-        :meth:`_bridge_by_dfs`).
+        DFS.
 
-        Correctness sketch (DAG case).  Let ``v`` be the departing node
-        and ``D`` its live descendant cone (``down[v] & live`` minus
-        ``v``).
+        Correctness sketch (the graph is a DAG).  Let ``v`` be the
+        departing node and ``D`` its live descendant cone (``down[v] &
+        live`` minus ``v``).
 
         * Outside ``D``, "reachable while avoiding ``v``" equals plain
           closure reachability: any path through ``v`` ends inside ``D``.
@@ -415,11 +392,6 @@ class DependencyGraph:
         cone_row = self._down[victim_serial]  # the victim is live: open
         pred_serials = [predecessor._index_serial
                         for predecessor in predecessors]
-        for serial in pred_serials:
-            if cone_row >> serial & 1:
-                # A predecessor inside the descendant cone: a cycle
-                # through the node (see _bridge_by_dfs).
-                return None
         succ_serials = [successor._index_serial for successor in successors]
         position: Dict[int, int] = {}
         cone_nodes: List[TxNode] = []
@@ -446,10 +418,8 @@ class DependencyGraph:
             avoid[cone_index] = boundary
         ready = [index for index in range(len(cone_nodes))
                  if indegree[index] == 0]
-        processed = 0
         while ready:
             cone_index = ready.pop()
-            processed += 1
             bits = avoid[cone_index]
             for target in cone_nodes[cone_index].out_edges:
                 target_index = position[target._index_serial]
@@ -457,8 +427,6 @@ class DependencyGraph:
                 indegree[target_index] -= 1
                 if indegree[target_index] == 0:
                     ready.append(target_index)
-        if processed != len(cone_nodes):
-            return None  # a cycle inside the cone (see _bridge_by_dfs)
         # cover[j]: successor positions ordered once a bridge lands on
         # successor j (its closure descendants among the successors).
         cover = []
@@ -624,24 +592,6 @@ class DependencyGraph:
         self._open = 0
         self._index_holes = 0
 
-    @staticmethod
-    def _collect_descendants(reached: Dict[TxNode, None],
-                             src: TxNode) -> Dict[TxNode, None]:
-        """Extend ``reached`` with every node reachable from ``src``
-        (``src`` itself excluded unless already present).
-
-        ``reached`` is an insertion-ordered dict-as-set (the module-wide
-        convention): discovery order depends only on edge insertion
-        order, never on ``PYTHONHASHSEED``.
-        """
-        stack = [src]
-        while stack:
-            for child in stack.pop().out_edges:
-                if child not in reached:
-                    reached[child] = None
-                    stack.append(child)
-        return reached
-
     # -- indexes -----------------------------------------------------------------
 
     def register_writer(self, key: str, node: TxNode) -> None:
@@ -659,42 +609,39 @@ class DependencyGraph:
         """Nodes holding a read record on ``key`` (live or committed)."""
         return list(self._readers.get(key, ()))
 
-    def latest_alive_writer(self, key: str) -> Optional[TxNode]:
-        """The most recent non-aborted writer of ``key``, if any."""
-        writers = self.writers_of(key)
-        return writers[-1] if writers else None
-
     # -- edges ----------------------------------------------------------------
 
     def add_edge(self, src: TxNode, dst: TxNode, key: str,
                  kind: EdgeKind) -> None:
-        """Record ``src`` before ``dst``; self-edges are rejected, duplicate
-        labels are idempotent.  Callers must have done their cycle check."""
+        """Record ``src`` before ``dst``; duplicate labels are idempotent.
+
+        Raises :class:`SerializationError`, before the edge is recorded,
+        for an edge the controller's rules never add: a self-edge, an edge into
+        a committed (closed) node, or one that closes a cycle."""
         if src is dst:
             raise SerializationError(
                 f"self-edge on {src.tx_id} (key {key}, {kind.value})")
         src_serial = self._ensure_serial(src)
         dst_serial = self._ensure_serial(dst)
+        if not self._open >> dst_serial & 1:
+            raise SerializationError(
+                f"edge {src.tx_id} -> {dst.tx_id} (key {key}, {kind.value})"
+                f" enters committed transaction {dst.tx_id}")
+        if self._up[src_serial] >> dst_serial & 1:
+            raise SerializationError(
+                f"edge {src.tx_id} -> {dst.tx_id} (key {key}, {kind.value})"
+                f" closes a cycle: {dst.tx_id} already precedes {src.tx_id}")
         src.out_edges.setdefault(dst, {})[(key, kind)] = None
         dst.in_edges.setdefault(src, {})[(key, kind)] = None
         if not self._up[dst_serial] >> src_serial & 1:
-            if not self._open >> dst_serial & 1:
-                self._reopen(dst)
             self._connect(src_serial, dst_serial)
 
     def close(self, node: TxNode) -> None:
-        """Freeze committed ``node``'s ``down`` row (an edge into it
-        reopens it)."""
+        """Freeze committed ``node``'s ``down`` row (no edge may enter it
+        from now on)."""
         serial = node._index_serial
         if serial is not None:
             self._open &= ~(1 << serial)
-
-    def _reopen(self, node: TxNode) -> None:
-        """Make closed ``node``'s ``down`` row exact again, by one DFS."""
-        serial = node._index_serial
-        self._down[serial] = sum(1 << other._index_serial for other in
-                                 self._collect_descendants({node: None}, node))
-        self._open |= 1 << serial
 
     def has_edge(self, src: TxNode, dst: TxNode) -> bool:
         return dst in src.out_edges
@@ -830,45 +777,28 @@ class DependencyGraph:
             up[low.bit_length() - 1] |= ancestors
             grow_up ^= low
 
-    def _rebuild_rows(self, count: int, topo: Optional[List[int]],
+    def _rebuild_rows(self, count: int, topo: List[int],
                       out_serials: List[List[int]],
                       in_serials: List[List[int]],
                       open_: Optional[int] = None) -> None:
         """Closure rows from scratch over ``count`` compacted serials, all
         live; ``open_`` is the open set (default: every serial).
 
-        ``topo`` is a topological order (down rows are unioned in reverse
-        topo, up rows in topo order); ``None`` means the caller found a
-        cycle and a fixpoint iteration is required.
+        ``topo`` is a topological order: down rows are unioned in reverse
+        topo, up rows in topo order.
         """
         down = [1 << serial for serial in range(count)]
         up = list(down)
-        if topo is not None:
-            for serial in reversed(topo):
-                acc = down[serial]
-                for target in out_serials[serial]:
-                    acc |= down[target]
-                down[serial] = acc
-            for serial in topo:
-                acc = up[serial]
-                for source in in_serials[serial]:
-                    acc |= up[source]
-                up[serial] = acc
-        else:
-            # Only the controller's known cycle (ROADMAP: "close the
-            # controller's serializability hole") reaches this fixpoint;
-            # closing it deletes this branch.
-            for sets, edges in ((down, out_serials), (up, in_serials)):
-                changed = True
-                while changed:
-                    changed = False
-                    for serial in range(count):
-                        acc = sets[serial]
-                        for neighbor in edges[serial]:
-                            acc |= sets[neighbor]
-                        if acc != sets[serial]:
-                            sets[serial] = acc
-                            changed = True
+        for serial in reversed(topo):
+            acc = down[serial]
+            for target in out_serials[serial]:
+                acc |= down[target]
+            down[serial] = acc
+        for serial in topo:
+            acc = up[serial]
+            for source in in_serials[serial]:
+                acc |= up[source]
+            up[serial] = acc
         self._down = down
         self._up = up
         self._live = (1 << count) - 1
@@ -878,9 +808,7 @@ class DependencyGraph:
     def _rebuild_index(self) -> None:
         """Compact the serial space: drop the holes, renumber the live
         nodes in their serial order, and recompute the rows from the
-        adjacency in one Kahn-order pass of set unions (a cyclic graph
-        falls back to a fixpoint iteration, so the answers still match
-        DFS reachability)."""
+        adjacency in one Kahn-order pass of set unions."""
         self.index_rebuilds += 1
         nodes = [node for node in self._indexed if node is not None]
         for serial, node in enumerate(nodes):
@@ -911,8 +839,7 @@ class DependencyGraph:
                     ready.append(target)
         open_ = sum(1 << serial for serial, node in enumerate(nodes)
                     if node.status is not _COMMITTED)
-        self._rebuild_rows(count, topo if len(topo) == count else None,
-                           out_serials, in_serials, open_)
+        self._rebuild_rows(count, topo, out_serials, in_serials, open_)
 
     # -- whole-graph queries ---------------------------------------------------
 
@@ -921,7 +848,8 @@ class DependencyGraph:
                    for labels in node.out_edges.values())
 
     def is_acyclic(self) -> bool:
-        """Full-graph cycle check (used by tests and debug assertions)."""
+        """Full-graph cycle check by DFS (a test aid: ``add_edge`` refuses
+        every cycle-closing edge)."""
         WHITE, GREY, BLACK = 0, 1, 2
         color: Dict[int, int] = {}
         for root in self.nodes.values():

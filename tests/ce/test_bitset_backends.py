@@ -13,8 +13,9 @@ words, updated by the textbook operations.  Covered here:
   ``peak_bitset_words`` is a high-water mark that survives an emptied
   index;
 * bridge planning (``DependencyGraph._bridge_plan_from_index``) against
-  the reference per-predecessor DFS (``_bridge_by_dfs``) under randomized
-  churn, and the DFS fallback on a cyclic cone; and
+  a reference per-predecessor DFS (``bridge_by_dfs``) under randomized
+  churn, and the refused cycle-closing edge that would make a cone
+  cyclic; and
 * end-to-end fingerprints: ``engine="ce"`` cluster runs commit
   their pinned logs, and the same logs with every row checked against
   the word layouts.
@@ -31,6 +32,7 @@ from repro.ce import controller as controller_module
 from repro.ce.depgraph import DependencyGraph, EdgeKind, NodeStatus, TxNode
 from repro.core import ThunderboltConfig
 from repro.core.cluster import Cluster
+from repro.errors import SerializationError
 from repro.workloads import WorkloadConfig
 from tests.ce.word_rows import BACKENDS, TYPECODES, WordRows, graph_class
 
@@ -109,8 +111,8 @@ def test_backend_ops_parity(seed):
             count += 1
         elif action < 0.62:
             src, dst = sorted(rng.sample(live, 2))
-            # The graph pre-checks redundancy on ``up`` and reopens a
-            # closed destination first (a node-level operation).
+            # The graph pre-checks redundancy on ``up`` and refuses an
+            # edge into a closed destination.
             if not graph._up[dst] >> src & 1 and graph._open >> dst & 1:
                 edges.add((src, dst))
                 graph._connect(src, dst)
@@ -178,21 +180,46 @@ def test_growth_across_word_boundaries():
 
 
 def planner_graph(graph_cls):
-    """``graph_cls`` counting the index planner's plans and declines."""
+    """``graph_cls`` counting the index planner's plans."""
 
     class PlannerGraph(graph_cls):
-        plans = declines = 0
+        plans = 0
 
         def _bridge_plan_from_index(self, node, predecessors, successors):
-            plan = super()._bridge_plan_from_index(node, predecessors,
+            self.plans += 1
+            return super()._bridge_plan_from_index(node, predecessors,
                                                    successors)
-            if plan is None:
-                self.declines += 1
-            else:
-                self.plans += 1
-            return plan
 
     return PlannerGraph
+
+
+def bridge_by_dfs(node, predecessors, successors):
+    """The reference bridge plan: one incremental DFS per predecessor over
+    the adjacency without ``node``, grown by every bridge planned so far
+    (a predecessor that reaches an earlier one reaches its bridges too)."""
+    planned = {}
+
+    def descend(reached, src):
+        stack = [src]
+        while stack:
+            current = stack.pop()
+            for child in [*current.out_edges, *planned.get(current, ())]:
+                if child is not node and child not in reached:
+                    reached[child] = None
+                    stack.append(child)
+        return reached
+
+    plan = []
+    for predecessor in predecessors:
+        reached = descend({}, predecessor)
+        for successor in successors:
+            if predecessor is successor or successor in reached:
+                continue
+            plan.append((predecessor, successor))
+            planned.setdefault(predecessor, []).append(successor)
+            reached[successor] = None
+            descend(reached, successor)
+    return plan
 
 
 def dfs_bridged_graph(graph_cls):
@@ -200,7 +227,7 @@ def dfs_bridged_graph(graph_cls):
 
     class DfsBridgedGraph(graph_cls):
         def _bridge_plan_from_index(self, node, predecessors, successors):
-            return None
+            return bridge_by_dfs(node, predecessors, successors)
 
     return DfsBridgedGraph
 
@@ -251,7 +278,6 @@ def test_bridge_plan_matches_dfs_reference(seed, backend):
     ref_graph, ref_nodes, ref_alive, ref_bridges = reference
     graph, nodes, alive, bridges = planned
     assert graph.plans > 0, "planner was never exercised"
-    assert graph.declines == 0  # acyclic churn: the planner always answers
     assert alive == ref_alive
     assert bridges == ref_bridges, (seed, backend)
     for a in alive:
@@ -262,25 +288,24 @@ def test_bridge_plan_matches_dfs_reference(seed, backend):
                 graph._has_path_dfs(nodes[a], nodes[b]), (seed, a, b)
 
 
-def test_bridge_plan_declines_on_a_cyclic_cone():
-    """A hand-built cycle through the departing node puts a predecessor
-    in its descendant cone: the planner declines and the reference DFS
-    bridges instead; compaction then takes the cyclic fixpoint."""
+def test_cycle_closing_edge_is_refused():
+    """The closure refuses the edge that would close ``a -> mid -> b ->
+    a`` and names both transactions, so no detach ever meets a cyclic
+    cone; the graph is left as it was."""
     graph = planner_graph(DependencyGraph)()
     a, mid, b = (TxNode(tx_id=i, attempt=1) for i in range(3))
     for node in (a, mid, b):
         graph.add_node(node)
     graph.add_edge(a, mid, "k", EdgeKind.READ_FROM)
     graph.add_edge(mid, b, "k", EdgeKind.READ_FROM)
-    graph.add_edge(b, a, "k", EdgeKind.ANTI)  # closes a -> mid -> b -> a
+    with pytest.raises(SerializationError,
+                       match=r"edge 2 -> 0 \(key k, ar\) closes a cycle"):
+        graph.add_edge(b, a, "k", EdgeKind.ANTI)
+    assert not graph.has_edge(b, a) and not graph.has_path(b, a)
     mid.status = NodeStatus.ABORTED
-    graph.detach_node(mid)  # holes 1 of 3: no compaction yet
-    assert (graph.plans, graph.declines) == (0, 1)
-    assert graph.has_edge(a, b)  # bridged by the DFS
-    graph._rebuild_index()
-    for x in (a, b):
-        for y in (a, b):
-            assert graph.has_path(x, y) == graph._has_path_dfs(x, y) is True
+    graph.detach_node(mid)
+    assert graph.plans == 1 and graph.has_edge(a, b)  # bridged
+    assert graph.is_acyclic()
 
 
 # ------------------------------------------------------ cluster fingerprints

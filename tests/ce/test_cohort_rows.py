@@ -7,7 +7,7 @@ each keeps its old form here, as a test-only reference, and is held to it:
   changes (``up[src] & open & ~up[dst]`` and ``down[dst] & ~down[src]``).
   ``UnmaskedGraph._connect`` ORs into every live descendant's ``up`` row
   and every live open ancestor's ``down`` row; under randomized churn
-  with commits, reopens, aborts, prunes and compactions the two row
+  with commits, aborts, prunes and compactions the two row
   tables and ``live``/``open`` sets must be bit-identical after every
   operation, and every query must match the reference DFS.
 * The controller classifies a key's cohort with the node's rows (R1:
@@ -100,6 +100,8 @@ class PointQueryController(RecordingController):
     one ``has_path`` per cohort member."""
 
     def _pin_other_writers(self, node, key, chosen):
+        chosen_committed = chosen is not None \
+            and chosen.status is NodeStatus.COMMITTED
         for writer in self.graph.writers_of(key):
             if node.status is NodeStatus.ABORTED:
                 raise TransactionAborted(node.tx_id, f"cascade during {key}")
@@ -111,7 +113,10 @@ class PointQueryController(RecordingController):
                 continue
             if self.graph.has_path(node, writer):
                 continue
-            if chosen is not None and not self.graph.has_path(chosen, writer) \
+            if chosen_committed and writer.status is NodeStatus.COMMITTED:
+                continue
+            if chosen is not None and not chosen_committed \
+                    and not self.graph.has_path(chosen, writer) \
                     and not self.graph.has_path(writer, node):
                 self.graph.add_edge(writer, chosen, key, EdgeKind.PIN)
                 continue
@@ -174,10 +179,11 @@ class PointQueryController(RecordingController):
 def churn(rng, graphs, n_nodes=36, n_ops=400):
     """Apply one random operation sequence to every graph in ``graphs``
     and yield after each operation: edge inserts (low -> high, so the
-    graph stays acyclic; an edge into a committed node reopens it),
-    aborts of uncommitted nodes (detach with bridging), commits (which
-    close) and prunes of committed components, forced compactions, and
-    queries (held to the reference DFS)."""
+    graph stays acyclic, and never into a committed node), aborts of
+    uncommitted nodes (detach with bridging), commits of nodes whose
+    predecessors all committed (which close) and prunes of committed
+    components, forced compactions, and queries (held to the reference
+    DFS)."""
     nodes = [[TxNode(tx_id=i, attempt=1) for i in range(n_nodes)]
              for _ in graphs]
     for graph, own in zip(graphs, nodes):
@@ -188,6 +194,8 @@ def churn(rng, graphs, n_nodes=36, n_ops=400):
         action = rng.random()
         if action < 0.55 and len(alive) >= 2:
             a, b = sorted(rng.sample(alive, 2))
+            if nodes[0][b].status is NodeStatus.COMMITTED:
+                continue  # the graph refuses it
             for graph, own in zip(graphs, nodes):
                 graph.add_edge(own[a], own[b], "k", EdgeKind.ANTI)
         elif action < 0.70 and len(alive) > 2:
@@ -199,11 +207,14 @@ def churn(rng, graphs, n_nodes=36, n_ops=400):
                 own[victim].status = NodeStatus.ABORTED
                 graph.detach_node(own[victim])
         elif action < 0.78:
-            chosen = rng.sample(alive, min(len(alive), 4))
-            for graph, own in zip(graphs, nodes):
-                for index in chosen:
+            for index in rng.sample(alive, min(len(alive), 4)):
+                if any(dep.status is not NodeStatus.COMMITTED
+                       for dep in nodes[0][index].in_edges):
+                    continue  # commits wait for their dependencies
+                for graph, own in zip(graphs, nodes):
                     own[index].status = NodeStatus.COMMITTED
                     graph.close(own[index])
+            for graph in graphs:
                 graph.prune_committed(lambda key: None)
             alive = [index for index in alive
                      if nodes[0][index].tx_id in graphs[0].nodes]
@@ -284,12 +295,6 @@ def drive(controller_cls, seed, n_tx=45, n_keys=5, max_open=6):
     fresh controller, keys drawn Zipf(theta); restarts aborted attempts
     until every transaction commits.  Returns every call's outcome plus
     the controller's recorded edges, aborts and commit order.
-
-    No acyclicity check at commit: a few schedules (seeds 4, 12, 13, 33)
-    close a cycle in both forms alike.  A read can take an older
-    committed version and be ordered before a newer committed writer,
-    and R4 assumes committed nodes have only committed predecessors.
-    The comparison still holds there.
 
     After every call, no aborted node sits in a per-key index."""
     rng = random.Random(seed)

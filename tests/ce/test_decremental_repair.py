@@ -161,8 +161,7 @@ def test_controller_abort_storm_rebuilds_bounded():
     """Tens of aborts on a hot-key controller must not trigger tens of
     rebuilds: aborts repair in place."""
     rng = random.Random(17)
-    cc = ConcurrencyController({f"k{i}": 0 for i in range(3)},
-                               check_invariants=True)
+    cc = ConcurrencyController({f"k{i}": 0 for i in range(3)})
     live = []
     for tx_id in range(90):
         node = cc.begin(tx_id)

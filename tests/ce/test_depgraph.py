@@ -53,6 +53,23 @@ def test_self_edge_rejected(graph):
         graph.add_edge(a, a, "k", EdgeKind.ANTI)
 
 
+def test_edge_into_committed_node_rejected(graph):
+    """A committed node's ``down`` row is frozen: an edge into it is
+    refused, named by both transactions, the key and the kind."""
+    a, b, c = make_node(1), make_node(2), make_node(3)
+    graph.add_edge(a, b, "k", EdgeKind.READ_FROM)
+    a.status = NodeStatus.COMMITTED
+    graph.close(a)
+    c.status = NodeStatus.COMMITTED  # closed on its first edge
+    for dst in (a, c):
+        with pytest.raises(SerializationError, match=rf"edge 2 -> "
+                           rf"{dst.tx_id} \(key x, pin\) enters committed"):
+            graph.add_edge(b, dst, "x", EdgeKind.PIN)
+        assert not graph.has_edge(b, dst)
+    graph.add_edge(a, b, "x", EdgeKind.PIN)  # out of a committed node
+    assert len(a.out_edges[b]) == 2
+
+
 def test_duplicate_edge_label_idempotent(graph):
     a, b = make_node(1), make_node(2)
     graph.add_edge(a, b, "k", EdgeKind.PIN)
@@ -77,7 +94,6 @@ def test_writer_reader_indexes(graph):
     graph.register_reader("k", b)
     assert graph.writers_of("k") == [a]
     assert graph.readers_of("k") == [b]
-    assert graph.latest_alive_writer("k") is a
 
 
 def abort(graph, node):
@@ -92,17 +108,6 @@ def test_aborted_nodes_excluded_from_indexes(graph):
     graph.register_writer("k", a)
     abort(graph, a)
     assert graph.writers_of("k") == []
-    assert graph.latest_alive_writer("k") is None
-
-
-def test_latest_writer_is_insertion_order(graph):
-    a, b = make_node(1), make_node(2)
-    for node in (a, b):
-        node.records["k"] = KeyRecord(wrote=True)
-        graph.register_writer("k", node)
-    assert graph.latest_alive_writer("k") is b
-    abort(graph, b)
-    assert graph.latest_alive_writer("k") is a
 
 
 def test_detach_removes_edges_and_back_references(graph):
@@ -145,12 +150,22 @@ def test_is_acyclic_true_for_dag(graph):
     assert graph.is_acyclic()
 
 
+def plant_edge(src, dst, key, kind):
+    """Write ``src -> dst`` into the adjacency behind the closure's back:
+    ``add_edge`` refuses a cycle-closing edge."""
+    src.out_edges.setdefault(dst, {})[(key, kind)] = None
+    dst.in_edges.setdefault(src, {})[(key, kind)] = None
+
+
 def test_is_acyclic_detects_cycle(graph):
     a, b = make_node(1), make_node(2)
     graph.add_node(a)
     graph.add_node(b)
     graph.add_edge(a, b, "k", EdgeKind.ANTI)
-    graph.add_edge(b, a, "k2", EdgeKind.ANTI)
+    with pytest.raises(SerializationError, match="closes a cycle"):
+        graph.add_edge(b, a, "k2", EdgeKind.ANTI)
+    assert graph.is_acyclic()
+    plant_edge(b, a, "k2", EdgeKind.ANTI)
     assert not graph.is_acyclic()
 
 
@@ -171,7 +186,7 @@ def test_topological_order_raises_on_cycle(graph):
     graph.add_node(a)
     graph.add_node(b)
     graph.add_edge(a, b, "k", EdgeKind.ANTI)
-    graph.add_edge(b, a, "k", EdgeKind.PIN)
+    plant_edge(b, a, "k", EdgeKind.PIN)
     with pytest.raises(SerializationError):
         graph.topological_order()
 
@@ -241,8 +256,7 @@ for i in sorted(nodes):
 def test_detach_bridging_is_hash_seed_independent():
     """The bridging pass iterates insertion-ordered structures, so the
     surviving adjacency (bridge edges included, in order) is identical
-    under any PYTHONHASHSEED — the regression guard for the ordered
-    ``_collect_descendants`` rewrite."""
+    under any PYTHONHASHSEED."""
     import os
     import pathlib
     import subprocess

@@ -5,8 +5,9 @@
 A commit closes its node after R4, the last rule that reads the
 committer's ``down`` row, and from then on the row stops growing.  Point
 queries read the destination's ``up`` row, so they stay exact for
-committed sources too.  An edge into a closed node reopens it: one DFS
-makes its ``down`` row exact again before the edge propagates.
+committed sources too.  No edge enters a closed node (``add_edge``
+refuses one), but edges still leave it: a read from a committed writer,
+a pin of a committed writer before a live one.
 
 Over the seeded direct schedules of ``tests/ce/test_cohort_rows.py``
 (``drive``, seeds 0-59), after every controller call:
@@ -19,10 +20,8 @@ Over the seeded direct schedules of ``tests/ce/test_cohort_rows.py``
 * every ``down`` row the controller reads (``rows(n)[0]``) is an open
   node's.
 
-Those schedules add edges into committed nodes (R2 anti-edges from a
-running reader, R2 pins between committed blind writers, bridges), so
-the reopen path runs.  Two planted bugs — closing the committer before
-R4 reads its row, and skipping the reopen — must each fail the check.
+A planted bug — closing the committer before R4 reads its row — must
+fail the check.
 """
 
 import traceback
@@ -48,16 +47,11 @@ class Rows(tuple):
 
 
 class OpenRowsGraph(DependencyGraph):
-    """Counts reopens and records ``down`` reads of closed nodes."""
+    """Records ``down`` reads of closed nodes."""
 
     def __init__(self):
         super().__init__()
-        self.reopens = 0
         self.closed_down_reads = []
-
-    def _reopen(self, node):
-        self.reopens += 1
-        super()._reopen(node)
 
     def rows(self, node):
         rows = Rows(super().rows(node))
@@ -131,12 +125,6 @@ def test_open_rows_stay_exact_on_a_direct_schedule(seed):
     drive(CheckedController, seed)
 
 
-def test_edges_into_committed_nodes_reopen_them():
-    reopened = [seed for seed in SEEDS[:10]
-                if drive(CheckedController, seed)[1].graph.reopens]
-    assert reopened, "no schedule added an edge into a committed node"
-
-
 def failing_seeds():
     """The seeds on which ``check_open_rows`` itself fails."""
     failed = []
@@ -159,9 +147,4 @@ def test_planted_close_before_r4_is_caught(monkeypatch):
 
     monkeypatch.setattr(ConcurrencyController, "_order_later_writers",
                         close_first)
-    assert failing_seeds()
-
-
-def test_planted_skipped_reopen_is_caught(monkeypatch):
-    monkeypatch.setattr(DependencyGraph, "_reopen", lambda self, node: None)
     assert failing_seeds()

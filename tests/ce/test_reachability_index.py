@@ -333,8 +333,7 @@ def test_layered_abort_storm_no_bridge_blowup(graph_cls):
 def test_external_abort_storm_on_controller():
     """Direct CC drive: abort a third of the transactions mid-flight."""
     rng = random.Random(17)
-    cc = ConcurrencyController({f"k{i}": 0 for i in range(3)},
-                               check_invariants=True)
+    cc = ConcurrencyController({f"k{i}": 0 for i in range(3)})
     live = []
     for tx_id in range(90):
         node = cc.begin(tx_id)

@@ -6,8 +6,8 @@ keeps.
 words and updates it with the textbook operations (``connect`` ORs into
 every live descendant's ``up`` row and every open live ancestor's
 ``down`` row, without the production graph's skip of rows that already
-hold the edge; ``reopen`` recomputes a closed node's ``down`` row by its
-own DFS).  :func:`graph_class` names a graph class per row backend id:
+hold the edge).  :func:`graph_class` names a graph class per row backend
+id:
 
 * ``pyint`` — the production graph, unchanged;
 * ``packed`` — the production graph with every row mutation mirrored into
@@ -17,8 +17,8 @@ own DFS).  :func:`graph_class` names a graph class per row backend id:
 
 Both sides tombstone a departing serial: its ``live`` and ``open`` bits
 go and its rows are zeroed, while its bit may stay in other rows.  Both
-close a committed node (its ``down`` row stops growing) and reopen it
-when an edge comes into it.  The reference ORs ``live``-masked rows into
+close a committed node: its ``down`` row stops growing, and no edge
+enters it.  The reference ORs ``live``-masked rows into
 every row the propagation may touch, so the two tables must agree bit
 for bit — at live bits, where ``up`` and open ``down`` rows are exact,
 at closed ``down`` rows, which neither side may grow, and at dead bits,
@@ -31,7 +31,7 @@ twice with the int rows held, step by step, to an independent layout.
 
 import sys
 from array import array
-from typing import Iterable, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.ce.depgraph import DependencyGraph
 
@@ -104,14 +104,6 @@ class WordRows:
     def close(self, serial: int) -> None:
         self.open.discard(serial)
 
-    def reopen(self, serial: int, descendants: Iterable[int]) -> None:
-        """Open ``serial`` with ``down`` = itself plus ``descendants``."""
-        row = self._singleton(serial)
-        for other in descendants:
-            row[other // self.width] |= 1 << other % self.width
-        self.down[serial] = row
-        self.open.add(serial)
-
     def discard(self, serial: int) -> None:
         """Tombstone ``serial``: drop it from ``live`` and ``open``, zero
         its rows."""
@@ -120,20 +112,18 @@ class WordRows:
         self.down[serial] = self._zero_row()
         self.up[serial] = self._zero_row()
 
-    def rebuild(self, count: int, topo: Optional[List[int]],
+    def rebuild(self, count: int, topo: List[int],
                 out_serials: List[List[int]],
                 in_serials: List[List[int]],
                 open_: Optional[int] = None) -> None:
-        """Closure from scratch, iterated to a fixpoint: one pass in
-        topological order settles it, and a cycle (``topo`` is ``None``)
-        takes as many passes as it needs.  ``open_`` is the open set as
-        an int (default: every serial)."""
+        """Closure from scratch, iterated to a fixpoint (one pass in
+        topological order settles it, and a second confirms it).
+        ``open_`` is the open set as an int (default: every serial)."""
         self.words = -(-count // self.width)
         down = [self._singleton(serial) for serial in range(count)]
         up = [self._singleton(serial) for serial in range(count)]
-        order = list(range(count)) if topo is None else topo
-        for table, edges, sweep in ((down, out_serials, order[::-1]),
-                                    (up, in_serials, order)):
+        for table, edges, sweep in ((down, out_serials, topo[::-1]),
+                                    (up, in_serials, topo)):
             changed = True
             while changed:
                 changed = False
@@ -226,13 +216,6 @@ def graph_class(backend: str):
             if node._index_serial is not None:
                 self.word_rows.close(node._index_serial)
                 self._check_rows()
-
-        def _reopen(self, node) -> None:
-            super()._reopen(node)
-            self.word_rows.reopen(node._index_serial,
-                                  [other._index_serial
-                                   for other in descendants(node)])
-            self._check_rows()
 
         def _rebuild_rows(self, count, topo, out_serials, in_serials,
                           open_=None):

@@ -66,10 +66,8 @@ def test_counts_point_queries_and_connect_rows():
     # The masks skip rows an unmasked propagation would OR, never add any.
     assert 0 < counts["rows_ored"] < counts["rows_unmasked"]
     assert counts["rows_ored"] >= counts["connects"]
-    # Committed ancestors' down rows are frozen; the executor pool never
-    # adds an edge into a committed node, so nothing reopens.
+    # Committed ancestors' down rows are frozen.
     assert counts["skipped_closed"] > 0
-    assert counts["reopens"] == 0
 
 
 def test_counts_exactly_the_rows_connect_ors(monkeypatch):
@@ -105,7 +103,7 @@ def test_prints_the_closure_work(capsys):
         "closure: 10 point queries (2.00 per transaction), 4 connects",
         "connect rows ORed: 12 (2.40 per transaction, 3.00 per connect); "
         "unmasked 16, 25.0% skipped",
-        "ancestors skipped as committed: 3; reopens of committed nodes: 0"]
+        "ancestors skipped as committed: 3"]
 
 
 def test_counts_records_built_per_transaction_by_class():

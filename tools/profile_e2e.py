@@ -11,14 +11,13 @@ A second, unprofiled run of the same seed then counts the kernel's events
 per executed transaction (the benchmark's ``events_per_tx``), once by event
 class and once by the process or callback each event resumes — where the
 events a change could remove come from.  A third counts the closure index's
-work per transaction by wrapping three ``DependencyGraph`` methods: the
-controller's point queries (``has_path``), the closure rows each new
+work per transaction by wrapping two ``DependencyGraph`` methods: the
+controller's point queries (``has_path``) and the closure rows each new
 edge ORs into (``_connect``: exactly its two grow sets), next to the rows
 an unmasked propagation — every live ancestor and descendant row — would
-have ORed and the ancestors skipped because they committed, and the
-reopens of committed nodes (``_reopen``).  A fourth counts the records
-built per executed transaction, by class: every call of the ``__init__``
-of a dataclass the library defines.
+have ORed and the ancestors skipped because they committed.  A fourth
+counts the records built per executed transaction, by class: every call
+of the ``__init__`` of a dataclass the library defines.
 
 cProfile charges every Python call but nothing inside native code, so the
 proportions are shifted: use this to find candidates, and
@@ -203,8 +202,8 @@ def print_events(by_class: Counter, by_target: Counter,
 
 def count_closure_work(name: str,
                        scale: str = "full") -> Tuple[Counter, Cluster]:
-    """Run workload ``name`` unprofiled, counting ``has_path`` calls,
-    reopens and ``_connect``'s work: calls, rows ORed (its ``grow_down``
+    """Run workload ``name`` unprofiled, counting ``has_path`` calls and
+    ``_connect``'s work: calls, rows ORed (its ``grow_down``
     and ``grow_up`` sets), the rows an unmasked propagation would OR (the
     live members of ``up[src]`` and ``down[dst]``), and the ancestors
     ``grow_down`` skipped because they are closed (committed)."""
@@ -212,7 +211,6 @@ def count_closure_work(name: str,
     counts: Counter = Counter()
     has_path = DependencyGraph.has_path
     connect = DependencyGraph._connect
-    reopen = DependencyGraph._reopen
 
     def counting_has_path(graph, src, dst):
         counts["path_queries"] += 1
@@ -230,19 +228,13 @@ def count_closure_work(name: str,
         counts["skipped_closed"] += (not_reaching & ~graph._open).bit_count()
         connect(graph, src, dst)
 
-    def counting_reopen(graph, node):
-        counts["reopens"] += 1
-        reopen(graph, node)
-
     DependencyGraph.has_path = counting_has_path
     DependencyGraph._connect = counting_connect
-    DependencyGraph._reopen = counting_reopen
     try:
         run_and_drain(cluster, *args)
     finally:
         DependencyGraph.has_path = has_path
         DependencyGraph._connect = connect
-        DependencyGraph._reopen = reopen
     return counts, cluster
 
 
@@ -254,8 +246,7 @@ def print_closure_work(counts: Counter, executed: int) -> None:
     print(f"connect rows ORed: {ored} ({ored / executed:.2f} per "
           f"transaction, {ored / max(connects, 1):.2f} per connect); "
           f"unmasked {unmasked}, {1 - ored / max(unmasked, 1):.1%} skipped")
-    print(f"ancestors skipped as committed: {counts['skipped_closed']}; "
-          f"reopens of committed nodes: {counts['reopens']}")
+    print(f"ancestors skipped as committed: {counts['skipped_closed']}")
 
 
 def record_classes() -> List[type]:
