@@ -34,6 +34,7 @@ from repro.metrics import MetricsCollector
 
 from benchmarks.bench_depgraph_reachability import build_batch_graph
 from benchmarks.conftest import scaled
+from tests.ce.graph_reference import edge_count, has_path_dfs, is_acyclic
 
 #: Storm sizing: DAG nodes / victims detached / queries between detaches.
 STORM_NODES = scaled(1200, 600, 120)
@@ -62,13 +63,13 @@ def run_storm(graph_cls, nodes: int, detaches: int, queries: int,
     # Spot-check the final closure against the reference DFS.
     for offset in range(0, len(alive) - 1, max(1, len(alive) // 40)):
         a, b = txs[alive[offset]], txs[alive[offset + 1]]
-        assert graph.has_path(a, b) == graph._has_path_dfs(a, b)
+        assert graph.has_path(a, b) == has_path_dfs(a, b)
     return {
         "wall": wall,
         "checksum": checksum,
         "rebuilds": graph.index_rebuilds,
         "repairs": graph.index_repairs,
-        "edge_count": graph.edge_count(),
+        "edge_count": edge_count(graph),
     }
 
 
@@ -128,7 +129,7 @@ def test_abort_storm_counter_smoke(fig_table):
     # go hole-dominated and compact a few times — never more often than
     # once per detach.
     assert 1 <= stats.index_rebuilds <= stats.index_repairs
-    assert cc.graph.is_acyclic()
+    assert is_acyclic(cc.graph)
     collector = MetricsCollector()
     collector.record_ce_batch(stats, graph_nodes=len(cc.graph.nodes))
     assert collector.cc_index_repairs == stats.index_repairs

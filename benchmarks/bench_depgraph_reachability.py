@@ -11,12 +11,15 @@ Two measurements:
 
 * **micro** — a layered random DAG shaped like a contended batch graph,
   hit with the controller's query mix; per-query latency of the index vs
-  the reference DFS (:meth:`DependencyGraph._has_path_dfs`).
+  the reference DFS (``has_path_dfs`` in ``tests/ce/graph_reference.py``).
 * **cc-stress** — a 500-transaction high-contention YCSB-F batch (50%
   reads / 50% read-modify-writes over 4 hot records, theta = 0.99) through
   the real DES executor pool, two ways: a seed-faithful graph (DFS
-  queries + bridge-every-pair detach) and the closure index with
-  tombstoned aborts.  Committed results must be identical; the wall-clock
+  queries + bridge-every-pair detach, no closure rows) under the
+  point-query controller of ``tests/ce/test_cohort_rows.py`` (one
+  ``has_path`` per cohort member, as the rules asked before they read
+  closure rows), and the closure index with tombstoned aborts under the
+  library controller.  Committed results must be identical; the wall-clock
   ratio vs seed is the end-to-end win (asserted >= 5x), and the index
   may compact its serial space at most 10 times.
 
@@ -36,6 +39,8 @@ import pytest
 from repro.ce import CEConfig, CERunner
 from repro.ce.depgraph import DependencyGraph, EdgeKind, NodeStatus, TxNode
 import repro.ce.controller as controller_module
+import repro.ce.streaming as streaming_module
+from repro.ce.controller import ConcurrencyController
 from repro.contracts.contract import ContractRegistry
 from repro.core.shards import ShardMap
 from repro.errors import SerializationError
@@ -44,6 +49,8 @@ from repro.workloads.ycsb import (YCSBConfig, YCSBWorkload, initial_state,
                                   register_ycsb)
 
 from benchmarks.conftest import scaled
+from tests.ce.graph_reference import has_path_dfs
+from tests.ce.test_cohort_rows import PointQueryController
 
 #: Microbench sizing: nodes in the synthetic batch graph / queries issued.
 MICRO_NODES = scaled(800, 500, 200)
@@ -64,7 +71,7 @@ class SeedDependencyGraph(DependencyGraph):
 
     def has_path(self, src: TxNode, dst: TxNode) -> bool:
         self.path_queries += 1
-        return self._has_path_dfs(src, dst)
+        return has_path_dfs(src, dst)
 
     def add_edge(self, src: TxNode, dst: TxNode, key: str,
                  kind: EdgeKind) -> None:
@@ -134,27 +141,29 @@ def query_mix(txs: list, queries: int, seed: int) -> list:
     return pairs
 
 
-def run_stress(graph_cls) -> dict:
-    """The 500-tx high-contention YCSB-F batch through the DES pool."""
+def run_stress(graph_cls, controller_cls) -> dict:
+    """The 500-tx high-contention YCSB-F batch through the DES pool, with
+    ``graph_cls`` and ``controller_cls`` patched into the session."""
     registry = ContractRegistry()
     register_ycsb(registry)
     workload = YCSBWorkload(
         YCSBConfig.workload_f(records=STRESS_RECORDS, theta=STRESS_THETA),
         ShardMap(1), seed=7)
     txs = [workload.next_transaction() for _ in range(STRESS_TXS)]
-    original = controller_module.DependencyGraph
+    original = (controller_module.DependencyGraph,
+                streaming_module.ConcurrencyController)
     controller_module.DependencyGraph = graph_cls
+    streaming_module.ConcurrencyController = controller_cls
     try:
         env = Environment()
-        # prune=False keeps the batch's graph for the edge count below.
-        runner = CERunner(registry, CEConfig(executors=16), make_rng(3),
-                          prune=False)
+        runner = CERunner(registry, CEConfig(executors=16), make_rng(3))
         started = time.perf_counter()
         proc = runner.run_batch(env, txs, initial_state(STRESS_RECORDS))
         env.run()
         wall = time.perf_counter() - started
     finally:
-        controller_module.DependencyGraph = original
+        (controller_module.DependencyGraph,
+         streaming_module.ConcurrencyController) = original
     result = proc.value
     return {
         "wall": wall,
@@ -164,7 +173,6 @@ def run_stress(graph_cls) -> dict:
         "path_queries": result.stats.path_queries,
         "index_rebuilds": result.stats.index_rebuilds,
         "index_repairs": result.stats.index_repairs,
-        "edge_count": runner.last_session.cc.graph.edge_count(),
     }
 
 
@@ -179,7 +187,7 @@ def test_reachability_micro(benchmark, fig_table):
         indexed = [graph.has_path(a, b) for a, b in pairs]
         indexed_wall = time.perf_counter() - started
         started = time.perf_counter()
-        reference = [graph._has_path_dfs(a, b) for a, b in pairs]
+        reference = [has_path_dfs(a, b) for a, b in pairs]
         dfs_wall = time.perf_counter() - started
         assert indexed == reference, "index diverges from DFS"
         return indexed_wall, dfs_wall
@@ -199,10 +207,12 @@ def test_reachability_micro(benchmark, fig_table):
 
 @pytest.mark.benchmark(group="depgraph-reachability")
 def test_cc_stress_high_contention(benchmark, fig_table):
-    """End-to-end: the acceptance scenario — seed DFS vs the tombstoning
-    index, byte-identical committed orders."""
+    """End-to-end: the acceptance scenario — seed DFS under point queries
+    vs the tombstoning index under row tests, byte-identical committed
+    orders."""
     def run():
-        return run_stress(SeedDependencyGraph), run_stress(DependencyGraph)
+        return (run_stress(SeedDependencyGraph, PointQueryController),
+                run_stress(DependencyGraph, ConcurrencyController))
 
     seed_run, index_run = benchmark.pedantic(run, rounds=1, iterations=1)
     assert index_run["order"] == seed_run["order"], \
@@ -213,13 +223,13 @@ def test_cc_stress_high_contention(benchmark, fig_table):
     for label, run_info in (("seed-dfs", seed_run), ("index", index_run)):
         fig_table.add(label, STRESS_TXS, round(run_info["wall"], 3),
                       run_info["path_queries"], run_info["index_rebuilds"],
-                      run_info["index_repairs"], run_info["edge_count"],
+                      run_info["index_repairs"],
                       f"{seed_run['wall'] / run_info['wall']:.1f}x")
     fig_table.show(
         f"CC stress - {STRESS_TXS} tx YCSB-F, {STRESS_RECORDS} records, "
         f"theta={STRESS_THETA}, 16 executors",
         ["graph", "txs", "wall_s", "path_queries", "rebuilds", "repairs",
-         "final_edges", "speedup"])
+         "speedup"])
     benchmark.extra_info["speedup"] = round(speedup, 1)
     benchmark.extra_info["seed_wall"] = round(seed_run["wall"], 3)
     benchmark.extra_info["index_wall"] = round(index_run["wall"], 3)

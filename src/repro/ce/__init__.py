@@ -3,7 +3,7 @@
 * :class:`~repro.ce.controller.ConcurrencyController` — dependency-graph
   concurrency control without prior read/write-set knowledge.
 * :class:`~repro.ce.runner.CERunner` — the simulated executor pool:
-  one-batch runs, batch streams, and sessions.
+  one-batch runs and sessions.
 * :class:`~repro.ce.streaming.StreamSession` — the open-ended
   admit/drain/close execution session one long-lived controller and pool
   serve, pruning committed nodes at every batch boundary (a replica keeps
@@ -16,7 +16,7 @@ from repro.ce.controller import (CCStats, CommittedTx, ConcurrencyController)
 from repro.ce.depgraph import (DependencyGraph, EdgeKind, KeyRecord,
                                NodeStatus, TxNode)
 from repro.ce.runner import BatchResult, CEConfig, CERunner
-from repro.ce.streaming import StreamResult, StreamSession
+from repro.ce.streaming import StreamSession
 from repro.ce.validation import ValidationOutcome, validate_block
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "EdgeKind",
     "KeyRecord",
     "NodeStatus",
-    "StreamResult",
     "StreamSession",
     "TxNode",
     "ValidationOutcome",

@@ -58,9 +58,9 @@ maintains a transitive-closure index that is exact at every moment:
   so a rule over a key's cohort tests one bit per member instead of
   asking one ``has_path`` per member (see :mod:`repro.ce.controller`).
 
-Answers are identical to the reference DFS (kept as
-:meth:`DependencyGraph._has_path_dfs` for tests and benchmarks), so
-controller behavior is bit-for-bit unchanged.  ``path_queries`` /
+Answers are identical to a DFS over the adjacency lists (the reference
+``has_path_dfs`` in ``tests/ce/graph_reference.py``), so controller
+behavior is bit-for-bit unchanged.  ``path_queries`` /
 ``index_repairs`` (one per indexed detach) / ``index_rebuilds``
 (compactions) feed :class:`CCStats`.
 
@@ -122,10 +122,9 @@ index — and the bridge planning built on it — is deterministic too.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SerializationError
 
@@ -674,23 +673,6 @@ class DependencyGraph:
             return 0, 0
         return self._down[serial], self._up[serial]
 
-    def _has_path_dfs(self, src: TxNode, dst: TxNode) -> bool:
-        """Reference DFS reachability (the seed implementation); kept for
-        equivalence tests and the before/after benchmark."""
-        if src is dst:
-            return True
-        stack = [src]
-        seen = {id(src)}
-        while stack:
-            current = stack.pop()
-            for neighbor in current.out_edges:
-                if neighbor is dst:
-                    return True
-                if id(neighbor) not in seen:
-                    seen.add(id(neighbor))
-                    stack.append(neighbor)
-        return False
-
     # -- reachability index internals ------------------------------------------
 
     def _own_serial(self, node: TxNode) -> Optional[int]:
@@ -840,79 +822,6 @@ class DependencyGraph:
         open_ = sum(1 << serial for serial, node in enumerate(nodes)
                     if node.status is not _COMMITTED)
         self._rebuild_rows(count, topo, out_serials, in_serials, open_)
-
-    # -- whole-graph queries ---------------------------------------------------
-
-    def edge_count(self) -> int:
-        return sum(len(labels) for node in self.nodes.values()
-                   for labels in node.out_edges.values())
-
-    def is_acyclic(self) -> bool:
-        """Full-graph cycle check by DFS (a test aid: ``add_edge`` refuses
-        every cycle-closing edge)."""
-        WHITE, GREY, BLACK = 0, 1, 2
-        color: Dict[int, int] = {}
-        for root in self.nodes.values():
-            if color.get(id(root), WHITE) is not WHITE:
-                continue
-            stack: List[Tuple[TxNode, Iterator[TxNode]]] = [
-                (root, iter(root.out_edges))]
-            color[id(root)] = GREY
-            while stack:
-                node, children = stack[-1]
-                advanced = False
-                for child in children:
-                    state = color.get(id(child), WHITE)
-                    if state == GREY:
-                        return False
-                    if state == WHITE:
-                        color[id(child)] = GREY
-                        stack.append((child, iter(child.out_edges)))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[id(node)] = BLACK
-                    stack.pop()
-        return True
-
-    def topological_order(self) -> List[TxNode]:
-        """A deterministic topological order of all non-aborted nodes.
-
-        Kahn's algorithm on a heap: ties are broken by (committed order,
-        tx id) so the result is stable.  Raises :class:`SerializationError`
-        if a cycle slipped in.
-        """
-        nodes = [node for node in self.nodes.values()
-                 if node.status is not NodeStatus.ABORTED]
-        indegree: Dict[int, int] = {id(node): 0 for node in nodes}
-        for node in nodes:
-            for neighbor in node.out_edges:
-                if id(neighbor) in indegree:
-                    indegree[id(neighbor)] += 1
-
-        def sort_key(node: TxNode) -> Tuple[int, int]:
-            order = node.order_index if node.order_index is not None else 1 << 60
-            return (order, node.tx_id)
-
-        # tx_id is unique among non-aborted nodes, so the node itself is
-        # never compared.
-        ready = [(*sort_key(node), node) for node in nodes
-                 if indegree[id(node)] == 0]
-        heapq.heapify(ready)
-        result: List[TxNode] = []
-        while ready:
-            node = heapq.heappop(ready)[2]
-            result.append(node)
-            for neighbor in node.out_edges:
-                neighbor_id = id(neighbor)
-                if neighbor_id not in indegree:
-                    continue
-                indegree[neighbor_id] -= 1
-                if indegree[neighbor_id] == 0:
-                    heapq.heappush(ready, (*sort_key(neighbor), neighbor))
-        if len(result) != len(nodes):
-            raise SerializationError("dependency graph contains a cycle")
-        return result
 
 
 def _bits(row: int) -> List[int]:

@@ -16,8 +16,7 @@ one controller, one dependency graph and one worker pool that may serve a
 whole stream of batches (a replica keeps one per epoch).
 :meth:`CERunner.run_batch` is a one-batch session (open, admit, drain,
 close) behind the ``run_batch`` interface the baseline runners of
-:mod:`repro.baselines` share; :meth:`CERunner.run_stream` drives an
-iterable of batches through one session.
+:mod:`repro.baselines` share.
 
 The pacing draws (:func:`op_delay`, :func:`backoff`) are shared with the
 baseline runners.  Their expressions and the order in which they draw from
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 from random import Random
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.ce.controller import CCStats, CommittedTx, ConcurrencyController
 from repro.ce.streaming import StreamSession, _BatchState
@@ -138,41 +137,26 @@ def backoff(config: CEConfig, rng: Random, attempt: int) -> float:
 
 class CERunner:
     """Runs transactions through the Concurrent Executor, one
-    :class:`~repro.ce.streaming.StreamSession` per batch stream.
-
-    ``prune=False`` keeps committed nodes in the session graph at batch
-    boundaries (so the whole history stays inspectable); base-view
-    switching needs the default ``prune=True``.
-    """
+    :class:`~repro.ce.streaming.StreamSession` per batch stream."""
 
     _SHUTDOWN = object()
 
     def __init__(self, registry: ContractRegistry, config: CEConfig,
-                 rng: Random, prune: bool = True) -> None:
+                 rng: Random) -> None:
         self.registry = registry
         self.config = config
         self._rng = rng
-        self.prune = prune
         #: The most recently opened session, live or closed (tests and
         #: debugging read its ``cc``, ``workers`` and ``closed``).
         self.last_session: Optional[StreamSession] = None
 
     def open_session(self, env: Environment,
                      base_state: Mapping[str, Any],
-                     default: Any = 0,
-                     record_history: bool = True) -> StreamSession:
+                     default: Any = 0) -> StreamSession:
         """Open a :class:`~repro.ce.streaming.StreamSession`: the
         open-ended admit/drain/close interface over one long-lived
-        controller and worker pool.
-
-        Pass ``record_history=False`` for sessions of unbounded lifetime
-        whose caller consumes each ``drain()`` result and never wants the
-        per-batch lists in ``close()``'s
-        :class:`~repro.ce.streaming.StreamResult` — retaining them would
-        grow with every batch served.
-        """
-        return StreamSession(self, env, base_state, default,
-                             record_history=record_history)
+        controller and worker pool."""
+        return StreamSession(self, env, base_state, default)
 
     def run_batch(self, env: Environment, transactions: List[Transaction],
                   base_state: Mapping[str, Any], default: Any = 0):
@@ -185,20 +169,6 @@ class CERunner:
         return env.process(self._run_batch(env, list(transactions),
                                            base_state, default))
 
-    def run_stream(self, env: Environment,
-                   batches: Iterable[List[Transaction]],
-                   base_state: Mapping[str, Any], default: Any = 0):
-        """Start the stream as a process; its value is a
-        :class:`~repro.ce.streaming.StreamResult`.
-
-        ``batches`` may be any iterable (including a generator producing
-        batches lazily); it is pulled one batch ahead of execution so the
-        next batch can be admitted into the graph while the current one
-        drains.
-        """
-        return env.process(self._run_stream(env, batches, base_state,
-                                            default))
-
     # ------------------------------------------------------------ internals
 
     def _run_batch(self, env: Environment, transactions: List[Transaction],
@@ -208,27 +178,6 @@ class CERunner:
         result = yield session.drain()
         session.close()
         return result
-
-    def _run_stream(self, env: Environment,
-                    batches: Iterable[List[Transaction]],
-                    base_state: Mapping[str, Any], default: Any):
-        session = self.open_session(env, base_state, default)
-        source = iter(batches)
-
-        def admit_next() -> bool:
-            try:
-                transactions = list(next(source))
-            except StopIteration:
-                return False
-            session.admit(transactions)
-            return True
-
-        if admit_next():      # batch 0 dispatches immediately
-            admit_next()      # batch 1 rides admitted while 0 drains
-        while session.in_flight:
-            yield session.drain()
-            admit_next()
-        return session.close()
 
     def _worker(self, env: Environment, queue: Store,
                 cc: ConcurrencyController, cc_gate: Gate):

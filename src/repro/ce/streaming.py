@@ -6,9 +6,9 @@ graph and closure index) and one pool of ``config.executors`` worker
 processes, and serves an open-ended sequence of batches: the caller pushes
 batches with :meth:`~StreamSession.admit`, collects each batch's
 :class:`~repro.ce.runner.BatchResult` with :meth:`~StreamSession.drain`,
-and finishes with :meth:`~StreamSession.close` (graceful, returns the
-:class:`StreamResult`) or :meth:`~StreamSession.abort` (mid-flight
-teardown: the replica layer's epoch change).  Sessions are opened by
+and finishes with :meth:`~StreamSession.close` (graceful) or
+:meth:`~StreamSession.abort` (mid-flight teardown: the replica layer's
+epoch change).  Sessions are opened by
 :meth:`CERunner.open_session <repro.ce.runner.CERunner.open_session>`; a
 replica keeps one per epoch, and
 :meth:`CERunner.run_batch <repro.ce.runner.CERunner.run_batch>` is a
@@ -49,9 +49,8 @@ each round's committed writes into its own overlay (and discards the
 overlay when cross-shard commits land), so the fresh view it hands the
 next ``admit`` answers every key exactly like the dropped overlay would
 have, or deliberately differently when committed state moved underneath.
-Rebasing requires the boundary prune to have emptied the graph of
-recorded nodes, so it is only available with pruning enabled (the
-default); omitting ``base_view`` keeps the controller's own overlay
+Rebasing relies on the boundary prune having emptied the graph of
+recorded nodes; omitting ``base_view`` keeps the controller's own overlay
 accumulating committed writes.
 
 Committed-node pruning
@@ -64,26 +63,25 @@ every committed node satisfying the safety condition documented in
 :mod:`repro.ce.depgraph` — at a quiescent boundary that is the *entire*
 committed history, so the graph's node count plateaus at (roughly) one
 batch of committed nodes plus one admitted batch, independent of stream
-length.  :class:`StreamResult` records the node count before and after
-each boundary prune so benchmarks can assert the plateau
-(``benchmarks/bench_streaming_runner.py`` does exactly that; a runner
-built with ``prune=False`` shows the unbounded alternative).  Eviction
-leaves the reachability index valid (victims are closure-isolated, so
-pruning just punches serial holes in place); the index schedules a
-compacting rebuild only when holes come to outnumber live serials, so a
-long stream pays a rebuild every few batches instead of one per boundary
-— and mid-batch aborts pay none at all (see ``docs/REACHABILITY.md``).
+length.  Each batch's :class:`~repro.ce.runner.BatchResult` carries the
+node count just before its boundary prune (``graph_nodes``); the tests
+hold that series to the plateau, and a replica reports its maximum as
+``ce_peak_graph_nodes``.  Eviction leaves the reachability index valid
+(victims are closure-isolated, so pruning just punches serial holes in
+place); the index schedules a compacting rebuild only when holes come to
+outnumber live serials, so a long stream pays a rebuild every few batches
+instead of one per boundary — and mid-batch aborts pay none at all (see
+``docs/REACHABILITY.md``).
 
 Usage
 -----
-One batch at a time, from inside a process (``CERunner.run_stream``
-wraps the same loop around an iterable of batches)::
+One batch at a time, from inside a process (the replica's round loop)::
 
     session = runner.open_session(env, base_state)
     session.admit(batch, base_view=view)    # nodes enter the graph now
     result = yield session.drain()          # a BatchResult
     ...                                     # admit/drain more batches
-    stream_result = session.close()         # shuts the worker pool down
+    session.close()                         # shuts the worker pool down
 """
 
 from __future__ import annotations
@@ -93,7 +91,7 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Deque, Dict, List, Mapping,
                     Optional)
 
-from repro.ce.controller import CCStats, CommittedTx, ConcurrencyController
+from repro.ce.controller import CommittedTx, ConcurrencyController
 from repro.errors import SerializationError
 from repro.sim.environment import Environment
 from repro.sim.resources import Gate, Store
@@ -101,30 +99,6 @@ from repro.txn import Transaction
 
 if TYPE_CHECKING:
     from repro.ce.runner import BatchResult, CERunner
-
-
-@dataclass
-class StreamResult:
-    """Everything one streamed run produces.
-
-    ``graph_nodes_pre_prune[k]`` / ``graph_nodes_post_prune[k]`` sample the
-    dependency graph's node count at batch ``k``'s boundary, immediately
-    before and after the pruning pass — the pre-prune series is the
-    bounded-memory evidence (it plateaus instead of growing with ``k``).
-    """
-
-    batches: List[BatchResult]
-    graph_nodes_pre_prune: List[int]
-    graph_nodes_post_prune: List[int]
-    stats: CCStats
-
-    @property
-    def committed_count(self) -> int:
-        return sum(len(batch.committed) for batch in self.batches)
-
-    @property
-    def peak_graph_nodes(self) -> int:
-        return max(self.graph_nodes_pre_prune, default=0)
 
 
 @dataclass
@@ -163,7 +137,7 @@ class StreamSession:
 
         admit(batch[, base_view])   # any number of times, pipelined
         drain() -> process          # once per admitted batch, in order
-        close() -> StreamResult     # graceful: all batches drained
+        close()                     # graceful: all batches drained
         abort()                     # forceful: drop in-flight work
 
     ``admit`` registers the batch's nodes in the graph immediately but
@@ -181,17 +155,9 @@ class StreamSession:
     """
 
     def __init__(self, runner: CERunner, env: Environment,
-                 base_state: Mapping[str, Any], default: Any = 0,
-                 record_history: bool = True) -> None:
+                 base_state: Mapping[str, Any], default: Any = 0) -> None:
         self._runner = runner
         self.env = env
-        #: When False, boundary passes skip accumulating per-batch results
-        #: and graph-size samples for close() — required for open-ended
-        #: sessions (a replica epoch has no close(); retaining every
-        #: round's BatchResult would grow without bound).  The caller
-        #: still receives each result from drain(), and the cumulative
-        #: CCStats in close()'s StreamResult stay exact.
-        self._record_history = record_history
         self._queue: Store = Store(env)
         #: tx id -> its batch, for commit/abort routing; ids leave the map
         #: at the batch's boundary, so it stays one-to-two batches wide.
@@ -221,21 +187,12 @@ class StreamSession:
         #: the seeded schedule) and the worker shutdown fires when it
         #: completes.  Only the dispatched batch can hold released work.
         self._orphan: Optional[_BatchState] = None
-        # Stream-level accounting for the StreamResult.
-        self._results: List[BatchResult] = []
-        self._pre_prune: List[int] = []
-        self._post_prune: List[int] = []
 
     # -- state inspection ---------------------------------------------------
 
     @property
     def closed(self) -> bool:
         return self._closed
-
-    @property
-    def in_flight(self) -> int:
-        """Admitted batches whose ``drain()`` has not been requested yet."""
-        return len(self._undrained)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -252,12 +209,6 @@ class StreamSession:
         """
         if self._closed:
             raise SerializationError("admit() on a closed session")
-        if base_view is not None and not self._runner.prune:
-            # Rebasing needs the boundary prune to have emptied the graph;
-            # failing here keeps the error at the call site instead of
-            # surfacing from cc.rebase() inside a later drain process.
-            raise SerializationError(
-                "base_view switching requires pruning (prune=True)")
         incoming = list(transactions)
         # Validate before mutating anything, so a rejected batch leaves no
         # ghost routes or pre-begun nodes behind.
@@ -288,25 +239,17 @@ class StreamSession:
             raise SerializationError("drain() with no admitted batch")
         return self.env.process(self._drain(self._undrained.popleft()))
 
-    def close(self) -> StreamResult:
+    def close(self) -> None:
         """Graceful shutdown once every admitted batch has been drained:
-        sends the worker pool its shutdown sentinels and packages the
-        whole session's :class:`StreamResult`."""
+        sends the worker pool its shutdown sentinels."""
         if self._closed:
             raise SerializationError("close() on a closed session")
         if self._undrained or self._current is not None or self._pending:
             raise SerializationError(
                 "close() with batches still in flight; drain them first "
                 "or abort()")
-        stats = self.cc.stats.snapshot()
         self._closed = True
         self._flush_shutdown()
-        return StreamResult(
-            batches=self._results,
-            graph_nodes_pre_prune=self._pre_prune,
-            graph_nodes_post_prune=self._post_prune,
-            stats=stats,
-        )
 
     def abort(self) -> None:
         """Forceful teardown mid-flight (the replica layer's epoch change).
@@ -379,17 +322,11 @@ class StreamSession:
         release the next admitted batch, and return the result."""
         cc = self.cc
         batch.graph_nodes_at_boundary = len(cc.graph.nodes)
-        if self._runner.prune:
-            cc.prune_committed()
-        nodes_after_prune = len(cc.graph.nodes)
+        cc.prune_committed()
         stats_now = cc.stats.snapshot()
         result = self._runner._batch_result(
             self.env, cc, batch, self._stats_mark, stats_now)
         self._stats_mark = stats_now
-        if self._record_history:
-            self._pre_prune.append(batch.graph_nodes_at_boundary)
-            self._post_prune.append(nodes_after_prune)
-            self._results.append(result)
         for tx_id in batch.by_id:
             self._routes.pop(tx_id, None)
         self._current = None

@@ -188,12 +188,9 @@ class Replica:
         """One epoch's execution session: a long-lived controller, graph,
         and worker pool every preplay round of the epoch runs through.
         The base handed over here is a placeholder — each round's admit
-        rebases the session onto that round's speculative overlay view.
-        History recording is off: the round loop consumes every drained
-        result, and an epoch can last the whole run."""
+        rebases the session onto that round's speculative overlay view."""
         return runner.open_session(self.env,
-                                   OverlayView(self._overlay, self.store),
-                                   record_history=False)
+                                   OverlayView(self._overlay, self.store))
 
     def submit(self, tx: Transaction, now: Optional[float] = None) -> None:
         """Client entry point: enqueue a transaction at this proposer."""

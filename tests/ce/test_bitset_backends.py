@@ -34,6 +34,7 @@ from repro.core import ThunderboltConfig
 from repro.core.cluster import Cluster
 from repro.errors import SerializationError
 from repro.workloads import WorkloadConfig
+from tests.ce.graph_reference import has_path_dfs, is_acyclic
 from tests.ce.word_rows import BACKENDS, TYPECODES, WordRows, graph_class
 
 
@@ -285,7 +286,7 @@ def test_bridge_plan_matches_dfs_reference(seed, backend):
             assert graph.has_path(nodes[a], nodes[b]) == \
                 ref_graph.has_path(ref_nodes[a], ref_nodes[b]), (seed, a, b)
             assert graph.has_path(nodes[a], nodes[b]) == \
-                graph._has_path_dfs(nodes[a], nodes[b]), (seed, a, b)
+                has_path_dfs(nodes[a], nodes[b]), (seed, a, b)
 
 
 def test_cycle_closing_edge_is_refused():
@@ -305,7 +306,7 @@ def test_cycle_closing_edge_is_refused():
     mid.status = NodeStatus.ABORTED
     graph.detach_node(mid)
     assert graph.plans == 1 and graph.has_edge(a, b)  # bridged
-    assert graph.is_acyclic()
+    assert is_acyclic(graph)
 
 
 # ------------------------------------------------------ cluster fingerprints

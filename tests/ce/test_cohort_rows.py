@@ -32,6 +32,7 @@ from repro.core.shards import ShardMap
 from repro.errors import TransactionAborted
 from repro.sim import Environment, make_rng
 from repro.workloads import SmallBankWorkload, WorkloadConfig
+from tests.ce.graph_reference import has_path_dfs
 
 THETA = 0.99
 
@@ -225,8 +226,7 @@ def churn(rng, graphs, n_nodes=36, n_ops=400):
             a, b = rng.choice(alive), rng.choice(alive)
             answers = {graph.has_path(own[a], own[b])
                        for graph, own in zip(graphs, nodes)}
-            assert answers == {graphs[0]._has_path_dfs(nodes[0][a],
-                                                       nodes[0][b])}
+            assert answers == {has_path_dfs(nodes[0][a], nodes[0][b])}
         if len(alive) < 2:
             break
         yield

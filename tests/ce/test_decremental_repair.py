@@ -41,6 +41,7 @@ from repro.workloads import SmallBankWorkload, WorkloadConfig
 from repro.core.shards import ShardMap
 from repro.workloads.ycsb import (YCSB_RMW, initial_state as ycsb_state,
                                   register_ycsb)
+from tests.ce.graph_reference import has_path_dfs, is_acyclic
 
 
 # ------------------------------------------------------- repair correctness
@@ -82,14 +83,14 @@ def test_repaired_closure_equals_scratch_closure(seed, graph_cls):
         else:
             a, b = rng.choice(alive), rng.choice(alive)
             assert graph.has_path(nodes[a], nodes[b]) == \
-                graph._has_path_dfs(nodes[a], nodes[b])
+                has_path_dfs(nodes[a], nodes[b])
     assert graph.index_rebuilds == 0
     assert graph.index_repairs == indexed_detaches
     # The tombstoned closure == the reference DFS, exhaustively ...
     for a in alive:
         for b in alive:
             assert graph.has_path(nodes[a], nodes[b]) == \
-                graph._has_path_dfs(nodes[a], nodes[b]), (seed, a, b)
+                has_path_dfs(nodes[a], nodes[b]), (seed, a, b)
     repaired = reachability_matrix(graph, nodes, alive)
     # ... and == a from-scratch rebuild over the same adjacency.
     graph._rebuild_index()
@@ -178,7 +179,7 @@ def test_controller_abort_storm_rebuilds_bounded():
     assert stats.aborts >= 20, "storm did not materialize"
     assert stats.index_repairs >= stats.aborts // 2
     assert stats.index_rebuilds <= 5
-    assert cc.graph.is_acyclic()
+    assert is_acyclic(cc.graph)
 
 
 @pytest.mark.usefixtures("graph_cls")
@@ -214,10 +215,10 @@ def test_streaming_prune_no_longer_rebuilds_every_boundary():
     the serial space goes hole-dominated — strictly fewer than once per
     batch.
 
-    Driven through one session with ``run_stream``'s one-batch-ahead
-    admission (the graph holds ~2 batches at every boundary, the
-    pipelined worst case), so the bitset width can be probed on the live
-    controller before close()."""
+    Driven through one session with one-batch-ahead admission (the
+    graph holds ~2 batches at every boundary, the pipelined worst case),
+    so the bitset width can be probed on the live controller before
+    close()."""
     registry = default_registry()
     workload = SmallBankWorkload(
         WorkloadConfig(accounts=64, read_probability=0.5, theta=0.9),
@@ -230,13 +231,11 @@ def test_streaming_prune_no_longer_rebuilds_every_boundary():
     session.admit(batches[1])
 
     def pump():
-        upcoming = 2
-        while session.in_flight:
+        for upcoming in range(2, len(batches) + 2):
             result = yield session.drain()
             assert result is not None
             if upcoming < len(batches):
                 session.admit(batches[upcoming])
-                upcoming += 1
 
     proc = env.process(pump())
     env.run()
@@ -244,7 +243,8 @@ def test_streaming_prune_no_longer_rebuilds_every_boundary():
     graph = session.cc.graph
     # Bitset width stays a small multiple of the plateau, not the stream.
     assert len(graph._indexed) < 4 * 25
-    stats = session.close().stats
+    session.close()
+    stats = session.cc.stats
     assert stats.nodes_pruned == 8 * 25
     assert stats.index_rebuilds < len(batches), \
         "pruning still schedules a rebuild at every boundary"

@@ -30,6 +30,7 @@ import pytest
 
 from repro.ce import ConcurrencyController
 from repro.ce.depgraph import DependencyGraph, NodeStatus
+from tests.ce.graph_reference import has_path_dfs
 from tests.ce.test_cohort_rows import drive
 from tests.ce.word_rows import descendants
 
@@ -84,7 +85,7 @@ def check_open_rows(graph):
             assert row & ~expected == 0, ("closed down row", node.tx_id)
         for other in indexed:
             assert graph.has_path(node, other) \
-                == graph._has_path_dfs(node, other), \
+                == has_path_dfs(node, other), \
                 (node.tx_id, other.tx_id)
 
 

@@ -4,8 +4,6 @@ related depgraph/runner fixes.
 * index answers must equal the reference DFS under any sequence of edge
   insertions and detaches (the determinism of the whole executor depends
   on it),
-* ``topological_order`` must match the reference sorted-list Kahn
-  implementation the seed shipped,
 * abort storms must leave the graph acyclic with a bounded edge count
   (selective BRIDGE edges), and
 * the executor pool must terminate its worker processes once a batch
@@ -29,6 +27,7 @@ from repro.txn import Transaction
 from repro.workloads.ycsb import (YCSB_RMW, initial_state as ycsb_state,
                                   register_ycsb)
 from repro.contracts.contract import ContractRegistry
+from tests.ce.graph_reference import edge_count, has_path_dfs, is_acyclic
 
 
 # --------------------------------------------------------------- index
@@ -56,7 +55,7 @@ def random_dag_ops(rng, n_nodes, n_ops, graph_cls=DependencyGraph):
             a = rng.choice(alive)
             b = rng.choice(alive)
             assert graph.has_path(nodes[a], nodes[b]) == \
-                graph._has_path_dfs(nodes[a], nodes[b])
+                has_path_dfs(nodes[a], nodes[b])
     return graph, nodes, alive
 
 
@@ -69,7 +68,7 @@ def test_index_matches_dfs_under_churn(seed, graph_cls):
     for a in alive:
         for b in alive:
             assert graph.has_path(nodes[a], nodes[b]) == \
-                graph._has_path_dfs(nodes[a], nodes[b]), (seed, a, b)
+                has_path_dfs(nodes[a], nodes[b]), (seed, a, b)
 
 
 def test_index_exact_after_detach_bridge(graph_cls):
@@ -128,7 +127,7 @@ def test_node_shared_across_two_graphs(graph_cls):
         graph_b.detach_node(n)
     assert graph_a.has_path(x, y) and graph_a.has_edge(x, n)
     graph_a.detach_node(n)  # the owner may
-    assert graph_a.has_path(x, y) == graph_a._has_path_dfs(x, y) is True
+    assert graph_a.has_path(x, y) == has_path_dfs(x, y) is True
     graph_b.add_edge(outsider, n, "x", EdgeKind.ANTI)  # unowned now
 
 
@@ -204,67 +203,6 @@ def test_rows_of_a_node_without_edges_are_empty():
     assert graph.index_rebuilds == 0  # exact from the first edge
 
 
-# ------------------------------------------------------- topological order
-
-
-def reference_topological_order(graph):
-    """The seed implementation: sorted ready list, pop(0), re-sort."""
-    nodes = [node for node in graph.nodes.values()
-             if node.status is not NodeStatus.ABORTED]
-    indegree = {}
-    by_id = {id(node): node for node in nodes}
-    for node in nodes:
-        indegree.setdefault(id(node), 0)
-        for neighbor in node.out_edges:
-            if id(neighbor) in by_id:
-                indegree[id(neighbor)] = indegree.get(id(neighbor), 0) + 1
-
-    def sort_key(node):
-        order = node.order_index if node.order_index is not None else 1 << 60
-        return (order, node.tx_id)
-
-    ready = sorted((n for n in nodes if indegree[id(n)] == 0), key=sort_key)
-    result = []
-    while ready:
-        node = ready.pop(0)
-        result.append(node)
-        newly_ready = []
-        for neighbor in node.out_edges:
-            if id(neighbor) not in indegree:
-                continue
-            indegree[id(neighbor)] -= 1
-            if indegree[id(neighbor)] == 0:
-                newly_ready.append(neighbor)
-        if newly_ready:
-            ready.extend(newly_ready)
-            ready.sort(key=sort_key)
-    return result
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_topological_order_matches_reference(seed):
-    rng = random.Random(seed ^ 0x70D0)
-    graph = DependencyGraph()
-    n = rng.randrange(2, 40)
-    nodes = [TxNode(tx_id=i, attempt=1) for i in range(n)]
-    for node in nodes:
-        graph.add_node(node)
-        if rng.random() < 0.4:
-            node.order_index = rng.randrange(5)  # committed-order ties
-    for _ in range(rng.randrange(3 * n)):
-        a, b = sorted(rng.sample(range(n), 2))
-        graph.add_edge(nodes[a], nodes[b], f"k{rng.randrange(3)}",
-                       EdgeKind.ANTI)
-    for _ in range(rng.randrange(n // 4 + 1)):
-        victim = nodes[rng.randrange(n)]
-        if victim.status is not NodeStatus.ABORTED:
-            victim.status = NodeStatus.ABORTED
-            graph.detach_node(victim)
-    expected = [node.tx_id for node in reference_topological_order(graph)]
-    actual = [node.tx_id for node in graph.topological_order()]
-    assert actual == expected
-
-
 # ------------------------------------------------------------ abort storms
 
 
@@ -274,30 +212,38 @@ def rmw_txs(n, records):
 
 
 @pytest.mark.usefixtures("graph_cls")
-def test_abort_storm_edges_bounded_and_acyclic():
+def test_abort_storm_edges_bounded_and_acyclic(monkeypatch):
     """A hot-key RMW storm with external aborts sprinkled in: the graph
     must stay acyclic and BRIDGE accumulation must stay linear in the
-    batch size, not quadratic."""
+    batch size, not quadratic.  The batch's graph is checked at its
+    boundary, just before the prune empties it."""
     registry = ContractRegistry()
     register_ycsb(registry)
     n = 120
+    boundaries = []
+    prune = ConcurrencyController.prune_committed
+
+    def check_then_prune(cc):
+        graph = cc.graph
+        assert is_acyclic(graph)
+        # all committed nodes remain; selective bridging keeps the edge
+        # count a small multiple of the node count, not O(aborts * n)
+        assert edge_count(graph) < 8 * n
+        assert [node.status for node in graph.nodes.values()] \
+            == [NodeStatus.COMMITTED] * n
+        boundaries.append(len(graph.nodes))
+        return prune(cc)
+
+    monkeypatch.setattr(ConcurrencyController, "prune_committed",
+                        check_then_prune)
     env = Environment()
-    # prune=False: the batch's whole graph stays for the checks below.
-    runner = CERunner(registry, CEConfig(executors=16), make_rng(5),
-                      prune=False)
+    runner = CERunner(registry, CEConfig(executors=16), make_rng(5))
     proc = runner.run_batch(env, rmw_txs(n, records=2), ycsb_state(2))
     env.run()
-    assert proc.triggered
+    assert proc.triggered and boundaries == [n]
     cc = runner.last_session.cc
     assert cc.stats.commits == len(proc.value.committed) == n
     assert cc.stats.aborts > 20, "storm did not materialize"
-    graph = cc.graph
-    assert graph.is_acyclic()
-    # all committed nodes remain; selective bridging keeps the edge count
-    # a small multiple of the node count instead of O(aborts * n)
-    assert graph.edge_count() < 8 * n
-    order = graph.topological_order()
-    assert len(order) == n
 
 
 def test_layered_abort_storm_no_bridge_blowup(graph_cls):
@@ -323,8 +269,8 @@ def test_layered_abort_storm_no_bridge_blowup(graph_cls):
     # counts per layer: full rims, halved middles.
     survivors = [width] + [width // 2] * (depth - 2) + [width]
     expected = sum(survivors[i] * survivors[i + 1] for i in range(depth - 1))
-    assert graph.edge_count() == expected
-    assert graph.is_acyclic()
+    assert edge_count(graph) == expected
+    assert is_acyclic(graph)
     # Orderings across the holes survive through the remaining mates.
     assert graph.has_path(layers[0][0], layers[-1][-1])
 
@@ -347,13 +293,13 @@ def test_external_abort_storm_on_controller():
         if rng.random() < 0.33 and live:
             cc.abort_transaction(live.pop(rng.randrange(len(live))),
                                  reason="storm")
-    assert cc.graph.is_acyclic()
+    assert is_acyclic(cc.graph)
     # survivors' reachability still matches the reference DFS
     survivors = [n for n in cc.graph.nodes.values()
                  if n.status is not NodeStatus.ABORTED]
     for a in survivors[:30]:
         for b in survivors[:30]:
-            assert cc.graph.has_path(a, b) == cc.graph._has_path_dfs(a, b)
+            assert cc.graph.has_path(a, b) == has_path_dfs(a, b)
 
 
 # ------------------------------------------------------------ worker pool

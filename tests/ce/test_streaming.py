@@ -6,9 +6,10 @@ Two properties carry the session:
 * **Invisible boundaries** — per-batch committed results of one session
   serving a stream are byte-identical to running the same batches through
   ``CERunner.run_batch`` one at a time, each a one-batch session (same
-  environment, same runner, same RNG), with and without pruning.
-* **Boundedness** — with pruning, the dependency graph's node count
-  plateaus over a long stream instead of growing linearly.
+  environment, same runner, same RNG).
+* **Boundedness** — the boundary prune keeps the dependency graph's node
+  count (``BatchResult.graph_nodes``, taken just before each prune) at a
+  plateau over a long stream instead of growing linearly.
 """
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from repro.ce import (CCStats, CEConfig, CERunner, ConcurrencyController,
                       NodeStatus)
 from repro.contracts import default_registry, initial_state
+from repro.contracts.replay import OverlayView
 from repro.core.shards import ShardMap
 from repro.errors import SerializationError
 from repro.sim import Environment, make_rng
@@ -49,14 +51,39 @@ def run_batch_at_a_time(registry, batches, base_state, seed, executors):
 
 
 def run_streaming(registry, batches, base_state, seed, executors,
-                  prune=True):
+                  base_views=False):
+    """One session over the stream, batch k+1 admitted while batch k
+    drains.  With ``base_views`` every admit hands the session a view of
+    the committed state, as a replica's round loop does: an overlay the
+    caller folds each drained batch's writes into, over ``base_state``.
+    Returns the drained results and the closed session."""
     env = Environment()
     runner = CERunner(registry, CEConfig(executors=executors),
-                      make_rng(seed), prune=prune)
-    proc = runner.run_stream(env, batches, dict(base_state))
+                      make_rng(seed))
+    session = runner.open_session(env, dict(base_state))
+    overlay = {}
+    pending = list(batches)
+    results = []
+
+    def admit_next():
+        if pending:
+            view = OverlayView(overlay, base_state) if base_views else None
+            session.admit(pending.pop(0), base_view=view)
+
+    def pump():
+        admit_next()          # batch 0 dispatches immediately
+        admit_next()          # batch 1 rides admitted while 0 drains
+        for _ in batches:
+            result = yield session.drain()
+            overlay.update(result.final_writes())
+            results.append(result)
+            admit_next()
+
+    proc = env.process(pump())
     env.run()
     assert proc.triggered, "stream deadlocked"
-    return proc.value, runner
+    session.close()
+    return results, session
 
 
 def fingerprint(result):
@@ -78,8 +105,8 @@ def test_strict_mode_byte_identical_on_every_backend():
     batches = smallbank_batches(seed=5, n_batches=6, batch_size=30)
     state = initial_state(64)
     reference = run_batch_at_a_time(registry, batches, state, 5, 8)
-    streamed, _runner = run_streaming(registry, batches, state, 5, 8)
-    for expected, actual in zip(reference, streamed.batches):
+    streamed, _ = run_streaming(registry, batches, state, 5, 8)
+    for expected, actual in zip(reference, streamed):
         assert fingerprint(actual) == fingerprint(expected)
         assert actual.elapsed == expected.elapsed
 
@@ -92,8 +119,8 @@ def test_stream_matches_batch_at_a_time(seed, executors):
     state = initial_state(64)
     reference = run_batch_at_a_time(registry, batches, state, seed, executors)
     streamed, _ = run_streaming(registry, batches, state, seed, executors)
-    assert len(streamed.batches) == len(reference)
-    for expected, actual in zip(reference, streamed.batches):
+    assert len(streamed) == len(reference)
+    for expected, actual in zip(reference, streamed):
         assert fingerprint(actual) == fingerprint(expected)
         assert actual.re_executions == expected.re_executions
         assert actual.latencies == expected.latencies
@@ -114,53 +141,55 @@ def test_stream_matches_under_abort_storm(seed):
     reference = run_batch_at_a_time(registry, batches, state, seed, 16)
     assert sum(r.re_executions for r in reference) > 50  # storm happened
     streamed, _ = run_streaming(registry, batches, state, seed, 16)
-    for expected, actual in zip(reference, streamed.batches):
+    for expected, actual in zip(reference, streamed):
         assert fingerprint(actual) == fingerprint(expected)
         assert actual.re_executions == expected.re_executions
 
 
-@pytest.mark.parametrize("seed", [0, 1, 4])
-def test_pruning_does_not_change_committed_orders(seed):
-    """The pruning path commits exactly what the non-pruning path commits."""
-    registry = default_registry()
-    batches = smallbank_batches(seed, n_batches=8, batch_size=30)
-    state = initial_state(64)
-    pruned, _ = run_streaming(registry, batches, state, seed, 8, prune=True)
-    plain, _ = run_streaming(registry, batches, state, seed, 8, prune=False)
-    assert [fingerprint(b) for b in pruned.batches] \
-        == [fingerprint(b) for b in plain.batches]
-    assert pruned.stats.nodes_pruned > 0
-    assert plain.stats.nodes_pruned == 0
-
-
 # --------------------------------------------------------------- boundedness
+
+def test_replica_style_session_matches_run_batch_per_batch():
+    """Twenty contended batches through one session with a base view on
+    every admit, as a replica passes them, and batch k+1 admitted while k
+    drains, commit byte-identically to a fresh one-batch session per
+    batch, and the graph never holds more than two batches at a
+    boundary."""
+    registry = default_registry()
+    batch_size = 25
+    batches = smallbank_batches(7, n_batches=20, batch_size=batch_size)
+    state = initial_state(64)
+    reference = run_batch_at_a_time(registry, batches, state, 7, 8)
+    streamed, _ = run_streaming(registry, batches, state, 7, 8,
+                                base_views=True)
+    assert len(streamed) == len(reference) == 20
+    for expected, actual in zip(reference, streamed):
+        assert fingerprint(actual) == fingerprint(expected)
+        assert actual.re_executions == expected.re_executions
+        assert actual.elapsed == expected.elapsed
+        assert actual.graph_nodes <= 2 * batch_size
+    assert sum(r.re_executions for r in reference) > 20  # contended
+
 
 def test_graph_stays_bounded_over_twenty_batches():
     registry = default_registry()
     batch_size = 25
     batches = smallbank_batches(7, n_batches=20, batch_size=batch_size)
-    state = initial_state(64)
-    streamed, _ = run_streaming(registry, batches, state, 7, 8, prune=True)
-    assert len(streamed.graph_nodes_pre_prune) == 20
+    streamed, session = run_streaming(registry, batches, initial_state(64),
+                                      7, 8)
     # Plateau: committed batch + the next admitted batch, never more.
-    assert streamed.peak_graph_nodes <= 2 * batch_size
-    assert max(streamed.graph_nodes_post_prune) <= batch_size
+    assert max(r.graph_nodes for r in streamed) <= 2 * batch_size
     # After the final batch there is nothing left to admit or retain.
-    assert streamed.graph_nodes_post_prune[-1] == 0
-    assert streamed.stats.nodes_pruned == 20 * batch_size
-    # Contrast: without pruning the graph grows with the stream.
-    plain, _ = run_streaming(registry, batches, state, 7, 8, prune=False)
-    assert plain.peak_graph_nodes == 20 * batch_size
+    assert len(session.cc.graph.nodes) == 0
+    assert session.cc.stats.nodes_pruned == 20 * batch_size
 
 
 def test_next_batch_admitted_while_current_drains():
     """At each boundary the graph already holds batch k+1's nodes: the
-    pre-prune sample counts both the committed batch and the admitted one."""
+    pre-prune count covers both the committed batch and the admitted one."""
     registry = default_registry()
     batches = smallbank_batches(11, n_batches=4, batch_size=20)
     streamed, _ = run_streaming(registry, batches, initial_state(64), 11, 8)
-    assert streamed.graph_nodes_pre_prune[:-1] == [40, 40, 40]
-    assert streamed.graph_nodes_pre_prune[-1] == 20  # no batch to admit
+    assert [r.graph_nodes for r in streamed] == [40, 40, 40, 20]
 
 
 # ------------------------------------------------------------ prune unit tests
@@ -239,15 +268,14 @@ def test_harvest_committed_keeps_order_indexes_monotonic():
 def test_empty_stream_and_empty_batches():
     registry = default_registry()
     streamed, _ = run_streaming(registry, [], initial_state(8), 0, 4)
-    assert streamed.batches == []
-    assert streamed.committed_count == 0
+    assert streamed == []
     batches = smallbank_batches(5, n_batches=2, batch_size=10)
     with_gaps = [batches[0], [], batches[1], []]
     streamed, _ = run_streaming(registry, with_gaps, initial_state(64), 5, 4)
-    assert [len(b.committed) for b in streamed.batches] == [10, 0, 10, 0]
+    assert [len(b.committed) for b in streamed] == [10, 0, 10, 0]
     reference = run_batch_at_a_time(registry, with_gaps, initial_state(64),
                                     5, 4)
-    for expected, actual in zip(reference, streamed.batches):
+    for expected, actual in zip(reference, streamed):
         assert fingerprint(actual) == fingerprint(expected)
 
 
@@ -287,10 +315,7 @@ def test_session_admit_drain_matches_batch_at_a_time():
     for expected, actual in zip(reference, results):
         assert fingerprint(actual) == fingerprint(expected)
         assert actual.latencies == expected.latencies
-    assert session.in_flight == 0
-    stream = session.close()
-    assert [fingerprint(b) for b in stream.batches] \
-        == [fingerprint(b) for b in reference]
+    session.close()                       # every admitted batch drained
 
 
 def test_session_base_view_switching_matches_fresh_state():
@@ -357,20 +382,6 @@ def test_session_rebase_requires_quiescence():
     assert cc2.read(probe, "A") == 2
 
 
-def test_session_base_view_requires_pruning():
-    """Without boundary pruning the graph never empties, so rebasing is
-    rejected at the admit call site instead of exploding inside a later
-    drain process."""
-    env = Environment()
-    runner = CERunner(default_registry(), CEConfig(executors=2),
-                      make_rng(0), prune=False)
-    session = runner.open_session(env, dict(initial_state(8)))
-    (batch,) = smallbank_batches(0, n_batches=1, batch_size=5)
-    with pytest.raises(SerializationError):
-        session.admit(batch, base_view=dict(initial_state(8)))
-    session.abort()
-
-
 def test_rebase_failure_closes_the_session():
     """A rebase that explodes at dispatch time (a record-holding node the
     boundary prune could not evict) must not leave a half-dead session
@@ -405,27 +416,6 @@ def test_session_admit_is_atomic_on_duplicate_ids():
     env.run()
     assert len(proc.value.committed) == len(batch)
     session.close()
-
-
-def test_session_without_history_recording_stays_lean():
-    """``record_history=False`` (the replica's epoch session): drain still
-    hands out every result, but nothing accumulates for close()."""
-    registry = default_registry()
-    batches = smallbank_batches(4, n_batches=5, batch_size=10)
-    env = Environment()
-    runner = CERunner(registry, CEConfig(executors=4), make_rng(4))
-    session = runner.open_session(env, dict(initial_state(64)),
-                                  record_history=False)
-    for batch in batches:
-        session.admit(batch)
-        proc = session.drain()
-        env.run()
-        assert len(proc.value.committed) == len(batch)
-        assert session._results == []     # nothing retained per batch
-    stream = session.close()
-    assert stream.batches == []
-    assert stream.graph_nodes_pre_prune == []
-    assert stream.stats.commits == 5 * 10  # cumulative stats stay exact
 
 
 def test_session_lifecycle_errors():
@@ -562,13 +552,12 @@ def test_ccstats_snapshot_and_delta():
 
 
 def test_duplicate_ids_in_stream_window_rejected():
-    registry = default_registry()
+    """A batch reusing ids of a batch still in the session is refused."""
+    env, runner, session = make_session(executors=2)
     (batch,) = smallbank_batches(0, n_batches=1, batch_size=5)
-    env = Environment()
-    runner = CERunner(registry, CEConfig(executors=2), make_rng(0))
-    runner.run_stream(env, [batch, batch], initial_state(64))
+    session.admit(batch)
     with pytest.raises(SerializationError):
-        env.run()
+        session.admit(batch)
 
 
 def test_stream_reports_bounded_controller_buffers():

@@ -10,14 +10,16 @@ levels, read mixes, executor counts, timing seeds); the property is checked
 end-to-end through the real DES pool.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.ce import CEConfig, CERunner
+from repro.ce import CEConfig, CERunner, ConcurrencyController
 from repro.contracts import (AMALGAMATE, DEPOSIT_CHECKING, GET_BALANCE,
                              SEND_PAYMENT, TRANSACT_SAVINGS, WRITE_CHECK,
                              default_registry, initial_state, run_inline)
 from repro.sim import Environment, make_rng
 from repro.txn import Transaction
+from tests.ce.graph_reference import is_acyclic
 
 REGISTRY = default_registry()
 
@@ -115,13 +117,23 @@ def test_ce_graph_ends_acyclic_and_all_committed(workload):
     accounts, txs, seed, executors = workload
     state = initial_state(accounts)
     env = Environment()
-    # prune=False: the batch's whole graph stays for the checks below.
     runner = CERunner(REGISTRY, CEConfig(executors=executors),
-                      make_rng(seed ^ 0xACE), prune=False)
-    proc = runner.run_batch(env, txs, state)
-    env.run()
+                      make_rng(seed ^ 0xACE))
+    acyclic = []
+    prune = ConcurrencyController.prune_committed
+
+    def check_then_prune(cc):
+        # The batch's whole graph, just before the boundary prune.
+        acyclic.append(is_acyclic(cc.graph))
+        return prune(cc)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ConcurrencyController, "prune_committed",
+                      check_then_prune)
+        proc = runner.run_batch(env, txs, state)
+        env.run()
+    assert acyclic == [True]
     cc = runner.last_session.cc
-    assert cc.graph.is_acyclic()
     assert cc.stats.commits == len(proc.value.committed) == len(txs)
     # order indexes are a permutation
     orders = [entry.order_index for entry in proc.value.committed]

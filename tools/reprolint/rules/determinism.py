@@ -409,7 +409,11 @@ def check_id_order(module: Module) -> Iterator[Finding]:
     derived from it, so an ordering keyed on either changes from run to
     run with allocation history.  Ordering must key on stable domain
     identifiers (``tx_id``, ``order_index``, names) — exactly how
-    ``DependencyGraph.topological_order`` breaks its ties.
+    ``repro.ce.validation`` orders a block's entries
+    (``(order_index, tx_id)``).  Whole-graph walks over
+    ``DependencyGraph`` adjacency live in the test-only
+    ``tests/ce/graph_reference.py`` and key on ``id()`` only for
+    membership, never for order.
     """
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):
