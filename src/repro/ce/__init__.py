@@ -6,8 +6,8 @@
   one-batch runs and sessions.
 * :class:`~repro.ce.streaming.StreamSession` — the open-ended
   admit/drain/close execution session one long-lived controller and pool
-  serve, pruning committed nodes at every batch boundary (a replica keeps
-  one per epoch).
+  serve, one batch at a time, emptying the graph at every batch boundary
+  (a replica keeps one per epoch).
 * :func:`~repro.ce.validation.validate_block` — commit-time parallel
   validation of preplay results.
 """

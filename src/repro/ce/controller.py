@@ -86,13 +86,10 @@ committed write sets accumulate in the root overlay, so later transactions
 observe earlier commits even after their nodes leave the graph.  Two calls
 keep such a controller bounded over an unbounded stream:
 
-* :meth:`ConcurrencyController.prune_committed` evicts committed nodes
-  that satisfy the pruning safety condition documented in
-  :mod:`repro.ce.depgraph` — observable behavior (values read, aborts,
-  commit order) is provably unchanged, and at a quiescent point (every
-  node either committed or still edge-less) the *entire* committed history
-  is evicted, leaving the controller equivalent to a fresh one seeded with
-  ``base_state`` plus the overlay.
+* :meth:`ConcurrencyController.prune_committed` empties the graph at a
+  batch boundary, when every node is committed (see "Committed-node
+  pruning" in :mod:`repro.ce.depgraph`), leaving the controller
+  equivalent to a fresh one seeded with ``base_state`` plus the overlay.
 * :meth:`ConcurrencyController.harvest_committed` hands the caller the
   committed entries accumulated so far and forgets them (plus the
   per-transaction attempt counters), so result buffers don't grow with
@@ -171,8 +168,8 @@ class ConcurrencyController:
 
     ``base_state`` is the root: reads that no live/committed writer can
     serve fall through to it (missing keys read ``default``).  Committed
-    write sets accumulate in an overlay so later transactions in the same
-    batch observe them even after graph pruning.
+    write sets accumulate in an overlay so later batches observe them
+    after the boundary prune has emptied the graph.
     """
 
     def __init__(self, base_state: Mapping[str, Any],
@@ -273,18 +270,18 @@ class ConcurrencyController:
             self._abort(node, reason=reason, cascading=True)
 
     def prune_committed(self) -> int:
-        """Evict committed nodes the graph can prove no future decision
-        needs (see the pruning safety condition in
-        :mod:`repro.ce.depgraph`); returns the number evicted.
+        """Evict every node of a completed batch; returns the count.
 
-        Reads that would have been served by an evicted writer fall
-        through to the root, where the committed overlay answers with the
-        identical value — that is condition 3 of the safety condition, so
-        behavior is unchanged.  Called by the execution session at every
-        batch boundary; safe (merely conservative) at any other time.
+        Raises :class:`SerializationError` if some node is not committed
+        (see :meth:`DependencyGraph.prune_committed
+        <repro.ce.depgraph.DependencyGraph.prune_committed>`).  Later
+        reads fall through to the root, where the committed overlay
+        serves the newest committed value.  Called by the execution
+        session at every batch boundary.
         """
+        evicted = self.graph.prune_committed()
         self._stats.prune_passes += 1
-        return self.graph.prune_committed(self.read_root)
+        return evicted
 
     def rebase(self, base_state: Mapping[str, Any]) -> None:
         """Swap the root to ``base_state`` and drop the committed overlay.
@@ -295,17 +292,15 @@ class ConcurrencyController:
         saw — into ``base_state``): after the rebase the controller answers
         root reads exactly like a freshly built one would.
 
-        Only legal at a quiescent batch boundary: every node still in the
-        graph must be an admitted-but-unreleased attempt (running, with no
-        operation records).  A node holding records may have read through
-        the old root, and silently changing the ground under it would break
-        the pruning safety argument — so that raises instead.
+        Only legal on an empty graph (the session rebases after the
+        boundary prune and before it begins the batch's nodes): a node in
+        the graph may have read through the old root, so that raises.
         """
-        for node in self.graph.nodes.values():
-            if node.records or node.status is not NodeStatus.RUNNING:
-                raise SerializationError(
-                    f"rebase with active transaction {node.tx_id} "
-                    f"({node.status.value}) in the graph")
+        if self.graph.nodes:
+            node = next(iter(self.graph.nodes.values()))
+            raise SerializationError(
+                f"rebase with transaction {node.tx_id} "
+                f"({node.status.value}) in the graph")
         self._base_state = base_state
         self._overlay.clear()
 

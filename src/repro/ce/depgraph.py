@@ -76,7 +76,7 @@ Closure-index invariants
    and no row gains a dead bit after the serial dies.
 2. *Self-inclusion*: every live node's ``down``/``up`` rows contain its
    own bit.
-3. *Serial density is amortized*: a detach or eviction leaves a hole,
+3. *Serial density is amortized*: a detach leaves a hole,
    and once holes outnumber live serials the same call compacts the
    serial space (a Kahn-order rebuild over the survivors), so row width
    stays within ~2x the live graph.  (A full reference for invariants
@@ -85,33 +85,18 @@ Closure-index invariants
 Committed-node pruning
 ----------------------
 A long-lived graph serving a transaction *stream* (see
-:mod:`repro.ce.streaming`) would otherwise grow without bound: committed
-nodes stay in the closure universe, every rebuild pays for them, and the
-per-key writer/reader lists keep densifying.  :meth:`prune_committed`
-evicts a set of committed nodes wholesale.  **Pruning safety condition** —
-a committed node ``C`` may be evicted only as part of a victim set ``S``
-such that:
-
-1. every graph neighbour (in- or out-edge, including ``BRIDGE`` edges) of
-   every member of ``S`` is itself in ``S`` — so no surviving-to-surviving
-   path ever ran through a victim, and no live node is adjacent to one;
-2. for every key ``K`` recorded by a member of ``S``, *every* non-aborted
-   node holding a record on ``K`` is in ``S`` — so per-key rule loops
-   (R1/R2/R4) never see a half-evicted history;
-3. for every such key with writers, the root's answer for ``K`` (the
-   committed overlay, supplied via the ``root_value`` callback) equals the
-   value of the last-registered writer — so a future read that falls
-   through to the root observes exactly the value it would have read from
-   the evicted writer.
-
-Under 1–3 the controller's observable behavior — values read, aborts,
-commit order — is unchanged by the eviction; only edges *touching* a
-victim (which cannot influence any surviving decision) disappear.
-Clause 1 also makes eviction free for the closure index: victims form
-closed components, so no surviving row carries a victim's bit and the
-eviction just tombstones their serials.  Once holes outnumber live
-serials the pass compacts (invariant 3), which is how a streaming
-controller keeps its row width plateaued over an unbounded stream.
+:mod:`repro.ce.streaming`) would otherwise grow without bound.  The
+execution session serves one batch at a time, so at each batch boundary
+every node in the graph is committed, and :meth:`prune_committed` evicts
+them all: the node table, the per-key writer/reader indexes, the
+adjacency lists and the closure index are emptied in one pass (the index
+resets in place; no rebuild is paid).  With no node left, every read
+falls through to the root, whose committed overlay holds each key's
+newest committed value: the value the newest committed writer would
+have served.  The controller after the prune is therefore a fresh one
+over that root, which is what makes batch boundaries invisible.  A
+prune while some node is not committed raises
+:class:`~repro.errors.SerializationError` and changes nothing.
 
 Determinism note: all collections that the controller iterates are dicts
 used as ordered sets, so runs are reproducible (plain ``set`` of objects
@@ -262,7 +247,7 @@ class DependencyGraph:
         self._readers: Dict[str, Dict[TxNode, None]] = {}
         # -- reachability index state --------------------------------------
         #: serial -> node for every node holding edges here; ``None`` marks
-        #: the hole a detached or evicted node leaves until compaction.
+        #: the hole a detached node leaves until compaction.
         #: Nodes carry their serial in a slot, so no id()-keyed lookups
         #: are needed on the hot path.
         self._indexed: List[Optional[TxNode]] = []
@@ -458,121 +443,39 @@ class DependencyGraph:
 
     # -- committed-node pruning ---------------------------------------------
 
-    def prunable_committed(self, root_value) -> List[TxNode]:
-        """The maximal victim set satisfying the pruning safety condition.
+    def prune_committed(self) -> int:
+        """Evict every node at a batch boundary; returns the count.
 
-        ``root_value(key)`` must answer what a read falling through to the
-        root would currently observe (the controller passes its
-        overlay-then-base lookup).  Starting from every committed node, the
-        set is shrunk to a fixpoint: a candidate is dropped when it has a
-        neighbour outside the set, when some non-aborted holder of one of
-        its keys is outside the set, or when evicting a key's writers would
-        change the value the root serves for that key.  See the module
-        docstring for why these three conditions make eviction invisible
-        to the controller.
+        Raises :class:`SerializationError`, before anything changes, if
+        some node is not committed: a batch has passed its boundary only
+        when every one of its transactions committed.  Otherwise the node
+        table, the per-key writer/reader indexes, the adjacency lists and
+        the closure index are emptied (see "Committed-node pruning" in
+        the module docstring).
         """
-        victims: Dict[TxNode, None] = {
-            node: None for node in self.nodes.values()
-            if node.status is NodeStatus.COMMITTED}
-        while victims:
-            dropped = False
-            #: Per-pass key verdicts: a key's cohort check is identical for
-            #: every victim sharing the key, so compute it once.  The cache
-            #: may go stale when a later drop removes a cohort member, but
-            #: the loop runs to a fixpoint and the final (drop-free) pass
-            #: sees only fresh, consistent verdicts.
-            key_ok: Dict[str, bool] = {}
-            for node in list(victims):
-                if self._prune_safe(node, victims, key_ok, root_value):
-                    continue
-                del victims[node]
-                dropped = True
-            if not dropped:
-                break
-        return list(victims)
-
-    def _prune_safe(self, node: TxNode, victims: Dict[TxNode, None],
-                    key_ok: Dict[str, bool], root_value) -> bool:
-        """One candidate's check against the current victim set."""
-        for neighbor in node.out_edges:
-            if neighbor not in victims:
-                return False
-        for neighbor in node.in_edges:
-            if neighbor not in victims:
-                return False
-        for key in node.records:
-            verdict = key_ok.get(key)
-            if verdict is None:
-                verdict = self._key_cohort_evictable(key, victims, root_value)
-                key_ok[key] = verdict
-            if not verdict:
-                return False
-        return True
-
-    def _key_cohort_evictable(self, key: str, victims: Dict[TxNode, None],
-                              root_value) -> bool:
-        """Whether ``key``'s whole history can leave: every holder (none
-        is aborted: ``detach_node`` drops those) is a victim, and the root
-        already serves the value the last-registered writer would have."""
-        last_writer: Optional[TxNode] = None
-        for holder in self._writers.get(key, {}):
-            if holder not in victims:
-                return False
-            last_writer = holder
-        for holder in self._readers.get(key, {}):
-            if holder not in victims:
-                return False
-        if last_writer is not None \
-                and last_writer.records[key].last_write != root_value(key):
-            return False
-        return True
-
-    def prune_committed(self, root_value) -> int:
-        """Evict every safely-prunable committed node; returns the count.
-
-        Evicted nodes leave the node table, the per-key writer/reader
-        indexes, the adjacency lists, and the closure universe.  Unlike
-        :meth:`detach_node` no bridging is needed: condition 1 of the
-        safety condition guarantees no surviving pair was ordered through
-        a victim — victims form closed components, so no surviving row
-        carries a victim's bit and eviction just tombstones their serials.
-        When holes come to outnumber live serials the pass compacts
-        (invariant 3), which keeps a streaming controller's row width
-        plateaued instead of paying one rebuild per batch boundary.
-        """
-        victims = self.prunable_committed(root_value)
-        if not victims:
-            return 0
-        for node in victims:
-            for key in node.records:
-                for index in (self._writers, self._readers):
-                    holders = index.get(key)
-                    if holders is not None:
-                        holders.pop(node, None)
-                        if not holders:
-                            del index[key]
-            # Condition 1 makes every neighbour a victim too, so clearing
-            # both endpoints' maps as we go leaves no dangling references.
-            for neighbor in node.out_edges:
-                neighbor.in_edges.pop(node, None)
-            for neighbor in node.in_edges:
-                neighbor.out_edges.pop(node, None)
+        nodes = self.nodes
+        for node in nodes.values():
+            if node.status is not _COMMITTED:
+                raise SerializationError(
+                    f"prune with transaction {node.tx_id} "
+                    f"({node.status.value}) in the graph")
+        for node in nodes.values():
             node.out_edges.clear()
             node.in_edges.clear()
-            if self.nodes.get(node.tx_id) is node:
-                del self.nodes[node.tx_id]
-            if self._own_serial(node) is not None:
-                self._index_remove(node)
-        self._compact_if_dominated()
-        self.nodes_pruned += len(victims)
-        return len(victims)
+            node._index_serial = None
+        count = len(nodes)
+        nodes.clear()
+        self._writers.clear()
+        self._readers.clear()
+        self._index_reset_empty()
+        self.nodes_pruned += count
+        return count
 
     def _compact_if_dominated(self) -> None:
         """Invariant 3's amortization: pay the hole debt when it dominates.
 
-        When every slot is a hole — the execution session's quiescent
-        boundary evicts the *entire* indexed population — the index
-        resets to empty in place.  When holes merely outnumber live
+        When every slot is a hole (every indexed node has aborted) the
+        index resets to empty in place.  When holes merely outnumber live
         serials, one Kahn-order rebuild compacts the serial space.
         """
         holes = self._index_holes
@@ -583,7 +486,7 @@ class DependencyGraph:
                 self._rebuild_index()
 
     def _index_reset_empty(self) -> None:
-        """Drop a fully-holed serial space: an empty index is exact."""
+        """Drop the whole serial space: an empty index is exact."""
         self._indexed.clear()
         self._down.clear()
         self._up.clear()

@@ -79,8 +79,8 @@ class BatchResult:
     latencies: Dict[int, float]
     stats: CCStats
     #: Dependency-graph node count when the batch completed, before the
-    #: boundary prune (so it includes a next batch already admitted into
-    #: the session).  Baseline engines leave it 0.
+    #: boundary prune: the batch size, since a session's graph holds one
+    #: batch.  Baseline engines leave it 0.
     graph_nodes: int = 0
 
     @property
@@ -194,9 +194,9 @@ class CERunner:
         """Drive one transaction to finalization, re-executing on aborts.
 
         ``batch`` is the bookkeeping of the transaction's batch (``owned``
-        / ``first_start`` / ``re_executions``).  ``node`` optionally
-        carries the first attempt's node, begun when the session admitted
-        the batch.
+        / ``first_start`` / ``re_executions``).  ``node`` carries the
+        first attempt's node, begun when the session admitted the batch
+        (``None`` for a cascade-aborted transaction the session requeues).
         """
         config = self.config
         rng = self._rng
@@ -277,5 +277,5 @@ class CERunner:
             re_executions=batch.re_executions,
             latencies=dict(batch.latencies),
             stats=after.delta(before),
-            graph_nodes=batch.graph_nodes_at_boundary,
+            graph_nodes=batch.total,
         )

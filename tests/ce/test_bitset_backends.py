@@ -127,8 +127,8 @@ def test_backend_ops_parity(seed):
         elif action < 0.85:
             tombstone([rng.choice(live)])  # a detach
         else:
-            # Eviction as prune_committed does it: a closed component's
-            # live serials are tombstoned.
+            # A closed component's live serials tombstoned together: the
+            # word rows must agree under any set of tombstones.
             members = component(graph, rng.choice(live))
             tombstone([serial for serial in members if serial in live])
         assert_rows_agree((seed, step))

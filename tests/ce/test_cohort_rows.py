@@ -181,44 +181,61 @@ def churn(rng, graphs, n_nodes=36, n_ops=400):
     """Apply one random operation sequence to every graph in ``graphs``
     and yield after each operation: edge inserts (low -> high, so the
     graph stays acyclic, and never into a committed node), aborts of
-    uncommitted nodes (detach with bridging), commits of nodes whose
-    predecessors all committed (which close) and prunes of committed
-    components, forced compactions, and queries (held to the reference
-    DFS)."""
-    nodes = [[TxNode(tx_id=i, attempt=1) for i in range(n_nodes)]
-             for _ in graphs]
-    for graph, own in zip(graphs, nodes):
-        for node in own:
+    uncommitted nodes (detach with bridging, then a fresh attempt),
+    commits of nodes whose predecessors all committed (which close), a
+    prune once every node is committed (then a fresh cohort of nodes, as
+    the next batch), forced compactions, and queries (held to the
+    reference DFS)."""
+    nodes = [[] for _ in graphs]
+    alive = []
+
+    def begin(index, attempt):
+        for graph, own in zip(graphs, nodes):
+            node = TxNode(tx_id=index, attempt=attempt)
+            if index < len(own):
+                own[index] = node
+            else:
+                own.append(node)
             graph.add_node(node)
-    alive = list(range(n_nodes))
+
+    def new_cohort():
+        first = len(nodes[0])
+        alive[:] = range(first, first + n_nodes)
+        for index in alive:
+            begin(index, 1)
+
+    new_cohort()
     for _ in range(n_ops):
         action = rng.random()
-        if action < 0.55 and len(alive) >= 2:
+        if action < 0.55:
             a, b = sorted(rng.sample(alive, 2))
             if nodes[0][b].status is NodeStatus.COMMITTED:
                 continue  # the graph refuses it
             for graph, own in zip(graphs, nodes):
                 graph.add_edge(own[a], own[b], "k", EdgeKind.ANTI)
-        elif action < 0.70 and len(alive) > 2:
-            victim = alive.pop(rng.randrange(len(alive)))
+        elif action < 0.70:
+            victim = rng.choice(alive)
             if nodes[0][victim].status is NodeStatus.COMMITTED:
-                alive.append(victim)  # the controller never aborts these
-                continue
+                continue  # the controller never aborts these
             for graph, own in zip(graphs, nodes):
                 own[victim].status = NodeStatus.ABORTED
                 graph.detach_node(own[victim])
+            begin(victim, nodes[0][victim].attempt + 1)
         elif action < 0.78:
-            for index in rng.sample(alive, min(len(alive), 4)):
+            pending = [index for index in alive if nodes[0][index].status
+                       is not NodeStatus.COMMITTED]
+            for index in rng.sample(pending, min(len(pending), 4)):
                 if any(dep.status is not NodeStatus.COMMITTED
                        for dep in nodes[0][index].in_edges):
                     continue  # commits wait for their dependencies
                 for graph, own in zip(graphs, nodes):
                     own[index].status = NodeStatus.COMMITTED
                     graph.close(own[index])
-            for graph in graphs:
-                graph.prune_committed(lambda key: None)
-            alive = [index for index in alive
-                     if nodes[0][index].tx_id in graphs[0].nodes]
+            if all(nodes[0][index].status is NodeStatus.COMMITTED
+                   for index in alive):
+                for graph in graphs:
+                    graph.prune_committed()
+                new_cohort()
         elif action < 0.82:
             for graph in graphs:
                 graph._rebuild_index()
@@ -227,8 +244,6 @@ def churn(rng, graphs, n_nodes=36, n_ops=400):
             answers = {graph.has_path(own[a], own[b])
                        for graph, own in zip(graphs, nodes)}
             assert answers == {has_path_dfs(nodes[0][a], nodes[0][b])}
-        if len(alive) < 2:
-            break
         yield
 
 

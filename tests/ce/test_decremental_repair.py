@@ -15,8 +15,8 @@ Covered here:
   in the tens to hundreds;
 * eager compaction once holes outnumber live serials, and the one-owner
   rule: a node another graph indexes cannot be detached here;
-* pruning interop: a streaming run's boundary prunes do not compact at
-  every batch;
+* pruning interop: a streaming run's boundary prunes reset the index
+  in place instead of compacting at every batch;
 * counter plumbing through ``CCStats``, per-batch deltas, and
   :class:`MetricsCollector`.
 
@@ -211,14 +211,13 @@ def test_executor_pool_abort_storm_rebuilds_collapse():
 
 @pytest.mark.usefixtures("graph_cls")
 def test_streaming_prune_no_longer_rebuilds_every_boundary():
-    """Boundary prunes punch holes in place; compaction fires only when
-    the serial space goes hole-dominated — strictly fewer than once per
-    batch.
+    """Boundary prunes empty the index in place; compaction fires only
+    when an abort leaves the serial space hole-dominated — strictly fewer
+    than once per batch.
 
-    Driven through one session with one-batch-ahead admission (the
-    graph holds ~2 batches at every boundary, the pipelined worst case),
-    so the bitset width can be probed on the live controller before
-    close()."""
+    Driven through one session, batch k+1 admitted when batch k's drain
+    returns, so the index can be probed on the live controller at every
+    boundary."""
     registry = default_registry()
     workload = SmallBankWorkload(
         WorkloadConfig(accounts=64, read_probability=0.5, theta=0.9),
@@ -227,22 +226,21 @@ def test_streaming_prune_no_longer_rebuilds_every_boundary():
     env = Environment()
     runner = CERunner(registry, CEConfig(executors=8), make_rng(7))
     session = runner.open_session(env, dict(initial_state(64)))
-    session.admit(batches[0])
-    session.admit(batches[1])
+    graph = session.cc.graph
 
     def pump():
-        for upcoming in range(2, len(batches) + 2):
+        for batch in batches:
+            session.admit(batch)
             result = yield session.drain()
             assert result is not None
-            if upcoming < len(batches):
-                session.admit(batches[upcoming])
+            assert graph._indexed == [] and graph._live == 0  # reset
 
     proc = env.process(pump())
     env.run()
     assert proc.triggered
-    graph = session.cc.graph
-    # Bitset width stays a small multiple of the plateau, not the stream.
-    assert len(graph._indexed) < 4 * 25
+    # Row width stays at one batch's scale (25 nodes plus the serials of
+    # aborted attempts fit one 64-bit word), not the stream's.
+    assert graph.peak_bitset_words == 1
     session.close()
     stats = session.cc.stats
     assert stats.nodes_pruned == 8 * 25

@@ -7,17 +7,20 @@ Two properties carry the session:
   serving a stream are byte-identical to running the same batches through
   ``CERunner.run_batch`` one at a time, each a one-batch session (same
   environment, same runner, same RNG).
-* **Boundedness** — the boundary prune keeps the dependency graph's node
-  count (``BatchResult.graph_nodes``, taken just before each prune) at a
-  plateau over a long stream instead of growing linearly.
+* **Boundedness** — a session serves one batch at a time and the
+  boundary prune empties the graph, so the node count just before each
+  prune (``BatchResult.graph_nodes``) is the batch size over a long
+  stream instead of growing linearly.
 """
 
 import pytest
 
 from repro.ce import (CCStats, CEConfig, CERunner, ConcurrencyController,
-                      NodeStatus)
+                      NodeStatus, StreamSession)
 from repro.contracts import default_registry, initial_state
 from repro.contracts.replay import OverlayView
+from repro.core import ThunderboltConfig
+from repro.core.cluster import Cluster
 from repro.core.shards import ShardMap
 from repro.errors import SerializationError
 from repro.sim import Environment, make_rng
@@ -52,32 +55,26 @@ def run_batch_at_a_time(registry, batches, base_state, seed, executors):
 
 def run_streaming(registry, batches, base_state, seed, executors,
                   base_views=False):
-    """One session over the stream, batch k+1 admitted while batch k
-    drains.  With ``base_views`` every admit hands the session a view of
-    the committed state, as a replica's round loop does: an overlay the
-    caller folds each drained batch's writes into, over ``base_state``.
-    Returns the drained results and the closed session."""
+    """One session over the stream, batch k+1 admitted as soon as batch
+    k's drain returns, as a replica's round loop does.  With
+    ``base_views`` every admit hands the session a view of the committed
+    state: an overlay the caller folds each drained batch's writes into,
+    over ``base_state``.  Returns the drained results and the closed
+    session."""
     env = Environment()
     runner = CERunner(registry, CEConfig(executors=executors),
                       make_rng(seed))
     session = runner.open_session(env, dict(base_state))
     overlay = {}
-    pending = list(batches)
     results = []
 
-    def admit_next():
-        if pending:
-            view = OverlayView(overlay, base_state) if base_views else None
-            session.admit(pending.pop(0), base_view=view)
-
     def pump():
-        admit_next()          # batch 0 dispatches immediately
-        admit_next()          # batch 1 rides admitted while 0 drains
-        for _ in batches:
+        for batch in batches:
+            view = OverlayView(overlay, base_state) if base_views else None
+            session.admit(batch, base_view=view)
             result = yield session.drain()
             overlay.update(result.final_writes())
             results.append(result)
-            admit_next()
 
     proc = env.process(pump())
     env.run()
@@ -150,10 +147,9 @@ def test_stream_matches_under_abort_storm(seed):
 
 def test_replica_style_session_matches_run_batch_per_batch():
     """Twenty contended batches through one session with a base view on
-    every admit, as a replica passes them, and batch k+1 admitted while k
-    drains, commit byte-identically to a fresh one-batch session per
-    batch, and the graph never holds more than two batches at a
-    boundary."""
+    every admit, as a replica passes them, commit byte-identically to a
+    fresh one-batch session per batch, and the graph holds exactly the
+    batch at every boundary."""
     registry = default_registry()
     batch_size = 25
     batches = smallbank_batches(7, n_batches=20, batch_size=batch_size)
@@ -166,7 +162,7 @@ def test_replica_style_session_matches_run_batch_per_batch():
         assert fingerprint(actual) == fingerprint(expected)
         assert actual.re_executions == expected.re_executions
         assert actual.elapsed == expected.elapsed
-        assert actual.graph_nodes <= 2 * batch_size
+        assert actual.graph_nodes == batch_size
     assert sum(r.re_executions for r in reference) > 20  # contended
 
 
@@ -176,20 +172,11 @@ def test_graph_stays_bounded_over_twenty_batches():
     batches = smallbank_batches(7, n_batches=20, batch_size=batch_size)
     streamed, session = run_streaming(registry, batches, initial_state(64),
                                       7, 8)
-    # Plateau: committed batch + the next admitted batch, never more.
-    assert max(r.graph_nodes for r in streamed) <= 2 * batch_size
+    # Plateau: the graph holds the committed batch, never more.
+    assert [r.graph_nodes for r in streamed] == [batch_size] * 20
     # After the final batch there is nothing left to admit or retain.
     assert len(session.cc.graph.nodes) == 0
     assert session.cc.stats.nodes_pruned == 20 * batch_size
-
-
-def test_next_batch_admitted_while_current_drains():
-    """At each boundary the graph already holds batch k+1's nodes: the
-    pre-prune count covers both the committed batch and the admitted one."""
-    registry = default_registry()
-    batches = smallbank_batches(11, n_batches=4, batch_size=20)
-    streamed, _ = run_streaming(registry, batches, initial_state(64), 11, 8)
-    assert [r.graph_nodes for r in streamed] == [40, 40, 40, 20]
 
 
 # ------------------------------------------------------------ prune unit tests
@@ -212,38 +199,27 @@ def test_prune_quiescent_controller_evicts_everything():
     assert cc.stats.prune_passes == 1
 
 
-def test_prune_spares_keys_with_live_holders():
-    """A committed writer whose key a live transaction read must stay: the
-    key cohort includes a non-committed holder."""
-    cc = ConcurrencyController({"K": 0, "L": 0})
-    writer = cc.begin(1)
-    cc.write(writer, "K", 5)
-    cc.finish(writer)
-    other = cc.begin(2)
-    cc.write(other, "L", 7)
-    cc.finish(other)
-    reader = cc.begin(3)
-    assert cc.read(reader, "K") == 5  # live read record on K
-    assert cc.prune_committed() == 1  # only the L writer is safe
-    assert cc.graph.get(1) is writer
-    assert cc.graph.get(2) is None
-    assert writer.status is NodeStatus.COMMITTED
-
-
-def test_prune_spares_nodes_with_edges_to_survivors():
-    """Edge-closure: a committed node wired to a retained node survives."""
+def test_prune_with_a_live_node_raises_and_changes_nothing():
+    """A prune before every node committed names the first node that has
+    not, and leaves every node, record and edge in place."""
     cc = ConcurrencyController({"K": 0})
     writer = cc.begin(1)
     cc.write(writer, "K", 5)
     cc.finish(writer)
     reader = cc.begin(2)
     assert cc.read(reader, "K") == 5   # rf edge writer -> reader
-    cc.finish(reader)                  # both committed, edge between them
-    live = cc.begin(3)
-    assert cc.read(live, "K") == 5     # live holder pins the K cohort
-    assert cc.prune_committed() == 0
-    cc.finish(live)
-    assert cc.prune_committed() == 3   # quiescent again: all three go
+    with pytest.raises(SerializationError,
+                       match=r"transaction 2 \(running\)"):
+        cc.prune_committed()
+    assert cc.graph.nodes == {1: writer, 2: reader}
+    assert cc.graph.has_edge(writer, reader)
+    assert cc.graph.has_path(writer, reader)
+    assert cc.graph.writers_of("K") == [writer]
+    assert cc.graph.readers_of("K") == [reader]
+    assert cc.stats.nodes_pruned == cc.stats.prune_passes == 0
+    cc.finish(reader)
+    assert cc.prune_committed() == 2   # quiescent: both go
+    assert cc.graph.writers_of("K") == cc.graph.readers_of("K") == []
 
 
 def test_harvest_committed_keeps_order_indexes_monotonic():
@@ -290,9 +266,9 @@ def make_session(seed=3, executors=4, accounts=64):
 
 
 def test_session_admit_drain_matches_batch_at_a_time():
-    """Driving the session by hand — one admit/drain per batch, no
-    pipelined admission — produces the same per-batch results as the
-    sequential run_batch reference."""
+    """Driving the session by hand from outside a process — one admit,
+    drain and ``env.run()`` per batch — produces the same per-batch
+    results as the sequential run_batch reference."""
     registry = default_registry()
     batches = smallbank_batches(2, n_batches=5, batch_size=25)
     state = initial_state(64)
@@ -301,16 +277,11 @@ def test_session_admit_drain_matches_batch_at_a_time():
     runner = CERunner(registry, CEConfig(executors=8), make_rng(2))
     session = runner.open_session(env, dict(state))
     results = []
-
-    def pump():
-        for batch in batches:
-            result = yield session.drain()
-            results.append(result)
-
     for batch in batches:
         session.admit(batch)
-    env.process(pump())
-    env.run()
+        proc = session.drain()
+        env.run()
+        results.append(proc.value)
     assert len(results) == len(reference)
     for expected, actual in zip(reference, results):
         assert fingerprint(actual) == fingerprint(expected)
@@ -374,12 +345,6 @@ def test_session_rebase_requires_quiescence():
     assert cc.read(node, "A") == 1
     with pytest.raises(SerializationError):
         cc.rebase({"A": 2})
-    # Admitted-but-unreleased nodes (no records) do not block a rebase.
-    cc2 = ConcurrencyController({"A": 1})
-    cc2.begin(7)
-    cc2.rebase({"A": 2})
-    probe = cc2.begin(8)
-    assert cc2.read(probe, "A") == 2
 
 
 def test_rebase_failure_closes_the_session():
@@ -403,7 +368,7 @@ def test_rebase_failure_closes_the_session():
 
 
 def test_session_admit_is_atomic_on_duplicate_ids():
-    """A rejected admit leaves no ghost routes or pre-begun nodes: the
+    """A rejected admit leaves no nodes or batch behind: the
     valid prefix of the bad batch can be re-admitted afterwards."""
     env, runner, session = make_session()
     (batch,) = smallbank_batches(1, n_batches=1, batch_size=6)
@@ -449,22 +414,23 @@ def test_session_abort_mid_drain_leaves_no_orphans():
     runner = CERunner(registry, CEConfig(executors=8), make_rng(9))
     session = runner.open_session(env, dict(initial_state(64)))
     session.admit(batches[0])
-    session.admit(batches[1])                # pending, pre-admitted nodes
     proc = session.drain()
 
     def aborter():
         yield env.timeout(2e-5)              # mid-flight
         assert not proc.triggered
         session.abort()
+        with pytest.raises(SerializationError):
+            session.admit(batches[1])        # the epoch is over
 
     env.process(aborter())
     env.run()
     assert proc.triggered
     assert proc.value is None                # no result for a dead epoch
     assert session.closed
-    # The dispatched batch ran to completion in the background — that is
-    # what keeps the shared engine RNG on the seeded schedule — while the
-    # never-dispatched batch stayed off the pool.
+    # The batch ran to completion in the background — that is what keeps
+    # the shared engine RNG on the seeded schedule — and nothing else
+    # reached the pool.
     assert session.cc.stats.commits == len(batches[0])
     assert all(not worker.is_alive for worker in session.workers)
     assert runner.last_session.closed
@@ -552,7 +518,8 @@ def test_ccstats_snapshot_and_delta():
 
 
 def test_duplicate_ids_in_stream_window_rejected():
-    """A batch reusing ids of a batch still in the session is refused."""
+    """A batch reusing ids of a batch still in the session is refused
+    (as is any admit before the earlier batch's drain returned)."""
     env, runner, session = make_session(executors=2)
     (batch,) = smallbank_batches(0, n_batches=1, batch_size=5)
     session.admit(batch)
@@ -582,3 +549,108 @@ def test_stream_reports_bounded_controller_buffers():
     assert len(cc.graph.nodes) == 0
     session.close()
     assert runner.last_session.closed  # staleness guard after teardown
+
+
+# ------------------------------------------------------ one batch at a time
+
+def graph_state(graph):
+    """Everything a prune could change: nodes, statuses, adjacency,
+    per-key indexes, closure rows and counters."""
+    return ({tx_id: (node, node.status, list(node.out_edges),
+                     list(node.in_edges), node._index_serial)
+             for tx_id, node in graph.nodes.items()},
+            {key: list(holders) for key, holders in graph._writers.items()},
+            {key: list(holders) for key, holders in graph._readers.items()},
+            list(graph._indexed), list(graph._down), list(graph._up),
+            graph._live, graph._open, graph.nodes_pruned)
+
+
+def test_second_admit_before_drain_is_refused_and_changes_nothing():
+    """An admit while the earlier batch has not passed its boundary —
+    running, or finished with its drain not yet returned — raises, and
+    the in-flight batch commits what it commits alone."""
+    registry = default_registry()
+    first, second = smallbank_batches(4, n_batches=2, batch_size=20)
+    (reference,) = run_batch_at_a_time(registry, [first],
+                                       initial_state(64), 4, 8)
+    env = Environment()
+    runner = CERunner(registry, CEConfig(executors=8), make_rng(4))
+    session = runner.open_session(env, dict(initial_state(64)))
+    session.admit(first)
+    before = graph_state(session.cc.graph)
+    with pytest.raises(SerializationError, match="drain returned"):
+        session.admit(second)
+    assert graph_state(session.cc.graph) == before
+    env.run()                                # finished, boundary not run
+    with pytest.raises(SerializationError, match="drain returned"):
+        session.admit(second)
+    proc = session.drain()
+    env.run()
+    assert fingerprint(proc.value) == fingerprint(reference)
+    assert proc.value.latencies == reference.latencies
+    assert proc.value.elapsed == reference.elapsed
+    session.admit(second)                    # past the boundary: accepted
+    proc = session.drain()
+    env.run()
+    assert len(proc.value.committed) == len(second)
+    session.close()
+
+
+def test_mid_batch_prune_raises_and_leaves_the_graph_intact(monkeypatch):
+    """A prune planted after a mid-batch commit, while other nodes still
+    run, names the first uncommitted transaction and changes nothing: the
+    batch still commits what it commits without the plant."""
+    registry = default_registry()
+    (batch,) = smallbank_batches(8, n_batches=1, batch_size=30)
+    (reference,) = run_batch_at_a_time(registry, [batch], initial_state(64),
+                                       8, 8)
+    finish = ConcurrencyController.finish
+    planted = []
+
+    def finish_then_prune(cc, node, result=None, now=0.0):
+        committed = finish(cc, node, result=result, now=now)
+        graph = cc.graph
+        if committed and not planted and len(graph.nodes) > 10:
+            first_open = next(other for other in graph.nodes.values()
+                              if other.status is not NodeStatus.COMMITTED)
+            before = graph_state(graph)
+            with pytest.raises(SerializationError) as info:
+                cc.prune_committed()
+            assert f"transaction {first_open.tx_id} " \
+                f"({first_open.status.value})" in str(info.value)
+            assert graph_state(graph) == before
+            planted.append(first_open.tx_id)
+        return committed
+
+    monkeypatch.setattr(ConcurrencyController, "finish", finish_then_prune)
+    env = Environment()
+    runner = CERunner(registry, CEConfig(executors=8), make_rng(8))
+    proc = runner.run_batch(env, batch, initial_state(64))
+    env.run()
+    assert len(planted) == 1
+    assert fingerprint(proc.value) == fingerprint(reference)
+    assert proc.value.stats.prune_passes == 1   # the boundary's own
+
+
+def test_ce_cluster_graph_holds_one_batch_at_every_boundary(monkeypatch):
+    """On a CE cluster with reconfigurations, every boundary finds exactly
+    its own batch in the graph, and ``BatchResult.graph_nodes`` says so."""
+    boundary = StreamSession._boundary
+    seen = []
+
+    def counted(session, batch):
+        nodes = len(session.cc.graph.nodes)
+        result = boundary(session, batch)
+        seen.append((nodes, result.graph_nodes, len(result.committed),
+                     batch.total))
+        return result
+
+    monkeypatch.setattr(StreamSession, "_boundary", counted)
+    config = ThunderboltConfig(n_replicas=4, batch_size=10, seed=6,
+                               k_prime=15, k_silent=10)
+    result = Cluster(config, WorkloadConfig(accounts=200,
+                                            cross_shard_ratio=0.1)).run(0.3)
+    assert result.reconfigurations >= 1
+    assert len(seen) > 20
+    assert all(len(set(counts)) == 1 for counts in seen), seen
+    assert max(counts[0] for counts in seen) == result.ce_peak_graph_nodes
