@@ -5,9 +5,9 @@
 * :class:`~repro.ce.runner.CERunner` — the simulated executor pool:
   one-batch runs and sessions.
 * :class:`~repro.ce.streaming.StreamSession` — the open-ended
-  admit/drain/close execution session one long-lived controller and pool
-  serve, one batch at a time, emptying the graph at every batch boundary
-  (a replica keeps one per epoch).
+  admit/drain/close execution session: one worker pool serving one batch
+  at a time, each batch on its own controller (a replica keeps one
+  session per epoch).
 * :func:`~repro.ce.validation.validate_block` — commit-time parallel
   validation of preplay results.
 """

@@ -78,28 +78,11 @@ is visited.  The point-query forms survive as test-only references
 commit orders to them.  :class:`CCStats` surfaces the remaining point
 queries as ``path_queries``, the indexed detaches as ``index_repairs``,
 and the compactions as ``index_rebuilds``.
-
-Long-lived use (streaming)
---------------------------
-One controller can outlive many batches (see :mod:`repro.ce.streaming`):
-committed write sets accumulate in the root overlay, so later transactions
-observe earlier commits even after their nodes leave the graph.  Two calls
-keep such a controller bounded over an unbounded stream:
-
-* :meth:`ConcurrencyController.prune_committed` empties the graph at a
-  batch boundary, when every node is committed (see "Committed-node
-  pruning" in :mod:`repro.ce.depgraph`), leaving the controller
-  equivalent to a fresh one seeded with ``base_state`` plus the overlay.
-* :meth:`ConcurrencyController.harvest_committed` hands the caller the
-  committed entries accumulated so far and forgets them (plus the
-  per-transaction attempt counters), so result buffers don't grow with
-  stream length.  ``order_index`` keeps increasing monotonically across
-  harvests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.ce.depgraph import (DependencyGraph, EdgeKind, KeyRecord,
@@ -121,33 +104,7 @@ class CCStats:
     path_queries: int = 0      # has_path() calls answered by the index
     index_rebuilds: int = 0    # compactions of the closure's serial space
     index_repairs: int = 0     # indexed detaches (each an O(1) tombstone)
-    nodes_pruned: int = 0      # committed nodes evicted from the graph
-    prune_passes: int = 0      # prune_committed() invocations
     bitset_words: int = 0      # peak closure row width, in 64-bit words
-
-    #: Fields that are high-water marks, not counters: a boundary delta
-    #: carries the current value instead of a difference.
-    _NON_COUNTERS = ("bitset_words",)
-
-    def snapshot(self) -> "CCStats":
-        """A frozen copy of the counters as they stand right now.
-
-        A long-lived controller's counters are cumulative; callers that
-        report *per-batch* numbers must snapshot at the batch boundary and
-        diff with :meth:`delta` — reporting the live object would
-        double-count every earlier batch.
-        """
-        return replace(self)
-
-    def delta(self, since: "CCStats") -> "CCStats":
-        """Counter-wise difference ``self - since``: the activity between
-        the ``since`` snapshot and this one.  The non-counter field (the
-        peak row width) keeps its current value."""
-        fields = {name: getattr(self, name) - getattr(since, name)
-                  for name in vars(self) if name not in self._NON_COUNTERS}
-        for name in self._NON_COUNTERS:
-            fields[name] = getattr(self, name)
-        return CCStats(**fields)
 
 
 @dataclass
@@ -168,8 +125,9 @@ class ConcurrencyController:
 
     ``base_state`` is the root: reads that no live/committed writer can
     serve fall through to it (missing keys read ``default``).  Committed
-    write sets accumulate in an overlay so later batches observe them
-    after the boundary prune has emptied the graph.
+    write sets accumulate in an overlay, which :meth:`final_writes`
+    reports and root reads consult first.  The execution session builds
+    one controller per batch (see :mod:`repro.ce.streaming`).
     """
 
     def __init__(self, base_state: Mapping[str, Any],
@@ -195,7 +153,6 @@ class ConcurrencyController:
         self._stats.path_queries = self.graph.path_queries
         self._stats.index_rebuilds = self.graph.index_rebuilds
         self._stats.index_repairs = self.graph.index_repairs
-        self._stats.nodes_pruned = self.graph.nodes_pruned
         self._stats.bitset_words = self.graph.peak_bitset_words
         return self._stats
 
@@ -268,52 +225,6 @@ class ConcurrencyController:
         node = self.graph.get(tx_id)
         if node is not None and node.alive:
             self._abort(node, reason=reason, cascading=True)
-
-    def prune_committed(self) -> int:
-        """Evict every node of a completed batch; returns the count.
-
-        Raises :class:`SerializationError` if some node is not committed
-        (see :meth:`DependencyGraph.prune_committed
-        <repro.ce.depgraph.DependencyGraph.prune_committed>`).  Later
-        reads fall through to the root, where the committed overlay
-        serves the newest committed value.  Called by the execution
-        session at every batch boundary.
-        """
-        evicted = self.graph.prune_committed()
-        self._stats.prune_passes += 1
-        return evicted
-
-    def rebase(self, base_state: Mapping[str, Any]) -> None:
-        """Swap the root to ``base_state`` and drop the committed overlay.
-
-        Used by :class:`~repro.ce.streaming.StreamSession` when the caller
-        owns state evolution between batches (it has already folded every
-        committed write — and possibly external writes the controller never
-        saw — into ``base_state``): after the rebase the controller answers
-        root reads exactly like a freshly built one would.
-
-        Only legal on an empty graph (the session rebases after the
-        boundary prune and before it begins the batch's nodes): a node in
-        the graph may have read through the old root, so that raises.
-        """
-        if self.graph.nodes:
-            node = next(iter(self.graph.nodes.values()))
-            raise SerializationError(
-                f"rebase with transaction {node.tx_id} "
-                f"({node.status.value}) in the graph")
-        self._base_state = base_state
-        self._overlay.clear()
-
-    def harvest_committed(self) -> List[CommittedTx]:
-        """Return the committed entries accumulated since the last harvest
-        and release them (plus their attempt counters) so a long-lived
-        controller's buffers stay bounded.  Order indexes are global and
-        keep increasing across harvests."""
-        harvested = self._committed
-        self._committed = []
-        for entry in harvested:
-            self._attempts.pop(entry.tx_id, None)
-        return harvested
 
     # -- results -----------------------------------------------------------
 

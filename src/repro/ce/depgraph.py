@@ -84,18 +84,14 @@ Closure-index invariants
 
 Committed-node pruning
 ----------------------
-A long-lived graph serving a transaction *stream* (see
-:mod:`repro.ce.streaming`) would otherwise grow without bound.  The
-execution session serves one batch at a time, so at each batch boundary
-every node in the graph is committed, and :meth:`prune_committed` evicts
-them all: the node table, the per-key writer/reader indexes, the
-adjacency lists and the closure index are emptied in one pass (the index
-resets in place; no rebuild is paid).  With no node left, every read
-falls through to the root, whose committed overlay holds each key's
-newest committed value: the value the newest committed writer would
-have served.  The controller after the prune is therefore a fresh one
-over that root, which is what makes batch boundaries invisible.  A
-prune while some node is not committed raises
+The execution session (see :mod:`repro.ce.streaming`) gives every batch
+its own controller and graph, and at the batch's boundary every node in
+the graph is committed.  There :meth:`prune_committed` evicts them all:
+the node table, the per-key writer/reader indexes, the adjacency lists
+and the closure index are emptied in one pass (the index resets in
+place; no rebuild is paid), and the committed nodes keep no edge into a
+graph that is done with them.  The call doubles as the session's
+all-committed check: a prune while some node is not committed raises
 :class:`~repro.errors.SerializationError` and changes nothing.
 
 Determinism note: all collections that the controller iterates are dicts
@@ -271,7 +267,6 @@ class DependencyGraph:
         self.path_queries = 0
         self.index_rebuilds = 0
         self.index_repairs = 0
-        self.nodes_pruned = 0
 
     # -- node lifecycle ------------------------------------------------------
 
@@ -468,7 +463,6 @@ class DependencyGraph:
         self._writers.clear()
         self._readers.clear()
         self._index_reset_empty()
-        self.nodes_pruned += count
         return count
 
     def _compact_if_dominated(self) -> None:

@@ -12,8 +12,9 @@ own executor (after a short backoff); a transaction that had already entered
 finalization and is cascade-aborted later re-enters the work queue.
 
 Every batch runs through a :class:`~repro.ce.streaming.StreamSession`:
-one controller, one dependency graph and one worker pool that may serve a
-whole stream of batches (a replica keeps one per epoch).
+one worker pool that may serve a whole stream of batches (a replica keeps
+one per epoch), each batch through its own controller and dependency
+graph.
 :meth:`CERunner.run_batch` is a one-batch session (open, admit, drain,
 close) behind the ``run_batch`` interface the baseline runners of
 :mod:`repro.baselines` share.
@@ -30,7 +31,7 @@ from random import Random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.ce.controller import CCStats, CommittedTx, ConcurrencyController
+from repro.ce.controller import CCStats, CommittedTx
 from repro.ce.streaming import StreamSession, _BatchState
 from repro.contracts.contract import ContractRegistry
 from repro.contracts.ops import ReadOp, WriteOp
@@ -151,12 +152,11 @@ class CERunner:
         self.last_session: Optional[StreamSession] = None
 
     def open_session(self, env: Environment,
-                     base_state: Mapping[str, Any],
                      default: Any = 0) -> StreamSession:
         """Open a :class:`~repro.ce.streaming.StreamSession`: the
-        open-ended admit/drain/close interface over one long-lived
-        controller and worker pool."""
-        return StreamSession(self, env, base_state, default)
+        open-ended admit/drain/close interface over one worker pool
+        (missing keys read ``default`` in every batch)."""
+        return StreamSession(self, env, default)
 
     def run_batch(self, env: Environment, transactions: List[Transaction],
                   base_state: Mapping[str, Any], default: Any = 0):
@@ -173,33 +173,33 @@ class CERunner:
 
     def _run_batch(self, env: Environment, transactions: List[Transaction],
                    base_state: Mapping[str, Any], default: Any):
-        session = self.open_session(env, base_state, default)
-        session.admit(transactions)
+        session = self.open_session(env, default)
+        session.admit(transactions, base_state)
         result = yield session.drain()
         session.close()
         return result
 
-    def _worker(self, env: Environment, queue: Store,
-                cc: ConcurrencyController, cc_gate: Gate):
+    def _worker(self, env: Environment, queue: Store, cc_gate: Gate):
         while True:
             item = yield queue.get()
             if item is self._SHUTDOWN:
                 return
             tx, batch, node = item
-            yield from self._execute(env, tx, cc, cc_gate, batch, node)
+            yield from self._execute(env, tx, cc_gate, batch, node)
 
-    def _execute(self, env: Environment, tx: Transaction,
-                 cc: ConcurrencyController, cc_gate: Gate,
+    def _execute(self, env: Environment, tx: Transaction, cc_gate: Gate,
                  batch: _BatchState, node=None):
         """Drive one transaction to finalization, re-executing on aborts.
 
-        ``batch`` is the bookkeeping of the transaction's batch (``owned``
-        / ``first_start`` / ``re_executions``).  ``node`` carries the
-        first attempt's node, begun when the session admitted the batch
-        (``None`` for a cascade-aborted transaction the session requeues).
+        ``batch`` is the transaction's batch: its controller and its
+        bookkeeping (``owned`` / ``first_start`` / ``re_executions``).
+        ``node`` carries the first attempt's node, begun when the session
+        admitted the batch (``None`` for a cascade-aborted transaction
+        the session requeues).
         """
         config = self.config
         rng = self._rng
+        cc = batch.cc
         body = self.registry.get(tx.contract)
         attempt = 0
         while True:
@@ -256,26 +256,17 @@ class CERunner:
                 continue
 
     @staticmethod
-    def _batch_result(env: Environment, cc: ConcurrencyController,
-                      batch: _BatchState, before: CCStats,
-                      after: CCStats) -> BatchResult:
-        """Package one completed batch: entries rebased to batch-local
-        order indexes, stats as the delta accumulated while the batch ran
-        (so a metrics layer folding per-batch stats never double-counts
-        the long-lived controller's cumulative counters).  At a boundary
-        the controller's harvest buffer holds exactly this batch's
-        commits, released by it: they are rebased in place."""
-        base = after.commits - batch.committed_count
-        committed = cc.harvest_committed()
-        for entry in committed:
-            entry.order_index -= base
+    def _batch_result(env: Environment, batch: _BatchState) -> BatchResult:
+        """Package one completed batch from its own controller: its
+        commits in order (indexes from 0) and its counters."""
+        cc = batch.cc
         return BatchResult(
-            committed=committed,
+            committed=cc.committed,
             elapsed=env.now - batch.started_at if batch.total else 0.0,
             started_at=batch.started_at if batch.total else env.now,
             finished_at=env.now,
             re_executions=batch.re_executions,
             latencies=dict(batch.latencies),
-            stats=after.delta(before),
+            stats=cc.stats,
             graph_nodes=batch.total,
         )

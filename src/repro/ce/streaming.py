@@ -1,10 +1,9 @@
 """The execution session: the Concurrent Executor's one engine.
 
-A :class:`StreamSession` owns one
-:class:`~repro.ce.controller.ConcurrencyController` (hence one dependency
-graph and closure index) and one pool of ``config.executors`` worker
-processes, and serves an open-ended sequence of batches: the caller pushes
-batches with :meth:`~StreamSession.admit`, collects each batch's
+A :class:`StreamSession` owns one pool of ``config.executors`` worker
+processes (their work queue and the controller gate) and serves an
+open-ended sequence of batches: the caller pushes a batch with
+:meth:`~StreamSession.admit`, collects its
 :class:`~repro.ce.runner.BatchResult` with :meth:`~StreamSession.drain`,
 and finishes with :meth:`~StreamSession.close` (graceful) or
 :meth:`~StreamSession.abort` (mid-flight teardown: the replica layer's
@@ -13,6 +12,18 @@ epoch change).  Sessions are opened by
 replica keeps one per epoch, and
 :meth:`CERunner.run_batch <repro.ce.runner.CERunner.run_batch>` is a
 session that serves one batch.
+
+One controller per batch
+------------------------
+``admit(batch, base_view)`` builds the batch its own
+:class:`~repro.ce.controller.ConcurrencyController` (hence its own
+dependency graph and closure index) over ``base_view``, the state the
+batch reads through: a replica hands it that round's speculative overlay
+over the committed store.  The controller lives exactly as long as the
+batch, so its counters, its commit order (``order_index`` from 0) and
+its committed entries are the batch's own, and no state needs resetting
+between batches.  ``session.cc`` is the newest batch's controller (for
+tests and debugging).
 
 The boundary rule
 -----------------
@@ -25,53 +36,27 @@ commits.
 
 That rule makes batch boundaries invisible: a batch served by a live
 session commits exactly what a one-batch session (``run_batch``) would
-commit for it at the same instant with the same engine RNG.  At each
-boundary every node in the graph is committed, so the boundary prune
-(below) leaves the controller equivalent to a fresh one, and the worker
-pool picks up the next batch's transactions in admission order, drawing
-the engine RNG in the same sequence.  Releasing a batch's operations
-before the previous boundary would let later writers abort earlier
-readers and change the earlier batch's schedule; the session gives up
-that overlap for the bit-for-bit reproducibility the consensus layer
-relies on.
+commit for it at the same instant with the same engine RNG, because the
+worker pool picks up each batch's transactions in admission order and
+draws the engine RNG in the same sequence.  Releasing a batch's
+operations before the previous boundary would let later work reorder the
+earlier batch's schedule; the session gives up that overlap for the
+bit-for-bit reproducibility the consensus layer relies on.
 
-Base-view switching
--------------------
-``admit(batch, base_view=...)`` rebases the controller onto a caller-
-supplied root before the batch's nodes begin: the controller's
-committed overlay is dropped and root reads fall through to
-``base_view`` instead (see :meth:`ConcurrencyController.rebase
-<repro.ce.controller.ConcurrencyController.rebase>`).  This is how a
-replica runs successive rounds — each against *that round's* speculative
-overlay over the committed store — through one session: the replica folds
-each round's committed writes into its own overlay (and discards the
-overlay when cross-shard commits land), so the fresh view it hands the
-next ``admit`` answers every key exactly like the dropped overlay would
-have, or deliberately differently when committed state moved underneath.
-Rebasing relies on the boundary prune having emptied the graph; omitting
-``base_view`` keeps the controller's own overlay accumulating committed
-writes.
-
-Committed-node pruning
-----------------------
-A single graph over an unbounded stream would grow forever.  At every
-batch boundary the session calls
-:meth:`ConcurrencyController.prune_committed
-<repro.ce.controller.ConcurrencyController.prune_committed>`, which
-empties the graph (every node in it is the batch's committed attempt)
-and resets the reachability index in place, with no rebuild (see
-:mod:`repro.ce.depgraph` and ``docs/REACHABILITY.md``).  The graph
-therefore never holds more than one batch: each batch's
-:class:`~repro.ce.runner.BatchResult` reports its size as
-``graph_nodes``, and a replica reports the maximum as
+At the boundary the session calls the batch graph's
+:meth:`~repro.ce.depgraph.DependencyGraph.prune_committed`, which empties
+it and raises if some node is not committed (see "Committed-node
+pruning" in :mod:`repro.ce.depgraph` and ``docs/REACHABILITY.md``).
+Each batch's :class:`~repro.ce.runner.BatchResult` reports its graph's
+size as ``graph_nodes``, and a replica reports the maximum as
 ``ce_peak_graph_nodes``.
 
 Usage
 -----
 One batch at a time, from inside a process (the replica's round loop)::
 
-    session = runner.open_session(env, base_state)
-    session.admit(batch, base_view=view)    # operations released now
+    session = runner.open_session(env)
+    session.admit(batch, view)              # operations released now
     result = yield session.drain()          # a BatchResult
     ...                                     # admit/drain more batches
     session.close()                         # shuts the worker pool down
@@ -96,11 +81,12 @@ if TYPE_CHECKING:
 class _BatchState:
     """Mutable bookkeeping for the session's one batch (``owned`` /
     ``first_start`` / ``re_executions`` are kept by the executing
-    workers)."""
+    workers), with the controller the batch runs through."""
 
     transactions: List[Transaction]
     done: Any                      # Event: triggered at last commit
     by_id: Dict[int, Transaction]
+    cc: ConcurrencyController
     started_at: float = 0.0
     committed_count: int = 0
     re_executions: int = 0
@@ -116,22 +102,22 @@ class _BatchState:
 
 
 class StreamSession:
-    """One long-lived execution session: a controller, a dependency graph,
-    and a worker pool serving an open-ended sequence of batches.
+    """One long-lived execution session: a worker pool serving an
+    open-ended sequence of batches, each through its own controller.
 
     Create through :meth:`CERunner.open_session
     <repro.ce.runner.CERunner.open_session>`.  The lifecycle::
 
-        admit(batch[, base_view])   # one batch: operations released now
+        admit(batch, base_view)     # one batch: operations released now
         drain() -> process          # once per batch, before the next admit
         close()                     # graceful: the batch drained
         abort()                     # forceful: drop the session mid-flight
 
     ``drain`` returns a process whose value is the batch's
-    :class:`~repro.ce.runner.BatchResult`; the batch's boundary work
-    (prune, per-batch stats delta) runs inside that process the instant
-    the batch completes, and only then may the next batch be admitted
-    (the boundary rule — see the module docstring).  ``abort`` detaches
+    :class:`~repro.ce.runner.BatchResult`; the batch's boundary (the
+    prune and the result) runs inside that process the instant the batch
+    completes, and only then may the next batch be admitted (the
+    boundary rule — see the module docstring).  ``abort`` detaches
     the session, while a batch with uncommitted work runs to completion
     in the background (its engine-RNG draws belong to the seeded
     schedule — see :meth:`abort`); the worker pool shuts down at that
@@ -139,27 +125,26 @@ class StreamSession:
     """
 
     def __init__(self, runner: CERunner, env: Environment,
-                 base_state: Mapping[str, Any], default: Any = 0) -> None:
+                 default: Any = 0) -> None:
         self._runner = runner
         self.env = env
+        self._default = default
         self._queue: Store = Store(env)
-        self.cc = ConcurrencyController(
-            base_state, default=default, on_abort=self._on_abort,
-            on_commit=self._on_commit)
         runner.last_session = self
         self._cc_gate = Gate(env)
         #: Worker process handles; exposed so teardown tests can assert
         #: none of them outlives the session.
         self.workers = [
-            env.process(runner._worker(env, self._queue, self.cc,
-                                       self._cc_gate))
+            env.process(runner._worker(env, self._queue, self._cc_gate))
             for _ in range(runner.config.executors)
         ]
+        #: The newest admitted batch's controller (``None`` before the
+        #: first admit); tests and debugging read it.
+        self.cc: Optional[ConcurrencyController] = None
         #: The admitted batch until its boundary has run: every commit
         #: and abort routes to it.  After abort() it is the orphan that
         #: finishes in the background.
         self._current: Optional[_BatchState] = None
-        self._stats_mark = self.cc.stats.snapshot()
         self._closed = False
 
     # -- state inspection ---------------------------------------------------
@@ -171,14 +156,11 @@ class StreamSession:
     # -- lifecycle ----------------------------------------------------------
 
     def admit(self, transactions: List[Transaction],
-              base_view: Optional[Mapping[str, Any]] = None) -> None:
-        """Start one batch: its nodes begin and its operations are
-        released now.  Raises :class:`SerializationError`, changing
-        nothing, while an earlier batch has not passed its boundary (its
-        drain has not returned).  ``base_view``, if given, first becomes
-        the controller's root — with the committed overlay dropped, so
-        the view must already reflect every commit the caller wants
-        visible (see the module docstring).
+              base_view: Mapping[str, Any]) -> None:
+        """Start one batch on a fresh controller over ``base_view``: its
+        nodes begin and its operations are released now.  Raises
+        :class:`SerializationError`, changing nothing, while an earlier
+        batch has not passed its boundary (its drain has not returned).
         """
         if self._closed:
             raise SerializationError("admit() on a closed session")
@@ -192,21 +174,14 @@ class StreamSession:
                 raise SerializationError(
                     f"duplicate tx id {tx.tx_id} in one batch")
             by_id[tx.tx_id] = tx
+        self.cc = cc = ConcurrencyController(
+            base_view, self._default, self._on_abort, self._on_commit)
         batch = _BatchState(transactions=incoming, done=self.env.event(),
-                            by_id=by_id)
-        if base_view is not None:
-            try:
-                self.cc.rebase(base_view)
-            except SerializationError:
-                # The session is unusable mid-stream: close it and shut
-                # the (necessarily idle) pool down.
-                self._closed = True
-                self._flush_shutdown()
-                raise
+                            by_id=by_id, cc=cc)
         self._current = batch
         batch.started_at = now = self.env.now
         for tx in incoming:
-            self._queue.put((tx, batch, self.cc.begin(tx.tx_id, now=now)))
+            self._queue.put((tx, batch, cc.begin(tx.tx_id, now=now)))
         if not incoming:
             batch.done.succeed()
 
@@ -237,7 +212,7 @@ class StreamSession:
         """Forceful teardown mid-flight (the replica layer's epoch change).
 
         A batch whose operations are released **runs to completion in
-        the background** against the detached controller, and a drain
+        the background** on its own controller, and a drain
         parked on it wakes (with ``None``) at its last commit.  The reason
         is the frozen digest contract: the orphan's jitter and backoff
         draws come from the engine RNG the next epoch's session shares, so
@@ -271,17 +246,12 @@ class StreamSession:
         return self._boundary(batch)
 
     def _boundary(self, batch: _BatchState) -> BatchResult:
-        """The quiescent-point pass: empty the graph, package the batch's
-        result as a per-batch stats delta, free the session for the next
-        admit, and return the result."""
-        cc = self.cc
-        cc.prune_committed()
-        stats_now = cc.stats.snapshot()
-        result = self._runner._batch_result(
-            self.env, cc, batch, self._stats_mark, stats_now)
-        self._stats_mark = stats_now
+        """The quiescent-point pass: empty the batch's graph (which
+        raises unless every node committed), free the session for the
+        next admit, and return the batch's result."""
+        batch.cc.graph.prune_committed()
         self._current = None
-        return result
+        return self._runner._batch_result(self.env, batch)
 
     def _on_abort(self, tx_id: int) -> None:
         # Deliberately NOT gated on the closed flag: an orphaned batch's

@@ -53,19 +53,14 @@ class ClusterResult:
     reconfigurations: int
     dropped_transactions: int
     blocks_committed: int
-    #: Concurrency-controller health across every preplayed batch: query
-    #: volume on the reachability index, the compactions it paid, the
-    #: aborts it absorbed (one O(1) tombstone each), committed nodes
-    #: pruned (with the boundary
-    #: passes that evicted them: the CE engine's epoch sessions prune at
-    #: every round), and the dependency graph's node high-water mark.
-    #: Per-round values are boundary deltas, so long-lived session
-    #: controllers are never double-counted.
+    #: Concurrency-controller health summed over every preplayed batch
+    #: (each batch runs on its own controller): query volume on the
+    #: reachability index, the compactions it paid, the aborts it
+    #: absorbed (one O(1) tombstone each), and the dependency graph's
+    #: node high-water mark.
     cc_path_queries: int
     cc_index_rebuilds: int
     cc_index_repairs: int
-    cc_nodes_pruned: int
-    cc_prune_passes: int
     ce_peak_graph_nodes: int
     #: Peak closure row width, in 64-bit words, the reachability index
     #: reached (0 for baseline engines that never ran a CE controller).
@@ -244,8 +239,6 @@ class Cluster:
             cc_path_queries=metrics.cc_path_queries,
             cc_index_rebuilds=metrics.cc_index_rebuilds,
             cc_index_repairs=metrics.cc_index_repairs,
-            cc_nodes_pruned=metrics.cc_nodes_pruned,
-            cc_prune_passes=metrics.cc_prune_passes,
             ce_peak_graph_nodes=metrics.ce_peak_graph_nodes,
             cc_bitset_words=metrics.cc_bitset_words,
             events_processed=self.env.events_processed,

@@ -185,12 +185,10 @@ class Replica:
         return None  # "serial": no preplay engine (Tusk baseline)
 
     def _open_session(self, runner: CERunner):
-        """One epoch's execution session: a long-lived controller, graph,
-        and worker pool every preplay round of the epoch runs through.
-        The base handed over here is a placeholder — each round's admit
-        rebases the session onto that round's speculative overlay view."""
-        return runner.open_session(self.env,
-                                   OverlayView(self._overlay, self.store))
+        """One epoch's execution session: the worker pool every preplay
+        round of the epoch runs through, each round's batch on its own
+        controller over that round's speculative overlay view."""
+        return runner.open_session(self.env)
 
     def submit(self, tx: Transaction, now: Optional[float] = None) -> None:
         """Client entry point: enqueue a transaction at this proposer."""
@@ -462,11 +460,10 @@ class Replica:
             base = OverlayView(self._overlay, self.store)
             self._preplaying_batch = batch
             if self._session is not None:
-                # CE: one long-lived session per epoch.  This round's
-                # batch is admitted against the round's overlay view and
-                # drained to its BatchResult, reusing the epoch's
-                # dependency graph, closure index, and executor pool.
-                self._session.admit(batch, base_view=base)
+                # CE: one session per epoch.  This round's batch is
+                # admitted against the round's overlay view and drained
+                # to its BatchResult, reusing the epoch's executor pool.
+                self._session.admit(batch, base)
                 result: BatchResult = yield self._session.drain()
             else:
                 # OCC: the per-round baseline (§12).

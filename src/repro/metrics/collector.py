@@ -50,8 +50,6 @@ class MetricsCollector:
         self.cc_path_queries = 0
         self.cc_index_rebuilds = 0
         self.cc_index_repairs = 0
-        self.cc_nodes_pruned = 0
-        self.cc_prune_passes = 0
         self.ce_peak_graph_nodes = 0
         #: Peak closure row width, in 64-bit words, across all controllers.
         self.cc_bitset_words = 0
@@ -83,20 +81,13 @@ class MetricsCollector:
     def record_ce_batch(self, stats, graph_nodes: int = 0) -> None:
         """Fold one preplayed batch's concurrency-controller counters in.
 
-        ``stats`` is a :class:`repro.ce.controller.CCStats` covering *that
-        batch alone*: a fresh per-batch controller's live counters, or —
-        for a long-lived :class:`~repro.ce.streaming.StreamSession`
-        controller that outlives many batches — the boundary delta the
-        session computes via ``CCStats.snapshot()``/``delta()``.  Feeding
-        a long-lived controller's cumulative counters here would count
-        every earlier batch again.  ``graph_nodes`` is the dependency
-        graph's node count when the batch completed (its high-water mark
-        feeds capacity planning for long-lived streaming controllers)."""
+        ``stats`` is the :class:`repro.ce.controller.CCStats` of the
+        batch's own controller (the execution session builds one per
+        batch), so the counters cover that batch alone.  ``graph_nodes``
+        is the dependency graph's node count when the batch completed."""
         self.cc_path_queries += stats.path_queries
         self.cc_index_rebuilds += stats.index_rebuilds
         self.cc_index_repairs += stats.index_repairs
-        self.cc_nodes_pruned += stats.nodes_pruned
-        self.cc_prune_passes += stats.prune_passes
         if stats.bitset_words > self.cc_bitset_words:
             self.cc_bitset_words = stats.bitset_words
         if graph_nodes > self.ce_peak_graph_nodes:

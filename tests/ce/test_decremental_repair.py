@@ -216,8 +216,8 @@ def test_streaming_prune_no_longer_rebuilds_every_boundary():
     than once per batch.
 
     Driven through one session, batch k+1 admitted when batch k's drain
-    returns, so the index can be probed on the live controller at every
-    boundary."""
+    returns, so each batch's index can be probed on its own controller
+    at its boundary."""
     registry = default_registry()
     workload = SmallBankWorkload(
         WorkloadConfig(accounts=64, read_probability=0.5, theta=0.9),
@@ -225,26 +225,29 @@ def test_streaming_prune_no_longer_rebuilds_every_boundary():
     batches = [workload.batch(25) for _ in range(8)]
     env = Environment()
     runner = CERunner(registry, CEConfig(executors=8), make_rng(7))
-    session = runner.open_session(env, dict(initial_state(64)))
-    graph = session.cc.graph
+    session = runner.open_session(env)
+    state = dict(initial_state(64))
+    results = []
 
     def pump():
         for batch in batches:
-            session.admit(batch)
+            session.admit(batch, dict(state))
             result = yield session.drain()
             assert result is not None
+            state.update(result.final_writes())
+            graph = session.cc.graph
             assert graph._indexed == [] and graph._live == 0  # reset
+            results.append(result)
 
     proc = env.process(pump())
     env.run()
     assert proc.triggered
     # Row width stays at one batch's scale (25 nodes plus the serials of
     # aborted attempts fit one 64-bit word), not the stream's.
-    assert graph.peak_bitset_words == 1
+    assert max(r.stats.bitset_words for r in results) == 1
     session.close()
-    stats = session.cc.stats
-    assert stats.nodes_pruned == 8 * 25
-    assert stats.index_rebuilds < len(batches), \
+    assert sum(r.stats.commits for r in results) == 8 * 25
+    assert sum(r.stats.index_rebuilds for r in results) < len(batches), \
         "pruning still schedules a rebuild at every boundary"
     assert runner.last_session.closed
 

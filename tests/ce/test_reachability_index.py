@@ -221,10 +221,9 @@ def test_abort_storm_edges_bounded_and_acyclic(monkeypatch):
     register_ycsb(registry)
     n = 120
     boundaries = []
-    prune = ConcurrencyController.prune_committed
+    prune = DependencyGraph.prune_committed
 
-    def check_then_prune(cc):
-        graph = cc.graph
+    def check_then_prune(graph):
         assert is_acyclic(graph)
         # all committed nodes remain; selective bridging keeps the edge
         # count a small multiple of the node count, not O(aborts * n)
@@ -232,9 +231,9 @@ def test_abort_storm_edges_bounded_and_acyclic(monkeypatch):
         assert [node.status for node in graph.nodes.values()] \
             == [NodeStatus.COMMITTED] * n
         boundaries.append(len(graph.nodes))
-        return prune(cc)
+        return prune(graph)
 
-    monkeypatch.setattr(ConcurrencyController, "prune_committed",
+    monkeypatch.setattr(DependencyGraph, "prune_committed",
                         check_then_prune)
     env = Environment()
     runner = CERunner(registry, CEConfig(executors=16), make_rng(5))

@@ -7,16 +7,16 @@ Two properties carry the session:
   serving a stream are byte-identical to running the same batches through
   ``CERunner.run_batch`` one at a time, each a one-batch session (same
   environment, same runner, same RNG).
-* **Boundedness** — a session serves one batch at a time and the
-  boundary prune empties the graph, so the node count just before each
-  prune (``BatchResult.graph_nodes``) is the batch size over a long
-  stream instead of growing linearly.
+* **Boundedness** — a session serves one batch at a time, each on its
+  own controller whose graph the boundary prune empties, so the node
+  count just before each prune (``BatchResult.graph_nodes``) is the
+  batch size over a long stream instead of growing linearly.
 """
 
 import pytest
 
-from repro.ce import (CCStats, CEConfig, CERunner, ConcurrencyController,
-                      NodeStatus, StreamSession)
+from repro.ce import (CEConfig, CERunner, ConcurrencyController,
+                      DependencyGraph, NodeStatus, StreamSession)
 from repro.contracts import default_registry, initial_state
 from repro.contracts.replay import OverlayView
 from repro.core import ThunderboltConfig
@@ -53,25 +53,22 @@ def run_batch_at_a_time(registry, batches, base_state, seed, executors):
     return results
 
 
-def run_streaming(registry, batches, base_state, seed, executors,
-                  base_views=False):
+def run_streaming(registry, batches, base_state, seed, executors):
     """One session over the stream, batch k+1 admitted as soon as batch
-    k's drain returns, as a replica's round loop does.  With
-    ``base_views`` every admit hands the session a view of the committed
-    state: an overlay the caller folds each drained batch's writes into,
-    over ``base_state``.  Returns the drained results and the closed
-    session."""
+    k's drain returns, as a replica's round loop does.  Every admit hands
+    the session a view of the committed state: an overlay the caller
+    folds each drained batch's writes into, over ``base_state``.  Returns
+    the drained results and the closed session."""
     env = Environment()
     runner = CERunner(registry, CEConfig(executors=executors),
                       make_rng(seed))
-    session = runner.open_session(env, dict(base_state))
+    session = runner.open_session(env)
     overlay = {}
     results = []
 
     def pump():
         for batch in batches:
-            view = OverlayView(overlay, base_state) if base_views else None
-            session.admit(batch, base_view=view)
+            session.admit(batch, OverlayView(overlay, base_state))
             result = yield session.drain()
             overlay.update(result.final_writes())
             results.append(result)
@@ -148,21 +145,23 @@ def test_stream_matches_under_abort_storm(seed):
 def test_replica_style_session_matches_run_batch_per_batch():
     """Twenty contended batches through one session with a base view on
     every admit, as a replica passes them, commit byte-identically to a
-    fresh one-batch session per batch, and the graph holds exactly the
-    batch at every boundary."""
+    fresh one-batch session per batch, report the same controller
+    counters field for field (each batch's own, never a running total),
+    and the graph holds exactly the batch at every boundary."""
     registry = default_registry()
     batch_size = 25
     batches = smallbank_batches(7, n_batches=20, batch_size=batch_size)
     state = initial_state(64)
     reference = run_batch_at_a_time(registry, batches, state, 7, 8)
-    streamed, _ = run_streaming(registry, batches, state, 7, 8,
-                                base_views=True)
+    streamed, _ = run_streaming(registry, batches, state, 7, 8)
     assert len(streamed) == len(reference) == 20
     for expected, actual in zip(reference, streamed):
         assert fingerprint(actual) == fingerprint(expected)
         assert actual.re_executions == expected.re_executions
         assert actual.elapsed == expected.elapsed
         assert actual.graph_nodes == batch_size
+        assert vars(actual.stats) == vars(expected.stats)
+        assert actual.stats.commits == batch_size
     assert sum(r.re_executions for r in reference) > 20  # contended
 
 
@@ -176,7 +175,10 @@ def test_graph_stays_bounded_over_twenty_batches():
     assert [r.graph_nodes for r in streamed] == [batch_size] * 20
     # After the final batch there is nothing left to admit or retain.
     assert len(session.cc.graph.nodes) == 0
-    assert session.cc.stats.nodes_pruned == 20 * batch_size
+    # Summed per-batch counters cover the stream exactly once.
+    assert sum(r.stats.commits for r in streamed) == 20 * batch_size
+    assert sum(r.stats.aborts for r in streamed) \
+        == sum(r.re_executions for r in streamed)
 
 
 # ------------------------------------------------------------ prune unit tests
@@ -189,14 +191,12 @@ def test_prune_quiescent_controller_evicts_everything():
         cc.write(node, key, value)
         cc.finish(node)
     assert len(cc.graph.nodes) == 2
-    assert cc.prune_committed() == 2
+    assert cc.graph.prune_committed() == 2
     assert len(cc.graph.nodes) == 0
     # Reads fall through to the overlay and see the committed values.
     probe = cc.begin(3)
     assert cc.read(probe, "A") == 10
     assert cc.read(probe, "B") == 20
-    assert cc.stats.nodes_pruned == 2
-    assert cc.stats.prune_passes == 1
 
 
 def test_prune_with_a_live_node_raises_and_changes_nothing():
@@ -210,33 +210,15 @@ def test_prune_with_a_live_node_raises_and_changes_nothing():
     assert cc.read(reader, "K") == 5   # rf edge writer -> reader
     with pytest.raises(SerializationError,
                        match=r"transaction 2 \(running\)"):
-        cc.prune_committed()
+        cc.graph.prune_committed()
     assert cc.graph.nodes == {1: writer, 2: reader}
     assert cc.graph.has_edge(writer, reader)
     assert cc.graph.has_path(writer, reader)
     assert cc.graph.writers_of("K") == [writer]
     assert cc.graph.readers_of("K") == [reader]
-    assert cc.stats.nodes_pruned == cc.stats.prune_passes == 0
     cc.finish(reader)
-    assert cc.prune_committed() == 2   # quiescent: both go
+    assert cc.graph.prune_committed() == 2   # quiescent: both go
     assert cc.graph.writers_of("K") == cc.graph.readers_of("K") == []
-
-
-def test_harvest_committed_keeps_order_indexes_monotonic():
-    cc = ConcurrencyController({"A": 0})
-    for tx_id in (1, 2):
-        node = cc.begin(tx_id)
-        cc.write(node, "A", tx_id)
-        cc.finish(node)
-    first = cc.harvest_committed()
-    assert [entry.order_index for entry in first] == [0, 1]
-    assert cc.committed == []
-    node = cc.begin(3)
-    cc.write(node, "A", 3)
-    cc.finish(node)
-    second = cc.harvest_committed()
-    assert [entry.order_index for entry in second] == [2]
-    assert cc.attempts_of(3) == 0  # attempt counters released
 
 
 # ---------------------------------------------------------------- edge cases
@@ -261,7 +243,7 @@ def make_session(seed=3, executors=4, accounts=64):
     env = Environment()
     runner = CERunner(default_registry(), CEConfig(executors=executors),
                       make_rng(seed))
-    session = runner.open_session(env, dict(initial_state(accounts)))
+    session = runner.open_session(env)
     return env, runner, session
 
 
@@ -275,12 +257,14 @@ def test_session_admit_drain_matches_batch_at_a_time():
     reference = run_batch_at_a_time(registry, batches, state, 2, 8)
     env = Environment()
     runner = CERunner(registry, CEConfig(executors=8), make_rng(2))
-    session = runner.open_session(env, dict(state))
+    session = runner.open_session(env)
+    state = dict(state)
     results = []
     for batch in batches:
-        session.admit(batch)
+        session.admit(batch, dict(state))
         proc = session.drain()
         env.run()
+        state.update(proc.value.final_writes())
         results.append(proc.value)
     assert len(results) == len(reference)
     for expected, actual in zip(reference, results):
@@ -290,10 +274,10 @@ def test_session_admit_drain_matches_batch_at_a_time():
 
 
 def test_session_base_view_switching_matches_fresh_state():
-    """``admit(batch, base_view=...)`` rebases the controller onto
-    caller-owned state at each boundary: results match the reference that
-    feeds committed writes forward through its own state dict — including
-    when the caller mutates that state between batches (the replica's
+    """``admit(batch, base_view)`` runs each batch on a controller over
+    caller-owned state: results match the reference that feeds committed
+    writes forward through its own state dict — including when the caller
+    mutates that state between batches (the replica's
     overlay-discard-on-cross-shard-commit case)."""
     registry = default_registry()
     batches = smallbank_batches(6, n_batches=4, batch_size=20)
@@ -317,54 +301,24 @@ def test_session_base_view_switching_matches_fresh_state():
         state.update(proc.value.final_writes())
         reference.append(proc.value)
 
-    # Session: same evolution, but every batch through one controller.
+    # Session: same evolution, every batch through one worker pool.
     env = Environment()
     runner = CERunner(registry, CEConfig(executors=8), make_rng(6))
-    session = runner.open_session(env, dict(state0))
+    session = runner.open_session(env)
     state = dict(state0)
     results = []
     for k, txs in enumerate(batches):
         external_write(state, k)
-        session.admit(txs, base_view=dict(state))
+        session.admit(txs, dict(state))
         proc = session.drain()
         env.run()
         state.update(proc.value.final_writes())
         results.append(proc.value)
     for expected, actual in zip(reference, results):
         assert fingerprint(actual) == fingerprint(expected)
-    # The rebase dropped the controller overlay each boundary: committed
-    # values were observable only through the caller's views.
+    # Each batch's controller saw only its own commits: earlier values
+    # were observable only through the caller's views.
     assert session.cc._overlay == results[-1].final_writes()
-
-
-def test_session_rebase_requires_quiescence():
-    """Rebasing under a transaction that already recorded operations is
-    rejected — the ground cannot change under a live read."""
-    cc = ConcurrencyController({"A": 1})
-    node = cc.begin(1)
-    assert cc.read(node, "A") == 1
-    with pytest.raises(SerializationError):
-        cc.rebase({"A": 2})
-
-
-def test_rebase_failure_closes_the_session():
-    """A rebase that explodes at dispatch time (a record-holding node the
-    boundary prune could not evict) must not leave a half-dead session
-    behind: the session closes (``runner.last_session`` reads as closed,
-    as after close/abort — a failed rebase is the same death) and the
-    idle worker pool is shut down instead of parking forever."""
-    env, runner, session = make_session()
-    # A record-holding node the session does not know about, standing in
-    # for any bug that leaves the graph non-quiescent at a rebase.
-    stray = session.cc.begin(10_001)
-    session.cc.read(stray, "checking:0")
-    (batch,) = smallbank_batches(2, n_batches=1, batch_size=5)
-    with pytest.raises(SerializationError):
-        session.admit(batch, base_view=dict(initial_state(64)))
-    assert session.closed
-    assert runner.last_session is session
-    env.run()
-    assert all(not worker.is_alive for worker in session.workers)
 
 
 def test_session_admit_is_atomic_on_duplicate_ids():
@@ -374,9 +328,9 @@ def test_session_admit_is_atomic_on_duplicate_ids():
     (batch,) = smallbank_batches(1, n_batches=1, batch_size=6)
     bad = batch[:4] + [batch[2]]          # duplicate inside the batch
     with pytest.raises(SerializationError):
-        session.admit(bad)
-    assert len(session.cc.graph.nodes) == 0
-    session.admit(batch)                  # same ids, now accepted
+        session.admit(bad, dict(initial_state(64)))
+    assert session.cc is None             # no controller was built
+    session.admit(batch, dict(initial_state(64)))  # same ids, accepted
     proc = session.drain()
     env.run()
     assert len(proc.value.committed) == len(batch)
@@ -388,7 +342,8 @@ def test_session_lifecycle_errors():
     with pytest.raises(SerializationError):
         session.drain()                      # nothing admitted
     (batch,) = smallbank_batches(0, n_batches=1, batch_size=5)
-    session.admit(batch)
+    view = dict(initial_state(64))
+    session.admit(batch, view)
     with pytest.raises(SerializationError):
         session.close()                      # batch still in flight
     proc = session.drain()
@@ -396,7 +351,7 @@ def test_session_lifecycle_errors():
     assert proc.value is not None
     session.close()
     with pytest.raises(SerializationError):
-        session.admit(batch)                 # closed
+        session.admit(batch, view)           # closed
     with pytest.raises(SerializationError):
         session.close()                      # already closed
 
@@ -406,14 +361,15 @@ def test_session_abort_mid_drain_leaves_no_orphans():
     (its RNG draws belong to the seeded schedule), the drain then wakes
     with ``None``, every worker shuts down, and the runner's
     ``last_session`` reads as closed; a fresh session on the same runner
-    starts from a clean graph."""
+    starts with no controller."""
     registry = default_registry()
     batches = smallbank_batches(9, n_batches=2, batch_size=40,
                                 theta=0.99)
+    view = dict(initial_state(64))
     env = Environment()
     runner = CERunner(registry, CEConfig(executors=8), make_rng(9))
-    session = runner.open_session(env, dict(initial_state(64)))
-    session.admit(batches[0])
+    session = runner.open_session(env)
+    session.admit(batches[0], view)
     proc = session.drain()
 
     def aborter():
@@ -421,7 +377,7 @@ def test_session_abort_mid_drain_leaves_no_orphans():
         assert not proc.triggered
         session.abort()
         with pytest.raises(SerializationError):
-            session.admit(batches[1])        # the epoch is over
+            session.admit(batches[1], view)  # the epoch is over
 
     env.process(aborter())
     env.run()
@@ -435,13 +391,55 @@ def test_session_abort_mid_drain_leaves_no_orphans():
     assert all(not worker.is_alive for worker in session.workers)
     assert runner.last_session.closed
     # The next session is clean and fully functional.
-    fresh = runner.open_session(env, dict(initial_state(64)))
-    assert len(fresh.cc.graph.nodes) == 0
-    fresh.admit(batches[0])
+    fresh = runner.open_session(env)
+    assert fresh.cc is None
+    fresh.admit(batches[0], view)
     proc = fresh.drain()
     env.run()
     assert len(proc.value.committed) == len(batches[0])
     fresh.close()
+
+
+def test_orphan_finishes_on_its_own_controller_while_next_session_runs():
+    """An epoch change while a batch drains, as a replica's does: the
+    orphaned batch finishes on its own controller in the background while
+    the next session admits on a fresh one, and each controller commits
+    exactly its own batch."""
+    registry = default_registry()
+    first, second = smallbank_batches(9, n_batches=2, batch_size=40,
+                                      theta=0.99)
+    view = dict(initial_state(64))
+    env = Environment()
+    runner = CERunner(registry, CEConfig(executors=8), make_rng(9))
+    session = runner.open_session(env)
+    session.admit(first, view)
+    orphan_cc = session.cc
+    orphan = session.drain()
+    fresh = []
+
+    def reconfigure():
+        yield env.timeout(2e-5)              # mid-flight
+        assert orphan_cc.stats.commits < len(first)
+        session.abort()
+        fresh.append(runner.open_session(env))
+        fresh[0].admit(second, view)
+        result = yield fresh[0].drain()
+        fresh.append(result)
+
+    env.process(reconfigure())
+    env.run()
+    assert orphan.value is None
+    next_session, result = fresh
+    assert next_session.cc is not orphan_cc
+    assert session.cc is orphan_cc
+    assert orphan_cc.stats.commits == len(first)
+    assert sorted(e.tx_id for e in orphan_cc.committed) \
+        == sorted(tx.tx_id for tx in first)
+    assert next_session.cc.committed == result.committed
+    assert sorted(result.order) == sorted(tx.tx_id for tx in second)
+    assert result.stats is next_session.cc.stats
+    assert all(not worker.is_alive for worker in session.workers)
+    next_session.close()
 
 
 def test_abort_mid_preplay_preserves_engine_rng_lockstep():
@@ -463,10 +461,11 @@ def test_abort_mid_preplay_preserves_engine_rng_lockstep():
     env.run()
 
     # Session path: abort mid-batch-0, fresh session for batch 1.
+    view = dict(initial_state(64))
     env = Environment()
     runner = CERunner(registry, CEConfig(executors=8), make_rng(12))
-    session = runner.open_session(env, dict(initial_state(64)))
-    session.admit(batches[0])
+    session = runner.open_session(env)
+    session.admit(batches[0], view)
     proc = session.drain()
 
     def aborter():
@@ -477,8 +476,8 @@ def test_abort_mid_preplay_preserves_engine_rng_lockstep():
     env.process(aborter())
     env.run()                               # orphan completes here
     assert proc.value is None
-    fresh = runner.open_session(env, dict(initial_state(64)))
-    fresh.admit(batches[1])
+    fresh = runner.open_session(env)
+    fresh.admit(batches[1], view)
     proc = fresh.drain()
     env.run()
     assert fingerprint(proc.value) == fingerprint(ref.value)
@@ -495,58 +494,45 @@ def test_session_abort_idle_is_clean_and_idempotent():
     assert runner.last_session.closed
 
 
-def test_ccstats_snapshot_and_delta():
-    cc = ConcurrencyController({"A": 0})
-    node = cc.begin(1)
-    cc.write(node, "A", 1)
-    cc.finish(node)
-    mark = cc.stats.snapshot()
-    node = cc.begin(2)
-    assert cc.read(node, "A") == 1
-    cc.write(node, "A", 2)
-    cc.finish(node)
-    delta = cc.stats.delta(mark)
-    assert (delta.commits, delta.reads, delta.writes) == (1, 1, 1)
-    # The snapshot is frozen: later activity doesn't leak into it.
-    assert mark.commits == 1 and mark.reads == 0
-    # Sanity: delta against itself zeroes every counter; the non-counter
-    # field (peak row width) carries its current value.
-    zero = cc.stats.delta(cc.stats.snapshot())
-    assert all(value == 0 for name, value in vars(zero).items()
-               if name not in CCStats._NON_COUNTERS)
-    assert zero.bitset_words == cc.graph.peak_bitset_words
-
-
 def test_duplicate_ids_in_stream_window_rejected():
     """A batch reusing ids of a batch still in the session is refused
     (as is any admit before the earlier batch's drain returned)."""
     env, runner, session = make_session(executors=2)
     (batch,) = smallbank_batches(0, n_batches=1, batch_size=5)
-    session.admit(batch)
+    session.admit(batch, dict(initial_state(64)))
     with pytest.raises(SerializationError):
-        session.admit(batch)
+        session.admit(batch, dict(initial_state(64)))
 
 
 def test_stream_reports_bounded_controller_buffers():
-    """The controller's committed buffer and attempt map are drained per
-    batch, so a long stream doesn't accumulate them — and the runner's
+    """Each admit builds a distinct controller that holds its own batch
+    alone — its commits (order indexes from 0), attempt counters and
+    counters — so a long stream accumulates nothing; and the runner's
     ``last_session`` reads as closed after close(), so post-run reads
     can't mistake the dead controller's counters for live ones."""
     registry = default_registry()
     batches = smallbank_batches(3, n_batches=6, batch_size=15)
     env = Environment()
     runner = CERunner(registry, CEConfig(executors=4), make_rng(3))
-    session = runner.open_session(env, dict(initial_state(64)))
+    session = runner.open_session(env)
+    controllers = []
     for batch in batches:
-        session.admit(batch)
+        session.admit(batch, dict(initial_state(64)))
+        controllers.append(session.cc)
         proc = session.drain()
         env.run()
-        assert proc.value is not None
-    cc = session.cc
+        result = proc.value
+        cc = session.cc
+        assert cc is controllers[-1]
+        assert cc.committed == result.committed
+        assert [e.order_index for e in result.committed] \
+            == list(range(len(batch)))
+        assert set(cc._attempts) == {tx.tx_id for tx in batch}
+        assert result.stats is cc.stats
+        assert cc.stats.commits == len(batch)
+        assert len(cc.graph.nodes) == 0
+    assert len({id(cc) for cc in controllers}) == len(batches)
     assert runner.last_session is session and not session.closed
-    assert cc.committed == []
-    assert cc._attempts == {}
-    assert len(cc.graph.nodes) == 0
     session.close()
     assert runner.last_session.closed  # staleness guard after teardown
 
@@ -562,7 +548,7 @@ def graph_state(graph):
             {key: list(holders) for key, holders in graph._writers.items()},
             {key: list(holders) for key, holders in graph._readers.items()},
             list(graph._indexed), list(graph._down), list(graph._up),
-            graph._live, graph._open, graph.nodes_pruned)
+            graph._live, graph._open)
 
 
 def test_second_admit_before_drain_is_refused_and_changes_nothing():
@@ -573,23 +559,26 @@ def test_second_admit_before_drain_is_refused_and_changes_nothing():
     first, second = smallbank_batches(4, n_batches=2, batch_size=20)
     (reference,) = run_batch_at_a_time(registry, [first],
                                        initial_state(64), 4, 8)
+    view = dict(initial_state(64))
     env = Environment()
     runner = CERunner(registry, CEConfig(executors=8), make_rng(4))
-    session = runner.open_session(env, dict(initial_state(64)))
-    session.admit(first)
-    before = graph_state(session.cc.graph)
+    session = runner.open_session(env)
+    session.admit(first, view)
+    cc = session.cc
+    before = graph_state(cc.graph)
     with pytest.raises(SerializationError, match="drain returned"):
-        session.admit(second)
-    assert graph_state(session.cc.graph) == before
+        session.admit(second, view)
+    assert session.cc is cc
+    assert graph_state(cc.graph) == before
     env.run()                                # finished, boundary not run
     with pytest.raises(SerializationError, match="drain returned"):
-        session.admit(second)
+        session.admit(second, view)
     proc = session.drain()
     env.run()
     assert fingerprint(proc.value) == fingerprint(reference)
     assert proc.value.latencies == reference.latencies
     assert proc.value.elapsed == reference.elapsed
-    session.admit(second)                    # past the boundary: accepted
+    session.admit(second, view)              # past the boundary: accepted
     proc = session.drain()
     env.run()
     assert len(proc.value.committed) == len(second)
@@ -605,7 +594,12 @@ def test_mid_batch_prune_raises_and_leaves_the_graph_intact(monkeypatch):
     (reference,) = run_batch_at_a_time(registry, [batch], initial_state(64),
                                        8, 8)
     finish = ConcurrencyController.finish
-    planted = []
+    prune = DependencyGraph.prune_committed
+    planted, prunes = [], []
+
+    def counted_prune(graph):
+        prunes.append(len(graph.nodes))
+        return prune(graph)
 
     def finish_then_prune(cc, node, result=None, now=0.0):
         committed = finish(cc, node, result=result, now=now)
@@ -615,7 +609,7 @@ def test_mid_batch_prune_raises_and_leaves_the_graph_intact(monkeypatch):
                               if other.status is not NodeStatus.COMMITTED)
             before = graph_state(graph)
             with pytest.raises(SerializationError) as info:
-                cc.prune_committed()
+                cc.graph.prune_committed()
             assert f"transaction {first_open.tx_id} " \
                 f"({first_open.status.value})" in str(info.value)
             assert graph_state(graph) == before
@@ -623,13 +617,15 @@ def test_mid_batch_prune_raises_and_leaves_the_graph_intact(monkeypatch):
         return committed
 
     monkeypatch.setattr(ConcurrencyController, "finish", finish_then_prune)
+    monkeypatch.setattr(DependencyGraph, "prune_committed", counted_prune)
     env = Environment()
     runner = CERunner(registry, CEConfig(executors=8), make_rng(8))
     proc = runner.run_batch(env, batch, initial_state(64))
     env.run()
     assert len(planted) == 1
     assert fingerprint(proc.value) == fingerprint(reference)
-    assert proc.value.stats.prune_passes == 1   # the boundary's own
+    # The plant, then the boundary's own prune of the whole batch.
+    assert len(prunes) == 2 and prunes[1] == len(batch)
 
 
 def test_ce_cluster_graph_holds_one_batch_at_every_boundary(monkeypatch):
@@ -639,7 +635,7 @@ def test_ce_cluster_graph_holds_one_batch_at_every_boundary(monkeypatch):
     seen = []
 
     def counted(session, batch):
-        nodes = len(session.cc.graph.nodes)
+        nodes = len(batch.cc.graph.nodes)
         result = boundary(session, batch)
         seen.append((nodes, result.graph_nodes, len(result.committed),
                      batch.total))

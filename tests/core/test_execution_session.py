@@ -1,18 +1,18 @@
 """The replica execution session (the ``ce`` engine).
 
-A replica runs every preplay round of an epoch through one long-lived
-:class:`~repro.ce.streaming.StreamSession` — one dependency graph,
-closure index, and executor pool.  Three properties carry the engine:
+A replica runs every preplay round of an epoch through one
+:class:`~repro.ce.streaming.StreamSession` — one executor pool, each
+round's batch on its own controller.  Three properties carry the engine:
 
 * **Pinned schedules** — commit logs and counts equal the fingerprints
   the per-round runner (a fresh controller and pool every round, since
   deleted) recorded for the same seeds, across executor counts,
   reconfigurations, a mid-drain crash and a mid-run censorship window.
-* **Boundedness** — boundary pruning keeps the session graph at round
-  scale for the whole epoch; the peak never grows with round count.
+* **Boundedness** — each round's graph holds that round alone; the peak
+  never grows with round count.
 * **Teardown** — ``_reconfigure`` aborts the epoch's session (even
   mid-drain) without orphaning worker processes, and the next epoch's
-  session starts from a clean graph.
+  session admits on a fresh controller.
 """
 
 import pytest
@@ -46,6 +46,15 @@ def run_cluster(seed, duration, executors=16, install=None, drain=0.0,
     return result, digests, cluster
 
 
+def preplayed_blocks(cluster):
+    """Blocks in replica 0's DAG that carry a preplayed batch: one
+    session boundary each, at its author."""
+    dag = cluster.replicas[0].dag
+    return sum(1 for round_number in range(dag.highest_round() + 1)
+               for vertex in dag.round_vertices(round_number)
+               if vertex.block.preplay)
+
+
 def pinned(result, digests):
     """What each pin holds: the commit-log fingerprint of every replica
     and the counts the schedule determines."""
@@ -76,10 +85,10 @@ def test_streaming_session_matches_per_round_engine(executors):
     """Same seed, same workload: the session's commit logs — which cover
     every block's preplay entries and committed orders — and counts are
     the per-round runner's."""
-    result, digests, _ = run_cluster(13, 0.2, executors=executors)
+    result, digests, cluster = run_cluster(13, 0.2, executors=executors)
     assert pinned(result, digests) == PINS[f"executors-{executors}"]
-    # Rounds reuse one graph and pool, pruned at every boundary.
-    assert result.cc_prune_passes > 0
+    # Rounds reuse one pool, each round's batch on its own controller.
+    assert preplayed_blocks(cluster) > 0
 
 
 @pytest.mark.slow
@@ -101,11 +110,10 @@ def test_session_graph_stays_bounded_across_rounds():
     epoch-long graph never accumulates round history."""
     config_cap = 10 * 5  # batch_size * max_batch_factor (one round's cap)
     result, _, cluster = run_cluster(7, 0.2)
-    assert result.cc_prune_passes >= 3, "run too short to cover 3 rounds"
-    assert result.cc_nodes_pruned > 0
-    assert result.ce_peak_graph_nodes <= config_cap
-    # Steady state at run end: every live session's graph holds at most
-    # the round currently in flight.
+    assert preplayed_blocks(cluster) >= 3, "run too short to cover 3 rounds"
+    assert 0 < result.ce_peak_graph_nodes <= config_cap
+    # Steady state at run end: every live session's newest graph holds
+    # at most the round currently in flight.
     for replica in cluster.replicas:
         assert replica._session is not None
         assert len(replica._session.cc.graph.nodes) <= config_cap
@@ -132,8 +140,9 @@ def make_replica(replica_id=0, n=4, **config_kwargs):
 
 def test_reconfigure_mid_drain_tears_down_and_rebuilds():
     """A session dropped mid-drain by ``_reconfigure``: the drain wakes
-    with ``None``, no worker process survives, and the next epoch's
-    session is a distinct, clean one."""
+    with ``None``, the orphaned batch finishes on its own controller, no
+    worker process survives, and the next epoch's session admits on a
+    fresh controller."""
     replica = make_replica()
     env = replica.env
     old = replica._session
@@ -142,6 +151,7 @@ def test_reconfigure_mid_drain_tears_down_and_rebuilds():
         ShardMap(1), seed=4)
     batch = workload.batch(50)
     old.admit(batch, base_view=dict(initial_state(40)))
+    orphan_cc = old.cc
     proc = old.drain()
 
     def interrupt():
@@ -155,11 +165,13 @@ def test_reconfigure_mid_drain_tears_down_and_rebuilds():
     assert replica.epoch == 1
     assert old.closed
     assert all(not worker.is_alive for worker in old.workers)
+    assert orphan_cc.stats.commits == len(batch)
     new = replica._session
     assert new is not old and not new.closed
-    assert len(new.cc.graph.nodes) == 0
+    assert new.cc is None
     # The new session is fully functional in the new epoch.
     new.admit(workload.batch(10), base_view=dict(initial_state(40)))
+    assert new.cc is not orphan_cc
     proc = new.drain()
     env.run()
     assert len(proc.value.committed) == 10

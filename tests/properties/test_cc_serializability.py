@@ -13,7 +13,7 @@ end-to-end through the real DES pool.
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.ce import CEConfig, CERunner, ConcurrencyController
+from repro.ce import CEConfig, CERunner, DependencyGraph
 from repro.contracts import (AMALGAMATE, DEPOSIT_CHECKING, GET_BALANCE,
                              SEND_PAYMENT, TRANSACT_SAVINGS, WRITE_CHECK,
                              default_registry, initial_state, run_inline)
@@ -120,15 +120,15 @@ def test_ce_graph_ends_acyclic_and_all_committed(workload):
     runner = CERunner(REGISTRY, CEConfig(executors=executors),
                       make_rng(seed ^ 0xACE))
     acyclic = []
-    prune = ConcurrencyController.prune_committed
+    prune = DependencyGraph.prune_committed
 
-    def check_then_prune(cc):
+    def check_then_prune(graph):
         # The batch's whole graph, just before the boundary prune.
-        acyclic.append(is_acyclic(cc.graph))
-        return prune(cc)
+        acyclic.append(is_acyclic(graph))
+        return prune(graph)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ConcurrencyController, "prune_committed",
+        patch.setattr(DependencyGraph, "prune_committed",
                       check_then_prune)
         proc = runner.run_batch(env, txs, state)
         env.run()

@@ -43,8 +43,10 @@ def rule_ids(findings):
 
 def test_every_rule_has_docstring_and_unique_id():
     rules = all_rules()
-    assert len(rules) >= 10
-    assert len({info.id for info in rules}) == len(rules)
+    # The catalog of docs/STATIC_ANALYSIS.md, exactly.
+    assert sorted(info.id for info in rules) == [
+        "C302", "C303", "D101", "D102", "D103", "D104", "D105", "L201",
+        "L202"]
     for info in rules:
         assert info.doc.strip(), info.id
         assert "Why:" in info.doc, f"{info.id} docstring must explain why"
@@ -284,44 +286,6 @@ def test_l202_clean_on_acyclic_graph(tmp_path):
 
 
 # ------------------------------------------------------------- consistency
-
-
-def test_c301_flags_missing_field_in_delta(tmp_path):
-    findings = lint(tmp_path, {"mod.py": """
-from dataclasses import dataclass
-
-@dataclass
-class Stats:
-    hits: int = 0
-    misses: int = 0
-
-    def snapshot(self):
-        return Stats(hits=self.hits, misses=self.misses)
-
-    def delta(self, since):
-        return Stats(hits=self.hits - since.hits)
-"""}, select={"C301"})
-    assert rule_ids(findings) == ["C301"]
-    assert "misses" in findings[0].message
-
-
-def test_c301_clean_on_generic_implementation(tmp_path):
-    findings = lint(tmp_path, {"mod.py": """
-from dataclasses import dataclass, replace
-
-@dataclass
-class Stats:
-    hits: int = 0
-    misses: int = 0
-
-    def snapshot(self):
-        return replace(self)
-
-    def delta(self, since):
-        return Stats(**{name: getattr(self, name) - getattr(since, name)
-                        for name in vars(self)})
-"""}, select={"C301"})
-    assert findings == []
 
 
 def test_c302_flags_unbacked_result_counter(tmp_path):

@@ -1,11 +1,10 @@
 """Consistency rules: paired structures that must evolve together.
 
-These catch the "added a counter in one place, forgot the other two"
-class of bug: a new ``CCStats`` field that ``delta()`` silently drops, a
-new ``ClusterResult`` counter the ``MetricsCollector`` never populates
-(so every run reports 0 and nobody notices), or a worker loop blocking
-on a queue with no way to ever wake up — the executor-pool hang class
-PR 1 fixed with shutdown sentinels.
+These catch the "added a counter in one place, forgot the other"
+class of bug: a new ``ClusterResult`` counter the ``MetricsCollector``
+never populates (so every run reports 0 and nobody notices), or a worker
+loop blocking on a queue with no way to ever wake up — the executor-pool
+hang class PR 1 fixed with shutdown sentinels.
 """
 
 from __future__ import annotations
@@ -48,83 +47,6 @@ def _find_class(module: Module, name: str) -> Optional[ast.ClassDef]:
         if isinstance(node, ast.ClassDef) and node.name == name:
             return node
     return None
-
-
-# --------------------------------------------------------------------------
-# C301 — snapshot()/delta() must cover every stats field
-# --------------------------------------------------------------------------
-
-
-def _method(cls: ast.ClassDef, name: str) -> Optional[ast.FunctionDef]:
-    for stmt in cls.body:
-        if isinstance(stmt, ast.FunctionDef) and stmt.name == name:
-            return stmt
-    return None
-
-
-def _covers_all_fields(func: ast.FunctionDef) -> bool:
-    """Generic full-coverage implementations: ``replace(self)``,
-    ``vars(self)``, ``dataclasses.fields``/``asdict``."""
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Call):
-            continue
-        name = node.func.attr if isinstance(node.func, ast.Attribute) \
-            else node.func.id if isinstance(node.func, ast.Name) else None
-        if name in ("replace", "vars", "fields", "asdict") and node.args:
-            first = node.args[0]
-            if isinstance(first, ast.Name) and first.id == "self":
-                return True
-    return False
-
-
-def _explicit_keywords(func: ast.FunctionDef, cls_name: str) -> Optional[Set[str]]:
-    """Field names an explicit ``ClsName(field=..., ...)`` construction
-    lists; ``None`` when no such construction exists."""
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id == cls_name and node.keywords:
-            named = {kw.arg for kw in node.keywords if kw.arg is not None}
-            if any(kw.arg is None for kw in node.keywords):
-                # **kwargs construction: coverage decided by the mapping
-                # expression, handled by _covers_all_fields.
-                return None
-            return named
-    return None
-
-
-@rule(id="C301", name="stats-pair")
-def check_stats_pair(module: Module) -> Iterator[Finding]:
-    """A stats dataclass whose ``snapshot()``/``delta()`` misses a field.
-
-    Why: per-batch metrics off a long-lived controller are boundary
-    deltas — ``BatchResult.stats = after.delta(before)``.  A counter
-    missing from ``delta()`` reports cumulative garbage (double-counting
-    every earlier batch); one missing from ``snapshot()`` silently reads
-    0.  Generic implementations (``replace(self)``, ``vars(self)``,
-    ``dataclasses.fields``) cover every field by construction; explicit
-    field lists must be complete.
-    """
-    for node in ast.walk(module.tree):
-        if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
-            continue
-        snapshot = _method(node, "snapshot")
-        delta = _method(node, "delta")
-        if snapshot is None or delta is None:
-            continue
-        fields = _dataclass_fields(node)
-        for func in (snapshot, delta):
-            if _covers_all_fields(func):
-                continue
-            listed = _explicit_keywords(func, node.name)
-            if listed is None:
-                continue  # construction style we cannot see through
-            missing = sorted(set(fields) - listed)
-            if missing:
-                yield module.finding(
-                    "C301", func,
-                    f"{node.name}.{func.name}() does not carry field(s) "
-                    f"{', '.join(missing)}; every stats field must survive "
-                    f"snapshot/delta")
 
 
 # --------------------------------------------------------------------------
