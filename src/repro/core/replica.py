@@ -23,6 +23,16 @@ Shift blocks; once a committed leader's history holds 2f+1 of them, the
 epoch ends at that committed point for every honest replica and shard
 assignments rotate round-robin.
 
+State by lifetime: *wiring* (identity, network, engine, hooks) is fixed at
+construction; *durable* state — the store, the commit log, the executed set
+and the epoch number — carries over every epoch change; *pipeline* state
+(the execution queue, messages buffered for a later epoch, submit times and
+kinds, counters) lives as long as the replica; and *epoch* state — the DAG,
+consensus, votes, mempools, in-flight preplay, the overlay, P3/P4/P5
+bookkeeping and the CE session — is built by ``Replica._enter_epoch``,
+which construction and ``_reconfigure`` both call.  Committed writes reach
+the store at one point, ``Replica._apply``.
+
 Determinism note: every state-changing decision at commit time (P5
 deferrals, validation order, cross-shard order) is derived from the
 *committed* history, which the DAG guarantees identical across honest
@@ -78,6 +88,7 @@ class Replica:
                  registry: ContractRegistry, keypair: KeyPair,
                  key_registry: KeyRegistry, metrics: MetricsCollector,
                  initial_state: Dict[str, Any], memo: ReplayMemo) -> None:
+        # Wiring: fixed for the replica's lifetime.
         self.id = replica_id
         self.env = env
         self.network = network
@@ -91,16 +102,48 @@ class Replica:
         self.n = config.n_replicas
         self.schedule = LeaderSchedule(self.n)
         self._rng = make_rng((config.seed << 8) ^ (replica_id + 1))
+        #: Optional demand-driven transaction source installed by the
+        #: cluster: ``callable(count, now) -> List[Transaction]``.  Models
+        #: clients keeping the proposer saturated without an explicit
+        #: arrival-rate parameter.
+        self.tx_source = None
+        self.on_drop = None        # callable(replica, list[Transaction])
+        #: Byzantine-executor hook: ``callable(entries) -> entries`` applied
+        #: to the preplay tuple before the block is built, so the forged
+        #: read/write sets are covered by the block digest and every replica
+        #: validates the identical lie (repro.adversary.ByzantineExecutor).
+        self.preplay_tamper = None
+        self._engine = self._make_engine()
+        self._cross_exec = CrossShardExecutor(
+            registry, memo, op_cost=config.ce.op_cost)
 
-        # Durable state.
+        # Durable state: carried across every epoch; written only by _apply.
         self.store = KVStore()
         self.store.apply_batch(initial_state)
         self.commit_log = CommitLog()
-
-        # Epoch-scoped consensus state (reset on reconfiguration).
+        self.executed: Set[int] = set()
         self.epoch = 0
-        self.dag = DagStore(epoch=0)
-        self.consensus = TuskConsensus(self.n, epoch=0, schedule=self.schedule)
+
+        # Pipeline state: the execution queue, messages from epochs not yet
+        # reached, client bookkeeping, the fault flag and the counters.
+        self._exec_queue: Store = Store(env)
+        self._future_epoch_messages: List[Message] = []
+        self._submit_times: Dict[int, float] = {}
+        self._tx_kind: Dict[int, str] = {}
+        self.crashed = False
+        self.blocks_proposed = 0
+        self.validation_failures = 0
+
+        self._enter_epoch()
+
+    def _enter_epoch(self) -> None:
+        """Build every epoch-scoped field for ``self.epoch``: construction
+        and each reconfiguration (§6) call this one builder, so no field
+        can outlive its epoch."""
+        # Consensus.
+        self.dag = DagStore(epoch=self.epoch)
+        self.consensus = TuskConsensus(self.n, epoch=self.epoch,
+                                       schedule=self.schedule)
         self.round = 0
         self.rounds_proposed = 0
         self.shift_sent = False
@@ -113,9 +156,8 @@ class Replica:
         self._committed_last_round: Dict[int, int] = {}
         self._shift_authors_seen: Dict[int, Set[int]] = {}
         self._committed_shift_authors: Set[int] = set()
-        self._future_epoch_messages: List[Message] = []
 
-        # Shard-proposer state.
+        # Shard proposer.
         self.mempool_single: Deque[Transaction] = deque()
         self.mempool_cross: Deque[Transaction] = deque()
         self._in_flight_single: Dict[str, List[Transaction]] = {}
@@ -131,39 +173,16 @@ class Replica:
         self._pending_cross: Dict[int, Dict[int, None]] = {}
         #: Digests already walked while indexing leader histories.
         self._history_seen: Set[str] = set()
-
-        # Execution pipeline.
-        self.executed: Set[int] = set()
-        self._exec_queue: Store = Store(env)
+        self._deferred_cross: List[Transaction] = []
         #: True between a reconfiguration and the moment the execution
         #: pipeline has applied everything committed before it — preplay on
         #: the newly assigned shard must wait for that state (§6 hand-off).
-        self._awaiting_drain = False
-        self._deferred_cross: List[Transaction] = []
-        self._submit_times: Dict[int, float] = {}
-        self._tx_kind: Dict[int, str] = {}
-
-        #: Optional demand-driven transaction source installed by the
-        #: cluster: ``callable(count, now) -> List[Transaction]``.  Models
-        #: clients keeping the proposer saturated without an explicit
-        #: arrival-rate parameter.
-        self.tx_source = None
-
-        # Engine.
-        self._engine = self._make_engine()
-        self._cross_exec = CrossShardExecutor(
-            registry, memo, op_cost=config.ce.op_cost)
-
-        # Hooks and fault state.
-        self.on_drop = None        # callable(replica, list[Transaction])
-        #: Byzantine-executor hook: ``callable(entries) -> entries`` applied
-        #: to the preplay tuple before the block is built, so the forged
-        #: read/write sets are covered by the block digest and every replica
-        #: validates the identical lie (repro.adversary.ByzantineExecutor).
-        self.preplay_tamper = None
-        self.crashed = False
-        self.blocks_proposed = 0
-        self.validation_failures = 0
+        self._awaiting_drain = self.epoch > 0
+        #: CE: the epoch's execution session, the worker pool every preplay
+        #: round of the epoch runs through, each round's batch on its own
+        #: controller over that round's speculative overlay view.
+        self._session = (self._engine.open_session(self.env)
+                         if isinstance(self._engine, CERunner) else None)
 
     # ----------------------------------------------------------------- wiring
 
@@ -173,22 +192,13 @@ class Replica:
         return self.shard_map.shard_served_by(self.id, self.epoch)
 
     def _make_engine(self):
-        self._session = None
         if self.config.engine == "occ":
             return OCCRunner(self.registry, self.config.ce,
                              derive_rng(self._rng, 11))
         if self.config.engine == "ce":
-            runner = CERunner(self.registry, self.config.ce,
-                              derive_rng(self._rng, 12))
-            self._session = self._open_session(runner)
-            return runner
+            return CERunner(self.registry, self.config.ce,
+                            derive_rng(self._rng, 12))
         return None  # "serial": no preplay engine (Tusk baseline)
-
-    def _open_session(self, runner: CERunner):
-        """One epoch's execution session: the worker pool every preplay
-        round of the epoch runs through, each round's batch on its own
-        controller over that round's speculative overlay view."""
-        return runner.open_session(self.env)
 
     def submit(self, tx: Transaction, now: Optional[float] = None) -> None:
         """Client entry point: enqueue a transaction at this proposer."""
@@ -500,11 +510,7 @@ class Replica:
             return
         demand = self.config.batch_size * max(1, self.config.demand_factor)
         for tx in self.tx_source(demand, self.env.now):
-            self._submit_times.setdefault(tx.tx_id, self.env.now)
-            if len(tx.shard_ids) == 1 or self.config.engine == "serial":
-                self.mempool_single.append(tx)
-            else:
-                self.mempool_cross.append(tx)
+            self.submit(tx)
 
     def _pull_batch(self) -> List[Transaction]:
         """The round's single-shard batch: up to ``max_batch_factor``
@@ -698,9 +704,8 @@ class Replica:
                         op_cost=self.config.validation_op_cost))
                 if recovery.simulated_cost > 0:
                     yield self.env.timeout(recovery.simulated_cost)
-                self.store.apply_batch(recovery.writes)
                 self.metrics.validation_reexecutions += len(recovery.executed)
-                self._record_executions(recovery.executed, "single")
+                self._apply(recovery.writes, recovery.executed, "single")
                 return
             writes = outcome.writes
         else:
@@ -712,17 +717,15 @@ class Replica:
             writes = {}
             for entry in block.preplay:
                 writes.update(entry.write_set)
-        self.store.apply_batch(writes)
-        self._record_executions((entry.tx_id for entry in block.preplay),
-                                "single")
+        self._apply(writes, (entry.tx_id for entry in block.preplay),
+                    "single")
 
     def _run_cross(self, runnable: List[Transaction]):
         outcome = self._cross_exec.execute(runnable, self.store)
         if outcome.simulated_cost > 0:
             yield self.env.timeout(outcome.simulated_cost)
-        self.store.apply_batch(outcome.writes)
-        self._record_executions((tx.tx_id for tx in runnable), "cross",
-                                self._tx_kind)
+        self._apply(outcome.writes, (tx.tx_id for tx in runnable), "cross",
+                    self._tx_kind)
         touched: Set[int] = set()
         for tx in runnable:
             for sid in tx.shard_ids:
@@ -743,15 +746,17 @@ class Replica:
         outcome = self._cross_exec.execute_serial(runnable, self.store)
         if outcome.simulated_cost > 0:
             yield self.env.timeout(outcome.simulated_cost)
-        self.store.apply_batch(outcome.writes)
-        self._record_executions((tx.tx_id for tx in runnable), "serial",
-                                self._tx_kind)
+        self._apply(outcome.writes, (tx.tx_id for tx in runnable), "serial",
+                    self._tx_kind)
 
-    def _record_executions(self, tx_ids: Iterable[int], kind: str,
-                           kinds: Optional[Dict[int, str]] = None) -> None:
-        """Mark one applied batch executed here, at this instant; pass the
-        collector, which samples a transaction once per cluster, only those
-        it has not recorded, of kind ``kinds.get(tx_id, kind)``."""
+    def _apply(self, writes: Dict[str, Any], tx_ids: Iterable[int],
+               kind: str, kinds: Optional[Dict[int, str]] = None) -> None:
+        """The one point where committed work reaches the store: apply one
+        batch's writes and mark its transactions executed here, at this
+        instant; pass the collector, which samples a transaction once per
+        cluster, only those it has not recorded, of kind
+        ``kinds.get(tx_id, kind)``."""
+        self.store.apply_batch(writes)
         now = self.env.now
         executed = self.executed
         recorded = self.metrics.recorded_ids
@@ -784,10 +789,9 @@ class Replica:
             # finalized at the epoch boundary: the ending round is the same
             # on every honest replica, so this execution point is identical
             # everywhere.
-            self._exec_queue.put(("cross", list(self._deferred_cross)))
-            self._deferred_cross = []
-        # Preplay in the new epoch must see all pre-transition effects.
-        self._awaiting_drain = True
+            self._exec_queue.put(("cross", self._deferred_cross))
+        # Preplay in the new epoch must see all pre-transition effects:
+        # _enter_epoch sets _awaiting_drain, and this marker clears it.
         self._exec_queue.put(("epoch-drained", self.epoch + 1))
         # Wake any process blocked on old-epoch conditions so it can observe
         # the epoch change and move on (non-blocking reconfiguration).
@@ -797,35 +801,12 @@ class Replica:
                 event.succeed()
         self.epoch += 1
         self.metrics.record_reconfiguration(self.epoch, self.env.now)
-        self.dag = DagStore(epoch=self.epoch)
-        self.consensus = TuskConsensus(self.n, epoch=self.epoch,
-                                       schedule=self.schedule)
-        self.round = 0
-        self.rounds_proposed = 0
-        self.shift_sent = False
-        self._voted = set()
-        self._builders = {}
-        self._pending_blocks = {}
-        self._round_events = {}
-        self._leader_events = {}
-        self._last_vertex_round = {}
-        self._committed_last_round = {}
-        self._shift_authors_seen = {}
-        self._committed_shift_authors = set()
-        self.mempool_single = deque()
-        self.mempool_cross = deque()
-        self._in_flight_single = {}
-        self._overlay = {}
-        self._overlay_dirty = False
         if self._session is not None:
             # The execution session dies with the epoch: in-flight preplay
             # is discarded (already counted in ``dropped`` above), the old
             # worker pool shuts down, and the new epoch gets a clean graph.
             self._session.abort()
-            self._session = self._open_session(self._engine)
-        self._pending_cross = {}
-        self._history_seen = set()
-        self._deferred_cross = []
+        self._enter_epoch()
         if self.on_drop is not None and dropped:
             self.on_drop(self, dropped)
         # Replay buffered messages that were ahead of us.

@@ -218,15 +218,16 @@ def test_streaming_matches_per_round_under_mid_run_censorship():
 def test_cluster_reconfigurations_orphan_no_workers(monkeypatch):
     """Over a run with many epoch transitions, every superseded session is
     closed and none of its workers is still alive at the end."""
+    from repro.ce.runner import CERunner
     sessions = []
-    original = Replica._open_session
+    original = CERunner.open_session
 
-    def tracking(self, runner):
-        session = original(self, runner)
+    def tracking(self, env, default=0):
+        session = original(self, env, default)
         sessions.append(session)
         return session
 
-    monkeypatch.setattr(Replica, "_open_session", tracking)
+    monkeypatch.setattr(CERunner, "open_session", tracking)
     result, _, cluster = run_cluster(6, 0.8, k_prime=15, k_silent=10)
     assert result.reconfigurations >= 1
     live = {r._session for r in cluster.replicas}

@@ -1,16 +1,25 @@
-"""Unit tests for replica-internal logic (no full cluster runs)."""
+"""Unit tests for replica-internal logic (short cluster runs only where a
+test needs a replica in the middle of a run)."""
+
+from collections import deque
 
 import pytest
 
+from repro.adversary import ByzantineExecutor
+from repro.ce.streaming import StreamSession
 from repro.contracts import ReplayMemo, default_registry, initial_state
+from repro.core.cluster import Cluster
 from repro.core.config import ThunderboltConfig
 from repro.core.replica import Replica
 from repro.core.shards import ShardMap
 from repro.crypto.keys import KeyPair, KeyRegistry
-from repro.dag.tusk import CommitEvent
+from repro.dag.store import DagStore
+from repro.dag.tusk import CommitEvent, TuskConsensus
 from repro.metrics.collector import MetricsCollector
 from repro.sim import Environment, LatencyModel, Network, make_rng
+from repro.storage.kvstore import KVStore
 from repro.txn import Transaction
+from repro.workloads import WorkloadConfig
 
 
 def make_replica(replica_id=0, n=4, **config_kwargs):
@@ -220,3 +229,129 @@ def test_generate_demand_routes_cross_to_cross_pool():
     replica._generate_demand()
     assert len(replica.mempool_single) == 1
     assert len(replica.mempool_cross) == 1
+
+
+# -- state by lifetime -------------------------------------------------------------
+
+#: Every attribute that outlives an epoch; all others are epoch state,
+#: built by ``Replica._enter_epoch``.
+NON_EPOCH = frozenset({
+    # Wiring.
+    "id", "env", "network", "config", "shard_map", "registry", "keypair",
+    "key_registry", "metrics", "memo", "n", "schedule", "_rng",
+    "tx_source", "on_drop", "preplay_tamper", "_engine", "_cross_exec",
+    # Durable.
+    "store", "commit_log", "executed", "epoch",
+    # Pipeline.
+    "_exec_queue", "_future_epoch_messages", "_submit_times", "_tx_kind",
+    "crashed", "blocks_proposed", "validation_failures",
+})
+
+
+def epoch_fields(replica):
+    return sorted(set(vars(replica)) - NON_EPOCH)
+
+
+@pytest.mark.parametrize("engine", ["ce", "occ", "serial"])
+def test_enter_epoch_builds_every_unnamed_field(engine):
+    """A bare replica holding only the attributes named in ``NON_EPOCH``
+    ends with exactly a fresh replica's attribute set after
+    ``_enter_epoch``, and the builder leaves the named ones alone: a field
+    assigned anywhere else is unclassified and fails here."""
+    fresh = make_replica(engine=engine)
+    bare = object.__new__(Replica)
+    bare.__dict__.update({name: getattr(fresh, name) for name in NON_EPOCH})
+    bare._enter_epoch()
+    assert set(vars(bare)) == set(vars(fresh))
+    for name in NON_EPOCH:
+        assert getattr(bare, name) is getattr(fresh, name), name
+
+
+def test_reconfigure_rebuilds_every_epoch_field():
+    """After ``_reconfigure`` in the middle of a run, every epoch field
+    holds a fresh replica's value at the new epoch."""
+    cluster = Cluster(ThunderboltConfig(n_replicas=4, batch_size=10, seed=3),
+                      WorkloadConfig(accounts=200, cross_shard_ratio=0.2))
+    cluster.run(0.05)
+    replica = cluster.replicas[0]
+    before = {name: getattr(replica, name) for name in epoch_fields(replica)}
+    assert replica.round > 0 and replica._voted and replica._session.cc
+    replica._reconfigure()
+    assert replica.epoch == 1
+    assert before["_session"].closed
+    fresh = make_replica()
+    assert epoch_fields(replica) == epoch_fields(fresh)
+    for name in epoch_fields(fresh):
+        value, pristine = getattr(replica, name), getattr(fresh, name)
+        if isinstance(pristine, (dict, set, list, deque)):
+            assert value == pristine and value is not before[name], name
+        elif isinstance(pristine, (DagStore, TuskConsensus)):
+            assert value is not before[name] and value.epoch == 1, name
+        elif isinstance(pristine, StreamSession):
+            assert value is not before[name], name
+            assert not value.closed and value.cc is None
+        elif name == "_awaiting_drain":
+            assert value is True  # until the pipeline reaches the marker
+        elif isinstance(pristine, (bool, int)):
+            assert value == pristine, name
+        else:
+            pytest.fail(f"epoch field {name} has no check for its type")
+    assert replica.dag.highest_round() == -1
+    assert not replica.consensus.is_committed(
+        replica.commit_log.last().digest)
+
+
+# -- the one apply point -------------------------------------------------------------
+
+#: shape -> (config, workload, forging replicas, kinds that must be applied).
+APPLY_SHAPES = {
+    "ce-forged": (dict(n_replicas=4, engine="ce", batch_size=10),
+                  dict(accounts=200), (1,), {"single"}),
+    "ce-cross": (dict(n_replicas=8, engine="ce", batch_size=20),
+                 dict(accounts=400, cross_shard_ratio=0.6), (),
+                 {"single", "cross"}),
+    "serial": (dict(n_replicas=4, engine="serial", batch_size=10),
+               dict(accounts=200, cross_shard_ratio=0.2), (), {"serial"}),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(APPLY_SHAPES))
+def test_every_store_write_goes_through_apply(shape, monkeypatch):
+    """After construction, a replica's store is written only inside
+    ``Replica._apply``, and the ids that reach ``_apply`` are exactly the
+    replica's executed set (validation, recovery, cross-shard and serial
+    batches alike)."""
+    config, workload, forging, kinds = APPLY_SHAPES[shape]
+    cluster = Cluster(ThunderboltConfig(seed=11, **config),
+                      WorkloadConfig(**workload))
+    if forging:
+        cluster.install(ByzantineExecutor(forging, rate=1.0))
+    applying = []
+    applied = {replica.id: set() for replica in cluster.replicas}
+    applied_kinds = set()
+    original_apply, original_batch = Replica._apply, KVStore.apply_batch
+
+    def apply(self, writes, tx_ids, kind, kinds=None):
+        tx_ids = list(tx_ids)
+        applied[self.id].update(tx_ids)
+        applied_kinds.add(kind)
+        applying.append(self.store)
+        try:
+            original_apply(self, writes, tx_ids, kind, kinds)
+        finally:
+            applying.pop()
+
+    def apply_batch(store, writes):
+        assert applying and applying[-1] is store, \
+            "a store write outside Replica._apply"
+        original_batch(store, writes)
+
+    monkeypatch.setattr(Replica, "_apply", apply)
+    monkeypatch.setattr(KVStore, "apply_batch", apply_batch)
+    cluster.run(0.01, drain=0.1)
+    assert applied_kinds == kinds
+    if forging:
+        assert cluster.metrics.validation_reexecutions > 0
+    for replica in cluster.replicas:
+        assert replica.executed
+        assert applied[replica.id] == replica.executed
