@@ -24,14 +24,14 @@ R1 (§8.2, Fig. 9a): a new writer of K receives an anti-edge from every live
 
 R2 (§8.2, Fig. 9b): a read of K attaches to the writer of K latest in
     serialization order that does not create a cycle — live writers,
-    latest registered first, then the newest committed one (walking back
-    is the "read from ancestor" repair of §8.4; the root/storage is the
-    final fallback).  Then every other writer of K is pinned: either a
-    path into the chosen writer, or an anti-edge putting it after the
-    reader; a committed chosen writer takes no pin, and two committed
-    writers need none (commit order orders them).  Writers that can do
-    neither are conflicting and abort (or, per §8.4 case 1, if the reading
-    transaction has no writes it aborts itself instead of killing a writer).
+    latest registered first (walking back is the "read from ancestor"
+    repair of §8.4), then the root: the batch's committed overlay, whose
+    value for K is the newest committed write, then storage.  Then every
+    other live writer of K is pinned: either a path into the chosen
+    writer, or an anti-edge putting it after the reader.  Writers that
+    can do neither are conflicting and abort (or, per §8.4 case 1, if the
+    reading transaction has no writes it aborts itself instead of killing
+    a writer).
 
 R3 (§8.3, Table 1 t5/t9, Fig. 10b): a repeated write to K by T invalidates
     every transaction that read T's previous value on K — they abort with
@@ -39,14 +39,17 @@ R3 (§8.3, Table 1 t5/t9, Fig. 10b): a repeated write to K by T invalidates
 
 R4 (commit): when T commits, every other live writer of each key T wrote
     receives a write-write edge ``T -> v`` (Write-Complete, Def. 5: commit
-    order is write order).  This edge can never cycle: no rule adds an
-    edge into a committed node, so a committed node has only committed
-    predecessors, and live v cannot reach T.
+    order is write order).  This edge can never cycle: T commits only
+    once every predecessor has committed and left the graph, so T has no
+    in-edge and live v cannot reach it.  Then T leaves the graph too
+    (:meth:`~repro.ce.depgraph.DependencyGraph.evict`): its commit-order
+    position orders it before every live node, and its writes are read
+    from the overlay.
 
 The graph is therefore acyclic by construction, and
 :meth:`~repro.ce.depgraph.DependencyGraph.add_edge` checks it at every
-edge in O(1): an edge into a committed node, or one that closes a cycle,
-raises :class:`~repro.errors.SerializationError`.
+edge in O(1): an edge with a committed endpoint, or one that closes a
+cycle, raises :class:`~repro.errors.SerializationError`.
 
 Every rule above is a reachability question; the graph answers it from an
 incremental transitive-closure index (one closure row of descendants and
@@ -63,14 +66,15 @@ rule reads the node's rows once and skips every member whose bit falls
 in the rule's no-op class — R1: ``up[node]`` (the reader already
 precedes the writer); R2: ``down[node] | up[chosen]`` (the writer
 already follows the reader or precedes the version read); R4:
-``down[node]`` (the writer already follows the committer).  Both
-``down`` rows read are of open nodes, which the graph keeps exact: a
-running reader, and a committer before ``graph.close`` freezes its row.
-The other members are visited in cohort order with the rule's remaining
-point queries.  One rule keeps this exact: *reclassify on mutation* —
-an ``add_edge`` or abort inside the loop changes the closure, so the
-rows are read again before the next test.  A row may still hold the bit of a
+``down[node]`` (the writer already follows the committer).  The other
+members are visited in cohort order with the rule's remaining point
+queries.  One rule keeps this exact: *reclassify on mutation* — an
+``add_edge`` or abort inside the loop changes the closure, so the rows
+are read again before the next test.  A row may still hold the bit of a
 departed serial; the rules only test the bits of live indexed members.
+An abort inside R2's loop can also commit (and so evict) a later
+writer of the loop's snapshot of the cohort, so R1 and R2 skip every
+member that is no longer alive.
 
 A member the graph has not indexed has no edge, so it is in no class and
 is visited.  The point-query forms survive as test-only references
@@ -123,10 +127,10 @@ class CommittedTx:
 class ConcurrencyController:
     """Dependency-graph concurrency control without a-priori read/write sets.
 
-    ``base_state`` is the root: reads that no live/committed writer can
-    serve fall through to it (missing keys read ``default``).  Committed
-    write sets accumulate in an overlay, which :meth:`final_writes`
-    reports and root reads consult first.  The execution session builds
+    ``base_state`` is the root: reads that no live writer can serve fall
+    through to it (missing keys read ``default``).  Committed write sets
+    accumulate in an overlay, which :meth:`final_writes` reports and root
+    reads consult first: it serves every read of committed data.  The execution session builds
     one controller per batch (see :mod:`repro.ce.streaming`).
     """
 
@@ -267,25 +271,17 @@ class ConcurrencyController:
                             key: str) -> Tuple[Any, Optional[TxNode]]:
         """Pick the writer to read ``key`` from (R2).
 
-        Tries the writers latest in serialization order first: live ones,
+        Tries the live writers latest in serialization order first,
         latest registered first, walking toward older ones when a cycle
-        would form ("read from its ancestor", §8.4); then the committed
-        writer with the newest ``order_index``, which no live node can
-        reach; then the root.
+        would form ("read from its ancestor", §8.4); then the root, whose
+        overlay holds the newest committed write (commits fold into it in
+        ``order_index`` order).  ``node`` is no writer of ``key``: a read
+        of its own write never gets here.
         """
-        newest: Optional[TxNode] = None
         for writer in reversed(self.graph.writers_of(key)):
-            if writer is node:
-                continue
-            if writer.status is _COMMITTED:
-                if newest is None or writer.order_index > newest.order_index:
-                    newest = writer
-                continue
             if not self.graph.has_path(node, writer):
                 return writer.records[key].last_write, writer
             self._stats.conflict_repairs += 1
-        if newest is not None:
-            return newest.records[key].last_write, newest
         return self.read_root(key), None
 
     def _pin_other_writers(self, node: TxNode, key: str,
@@ -300,16 +296,13 @@ class ConcurrencyController:
         are skipped on one row test (see "Cohort classification").
         """
         graph = self.graph
-        chosen_committed = chosen is not None and chosen.status is _COMMITTED
         settled = None  # down[node] | up[chosen]; None: read at next use
         for writer in graph.writers_of(key):
             if node.status is _ABORTED:
                 # A cascade triggered below can reach us through another key.
                 raise TransactionAborted(node.tx_id, f"cascade during {key}")
-            if writer is node or writer is chosen:
-                continue
-            if writer.status is _ABORTED:
-                continue  # aborted by a cascade earlier in this very loop
+            if writer is node or writer is chosen or not writer.alive:
+                continue  # departed in a cascade earlier in this loop
             if writer._index_serial is not None:
                 if settled is None:
                     settled = graph.rows(node)[0]
@@ -317,11 +310,8 @@ class ConcurrencyController:
                         settled |= graph.rows(chosen)[1]
                 if settled >> writer._index_serial & 1:
                     continue  # before the version read, or after the reader
-            if chosen_committed and writer.status is _COMMITTED:
-                continue  # commit order already puts it before chosen
             settled = None  # every path below adds an edge or aborts
-            if chosen is not None and not chosen_committed \
-                    and not graph.has_path(chosen, writer) \
+            if chosen is not None and not graph.has_path(chosen, writer) \
                     and not graph.has_path(writer, node):
                 # Unordered w.r.t. both: pin it before the chosen writer.
                 graph.add_edge(writer, chosen, key, EdgeKind.PIN)
@@ -336,12 +326,6 @@ class ConcurrencyController:
                 self._abort(node, reason=f"read cycle on {key}",
                             cascading=True)
                 raise TransactionAborted(node.tx_id, f"read cycle on {key}")
-            if writer.status is NodeStatus.COMMITTED:
-                # Cannot reorder a committed writer; the reader must go.
-                self._abort(node, reason=f"read past committed write {key}",
-                            cascading=True)
-                raise TransactionAborted(node.tx_id,
-                                         f"read past committed {key}")
             self._abort(writer, reason=f"write cycle on {key}",
                         cascading=True)
 
@@ -355,10 +339,8 @@ class ConcurrencyController:
         for reader in graph.readers_of(key):
             if node.status is _ABORTED:
                 raise TransactionAborted(node.tx_id, f"cascade during {key}")
-            if reader is node:
-                continue
-            if reader.status is _ABORTED:
-                continue  # aborted by a cascade earlier in this very loop
+            if reader is node or not reader.alive:
+                continue  # departed in a cascade earlier in this loop
             # The row test may precede the record checks below, which never
             # skip: a registered reader holds its read record, and none
             # read from ``node`` (this is its first write of ``key``).
@@ -375,13 +357,6 @@ class ConcurrencyController:
             before = None  # every path below adds an edge or aborts
             if graph.has_path(node, reader):
                 # The reader is serialized after us yet saw the old version.
-                if reader.status is NodeStatus.COMMITTED:
-                    # We cannot invalidate a committed read; the writer must
-                    # be the one to go (it is ordered impossibly).
-                    self._abort(node, reason=f"write under committed read "
-                                             f"of {key}", cascading=True)
-                    raise TransactionAborted(
-                        node.tx_id, f"write under committed read of {key}")
                 self._abort(reader, reason=f"stale read of {key}",
                             cascading=True)
                 continue
@@ -426,18 +401,17 @@ class ConcurrencyController:
 
     # -- commits --------------------------------------------------------------------
 
-    def _dependencies_committed(self, node: TxNode) -> bool:
-        return all(dep.status is _COMMITTED for dep in node.in_edges)
-
     def _try_commit(self, node: TxNode, now: float) -> bool:
-        if node.status is not _FINISHED:
+        # Every in-edge comes from a live predecessor: a committed one has
+        # left the graph, and an aborted one was detached.
+        if node.status is not _FINISHED or node.in_edges:
             return False
-        if not self._dependencies_committed(node):
-            return False
-        # R4 reads down[node]: run it before the node commits and closes.
+        # R4 reads down[node]: run it before the node leaves the graph,
+        # and collect the successors to re-check (R4's included) too.
         self._order_later_writers(node)
-        node.status = NodeStatus.COMMITTED
-        self.graph.close(node)
+        successors = list(node.out_edges)
+        node.status = _COMMITTED
+        self.graph.evict(node)
         node.order_index = self._order_counter
         self._order_counter += 1
         node.committed_at = now
@@ -456,7 +430,7 @@ class ConcurrencyController:
         if self._on_commit is not None:
             self._on_commit(entry)
         # Commits may unblock dependants (Table 1 t7 -> t8).
-        for neighbor in list(node.out_edges):
+        for neighbor in successors:
             if neighbor.status is _FINISHED:
                 self._try_commit(neighbor, now)
         return True
@@ -472,7 +446,7 @@ class ConcurrencyController:
             if not record.wrote:
                 continue
             for writer in graph.writers_of(key):
-                if writer is node or not writer.alive:
+                if writer is node:
                     continue
                 if writer._index_serial is not None:
                     if after is None:

@@ -28,20 +28,18 @@ maintains a transitive-closure index that is exact at every moment:
 * a node gets a small integer *serial* on its first edge, one bit in the
   ``live`` set, and two closure rows, each one Python int used as a bit
   set — ``down`` (descendants, self included) and ``up`` (ancestors,
-  self included).  ``down`` rows are kept only for *open* (uncommitted)
-  nodes: no rule reads a committed node's descendants, so :meth:`close`
-  freezes its row at commit;
+  self included);
 * ``add_edge(u, v)`` updates the closure with Italiano-style propagation:
   if ``u`` is not already an ancestor of ``v``, OR ``down[v]`` into the
-  open ancestors of ``u`` and ``up[u]`` into the descendants of ``v``,
-  both masked with ``live`` first.  Only rows that change are touched: an
+  ancestors of ``u`` and ``up[u]`` into the descendants of ``v``, both
+  masked with ``live`` first.  Only rows that change are touched: an
   ancestor that already reaches ``v`` already holds ``down[v]`` by
   transitivity (likewise a descendant ``u`` already reaches), so only
-  ``up[u] & open & ~up[v]`` and ``down[v] & ~down[u]`` are ORed into,
-  both sets taken before any row changes.  The graph is acyclic by
+  ``up[u] & ~up[v]`` and ``down[v] & ~down[u]`` are ORed into, both
+  sets taken before any row changes.  The graph is acyclic by
   construction (see :mod:`repro.ce.controller`), and ``add_edge`` checks
-  it with two bit tests: an edge into a closed ``v`` (``open``) or one
-  that closes a cycle (``up[u]`` holds ``v``) raises
+  it: an edge with a committed endpoint (two status tests) or one that
+  closes a cycle (``up[u]`` holds ``v``) raises
   :class:`~repro.errors.SerializationError`;
 * ``detach_node`` (aborts) *tombstones* the departing serial in O(1):
   clear its ``live`` bit and zero its own rows.  General decremental
@@ -53,6 +51,8 @@ maintains a transitive-closure index that is exact at every moment:
   survivors' rows; it is never tested (callers test live members' bits
   only) and never spreads (propagation masks with ``live``).  The serial
   becomes a *hole* that compaction later drops;
+* ``evict`` (commits) tombstones the committer's serial too, with no
+  bridge: see "Eviction at commit" below;
 * ``has_path(u, v)`` is a single bit test of ``up[v]``, O(1), and
   :meth:`rows` hands the controller a node's whole ``down``/``up`` rows,
   so a rule over a key's cohort tests one bit per member instead of
@@ -70,29 +70,35 @@ another graph indexes raises :class:`~repro.errors.SerializationError`.
 Closure-index invariants
 ------------------------
 1. *Mirror*: for every pair of live serials ``(u, v)``,
-   ``up[v] >> u & 1`` equals DFS reachability over the current
-   adjacency lists, and so does ``down[u] >> v & 1`` when ``u`` is open
-   (a closed ``down`` row holds a subset).  A dead serial's row is zero,
-   and no row gains a dead bit after the serial dies.
+   ``up[v] >> u & 1`` and ``down[u] >> v & 1`` equal DFS reachability
+   over the current adjacency lists.  A dead serial's row is zero, and
+   no row gains a dead bit after the serial dies.
 2. *Self-inclusion*: every live node's ``down``/``up`` rows contain its
    own bit.
-3. *Serial density is amortized*: a detach leaves a hole,
-   and once holes outnumber live serials the same call compacts the
-   serial space (a Kahn-order rebuild over the survivors), so row width
-   stays within ~2x the live graph.  (A full reference for invariants
-   1-3 and the tombstone argument lives in ``docs/REACHABILITY.md``.)
+3. *Serial density is amortized*: a detach or an eviction leaves a
+   hole, and once holes outnumber live serials the same call compacts
+   the serial space (a Kahn-order rebuild over the survivors), so row
+   width stays within ~2x the live graph.  (A full reference for
+   invariants 1-3 and the tombstone argument lives in
+   ``docs/REACHABILITY.md``.)
 
-Committed-node pruning
-----------------------
-The execution session (see :mod:`repro.ce.streaming`) gives every batch
-its own controller and graph, and at the batch's boundary every node in
-the graph is committed.  There :meth:`prune_committed` evicts them all:
-the node table, the per-key writer/reader indexes, the adjacency lists
-and the closure index are emptied in one pass (the index resets in
-place; no rebuild is paid), and the committed nodes keep no edge into a
-graph that is done with them.  The call doubles as the session's
-all-committed check: a prune while some node is not committed raises
-:class:`~repro.errors.SerializationError` and changes nothing.
+Eviction at commit
+------------------
+The graph holds live attempts only (and an aborted attempt until its
+transaction begins again).  A node commits only once every predecessor
+has, and a committed predecessor has already left, so the committer has
+no in-edge: nothing live reaches it, and no path between two live nodes
+runs through it.  Its commit-order position already orders it before
+every live node, and the controller reads its writes from its commit
+overlay, not from the node.  So :meth:`evict` takes it out of the node
+table, the per-key writer and reader indexes and its successors'
+in-edges, and tombstones its serial with no bridge.  ``add_edge``
+refuses an edge to or from a committed node, before the node could be
+given a serial again.
+
+At the batch's boundary every transaction has committed, so the graph
+is empty; :meth:`prune_committed` is the session's check of that and
+raises :class:`~repro.errors.SerializationError` if some node is left.
 
 Determinism note: all collections that the controller iterates are dicts
 used as ordered sets, so runs are reproducible (plain ``set`` of objects
@@ -249,14 +255,11 @@ class DependencyGraph:
         self._indexed: List[Optional[TxNode]] = []
         #: Closure rows, one int per serial: bit ``t`` of ``_down[s]`` is
         #: set iff serial ``t`` is a descendant of ``s`` (self included);
-        #: ``_up`` is the transpose (ancestors).  Exact at live bits
-        #: (``_down`` only at open serials).
+        #: ``_up`` is the transpose (ancestors).  Exact at live bits.
         self._down: List[int] = []
         self._up: List[int] = []
         #: One bit per live serial: every propagation masks with it.
         self._live = 0
-        #: The live serials whose node is open (not committed).
-        self._open = 0
         #: High-water row width in 64-bit words (never reset by clears;
         #: surfaced as ``CCStats.bitset_words``).
         self.peak_bitset_words = 0
@@ -368,7 +371,7 @@ class DependencyGraph:
         indexed = self._indexed
         up = self._up
         victim_serial = node._index_serial
-        cone_row = self._down[victim_serial]  # the victim is live: open
+        cone_row = self._down[victim_serial]
         pred_serials = [predecessor._index_serial
                         for predecessor in predecessors]
         succ_serials = [successor._index_serial for successor in successors]
@@ -436,39 +439,39 @@ class DependencyGraph:
                 covered |= cover[succ_index]
         return plan
 
-    # -- committed-node pruning ---------------------------------------------
+    # -- eviction at commit ------------------------------------------------
 
-    def prune_committed(self) -> int:
-        """Evict every node at a batch boundary; returns the count.
+    def evict(self, node: TxNode) -> None:
+        """Take committed ``node`` out of the graph (see "Eviction at
+        commit" in the module docstring): the node table, the per-key
+        indexes and its successors' in-edges drop it, and its serial is
+        tombstoned with no bridge, since no live pair is ordered through
+        it."""
+        del self.nodes[node.tx_id]
+        for key in node.records:
+            self._writers.get(key, {}).pop(node, None)
+            self._readers.get(key, {}).pop(node, None)
+        for successor in node.out_edges:
+            del successor.in_edges[node]
+        node.out_edges.clear()
+        if node._index_serial is not None:
+            self._index_remove(node)
+            self._compact_if_dominated()
 
-        Raises :class:`SerializationError`, before anything changes, if
-        some node is not committed: a batch has passed its boundary only
-        when every one of its transactions committed.  Otherwise the node
-        table, the per-key writer/reader indexes, the adjacency lists and
-        the closure index are emptied (see "Committed-node pruning" in
-        the module docstring).
-        """
-        nodes = self.nodes
-        for node in nodes.values():
-            if node.status is not _COMMITTED:
-                raise SerializationError(
-                    f"prune with transaction {node.tx_id} "
-                    f"({node.status.value}) in the graph")
-        for node in nodes.values():
-            node.out_edges.clear()
-            node.in_edges.clear()
-            node._index_serial = None
-        count = len(nodes)
-        nodes.clear()
-        self._writers.clear()
-        self._readers.clear()
-        self._index_reset_empty()
-        return count
+    def prune_committed(self) -> None:
+        """The batch boundary's check: every node has committed, and so
+        left the graph.  Raises :class:`SerializationError`, naming the
+        first node left and its status, otherwise."""
+        if self.nodes:
+            node = next(iter(self.nodes.values()))
+            raise SerializationError(
+                f"prune with transaction {node.tx_id} "
+                f"({node.status.value}) in the graph")
 
     def _compact_if_dominated(self) -> None:
         """Invariant 3's amortization: pay the hole debt when it dominates.
 
-        When every slot is a hole (every indexed node has aborted) the
+        When every slot is a hole (every indexed node has left) the
         index resets to empty in place.  When holes merely outnumber live
         serials, one Kahn-order rebuild compacts the serial space.
         """
@@ -485,7 +488,6 @@ class DependencyGraph:
         self._down.clear()
         self._up.clear()
         self._live = 0
-        self._open = 0
         self._index_holes = 0
 
     # -- indexes -----------------------------------------------------------------
@@ -497,12 +499,13 @@ class DependencyGraph:
         self._readers.setdefault(key, {})[node] = None
 
     def writers_of(self, key: str) -> List[TxNode]:
-        """Live or committed writer nodes of ``key`` in first-write order
-        (``detach_node`` drops an aborted node from every per-key index)."""
+        """Live writer nodes of ``key`` in first-write order
+        (``detach_node`` and :meth:`evict` drop a node from every per-key
+        index)."""
         return list(self._writers.get(key, ()))
 
     def readers_of(self, key: str) -> List[TxNode]:
-        """Nodes holding a read record on ``key`` (live or committed)."""
+        """Live nodes holding a read record on ``key``."""
         return list(self._readers.get(key, ()))
 
     # -- edges ----------------------------------------------------------------
@@ -511,18 +514,21 @@ class DependencyGraph:
                  kind: EdgeKind) -> None:
         """Record ``src`` before ``dst``; duplicate labels are idempotent.
 
-        Raises :class:`SerializationError`, before the edge is recorded,
-        for an edge the controller's rules never add: a self-edge, an edge into
-        a committed (closed) node, or one that closes a cycle."""
+        Raises :class:`SerializationError`, before the edge is recorded
+        and before either endpoint is given a serial, for an edge the
+        controller's rules never add: a self-edge, an edge to or from a
+        committed (evicted) node, or one that closes a cycle."""
         if src is dst:
             raise SerializationError(
                 f"self-edge on {src.tx_id} (key {key}, {kind.value})")
+        for end in (src, dst):
+            if end.status is _COMMITTED:
+                raise SerializationError(
+                    f"edge {src.tx_id} -> {dst.tx_id} (key {key}, "
+                    f"{kind.value}) touches committed transaction "
+                    f"{end.tx_id}")
         src_serial = self._ensure_serial(src)
         dst_serial = self._ensure_serial(dst)
-        if not self._open >> dst_serial & 1:
-            raise SerializationError(
-                f"edge {src.tx_id} -> {dst.tx_id} (key {key}, {kind.value})"
-                f" enters committed transaction {dst.tx_id}")
         if self._up[src_serial] >> dst_serial & 1:
             raise SerializationError(
                 f"edge {src.tx_id} -> {dst.tx_id} (key {key}, {kind.value})"
@@ -531,13 +537,6 @@ class DependencyGraph:
         dst.in_edges.setdefault(src, {})[(key, kind)] = None
         if not self._up[dst_serial] >> src_serial & 1:
             self._connect(src_serial, dst_serial)
-
-    def close(self, node: TxNode) -> None:
-        """Freeze committed ``node``'s ``down`` row (no edge may enter it
-        from now on)."""
-        serial = node._index_serial
-        if serial is not None:
-            self._open &= ~(1 << serial)
 
     def has_edge(self, src: TxNode, dst: TxNode) -> bool:
         return dst in src.out_edges
@@ -558,8 +557,6 @@ class DependencyGraph:
         ancestors, self included.  Node ``m`` is in a row iff bit
         ``m._index_serial`` is set.  A dead serial's bit may still be set
         in a row, so callers test only the bits of live indexed members.
-        ``down`` is exact only while ``node`` is open (R2 reads it for
-        the running reader, R4 for the committer before :meth:`close`).
 
         A node this graph has not indexed never touched an edge here (or
         left with its edges): it reaches nothing, nothing reaches it, and
@@ -591,8 +588,6 @@ class DependencyGraph:
             serial = node._index_serial = len(self._indexed)
             self._indexed.append(node)
             self._append_singleton()
-            if node.status is _COMMITTED:
-                self.close(node)
         return serial
 
     def _index_remove(self, node: TxNode) -> None:
@@ -617,35 +612,31 @@ class DependencyGraph:
         self._down.append(bit)
         self._up.append(bit)
         self._live |= bit
-        self._open |= bit
         self._note_width()
 
     def _tombstone(self, serial: int) -> None:
         """Clear ``serial``'s ``live`` bit and zero its rows.  Its bit may
         stay set in other rows (see :meth:`rows`)."""
         self._live ^= 1 << serial
-        self._open &= ~(1 << serial)
         self._down[serial] = self._up[serial] = 0
 
     def _connect(self, src: int, dst: int) -> None:
-        """Propagate a new non-redundant edge ``src -> dst`` (serials;
-        ``dst`` is open).
+        """Propagate a new non-redundant edge ``src -> dst`` (serials).
 
-        ``down[dst]`` goes into the open ancestors of ``src`` and
-        ``up[src]`` into the descendants of ``dst`` (both cones include
-        their endpoint), masked with ``live`` so no row gains a dead bit
-        — but only into rows it changes.  An ancestor ``a`` already in
+        ``down[dst]`` goes into the ancestors of ``src`` and ``up[src]``
+        into the descendants of ``dst`` (both cones include their
+        endpoint), masked with ``live`` so no row gains a dead bit — but
+        only into rows it changes.  An ancestor ``a`` already in
         ``up[dst]`` reaches ``dst``, so ``down[a]`` already holds
         ``down[dst]`` by transitivity; a descendant already in
-        ``down[src]`` already holds ``up[src]`` (a closed ``src``'s row
-        is a subset, which only lets no-op ORs through).  Both sets are
-        taken before any row changes (the first loop grows ``down[src]``)."""
+        ``down[src]`` already holds ``up[src]``.  Both sets are taken
+        before any row changes (the first loop grows ``down[src]``)."""
         down = self._down
         up = self._up
         live = self._live
         ancestors = up[src] & live
         descendants = down[dst] & live
-        grow_down = ancestors & self._open & ~up[dst]  # open, not reaching dst
+        grow_down = ancestors & ~up[dst]  # ancestors not reaching dst yet
         grow_up = descendants & ~down[src]  # descendants src misses
         while grow_down:
             low = grow_down & -grow_down
@@ -658,10 +649,9 @@ class DependencyGraph:
 
     def _rebuild_rows(self, count: int, topo: List[int],
                       out_serials: List[List[int]],
-                      in_serials: List[List[int]],
-                      open_: Optional[int] = None) -> None:
+                      in_serials: List[List[int]]) -> None:
         """Closure rows from scratch over ``count`` compacted serials, all
-        live; ``open_`` is the open set (default: every serial).
+        live.
 
         ``topo`` is a topological order: down rows are unioned in reverse
         topo, up rows in topo order.
@@ -681,7 +671,6 @@ class DependencyGraph:
         self._down = down
         self._up = up
         self._live = (1 << count) - 1
-        self._open = self._live if open_ is None else open_
         self._note_width()
 
     def _rebuild_index(self) -> None:
@@ -716,9 +705,7 @@ class DependencyGraph:
                 indegree[target] -= 1
                 if indegree[target] == 0:
                     ready.append(target)
-        open_ = sum(1 << serial for serial, node in enumerate(nodes)
-                    if node.status is not _COMMITTED)
-        self._rebuild_rows(count, topo, out_serials, in_serials, open_)
+        self._rebuild_rows(count, topo, out_serials, in_serials)
 
 
 def _bits(row: int) -> List[int]:

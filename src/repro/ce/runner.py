@@ -79,9 +79,10 @@ class BatchResult:
     re_executions: int
     latencies: Dict[int, float]
     stats: CCStats
-    #: Dependency-graph node count when the batch completed, before the
-    #: boundary prune: the batch size, since a session's graph holds one
-    #: batch.  Baseline engines leave it 0.
+    #: Dependency-graph nodes the batch's graph held over its life: the
+    #: batch size, since a session's graph holds one batch (each commit
+    #: leaves it, so it is empty at the boundary).  Baseline engines
+    #: leave it 0.
     graph_nodes: int = 0
 
     @property

@@ -43,12 +43,13 @@ operations before the previous boundary would let later work reorder the
 earlier batch's schedule; the session gives up that overlap for the
 bit-for-bit reproducibility the consensus layer relies on.
 
-At the boundary the session calls the batch graph's
-:meth:`~repro.ce.depgraph.DependencyGraph.prune_committed`, which empties
-it and raises if some node is not committed (see "Committed-node
-pruning" in :mod:`repro.ce.depgraph` and ``docs/REACHABILITY.md``).
-Each batch's :class:`~repro.ce.runner.BatchResult` reports its graph's
-size as ``graph_nodes``, and a replica reports the maximum as
+Every commit takes its node out of the batch's graph, so at the
+boundary the graph is empty; the session checks that with
+:meth:`~repro.ce.depgraph.DependencyGraph.prune_committed`, which raises
+if some node is left (see "Eviction at commit" in
+:mod:`repro.ce.depgraph` and ``docs/REACHABILITY.md``).  Each batch's
+:class:`~repro.ce.runner.BatchResult` reports the batch size as
+``graph_nodes``, and a replica reports the maximum as
 ``ce_peak_graph_nodes``.
 
 Usage
@@ -246,9 +247,9 @@ class StreamSession:
         return self._boundary(batch)
 
     def _boundary(self, batch: _BatchState) -> BatchResult:
-        """The quiescent-point pass: empty the batch's graph (which
-        raises unless every node committed), free the session for the
-        next admit, and return the batch's result."""
+        """The quiescent-point pass: check the batch's graph is empty
+        (every commit left it; raises otherwise), free the session for
+        the next admit, and return the batch's result."""
         batch.cc.graph.prune_committed()
         self._current = None
         return self._runner._batch_result(self.env, batch)

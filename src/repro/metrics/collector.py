@@ -84,7 +84,7 @@ class MetricsCollector:
         ``stats`` is the :class:`repro.ce.controller.CCStats` of the
         batch's own controller (the execution session builds one per
         batch), so the counters cover that batch alone.  ``graph_nodes``
-        is the dependency graph's node count when the batch completed."""
+        is the batch's :attr:`~repro.ce.runner.BatchResult.graph_nodes`."""
         self.cc_path_queries += stats.path_queries
         self.cc_index_rebuilds += stats.index_rebuilds
         self.cc_index_repairs += stats.index_repairs

@@ -1,37 +1,44 @@
 """The controller keeps its dependency graph acyclic by construction.
 
-A read takes the newest committed version when no live writer can serve
-it, no rule adds an edge into a committed node, and R4's write-write
-edges therefore never close a cycle.  ``DependencyGraph.add_edge``
-checks both facts at every edge, so a schedule that breaks them raises
+A commit takes its node out of the graph and a read of committed data
+is served by the batch's overlay, so no rule adds an edge with a
+committed endpoint and R4's write-write edges never close a cycle.
+``DependencyGraph.add_edge`` checks both at every edge, raising
 :class:`~repro.errors.SerializationError` at the edge itself.
 
-Two properties hold the controller to that, with the edge check always
-on:
+Three properties hold the controller to that, with the check always on:
 
 * the seeded direct schedules of ``tests/ce/test_cohort_rows.py``
-  (``drive``) over seeds 0-999 (seeds past the first 60 are slow);
+  (``drive``) over seeds 0-999 (seeds past the first 60 are slow), which
+  also check after every call that the graph holds live attempts only;
+* the same schedules against ``drive_prefixes.json``, recorded from the
+  controller that kept committed nodes in the graph (commit da939d5):
+  per seed, the index of the first call at which it aborted because of
+  a committed writer (``"read past committed write"``, or ``"read
+  cycle"`` against a committed writer; -1 if it never did) and a digest
+  of the calls before it (all of them for -1).  Both aborts were
+  spurious, since commit order puts a committed writer before every
+  live one; the schedule may branch after the first, not before;
 * seeded executor-pool batches (``CERunner.run_batch``) over SmallBank at
   theta = 0.99, with 4-8 accounts and 8-16 executors.
 
-Both also replay the committed entries serially in commit order: every
-first read must see the value the earlier committed writes left, and the
-last write of each key must be the controller's final write.  An edge
-into a committed node would order its source before it, against commit
-order, so this replay catches what the edge check refuses.
-
-The read rule tried writers in registration order, not serialization
-order, so a read could take an older committed version.  Planted back
-alone, it fails the direct-schedule property on the first seeds that
-closed a cycle with it (4, 12, 13 and 33).
+The direct schedules and the batches replay the committed entries
+serially in commit order: every first read sees the value the earlier
+committed writes left, and the last write of each key is the
+controller's final write.  An eviction that leaves the committed node
+in the reader index, planted back, fails ``drive``'s check.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.ce import CEConfig, CERunner, ConcurrencyController
+from repro.ce.depgraph import DependencyGraph
 from repro.contracts import default_registry, initial_state
 from repro.core.shards import ShardMap
-from repro.errors import SerializationError
 from repro.sim import Environment, make_rng
 from repro.workloads import SmallBankWorkload, WorkloadConfig
 from tests.ce.test_cohort_rows import drive
@@ -40,10 +47,10 @@ FAST_SEEDS = range(60)
 DRIVE_SEEDS = [*FAST_SEEDS, *(pytest.param(seed, marks=pytest.mark.slow)
                               for seed in range(60, 1000))]
 
-#: Seeds whose schedules closed a cycle when reads tried writers in
-#: registration order.
-CYCLIC_UNDER_REGISTRATION_ORDER = (4, 12, 13, 33, 127, 150, 163, 182, 189,
-                                   197)
+#: seed -> [first call aborted because of a committed writer, or -1;
+#: digest of the calls before it], recorded before commits left the graph.
+PREFIXES = json.loads(
+    (Path(__file__).parent / "drive_prefixes.json").read_text())
 
 
 def assert_serial_in_commit_order(committed, base, final_writes):
@@ -69,6 +76,14 @@ def check_direct_schedule(seed):
 @pytest.mark.parametrize("seed", DRIVE_SEEDS)
 def test_direct_schedules_stay_acyclic(seed):
     check_direct_schedule(seed)
+
+
+@pytest.mark.parametrize("seed", DRIVE_SEEDS)
+def test_direct_schedules_keep_the_recorded_prefix(seed):
+    first, digest = PREFIXES[str(seed)]
+    calls, _ = drive(ConcurrencyController, seed)
+    prefix = repr(calls if first < 0 else calls[:first])
+    assert hashlib.sha256(prefix.encode()).hexdigest()[:16] == digest
 
 
 def batch_case(seed):
@@ -99,18 +114,15 @@ def test_executor_pool_batches_stay_acyclic(seed):
                                   result.final_writes())
 
 
-def registration_order_read(self, node, key):
-    """The read rule before serialization order: live and committed
-    writers alike, latest registered first."""
-    for writer in reversed(self.graph.writers_of(key)):
-        if writer is not node and not self.graph.has_path(node, writer):
-            return writer.records[key].last_write, writer
-    return self.read_root(key), None
+def test_planted_eviction_that_keeps_a_reader_is_caught(monkeypatch):
+    evict = DependencyGraph.evict
 
+    def evict_keeping_readers(graph, node):
+        readers = {key: dict(holders)
+                   for key, holders in graph._readers.items()}
+        evict(graph, node)
+        graph._readers = readers
 
-def test_planted_registration_order_read_is_caught(monkeypatch):
-    monkeypatch.setattr(ConcurrencyController, "_choose_read_source",
-                        registration_order_read)
-    for seed in CYCLIC_UNDER_REGISTRATION_ORDER[:4]:
-        with pytest.raises((AssertionError, SerializationError)):
-            check_direct_schedule(seed)
+    monkeypatch.setattr(DependencyGraph, "evict", evict_keeping_readers)
+    with pytest.raises(AssertionError):
+        check_direct_schedule(0)

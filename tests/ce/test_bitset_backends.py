@@ -6,9 +6,9 @@ the exact transitive closure.  ``tests/ce/word_rows.py`` keeps the same
 closure as rows of 8-bit (``packed``) and 64-bit (``packed-array``)
 words, updated by the textbook operations.  Covered here:
 
-* op-level parity: identical random append/connect/close/tombstone/
-  rebuild sequences leave the int rows, the ``live`` and ``open`` sets
-  and both word layouts with the same bits;
+* op-level parity: identical random append/connect/tombstone/rebuild
+  sequences leave the int rows, the ``live`` set and both word layouts
+  with the same bits;
 * word-boundary growth: rows widen correctly past 64/128 serials and
   ``peak_bitset_words`` is a high-water mark that survives an emptied
   index;
@@ -23,7 +23,6 @@ words, updated by the textbook operations.  Covered here:
 
 import hashlib
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -61,8 +60,8 @@ def component(graph, serial):
 @pytest.mark.parametrize("seed", range(5))
 def test_backend_ops_parity(seed):
     """One random op sequence on the graph's int rows and on both word
-    layouts: identical bits after every mutation kind, including closes
-    (a closed ``down`` row stops growing) and mid-sequence rebuilds."""
+    layouts: identical bits after every mutation kind, including
+    mid-sequence rebuilds."""
     rng = random.Random(seed * 104729 + 1)
     graph = DependencyGraph()
     references = [WordRows(typecode) for typecode in TYPECODES.values()]
@@ -74,8 +73,6 @@ def test_backend_ops_parity(seed):
         for reference in references:
             assert reference.live_int() == graph._live, \
                 (context, reference.typecode)
-            assert reference.open_int() == graph._open, \
-                (context, reference.typecode)
             assert reference.as_ints() == (graph._down, graph._up), \
                 (context, reference.typecode)
 
@@ -86,11 +83,9 @@ def test_backend_ops_parity(seed):
             out_serials[src].append(dst)
             in_serials[dst].append(src)
         topo = list(range(count))  # edges always run low -> high
-        open_ = sum(1 << serial for serial in range(count)
-                    if rng.random() < 0.7)
-        graph._rebuild_rows(count, topo, out_serials, in_serials, open_)
+        graph._rebuild_rows(count, topo, out_serials, in_serials)
         for reference in references:
-            reference.rebuild(count, topo, out_serials, in_serials, open_)
+            reference.rebuild(count, topo, out_serials, in_serials)
 
     def tombstone(victims):
         nonlocal edges
@@ -112,20 +107,14 @@ def test_backend_ops_parity(seed):
             count += 1
         elif action < 0.62:
             src, dst = sorted(rng.sample(live, 2))
-            # The graph pre-checks redundancy on ``up`` and refuses an
-            # edge into a closed destination.
-            if not graph._up[dst] >> src & 1 and graph._open >> dst & 1:
+            # The graph pre-checks redundancy on ``up``.
+            if not graph._up[dst] >> src & 1:
                 edges.add((src, dst))
                 graph._connect(src, dst)
                 for reference in references:
                     reference.connect(src, dst)
-        elif action < 0.70:
-            serial = rng.choice(live)  # a commit
-            graph.close(SimpleNamespace(_index_serial=serial))
-            for reference in references:
-                reference.close(serial)
         elif action < 0.85:
-            tombstone([rng.choice(live)])  # a detach
+            tombstone([rng.choice(live)])  # a detach or an eviction
         else:
             # A closed component's live serials tombstoned together: the
             # word rows must agree under any set of tombstones.

@@ -4,11 +4,11 @@ Two optimisations replace per-row and per-member work with row algebra;
 each keeps its old form here, as a test-only reference, and is held to it:
 
 * ``DependencyGraph._connect`` ORs only into the closure rows an edge
-  changes (``up[src] & open & ~up[dst]`` and ``down[dst] & ~down[src]``).
+  changes (``up[src] & ~up[dst]`` and ``down[dst] & ~down[src]``).
   ``UnmaskedGraph._connect`` ORs into every live descendant's ``up`` row
-  and every live open ancestor's ``down`` row; under randomized churn
-  with commits, aborts, prunes and compactions the two row
-  tables and ``live``/``open`` sets must be bit-identical after every
+  and every live ancestor's ``down`` row; under randomized churn with
+  commits (evictions), aborts, boundary checks and compactions the two
+  row tables and ``live`` sets must be bit-identical after every
   operation, and every query must match the reference DFS.
 * The controller classifies a key's cohort with the node's rows (R1:
   ``up[node]``, R2: ``down[node] | up[chosen]``, R4: ``down[node]``).
@@ -16,8 +16,10 @@ each keeps its old form here, as a test-only reference, and is held to it:
   before; over seeded theta = 0.99 schedules both must insert the same
   edges, abort the same attempts and commit the same order, with the
   same index repairs and compactions.  After every call of the direct
-  schedule, no aborted node may sit in a per-key index (``writers_of``
-  and ``readers_of`` copy those indexes without a status filter).
+  schedule, the graph holds live attempts only: no committed or aborted
+  node sits in a per-key index (``writers_of`` and ``readers_of`` copy
+  those indexes without a status filter) or in the closure index, and
+  no committed node sits in the node table.
 """
 
 import random
@@ -41,15 +43,14 @@ THETA = 0.99
 
 
 class UnmaskedGraph(DependencyGraph):
-    """``_connect`` without the skip of rows that already hold the edge
-    (closed ``down`` rows still do not grow)."""
+    """``_connect`` without the skip of rows that already hold the edge."""
 
     def _connect(self, src, dst):
         down = self._down
         up = self._up
         ancestors = up[src] & self._live
         descendants = down[dst] & self._live
-        remaining = ancestors & self._open
+        remaining = ancestors
         while remaining:
             low = remaining & -remaining
             down[low.bit_length() - 1] |= descendants
@@ -101,22 +102,16 @@ class PointQueryController(RecordingController):
     one ``has_path`` per cohort member."""
 
     def _pin_other_writers(self, node, key, chosen):
-        chosen_committed = chosen is not None \
-            and chosen.status is NodeStatus.COMMITTED
         for writer in self.graph.writers_of(key):
             if node.status is NodeStatus.ABORTED:
                 raise TransactionAborted(node.tx_id, f"cascade during {key}")
-            if writer is node or writer is chosen:
-                continue
-            if writer.status is NodeStatus.ABORTED:
+            if writer is node or writer is chosen or not writer.alive:
                 continue
             if chosen is not None and self.graph.has_path(writer, chosen):
                 continue
             if self.graph.has_path(node, writer):
                 continue
-            if chosen_committed and writer.status is NodeStatus.COMMITTED:
-                continue
-            if chosen is not None and not chosen_committed \
+            if chosen is not None \
                     and not self.graph.has_path(chosen, writer) \
                     and not self.graph.has_path(writer, node):
                 self.graph.add_edge(writer, chosen, key, EdgeKind.PIN)
@@ -128,11 +123,6 @@ class PointQueryController(RecordingController):
                 self._abort(node, reason=f"read cycle on {key}",
                             cascading=True)
                 raise TransactionAborted(node.tx_id, f"read cycle on {key}")
-            if writer.status is NodeStatus.COMMITTED:
-                self._abort(node, reason=f"read past committed write {key}",
-                            cascading=True)
-                raise TransactionAborted(node.tx_id,
-                                         f"read past committed {key}")
             self._abort(writer, reason=f"write cycle on {key}",
                         cascading=True)
 
@@ -140,9 +130,7 @@ class PointQueryController(RecordingController):
         for reader in self.graph.readers_of(key):
             if node.status is NodeStatus.ABORTED:
                 raise TransactionAborted(node.tx_id, f"cascade during {key}")
-            if reader is node:
-                continue
-            if reader.status is NodeStatus.ABORTED:
+            if reader is node or not reader.alive:
                 continue
             record = reader.records.get(key)
             if record is None or not record.has_read:
@@ -152,11 +140,6 @@ class PointQueryController(RecordingController):
             if self.graph.has_path(reader, node):
                 continue
             if self.graph.has_path(node, reader):
-                if reader.status is NodeStatus.COMMITTED:
-                    self._abort(node, reason=f"write under committed read "
-                                             f"of {key}", cascading=True)
-                    raise TransactionAborted(
-                        node.tx_id, f"write under committed read of {key}")
                 self._abort(reader, reason=f"stale read of {key}",
                             cascading=True)
                 continue
@@ -167,7 +150,7 @@ class PointQueryController(RecordingController):
             if not record.wrote:
                 continue
             for writer in self.graph.writers_of(key):
-                if writer is node or not writer.alive:
+                if writer is node:
                     continue
                 if not self.graph.has_path(node, writer):
                     self.graph.add_edge(node, writer, key,
@@ -180,12 +163,12 @@ class PointQueryController(RecordingController):
 def churn(rng, graphs, n_nodes=36, n_ops=400):
     """Apply one random operation sequence to every graph in ``graphs``
     and yield after each operation: edge inserts (low -> high, so the
-    graph stays acyclic, and never into a committed node), aborts of
+    graph stays acyclic, and never touching a committed node), aborts of
     uncommitted nodes (detach with bridging, then a fresh attempt),
-    commits of nodes whose predecessors all committed (which close), a
-    prune once every node is committed (then a fresh cohort of nodes, as
-    the next batch), forced compactions, and queries (held to the
-    reference DFS)."""
+    commits of nodes without in-edges (evicted), the boundary check once
+    every node is committed (then a fresh cohort of nodes, as the next
+    batch), forced compactions, and queries (held to the reference
+    DFS)."""
     nodes = [[] for _ in graphs]
     alive = []
 
@@ -209,8 +192,8 @@ def churn(rng, graphs, n_nodes=36, n_ops=400):
         action = rng.random()
         if action < 0.55:
             a, b = sorted(rng.sample(alive, 2))
-            if nodes[0][b].status is NodeStatus.COMMITTED:
-                continue  # the graph refuses it
+            if not (nodes[0][a].alive and nodes[0][b].alive):
+                continue  # the graph refuses an edge touching a commit
             for graph, own in zip(graphs, nodes):
                 graph.add_edge(own[a], own[b], "k", EdgeKind.ANTI)
         elif action < 0.70:
@@ -225,12 +208,11 @@ def churn(rng, graphs, n_nodes=36, n_ops=400):
             pending = [index for index in alive if nodes[0][index].status
                        is not NodeStatus.COMMITTED]
             for index in rng.sample(pending, min(len(pending), 4)):
-                if any(dep.status is not NodeStatus.COMMITTED
-                       for dep in nodes[0][index].in_edges):
+                if nodes[0][index].in_edges:
                     continue  # commits wait for their dependencies
                 for graph, own in zip(graphs, nodes):
                     own[index].status = NodeStatus.COMMITTED
-                    graph.close(own[index])
+                    graph.evict(own[index])
             if all(nodes[0][index].status is NodeStatus.COMMITTED
                    for index in alive):
                 for graph in graphs:
@@ -253,7 +235,8 @@ def test_masked_connect_rows_equal_the_unmasked_reference(seed):
     prunes = []
 
     def counted_prune(prune=masked.prune_committed):
-        prunes.append(prune())
+        prunes.append(len(masked._indexed))
+        prune()
 
     masked.prune_committed = counted_prune
     steps = 0
@@ -262,10 +245,10 @@ def test_masked_connect_rows_equal_the_unmasked_reference(seed):
         assert masked._down == unmasked._down, (seed, steps)
         assert masked._up == unmasked._up, (seed, steps)
         assert masked._live == unmasked._live, (seed, steps)
-        assert masked._open == unmasked._open, (seed, steps)
     assert steps > 50
     assert masked.index_rebuilds > 1 and masked.index_repairs > 0
-    assert sum(prunes) > 0, "no churn step pruned"
+    assert prunes, "no churn step reached a boundary"
+    assert prunes == [0] * len(prunes)  # the last commit emptied the index
 
 
 class RowSpy(list):
@@ -303,12 +286,15 @@ def test_connect_skips_the_rows_that_already_hold_the_edge():
 # ------------------------------------------------------- cohort classifier
 
 
-def assert_no_aborted_holder(graph):
+def assert_live_holders_only(graph):
     for index in (graph._writers, graph._readers):
         for key, holders in index.items():
             for node in holders:
-                assert node.status is not NodeStatus.ABORTED, \
-                    (key, node.tx_id, node.attempt)
+                assert node.alive, (key, node.tx_id, node.attempt)
+    for node in graph._indexed:
+        assert node is None or node.alive, (node.tx_id, node.attempt)
+    for node in graph.nodes.values():
+        assert node.status is not NodeStatus.COMMITTED, node.tx_id
 
 
 def drive(controller_cls, seed, n_tx=45, n_keys=5, max_open=6):
@@ -317,7 +303,8 @@ def drive(controller_cls, seed, n_tx=45, n_keys=5, max_open=6):
     until every transaction commits.  Returns every call's outcome plus
     the controller's recorded edges, aborts and commit order.
 
-    After every call, no aborted node sits in a per-key index."""
+    After every call, the graph holds live attempts only (and aborted
+    attempts in its node table, until they restart)."""
     rng = random.Random(seed)
     keys = [f"k{rank}" for rank in range(n_keys)]
     weights = [1 / (rank + 1) ** THETA for rank in range(n_keys)]
@@ -356,7 +343,7 @@ def drive(controller_cls, seed, n_tx=45, n_keys=5, max_open=6):
                 cc.abort_transaction(tx_id, reason="external")
         except TransactionAborted:
             calls.append(("aborted", tx_id))
-        assert_no_aborted_holder(cc.graph)
+        assert_live_holders_only(cc.graph)
     assert cc.committed_count() == n_tx, "schedule did not drain"
     return calls, cc
 

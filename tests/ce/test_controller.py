@@ -3,8 +3,10 @@
 import pytest
 
 from repro.ce import ConcurrencyController, NodeStatus
+from repro.ce.depgraph import EdgeKind
 from repro.errors import SerializationError, TransactionAborted
 from tests.ce.graph_reference import is_acyclic
+from tests.ce.test_cohort_rows import RecordingController
 
 
 @pytest.fixture
@@ -169,7 +171,8 @@ def test_commit_waits_for_dependency():
     assert cc.finish(t3) is False  # deferred
     assert cc.graph.get(3).status is NodeStatus.FINISHED
     cc.finish(t1)
-    assert cc.graph.get(3).status is NodeStatus.COMMITTED
+    assert t3.status is NodeStatus.COMMITTED
+    assert cc.graph.nodes == {}  # both commits left the graph
     assert cc.execution_order() == [1, 3]
 
 
@@ -185,15 +188,20 @@ def test_commit_order_is_execution_order():
 
 
 def test_ww_commit_order_edge():
-    """R4: committing a writer orders remaining writers after it."""
-    cc = ConcurrencyController({"D": 3})
+    """R4: committing a writer orders the remaining writers after it with
+    a ``ww`` edge, added before the committer leaves the graph (and with
+    it, the remaining writers' in-edges)."""
+    cc = RecordingController({"D": 3})
     t1, t2 = cc.begin(1), cc.begin(2)
     cc.write(t1, "D", 1)
     cc.write(t2, "D", 2)
+    assert cc.edges == []
     cc.finish(t1)
-    n1, n2 = cc.graph.get(1), cc.graph.get(2)
-    assert cc.graph.has_path(n1, n2)
+    assert cc.edges == [(1, 1, 2, 1, "D", EdgeKind.WRITE_WRITE.value)]
+    assert cc.graph.get(1) is None and not t2.in_edges
+    assert cc.graph.writers_of("D") == [t2]
     cc.finish(t2)
+    assert cc.execution_order() == [1, 2]
     assert cc.final_writes() == {"D": 2}
 
 
@@ -220,8 +228,9 @@ def test_committed_transaction_cannot_be_aborted_externally():
     t1 = cc.begin(1)
     cc.write(t1, "D", 5)
     cc.finish(t1)
-    cc.abort_transaction(1)  # no-op: not alive
-    assert cc.graph.get(1).status is NodeStatus.COMMITTED
+    cc.abort_transaction(1)  # no-op: it left the graph at commit
+    assert t1.status is NodeStatus.COMMITTED
+    assert cc.execution_order() == [1]
 
 
 def test_external_abort_of_live_transaction():
@@ -304,3 +313,31 @@ def test_write_then_read_other_key_keeps_node_write_classification():
     node = cc.graph.get(1)
     assert node.is_write_node("A")
     assert node.is_read_node("B")
+
+
+def test_writer_committed_by_a_cascade_in_the_pin_loop_is_skipped():
+    """R2's pin loop walks a snapshot of the key's writers.  Aborting the
+    first (a write cycle: it precedes the reader through an anti-edge on
+    z) unblocks the second, finished and waiting on it only, which
+    commits and leaves the graph inside the loop.  The loop must skip it:
+    pinning it would give the committed node its serial back."""
+    cc = ConcurrencyController({"k": 0, "x": 0, "z": 0})
+    w1 = cc.begin(1)
+    cc.read(w1, "x")
+    cc.read(w1, "z")
+    cc.write(w1, "k", 1)
+    w2 = cc.begin(2)
+    cc.write(w2, "x", 2)            # R1: w1 -> w2
+    cc.write(w2, "k", 2)
+    assert cc.finish(w2) is False   # waits on w1
+    chosen = cc.begin(3)
+    cc.write(chosen, "k", 3)
+    reader = cc.begin(4)
+    cc.write(reader, "z", 4)        # R1: w1 -> reader
+    assert cc.read(reader, "k") == 3
+    assert w1.status is NodeStatus.ABORTED
+    assert w2.status is NodeStatus.COMMITTED
+    assert cc.execution_order() == [2]
+    assert w2._index_serial is None and w2 not in cc.graph._indexed
+    assert cc.graph.writers_of("k") == [chosen]
+    assert all(node is None or node.alive for node in cc.graph._indexed)

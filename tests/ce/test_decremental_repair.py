@@ -10,13 +10,14 @@ Covered here:
 * randomized detach/add interleavings where the closure must equal both
   the reference DFS and a from-scratch rebuild, with no compaction while
   holes stay below the live serials;
-* abort storms through the controller and the executor pool where
-  ``index_rebuilds`` must stay below a small bound while aborts number
-  in the tens to hundreds;
+* abort storms: through the controller, ``index_rebuilds`` stays below
+  a small bound while aborts number in the tens; through the executor
+  pool, where every abort and every commit leaves a hole, each
+  compaction renumbers fewer survivors than the holes it drops;
 * eager compaction once holes outnumber live serials, and the one-owner
   rule: a node another graph indexes cannot be detached here;
-* pruning interop: a streaming run's boundary prunes reset the index
-  in place instead of compacting at every batch;
+* batch boundaries: the last commit of a batch empties its index in
+  place, so the boundary check finds nothing to rebuild;
 * counter plumbing through ``CCStats``, per-batch deltas, and
   :class:`MetricsCollector`.
 
@@ -182,11 +183,38 @@ def test_controller_abort_storm_rebuilds_bounded():
     assert is_acyclic(cc.graph)
 
 
+@pytest.fixture
+def compactions(monkeypatch):
+    """``(survivors, holes)`` of the serial space at every compaction."""
+    seen = []
+    rebuild = DependencyGraph._rebuild_index
+
+    def counted(graph):
+        holes = graph._index_holes
+        seen.append((len(graph._indexed) - holes, holes))
+        rebuild(graph)
+
+    monkeypatch.setattr(DependencyGraph, "_rebuild_index", counted)
+    return seen
+
+
+def assert_amortized(compactions, stats):
+    """Each compaction renumbers fewer survivors than the holes it drops,
+    which are at most the departures (indexed aborts and commits) of the
+    batches ``stats`` covers, and the rows stay one 64-bit word wide."""
+    assert compactions, "nothing compacted"
+    assert all(survivors < holes for survivors, holes in compactions)
+    assert sum(holes for _, holes in compactions) \
+        <= sum(s.index_repairs + s.commits for s in stats)
+    assert max(s.bitset_words for s in stats) == 1
+
+
 @pytest.mark.usefixtures("graph_cls")
-def test_executor_pool_abort_storm_rebuilds_collapse():
+def test_executor_pool_abort_storm_rebuilds_collapse(compactions):
     """The acceptance criterion at test scale: a hot-key RMW batch through
-    the real executor pool keeps ``index_rebuilds`` in single digits while
-    re-executions number in the dozens."""
+    the real executor pool, with re-executions in the dozens, pays for
+    its compactions in amortized O(1) rows per departure, and its rows
+    stay one 64-bit word wide."""
     registry = ContractRegistry()
     register_ycsb(registry)
     n = 120
@@ -201,19 +229,20 @@ def test_executor_pool_abort_storm_rebuilds_collapse():
     assert proc.triggered
     stats = runner.last_session.cc.stats
     assert stats.aborts > 20, "storm did not materialize"
-    assert stats.index_rebuilds <= 10
+    assert stats.index_rebuilds == len(compactions)
+    assert_amortized(compactions, [stats])
     assert stats.index_repairs >= stats.aborts - 10
     assert stats.commits == len(proc.value.committed) == n
 
 
-# ------------------------------------------------------------- pruning interop
+# ------------------------------------------------------------ batch boundaries
 
 
 @pytest.mark.usefixtures("graph_cls")
-def test_streaming_prune_no_longer_rebuilds_every_boundary():
-    """Boundary prunes empty the index in place; compaction fires only
-    when an abort leaves the serial space hole-dominated — strictly fewer
-    than once per batch.
+def test_streaming_prune_no_longer_rebuilds_every_boundary(compactions):
+    """A batch's last commit leaves every serial a hole, which resets the
+    index in place: the boundary finds an empty index and rebuilds
+    nothing.  Within each batch, compactions stay amortized.
 
     Driven through one session, batch k+1 admitted when batch k's drain
     returns, so each batch's index can be probed on its own controller
@@ -236,19 +265,17 @@ def test_streaming_prune_no_longer_rebuilds_every_boundary():
             assert result is not None
             state.update(result.final_writes())
             graph = session.cc.graph
+            assert graph.nodes == {}
             assert graph._indexed == [] and graph._live == 0  # reset
             results.append(result)
 
     proc = env.process(pump())
     env.run()
     assert proc.triggered
-    # Row width stays at one batch's scale (25 nodes plus the serials of
-    # aborted attempts fit one 64-bit word), not the stream's.
-    assert max(r.stats.bitset_words for r in results) == 1
     session.close()
     assert sum(r.stats.commits for r in results) == 8 * 25
-    assert sum(r.stats.index_rebuilds for r in results) < len(batches), \
-        "pruning still schedules a rebuild at every boundary"
+    assert sum(r.stats.index_rebuilds for r in results) == len(compactions)
+    assert_amortized(compactions, [r.stats for r in results])
     assert runner.last_session.closed
 
 

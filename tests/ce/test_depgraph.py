@@ -55,20 +55,27 @@ def test_self_edge_rejected(graph):
 
 
 def test_edge_into_committed_node_rejected(graph):
-    """A committed node's ``down`` row is frozen: an edge into it is
-    refused, named by both transactions, the key and the kind."""
+    """A committed node has left the graph: an edge to or from it is
+    refused, named by both transactions, the key and the kind, before
+    either endpoint is given a serial."""
     a, b, c = make_node(1), make_node(2), make_node(3)
+    for node in (a, b, c):
+        graph.add_node(node)
     graph.add_edge(a, b, "k", EdgeKind.READ_FROM)
     a.status = NodeStatus.COMMITTED
-    graph.close(a)
-    c.status = NodeStatus.COMMITTED  # closed on its first edge
-    for dst in (a, c):
-        with pytest.raises(SerializationError, match=rf"edge 2 -> "
-                           rf"{dst.tx_id} \(key x, pin\) enters committed"):
-            graph.add_edge(b, dst, "x", EdgeKind.PIN)
-        assert not graph.has_edge(b, dst)
-    graph.add_edge(a, b, "x", EdgeKind.PIN)  # out of a committed node
-    assert len(a.out_edges[b]) == 2
+    graph.evict(a)
+    c.status = NodeStatus.COMMITTED  # committed without an edge
+    graph.evict(c)
+    indexed = list(graph._indexed)
+    for src, dst, committed in ((b, a, a), (b, c, c), (c, b, c)):
+        with pytest.raises(SerializationError, match=rf"edge {src.tx_id} "
+                           rf"-> {dst.tx_id} \(key x, pin\) touches "
+                           rf"committed transaction {committed.tx_id}"):
+            graph.add_edge(src, dst, "x", EdgeKind.PIN)
+        assert not graph.has_edge(src, dst)
+        assert graph._indexed == indexed
+        assert a._index_serial is None and c._index_serial is None
+    assert graph.nodes == {2: b} and not b.in_edges
 
 
 def test_duplicate_edge_label_idempotent(graph):

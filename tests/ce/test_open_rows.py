@@ -1,35 +1,28 @@
-"""Frozen committed rows held to the reference DFS.
+"""Every row is an open row: the graph indexes live attempts only.
 
-``DependencyGraph`` keeps ``up`` rows exact for every live node but
-``down`` rows only for *open* nodes — those that have not committed.
-A commit closes its node after R4, the last rule that reads the
-committer's ``down`` row, and from then on the row stops growing.  Point
-queries read the destination's ``up`` row, so they stay exact for
-committed sources too.  No edge enters a closed node (``add_edge``
-refuses one), but edges still leave it: a read from a committed writer,
-a pin of a committed writer before a live one.
+A commit takes its node out of the graph (``DependencyGraph.evict``)
+right after R4 has read its ``down`` row, so every node the closure
+index holds is running or finished and both of its rows are exact.
 
 Over the seeded direct schedules of ``tests/ce/test_cohort_rows.py``
 (``drive``, seeds 0-59), after every controller call:
 
-* ``has_path`` equals ``_has_path_dfs`` for every pair of indexed nodes,
-  committed sources included;
-* every open node's ``down`` row equals its DFS descendant set at live
-  bits, and a closed node's row holds no live bit outside that set;
-* every uncommitted indexed node is open, and ``open`` lies in ``live``;
-* every ``down`` row the controller reads (``rows(n)[0]``) is an open
-  node's.
+* every indexed node is alive and is its transaction's entry in the
+  node table;
+* every indexed node's ``down`` and ``up`` rows equal its DFS
+  descendant and ancestor sets at live bits (so ``has_path``, one bit
+  of an ``up`` row, equals ``has_path_dfs`` at every indexed pair);
+* no edge leads from an indexed node to one outside the index.
 
-A planted bug — closing the committer before R4 reads its row — must
-fail the check.
+A planted bug — evicting the committer before R4 reads its row — must
+fail the check: R4 then reads an empty row and gives the evicted node a
+serial again through its write-write edges.
 """
-
-import traceback
 
 import pytest
 
 from repro.ce import ConcurrencyController
-from repro.ce.depgraph import DependencyGraph, NodeStatus
+from repro.ce.depgraph import DependencyGraph
 from tests.ce.graph_reference import has_path_dfs
 from tests.ce.test_cohort_rows import drive
 from tests.ce.word_rows import descendants
@@ -37,64 +30,30 @@ from tests.ce.word_rows import descendants
 SEEDS = range(60)
 
 
-class Rows(tuple):
-    """A node's ``(down, up)``; reading ``down`` of a closed node is
-    recorded on the graph."""
-
-    def __getitem__(self, index):
-        if index == 0 and not self.open:
-            self.graph.closed_down_reads.append(self.tx_id)
-        return tuple.__getitem__(self, index)
-
-
-class OpenRowsGraph(DependencyGraph):
-    """Records ``down`` reads of closed nodes."""
-
-    def __init__(self):
-        super().__init__()
-        self.closed_down_reads = []
-
-    def rows(self, node):
-        rows = Rows(super().rows(node))
-        serial = node._index_serial
-        rows.open = serial is None or bool(self._open >> serial & 1)
-        rows.graph, rows.tx_id = self, node.tx_id
-        return rows
-
-
-def descendants_mask(node):
-    """``node``'s own bit plus the serial bits of its DFS descendants."""
-    return sum(1 << other._index_serial for other in descendants(node)) \
-        | 1 << node._index_serial
+def row_mask(nodes):
+    return sum(1 << node._index_serial for node in nodes)
 
 
 def check_open_rows(graph):
-    assert not graph.closed_down_reads, \
-        f"down row of closed node(s) {graph.closed_down_reads} read"
-    live, open_ = graph._live, graph._open
-    assert open_ & ~live == 0
     indexed = [node for node in graph._indexed if node is not None]
     for node in indexed:
-        serial = node._index_serial
-        expected = descendants_mask(node)
-        row = graph._down[serial] & live
-        if open_ >> serial & 1:
-            assert row == expected, ("open down row", node.tx_id)
-        else:
-            assert node.status is NodeStatus.COMMITTED, node.tx_id
-            assert row & ~expected == 0, ("closed down row", node.tx_id)
-        for other in indexed:
-            assert graph.has_path(node, other) \
-                == has_path_dfs(node, other), \
-                (node.tx_id, other.tx_id)
+        assert node.alive, (node.tx_id, node.status)
+        assert graph.nodes[node.tx_id] is node, node.tx_id
+    live = graph._live
+    assert live == row_mask(indexed)
+    for node in indexed:
+        down, up = graph.rows(node)
+        below = [other for other in indexed if has_path_dfs(node, other)]
+        above = [other for other in indexed if has_path_dfs(other, node)]
+        assert down & live == row_mask(below), ("down row", node.tx_id)
+        assert up & live == row_mask(above), ("up row", node.tx_id)
+    # No edge leads out of the index (to an evicted node).
+    assert all(descendant in graph._indexed for node in indexed
+               for descendant in descendants(node))
 
 
 class CheckedController(ConcurrencyController):
     """Checks the open-row invariants after every call."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.graph = OpenRowsGraph()
 
     def read(self, node, key):
         try:
@@ -126,26 +85,18 @@ def test_open_rows_stay_exact_on_a_direct_schedule(seed):
     drive(CheckedController, seed)
 
 
-def failing_seeds():
-    """The seeds on which ``check_open_rows`` itself fails."""
-    failed = []
-    for seed in SEEDS:
-        try:
-            drive(CheckedController, seed)
-        except AssertionError as error:
-            frames = traceback.extract_tb(error.__traceback__)
-            if frames[-1].name == "check_open_rows":
-                failed.append(seed)
-    return failed
-
-
 def test_planted_close_before_r4_is_caught(monkeypatch):
+    evict = DependencyGraph.evict
     order_later_writers = ConcurrencyController._order_later_writers
 
-    def close_first(self, node):
-        self.graph.close(node)
+    def evict_first(self, node):
+        evict(self.graph, node)
         order_later_writers(self, node)
 
     monkeypatch.setattr(ConcurrencyController, "_order_later_writers",
-                        close_first)
-    assert failing_seeds()
+                        evict_first)
+    monkeypatch.setattr(DependencyGraph, "evict",
+                        lambda graph, node: None)
+    with pytest.raises(AssertionError, match="COMMITTED"):
+        for seed in SEEDS:
+            drive(CheckedController, seed)

@@ -215,34 +215,39 @@ def rmw_txs(n, records):
 def test_abort_storm_edges_bounded_and_acyclic(monkeypatch):
     """A hot-key RMW storm with external aborts sprinkled in: the graph
     must stay acyclic and BRIDGE accumulation must stay linear in the
-    batch size, not quadratic.  The batch's graph is checked at its
-    boundary, just before the prune empties it."""
+    batch size, not quadratic.  The batch's graph is checked after every
+    detach; at the boundary every commit has left it."""
     registry = ContractRegistry()
     register_ycsb(registry)
     n = 120
-    boundaries = []
+    edges, boundaries = [], []
+    detach = DependencyGraph.detach_node
     prune = DependencyGraph.prune_committed
 
-    def check_then_prune(graph):
+    def checked_detach(graph, node):
+        former_out = detach(graph, node)
         assert is_acyclic(graph)
-        # all committed nodes remain; selective bridging keeps the edge
-        # count a small multiple of the node count, not O(aborts * n)
-        assert edge_count(graph) < 8 * n
-        assert [node.status for node in graph.nodes.values()] \
-            == [NodeStatus.COMMITTED] * n
+        # selective bridging keeps the edge count a small multiple of the
+        # node count, not O(aborts * n)
+        edges.append(edge_count(graph))
+        return former_out
+
+    def check_then_prune(graph):
         boundaries.append(len(graph.nodes))
         return prune(graph)
 
+    monkeypatch.setattr(DependencyGraph, "detach_node", checked_detach)
     monkeypatch.setattr(DependencyGraph, "prune_committed",
                         check_then_prune)
     env = Environment()
     runner = CERunner(registry, CEConfig(executors=16), make_rng(5))
     proc = runner.run_batch(env, rmw_txs(n, records=2), ycsb_state(2))
     env.run()
-    assert proc.triggered and boundaries == [n]
+    assert proc.triggered and boundaries == [0]
     cc = runner.last_session.cc
     assert cc.stats.commits == len(proc.value.committed) == n
     assert cc.stats.aborts > 20, "storm did not materialize"
+    assert len(edges) == cc.stats.aborts and max(edges) < 8 * n
 
 
 def test_layered_abort_storm_no_bridge_blowup(graph_cls):

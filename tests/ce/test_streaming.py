@@ -1,5 +1,5 @@
-"""Tests for the execution session over batch streams and committed-node
-pruning.
+"""Tests for the execution session over batch streams and its batch
+boundaries.
 
 Two properties carry the session:
 
@@ -8,9 +8,9 @@ Two properties carry the session:
   ``CERunner.run_batch`` one at a time, each a one-batch session (same
   environment, same runner, same RNG).
 * **Boundedness** — a session serves one batch at a time, each on its
-  own controller whose graph the boundary prune empties, so the node
-  count just before each prune (``BatchResult.graph_nodes``) is the
-  batch size over a long stream instead of growing linearly.
+  own controller whose graph every commit leaves, so each batch's graph
+  is empty at its boundary and ``BatchResult.graph_nodes`` is the batch
+  size over a long stream instead of growing linearly.
 """
 
 import pytest
@@ -171,7 +171,7 @@ def test_graph_stays_bounded_over_twenty_batches():
     batches = smallbank_batches(7, n_batches=20, batch_size=batch_size)
     streamed, session = run_streaming(registry, batches, initial_state(64),
                                       7, 8)
-    # Plateau: the graph holds the committed batch, never more.
+    # Plateau: each batch's graph held that batch, never more.
     assert [r.graph_nodes for r in streamed] == [batch_size] * 20
     # After the final batch there is nothing left to admit or retain.
     assert len(session.cc.graph.nodes) == 0
@@ -184,15 +184,17 @@ def test_graph_stays_bounded_over_twenty_batches():
 # ------------------------------------------------------------ prune unit tests
 
 def test_prune_quiescent_controller_evicts_everything():
+    """Each commit evicts its node, so a quiescent controller's graph is
+    empty and the boundary check passes."""
     cc = ConcurrencyController({"A": 1, "B": 2})
     for tx_id, key, value in ((1, "A", 10), (2, "B", 20)):
         node = cc.begin(tx_id)
         assert cc.read(node, key) in (1, 2)
         cc.write(node, key, value)
         cc.finish(node)
-    assert len(cc.graph.nodes) == 2
-    assert cc.graph.prune_committed() == 2
-    assert len(cc.graph.nodes) == 0
+        assert cc.graph.get(tx_id) is None
+    assert cc.graph.nodes == {} and cc.graph._indexed == []
+    cc.graph.prune_committed()
     # Reads fall through to the overlay and see the committed values.
     probe = cc.begin(3)
     assert cc.read(probe, "A") == 10
@@ -200,25 +202,31 @@ def test_prune_quiescent_controller_evicts_everything():
 
 
 def test_prune_with_a_live_node_raises_and_changes_nothing():
-    """A prune before every node committed names the first node that has
-    not, and leaves every node, record and edge in place."""
+    """A boundary check before every node committed names the first node
+    that has not, and leaves every node, record and index in place.  The
+    committed writer has already left; its value is read from the
+    overlay, with no read-from edge."""
     cc = ConcurrencyController({"K": 0})
     writer = cc.begin(1)
     cc.write(writer, "K", 5)
     cc.finish(writer)
     reader = cc.begin(2)
-    assert cc.read(reader, "K") == 5   # rf edge writer -> reader
+    assert cc.read(reader, "K") == 5   # from the overlay
+    assert reader.records["K"].read_from is None
+    other = cc.begin(3)
+    cc.write(other, "K", 7)            # R1: reader -> other
     with pytest.raises(SerializationError,
                        match=r"transaction 2 \(running\)"):
         cc.graph.prune_committed()
-    assert cc.graph.nodes == {1: writer, 2: reader}
-    assert cc.graph.has_edge(writer, reader)
-    assert cc.graph.has_path(writer, reader)
-    assert cc.graph.writers_of("K") == [writer]
+    assert cc.graph.nodes == {2: reader, 3: other}
+    assert cc.graph.has_edge(reader, other)
+    assert cc.graph.writers_of("K") == [other]
     assert cc.graph.readers_of("K") == [reader]
     cc.finish(reader)
-    assert cc.graph.prune_committed() == 2   # quiescent: both go
+    cc.finish(other)
+    cc.graph.prune_committed()         # quiescent: both have left
     assert cc.graph.writers_of("K") == cc.graph.readers_of("K") == []
+    assert cc.execution_order() == [1, 2, 3]
 
 
 # ---------------------------------------------------------------- edge cases
@@ -548,7 +556,7 @@ def graph_state(graph):
             {key: list(holders) for key, holders in graph._writers.items()},
             {key: list(holders) for key, holders in graph._readers.items()},
             list(graph._indexed), list(graph._down), list(graph._up),
-            graph._live, graph._open)
+            graph._live)
 
 
 def test_second_admit_before_drain_is_refused_and_changes_nothing():
@@ -624,13 +632,14 @@ def test_mid_batch_prune_raises_and_leaves_the_graph_intact(monkeypatch):
     env.run()
     assert len(planted) == 1
     assert fingerprint(proc.value) == fingerprint(reference)
-    # The plant, then the boundary's own prune of the whole batch.
-    assert len(prunes) == 2 and prunes[1] == len(batch)
+    # The plant, then the boundary's own check, on an empty graph.
+    assert len(prunes) == 2 and prunes[1] == 0
 
 
 def test_ce_cluster_graph_holds_one_batch_at_every_boundary(monkeypatch):
-    """On a CE cluster with reconfigurations, every boundary finds exactly
-    its own batch in the graph, and ``BatchResult.graph_nodes`` says so."""
+    """On a CE cluster with reconfigurations, every boundary finds its
+    batch's graph empty (each of the batch's commits left it), and
+    ``BatchResult.graph_nodes`` reports the batch it held."""
     boundary = StreamSession._boundary
     seen = []
 
@@ -648,5 +657,6 @@ def test_ce_cluster_graph_holds_one_batch_at_every_boundary(monkeypatch):
                                             cross_shard_ratio=0.1)).run(0.3)
     assert result.reconfigurations >= 1
     assert len(seen) > 20
-    assert all(len(set(counts)) == 1 for counts in seen), seen
-    assert max(counts[0] for counts in seen) == result.ce_peak_graph_nodes
+    assert all(counts[0] == 0 and len(set(counts[1:])) == 1
+               for counts in seen), seen
+    assert max(counts[1] for counts in seen) == result.ce_peak_graph_nodes

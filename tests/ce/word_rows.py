@@ -4,9 +4,9 @@ keeps.
 
 :class:`WordRows` holds the same closure as ``array`` rows of fixed-width
 words and updates it with the textbook operations (``connect`` ORs into
-every live descendant's ``up`` row and every open live ancestor's
-``down`` row, without the production graph's skip of rows that already
-hold the edge).  :func:`graph_class` names a graph class per row backend
+every live descendant's ``up`` row and every live ancestor's ``down``
+row, without the production graph's skip of rows that already hold the
+edge).  :func:`graph_class` names a graph class per row backend
 id:
 
 * ``pyint`` — the production graph, unchanged;
@@ -15,14 +15,12 @@ id:
   several words, and both tables compared after each mutation;
 * ``packed-array`` — the same with 64-bit words (``array('Q')``).
 
-Both sides tombstone a departing serial: its ``live`` and ``open`` bits
-go and its rows are zeroed, while its bit may stay in other rows.  Both
-close a committed node: its ``down`` row stops growing, and no edge
-enters it.  The reference ORs ``live``-masked rows into
-every row the propagation may touch, so the two tables must agree bit
-for bit — at live bits, where ``up`` and open ``down`` rows are exact,
-at closed ``down`` rows, which neither side may grow, and at dead bits,
-which neither side may add to.
+Both sides tombstone a departing serial (an abort or an eviction at
+commit): its ``live`` bit goes and its rows are zeroed, while its bit may
+stay in other rows.  The reference ORs ``live``-masked rows into every
+row the propagation may touch, so the two tables must agree bit for bit
+— at live bits, where the rows are exact, and at dead bits, which
+neither side may add to.
 
 The ids are those of the row backends the graph once chose between; a
 test parametrized over :data:`BACKENDS` runs its scenario once plain and
@@ -31,7 +29,7 @@ twice with the int rows held, step by step, to an independent layout.
 
 import sys
 from array import array
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.ce.depgraph import DependencyGraph
 
@@ -48,7 +46,6 @@ class WordRows:
         self.down: List[array] = []
         self.up: List[array] = []
         self.live: Set[int] = set()
-        self.open: Set[int] = set()
         self.words = 0
 
     def _zero_row(self) -> array:
@@ -77,7 +74,7 @@ class WordRows:
 
     def clear(self) -> None:
         self.down, self.up, self.words = [], [], 0
-        self.live, self.open = set(), set()
+        self.live = set()
 
     def append_singleton(self) -> None:
         serial = len(self.down)
@@ -90,35 +87,26 @@ class WordRows:
         self.down.append(self._singleton(serial))
         self.up.append(self._singleton(serial))
         self.live.add(serial)
-        self.open.add(serial)
 
     def connect(self, src: int, dst: int) -> None:
         descendants = self._live_only(self.down[dst])
         ancestors = self._live_only(self.up[src])
         for serial in self._bits(ancestors):
-            if serial in self.open:
-                _or_into(self.down[serial], descendants)
+            _or_into(self.down[serial], descendants)
         for serial in self._bits(descendants):
             _or_into(self.up[serial], ancestors)
 
-    def close(self, serial: int) -> None:
-        self.open.discard(serial)
-
     def discard(self, serial: int) -> None:
-        """Tombstone ``serial``: drop it from ``live`` and ``open``, zero
-        its rows."""
+        """Tombstone ``serial``: drop it from ``live``, zero its rows."""
         self.live.discard(serial)
-        self.open.discard(serial)
         self.down[serial] = self._zero_row()
         self.up[serial] = self._zero_row()
 
     def rebuild(self, count: int, topo: List[int],
                 out_serials: List[List[int]],
-                in_serials: List[List[int]],
-                open_: Optional[int] = None) -> None:
+                in_serials: List[List[int]]) -> None:
         """Closure from scratch, iterated to a fixpoint (one pass in
-        topological order settles it, and a second confirms it).
-        ``open_`` is the open set as an int (default: every serial)."""
+        topological order settles it, and a second confirms it)."""
         self.words = -(-count // self.width)
         down = [self._singleton(serial) for serial in range(count)]
         up = [self._singleton(serial) for serial in range(count)]
@@ -135,8 +123,6 @@ class WordRows:
                     changed |= row.tobytes() != before
         self.down, self.up = down, up
         self.live = set(range(count))
-        self.open = set(range(count)) if open_ is None \
-            else {serial for serial in self.live if open_ >> serial & 1}
 
     def as_ints(self):
         """Both tables as lists of Python ints, bit ``t`` = serial ``t``."""
@@ -145,9 +131,6 @@ class WordRows:
 
     def live_int(self) -> int:
         return sum(1 << serial for serial in self.live)
-
-    def open_int(self) -> int:
-        return sum(1 << serial for serial in self.open)
 
     @staticmethod
     def _to_int(row: array) -> int:
@@ -191,8 +174,6 @@ def graph_class(backend: str):
         def _check_rows(self) -> None:
             assert self.word_rows.live_int() == self._live, \
                 (backend, len(self._down))
-            assert self.word_rows.open_int() == self._open, \
-                (backend, len(self._down))
             assert self.word_rows.as_ints() == (self._down, self._up), \
                 (backend, len(self._down))
 
@@ -211,18 +192,9 @@ def graph_class(backend: str):
             self.word_rows.discard(serial)
             self._check_rows()
 
-        def close(self, node) -> None:
-            super().close(node)
-            if node._index_serial is not None:
-                self.word_rows.close(node._index_serial)
-                self._check_rows()
-
-        def _rebuild_rows(self, count, topo, out_serials, in_serials,
-                          open_=None):
-            super()._rebuild_rows(count, topo, out_serials, in_serials,
-                                  open_)
-            self.word_rows.rebuild(count, topo, out_serials, in_serials,
-                                   open_)
+        def _rebuild_rows(self, count, topo, out_serials, in_serials):
+            super()._rebuild_rows(count, topo, out_serials, in_serials)
+            self.word_rows.rebuild(count, topo, out_serials, in_serials)
             self._check_rows()
 
         def _index_reset_empty(self) -> None:

@@ -66,8 +66,6 @@ def test_counts_point_queries_and_connect_rows():
     # The masks skip rows an unmasked propagation would OR, never add any.
     assert 0 < counts["rows_ored"] < counts["rows_unmasked"]
     assert counts["rows_ored"] >= counts["connects"]
-    # Committed ancestors' down rows are frozen.
-    assert counts["skipped_closed"] > 0
 
 
 def test_counts_exactly_the_rows_connect_ors(monkeypatch):
@@ -97,13 +95,12 @@ def test_counts_exactly_the_rows_connect_ors(monkeypatch):
 def test_prints_the_closure_work(capsys):
     profile_e2e.print_closure_work(
         Counter(path_queries=10, connects=4, rows_ored=12,
-                rows_unmasked=16, skipped_closed=3), 5)
+                rows_unmasked=16), 5)
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
         "closure: 10 point queries (2.00 per transaction), 4 connects",
         "connect rows ORed: 12 (2.40 per transaction, 3.00 per connect); "
-        "unmasked 16, 25.0% skipped",
-        "ancestors skipped as committed: 3"]
+        "unmasked 16, 25.0% skipped"]
 
 
 def test_counts_records_built_per_transaction_by_class():

@@ -204,9 +204,8 @@ def count_closure_work(name: str,
                        scale: str = "full") -> Tuple[Counter, Cluster]:
     """Run workload ``name`` unprofiled, counting ``has_path`` calls and
     ``_connect``'s work: calls, rows ORed (its ``grow_down``
-    and ``grow_up`` sets), the rows an unmasked propagation would OR (the
-    live members of ``up[src]`` and ``down[dst]``), and the ancestors
-    ``grow_down`` skipped because they are closed (committed)."""
+    and ``grow_up`` sets), and the rows an unmasked propagation would OR
+    (the live members of ``up[src]`` and ``down[dst]``)."""
     cluster, args = _build(name, scale)
     counts: Counter = Counter()
     has_path = DependencyGraph.has_path
@@ -221,11 +220,10 @@ def count_closure_work(name: str,
         not_reaching = up[src] & graph._live & ~up[dst]
         descendants = down[dst] & graph._live
         counts["connects"] += 1
-        counts["rows_ored"] += ((not_reaching & graph._open).bit_count()
+        counts["rows_ored"] += (not_reaching.bit_count()
                                 + (descendants & ~down[src]).bit_count())
         counts["rows_unmasked"] += ((up[src] & graph._live).bit_count()
                                     + descendants.bit_count())
-        counts["skipped_closed"] += (not_reaching & ~graph._open).bit_count()
         connect(graph, src, dst)
 
     DependencyGraph.has_path = counting_has_path
@@ -246,7 +244,6 @@ def print_closure_work(counts: Counter, executed: int) -> None:
     print(f"connect rows ORed: {ored} ({ored / executed:.2f} per "
           f"transaction, {ored / max(connects, 1):.2f} per connect); "
           f"unmasked {unmasked}, {1 - ored / max(unmasked, 1):.1%} skipped")
-    print(f"ancestors skipped as committed: {counts['skipped_closed']}")
 
 
 def record_classes() -> List[type]:
